@@ -1,23 +1,22 @@
 //! Simulator throughput — host-side cost of simulation, and the wall-clock
-//! win from each accelerated run loop.
+//! win from the wake scheduler.
 //!
-//! Each configuration runs three times over the identical workload: naive
-//! per-cycle stepping (the reference loop), machine-wide quiescent-gap
-//! fast-forward (PR 3), and the component-granular wake scheduler (the
-//! default). The binary *fails* (exit 1) if any mode's run record is not
-//! byte-identical to naive, so a smoke run doubles as the scheduler
-//! regression gate in CI. Rows report simulated cycles per wall second and
-//! retired ops per wall second for every mode, plus speedups over naive
-//! (and, for the wake scheduler, over machine-gap — the number that
-//! isolates what per-component wakeup buys on mixed active/idle
-//! machines); results land in `results/sim_throughput.json` and are
-//! mirrored to `BENCH_sim_throughput.json` at the current directory.
+//! Each configuration runs twice over the identical workload: naive
+//! per-cycle stepping (the reference loop) and the component-granular
+//! wake scheduler (the default). The binary *fails* (exit 1) if the wake
+//! run's record is not byte-identical to naive, so a smoke run doubles as
+//! the scheduler regression gate in CI. Rows report simulated cycles per
+//! wall second and retired ops per wall second for both modes, plus the
+//! wake scheduler's speedup over naive; results land in
+//! `results/sim_throughput.json` and are mirrored to
+//! `BENCH_sim_throughput.json` at the current directory.
 //!
 //! A final big-mesh section (256 cores on a 2-D mesh) benchmarks the
-//! epoch-parallel scheduler at 1/2/4/8 shard workers against the wake
+//! epoch-parallel scheduler at 2/4/8 shard workers against the wake
 //! scheduler, gating both on record identity and — where the host has the
 //! hardware threads to run the shards concurrently — on
 //! `speedup_vs_component_wake >= 1.0` at 4 workers (`gate_speedup_ok`).
+//! One worker is not timed: it runs the wake scheduler itself.
 
 use std::time::Instant;
 
@@ -31,13 +30,7 @@ use tenways_waste::{Experiment, SchedMode};
 use tenways_workloads::{WorkloadKind, WorkloadParams};
 
 const ID: &str = "sim_throughput";
-const TITLE: &str = "simulator throughput: wake scheduling vs fast-forward vs naive";
-
-const MODES: [(&str, SchedMode); 3] = [
-    ("naive", SchedMode::Naive),
-    ("machine_gap", SchedMode::MachineGap),
-    ("component_wake", SchedMode::ComponentWake),
-];
+const TITLE: &str = "simulator throughput: wake scheduling vs naive";
 
 struct Timed {
     cycles: u64,
@@ -82,10 +75,9 @@ fn timed_exp(exp: &Experiment, sched: SchedMode) -> Timed {
 
 /// The wake scheduler's headline machine: one core computes the whole run
 /// while the rest fetch a few cold lines from far memory and then sit
-/// finished. Machine-gap fast-forward can never skip a cycle here (core 0
-/// always makes progress), so the whole machine is re-ticked every cycle;
-/// per-component wakeup parks the 15 done complexes and the drained NoC
-/// and pays O(1 complex) per cycle instead of O(16).
+/// finished. The machine as a whole is never quiescent (core 0 always
+/// makes progress), yet per-component wakeup parks the 15 done complexes
+/// and the drained NoC and pays O(1 complex) per cycle instead of O(16).
 ///
 /// Built on [`Machine`] directly because the workload suite has no kernel
 /// with this shape: its spinners *poll* (busy), they do not park.
@@ -133,13 +125,7 @@ fn timed_mixed(busy_ops: u64, idle_cores: usize, sched: SchedMode) -> Timed {
     })
 }
 
-fn mode_row(
-    label: &str,
-    mode: &str,
-    t: &Timed,
-    naive: Option<&Timed>,
-    gap: Option<&Timed>,
-) -> Json {
+fn mode_row(label: &str, mode: &str, t: &Timed, naive: Option<&Timed>) -> Json {
     let per_sec = |n: u64| {
         if t.wall_s > 0.0 {
             n as f64 / t.wall_s
@@ -147,8 +133,6 @@ fn mode_row(
             0.0
         }
     };
-    let speedup =
-        |base: Option<&Timed>| base.filter(|_| t.wall_s > 0.0).map(|b| b.wall_s / t.wall_s);
     let mut fields = vec![
         ("label", Json::from(label)),
         ("mode", Json::from(mode)),
@@ -159,11 +143,8 @@ fn mode_row(
         ("sim_cycles_per_sec", Json::F64(per_sec(t.cycles))),
         ("retired_ops_per_sec", Json::F64(per_sec(t.retired_ops))),
     ];
-    if let Some(s) = speedup(naive) {
-        fields.push(("speedup_vs_naive", Json::F64(s)));
-    }
-    if let Some(s) = speedup(gap) {
-        fields.push(("speedup_vs_machine_gap", Json::F64(s)));
+    if let Some(b) = naive.filter(|_| t.wall_s > 0.0) {
+        fields.push(("speedup_vs_naive", Json::F64(b.wall_s / t.wall_s)));
     }
     Json::obj(fields)
 }
@@ -184,8 +165,8 @@ fn main() {
         .build()
         .expect("hi-dram machine config");
     // Far-memory latencies (CXL/disaggregated, ~microseconds) at low
-    // concurrency: quiescent gaps dominate the timeline, the regime
-    // fast-forward exists for. Thread count is pinned so the row stays
+    // concurrency: quiescent gaps dominate the timeline, the regime the
+    // wake scheduler is built for. Thread count is pinned so the row stays
     // latency-bound whatever TENWAYS_THREADS says.
     let remote_mem = MachineConfig::builder()
         .cores(2)
@@ -195,7 +176,7 @@ fn main() {
 
     // A compute-leaning kernel, lock-heavy commercial kernels, and three
     // memory-latency-bound scans (default, slow, and far-memory DRAM) —
-    // the last rows are where fast-forward must pay off.
+    // the last rows are where sleeping through gaps must pay off.
     let configs: Vec<(String, Experiment)> = vec![
         (
             "lu/tso".into(),
@@ -258,8 +239,8 @@ fn main() {
     const MIXED_IDLE_CORES: usize = 15;
 
     println!(
-        "{:<30}{:>12}{:>11}{:>9}{:>9}{:>10}",
-        "config", "cycles", "naive s", "gap", "wake", "wake/gap"
+        "{:<30}{:>12}{:>11}{:>9}",
+        "config", "cycles", "naive s", "wake"
     );
     let mut rows = Vec::new();
     let mut mismatches = 0usize;
@@ -267,39 +248,22 @@ fn main() {
         // Timing runs are serial on purpose: parallel siblings would steal
         // host cores and corrupt the wall-clock numbers.
         let naive = run(SchedMode::Naive);
-        let gap = run(SchedMode::MachineGap);
         let wake = run(SchedMode::ComponentWake);
-        for (mode_label, t) in MODES.iter().map(|(n, _)| *n).zip([&naive, &gap, &wake]) {
-            if t.fingerprint != naive.fingerprint {
-                eprintln!("[{ID}] SCHEDULER MISMATCH on {label}/{mode_label}: run records differ");
-                mismatches += 1;
-            }
+        if wake.fingerprint != naive.fingerprint {
+            eprintln!("[{ID}] SCHEDULER MISMATCH on {label}/component_wake: run records differ");
+            mismatches += 1;
         }
-        let x = |a: &Timed, b: &Timed| {
-            if b.wall_s > 0.0 {
-                a.wall_s / b.wall_s
-            } else {
-                0.0
-            }
+        let speedup = if wake.wall_s > 0.0 {
+            naive.wall_s / wake.wall_s
+        } else {
+            0.0
         };
         println!(
-            "{:<30}{:>12}{:>11.3}{:>8.1}x{:>8.1}x{:>9.1}x",
-            label,
-            naive.cycles,
-            naive.wall_s,
-            x(&naive, &gap),
-            x(&naive, &wake),
-            x(&gap, &wake),
+            "{:<30}{:>12}{:>11.3}{:>8.1}x",
+            label, naive.cycles, naive.wall_s, speedup,
         );
-        rows.push(mode_row(label, "naive", &naive, None, None));
-        rows.push(mode_row(label, "machine_gap", &gap, Some(&naive), None));
-        rows.push(mode_row(
-            label,
-            "component_wake",
-            &wake,
-            Some(&naive),
-            Some(&gap),
-        ));
+        rows.push(mode_row(label, "naive", &naive, None));
+        rows.push(mode_row(label, "component_wake", &wake, Some(&naive)));
     };
     for (label, exp) in &configs {
         bench(label, &mut |sched| timed_exp(exp, sched));
@@ -329,17 +293,11 @@ fn main() {
         })
         .machine(big_mesh);
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    const EPOCH_WORKERS: [usize; 4] = [1, 2, 4, 8];
+    const EPOCH_WORKERS: [usize; 3] = [2, 4, 8];
     const GATE_WORKERS: usize = 4;
 
     let wake = timed_exp(&big_exp, SchedMode::ComponentWake);
-    rows.push(mode_row(
-        big_mesh_label,
-        "component_wake",
-        &wake,
-        None,
-        None,
-    ));
+    rows.push(mode_row(big_mesh_label, "component_wake", &wake, None));
     println!(
         "{:<30}{:>12}{:>11.3}  (component_wake baseline, host_threads={host_threads})",
         big_mesh_label, wake.cycles, wake.wall_s

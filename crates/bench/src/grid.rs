@@ -376,23 +376,20 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
     // Intra-run sharding (`[sched] mode = "parallel-epoch"`) multiplies
     // the sweep's across-run parallelism. An explicitly requested worker
     // count that oversubscribes the host is rejected (typed
-    // `SchedConfigError::Oversubscribed`, surfaced as the sweep's
-    // infrastructure error); the automatic default divides the host
-    // budget by the widest point instead.
+    // `Oversubscribed`, surfaced as the sweep's infrastructure error);
+    // the automatic default divides the host budget by the widest point
+    // instead.
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let max_intra = points
         .iter()
-        .map(|p| p.config.sched.intra_workers())
+        .map(|p| tenways_waste::intra_workers(p.config.sched))
         .max()
         .unwrap_or(1);
     let mut options = params.options.clone();
     match options.workers {
         Some(across) => {
             for point in &points {
-                point
-                    .config
-                    .sched
-                    .check_host_budget(across, host)
+                tenways_waste::check_host_budget(point.config.sched, across, host)
                     .map_err(|e| format!("{}: {e}", point.label))?;
             }
         }

@@ -1113,16 +1113,17 @@ impl Core {
         }
     }
 
-    /// Extends or closes the current consistency-stall trace span. A stall
-    /// span covers consecutive cycles blocked on the same [`StallKind`];
-    /// it is emitted when the run ends (or the kind changes).
-    fn trace_stall(&mut self, now: Cycle, current: Option<StallKind>) {
+    /// Extends or closes the current consistency-stall trace span by `n`
+    /// cycles (more than one when `skip_idle` replays a slept gap). A
+    /// stall span covers consecutive cycles blocked on the same
+    /// [`StallKind`]; it is emitted when the kind changes.
+    fn trace_stall(&mut self, now: Cycle, current: Option<StallKind>, n: u64) {
         if !self.tracer.is_enabled() {
             return;
         }
         match (self.stall_run, current) {
             (Some((kind, run)), Some(cur)) if kind == cur => {
-                self.stall_run = Some((kind, run + 1));
+                self.stall_run = Some((kind, run + n));
             }
             (open, cur) => {
                 if let Some((kind, run)) = open {
@@ -1141,7 +1142,7 @@ impl Core {
                         0,
                     );
                 }
-                self.stall_run = cur.map(|kind| (kind, 1));
+                self.stall_run = cur.map(|kind| (kind, n));
             }
         }
     }
@@ -1159,7 +1160,7 @@ impl Core {
             TickBlock::Stall(kind, _) if retired == 0 => Some(kind),
             _ => None,
         };
-        self.trace_stall(now, stall);
+        self.trace_stall(now, stall, n);
         if retired > 0 {
             self.acct.bump_by(account::BUSY, n);
             return;

@@ -20,13 +20,13 @@
 //!   each shard runs the window against a frozen base plus a private
 //!   delta ([`EpochMem`]), and the deltas of one window are word-disjoint.
 //!
-//! Within a shard the loop is exactly `Machine::run_wake` restricted to
-//! the local components, preserving the canonical fabric → directory
-//! banks → core complexes tie-break; per-node fabric state (injection
-//! is source-local, delivery destination-local) makes the per-shard
-//! fabric views behave identically to one shared fabric. Results are
-//! therefore bit-for-bit identical to every sequential mode, at any
-//! worker count.
+//! Within a shard the loop *is* the sequential one: each worker drives a
+//! [`WakeLoop`] over its local components, preserving the canonical
+//! fabric → directory banks → core complexes tie-break; per-node fabric
+//! state (injection is source-local, delivery destination-local) makes
+//! the per-shard fabric views behave identically to one shared fabric.
+//! Results are therefore bit-for-bit identical to every sequential mode,
+//! at any worker count.
 //!
 //! Run termination needs one refinement: the sequential loop stops right
 //! after the cycle `T` in which the last core finishes, leaving later
@@ -48,7 +48,7 @@ use tenways_sim::{Cycle, NodeId};
 use crate::archmem::{ArchMem, EpochMem};
 use crate::core::Core;
 use crate::machine::{Machine, RunSummary};
-use crate::wake::{WakeWheel, NEVER};
+use crate::wake::{Units, WakeLoop, NEVER};
 
 type Msg = tenways_coherence::Msg;
 
@@ -82,164 +82,40 @@ enum Reply {
         delta: ArchMem,
         next_due: u64,
     },
-    /// Response to [`Cmd::Finish`]: the shard's components, for
-    /// reassembly into the machine.
-    Finished(Box<ShardParts>),
-}
-
-/// Components returned by a shard at teardown, with their global indices.
-struct ShardParts {
-    fabric: Fabric<Msg>,
-    dirs: Vec<(usize, DirectoryBank)>,
-    cores: Vec<(usize, L1Controller, Core)>,
+    /// Response to [`Cmd::Finish`]: the shard, for reassembly into the
+    /// machine.
+    Finished(Box<Shard>),
 }
 
 /// One shard: a full-size fabric view holding only the owned nodes'
-/// queues, the owned directory banks and core complexes, and a private
-/// wake wheel over local components (0 = fabric view, then local dirs in
-/// ascending global order, then local core complexes likewise).
+/// queues, and the owned directory banks and core complexes with their
+/// global indices (ascending).
 struct Shard {
     fabric: Fabric<Msg>,
-    dirs: Vec<(usize, DirectoryBank)>,
-    cores: Vec<(usize, L1Controller, Core)>,
-    /// Global fabric node → local wheel component (`u32::MAX` foreign).
-    comp_of_node: Vec<u32>,
-    wheel: WakeWheel,
-    /// Cycle of each local component's most recent real tick.
-    last_tick: Vec<Cycle>,
-    due: Vec<u32>,
-    woken: Vec<NodeId>,
-    /// The window's memory view; installed per epoch, torn down at the
-    /// boundary so the base `Arc` is released before the merge.
-    mem: Option<EpochMem>,
+    dirs: Vec<DirectoryBank>,
+    dir_ids: Vec<usize>,
+    l1s: Vec<L1Controller>,
+    cores: Vec<Core>,
+    core_ids: Vec<usize>,
 }
 
-const FABRIC_COMP: u32 = 0;
-
 impl Shard {
-    fn all_done(&self) -> bool {
-        self.cores.iter().all(|(_, _, c)| c.is_done())
+    fn units(&mut self) -> Units<'_> {
+        Units {
+            fabric: &mut self.fabric,
+            dirs: &mut self.dirs,
+            l1s: &mut self.l1s,
+            cores: &mut self.cores,
+        }
     }
 
     fn done_cycle(&self) -> u64 {
         self.cores
             .iter()
-            .filter_map(|(_, _, c)| c.done_at())
+            .filter_map(Core::done_at)
             .map(Cycle::as_u64)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Processes every due local event through `hi` — the body of
-    /// `Machine::run_wake`, restricted to this shard's components. With
-    /// `stop_on_done`, returns `true` (paused) as soon as every local
-    /// core is done; otherwise returns `false` with the wheel's next due
-    /// cycle beyond `hi`.
-    fn run_window(&mut self, hi: u64, stop_on_done: bool) -> bool {
-        let n_dirs = self.dirs.len();
-        loop {
-            if stop_on_done && self.all_done() {
-                return true;
-            }
-            let t = match self.wheel.next_due() {
-                Some(at) if at <= hi => Cycle::new(at),
-                _ => return false,
-            };
-            self.wheel.take_due(t.as_u64(), &mut self.due);
-
-            // The fabric view ticks first; deliveries wake the owning
-            // local components this same cycle.
-            if self.due.first() == Some(&FABRIC_COMP) {
-                let gap = t.as_u64() - 1 - self.last_tick[0].as_u64();
-                if gap > 0 {
-                    self.fabric.skip_idle(self.last_tick[0], gap);
-                }
-                self.woken.clear();
-                self.fabric.tick_observed(t, &mut self.woken);
-                self.last_tick[0] = t;
-                let mut grew = false;
-                for &dst in &self.woken {
-                    let comp = self.comp_of_node[dst.index()];
-                    debug_assert_ne!(comp, u32::MAX, "delivery to a foreign node");
-                    if self.wheel.wake_of(comp) != t.as_u64() {
-                        self.due.push(comp);
-                        grew = true;
-                    }
-                }
-                if grew {
-                    self.due[1..].sort_unstable();
-                    self.due.dedup();
-                }
-            }
-
-            for i in 0..self.due.len() {
-                let comp = self.due[i] as usize;
-                if comp == FABRIC_COMP as usize {
-                    continue;
-                }
-                let basis = self.last_tick[comp];
-                let gap = t.as_u64() - 1 - basis.as_u64();
-                self.last_tick[comp] = t;
-                if comp <= n_dirs {
-                    let dir = &mut self.dirs[comp - 1].1;
-                    let progress = dir.tick(t, &mut self.fabric);
-                    let at = if progress {
-                        t.as_u64() + 1
-                    } else {
-                        dir.next_event(t).map_or(NEVER, Cycle::as_u64)
-                    };
-                    self.wheel.set(comp as u32, at);
-                } else {
-                    let (_, l1, core) = &mut self.cores[comp - 1 - n_dirs];
-                    if gap > 0 {
-                        l1.skip_idle(basis, gap);
-                        core.skip_idle(basis, gap);
-                    }
-                    let mem = self.mem.as_mut().expect("window memory installed");
-                    let mut progress = l1.tick(t, &mut self.fabric);
-                    progress |= core.tick(t, l1, &mut self.fabric, mem);
-                    progress |= l1.took_one_time_fx();
-                    let at = if progress {
-                        t.as_u64() + 1
-                    } else {
-                        let l1_at = l1.next_event(t).map_or(NEVER, Cycle::as_u64);
-                        let core_at = core.next_event(t).map_or(NEVER, Cycle::as_u64);
-                        l1_at.min(core_at)
-                    };
-                    self.wheel.set(comp as u32, at);
-                }
-            }
-
-            let at = self.fabric.next_event(t).map_or(NEVER, Cycle::as_u64);
-            self.wheel.set(FABRIC_COMP, at);
-        }
-    }
-
-    /// Mirror of `run_wake`'s end-of-run replay: slept cycles between
-    /// each component's last real tick and the final cycle are stat-only
-    /// and replayed in bulk (directory banks need none).
-    fn finish_tail(&mut self, fin: u64) {
-        let gap = fin.saturating_sub(self.last_tick[0].as_u64());
-        if gap > 0 {
-            self.fabric.skip_idle(self.last_tick[0], gap);
-        }
-        let n_dirs = self.dirs.len();
-        for (i, (_, l1, core)) in self.cores.iter_mut().enumerate() {
-            let basis = self.last_tick[1 + n_dirs + i];
-            let gap = fin.saturating_sub(basis.as_u64());
-            if gap > 0 {
-                l1.skip_idle(basis, gap);
-                core.skip_idle(basis, gap);
-            }
-        }
-    }
-
-    fn into_parts(self) -> ShardParts {
-        ShardParts {
-            fabric: self.fabric,
-            dirs: self.dirs,
-            cores: self.cores,
-        }
     }
 }
 
@@ -267,11 +143,12 @@ fn spin_recv<T>(rx: &Receiver<T>, spin: bool) -> Result<T, std::sync::mpsc::Recv
     rx.recv()
 }
 
-/// A worker thread's life: absorb, run the window, pause/continue as
-/// told, surrender the staged inserts and write delta, repeat — until
-/// [`Cmd::Finish`] ships the components back.
+/// A worker thread's life: absorb, run the window through the shard's
+/// wake loop, pause/continue as told, surrender the staged inserts and
+/// write delta, repeat — until [`Cmd::Finish`] ships the shard back.
 fn worker(
     mut shard: Shard,
+    mut wake: WakeLoop,
     cmds: &Receiver<Cmd>,
     replies: &Sender<(usize, Reply)>,
     idx: usize,
@@ -287,32 +164,23 @@ fn worker(
                 hi,
             } => {
                 shard.fabric.absorb_staged(batch);
-                // Refresh the fabric's wake: absorbed cross-shard
-                // flights may be due before the previously cached wake
-                // (the stale-min hazard pinned in tenways-noc's tests).
-                // Every absorbed delivery is at or after `lo`, so the
-                // refreshed wake never lands behind the wheel's base.
-                let at = shard
-                    .fabric
-                    .next_event(Cycle::new(lo - 1))
-                    .map_or(NEVER, Cycle::as_u64);
-                shard.wheel.set(FABRIC_COMP, at);
-                shard.mem = Some(EpochMem::new(base, delta));
-                if shard.run_window(hi, true) {
+                wake.rewake_fabric(&shard.fabric, lo);
+                let mut mem = EpochMem::new(base, delta);
+                if wake.run(&mut shard.units(), &mut mem, hi, true).is_some() {
                     let done_cycle = shard.done_cycle();
                     replies
                         .send((idx, Reply::Paused { done_cycle }))
                         .expect("main thread alive");
                     match spin_recv(cmds, spin).expect("main thread alive") {
                         Cmd::Continue { t } => {
-                            shard.run_window(t, false);
+                            wake.run(&mut shard.units(), &mut mem, t, false);
                         }
                         _ => unreachable!("paused shard expects Continue"),
                     }
                 }
                 let staged = shard.fabric.take_staged();
-                let next_due = shard.wheel.next_due().unwrap_or(NEVER);
-                let (base, delta) = shard.mem.take().expect("installed above").into_parts();
+                let next_due = wake.next_due();
+                let (base, delta) = mem.into_parts();
                 // Release the base handle *before* replying: once every
                 // shard has replied, the main thread's handle is unique
                 // and the boundary merge can mutate in place.
@@ -330,9 +198,9 @@ fn worker(
             }
             Cmd::Continue { .. } => unreachable!("Continue outside a pause"),
             Cmd::Finish { t } => {
-                shard.finish_tail(t);
+                wake.replay_tail(&mut shard.units(), Cycle::new(t));
                 replies
-                    .send((idx, Reply::Finished(Box::new(shard.into_parts()))))
+                    .send((idx, Reply::Finished(Box::new(shard))))
                     .expect("main thread alive");
                 return;
             }
@@ -363,48 +231,37 @@ pub(crate) fn run(m: &mut Machine, limit: u64, workers: usize) -> RunSummary {
         }
     };
     let nodes = m.fabric.nodes();
+    let n_dirs = m.dirs.len();
     let placeholder = Fabric::new(1, 0, 1, 1);
     let views = std::mem::replace(&mut m.fabric, placeholder).split(shards_n, owner);
-    let mut dir_parts: Vec<Vec<(usize, DirectoryBank)>> =
-        (0..shards_n).map(|_| Vec::new()).collect();
+    let mut shards: Vec<Shard> = views
+        .into_iter()
+        .enumerate()
+        .map(|(s, mut fabric)| {
+            fabric.set_staging(true);
+            Shard {
+                fabric,
+                dirs: Vec::new(),
+                dir_ids: (s..n_dirs).step_by(shards_n).collect(),
+                l1s: Vec::new(),
+                cores: Vec::new(),
+                core_ids: (s..n_cores).step_by(shards_n).collect(),
+            }
+        })
+        .collect();
     for (b, dir) in m.dirs.drain(..).enumerate() {
-        dir_parts[b % shards_n].push((b, dir));
+        shards[b % shards_n].dirs.push(dir);
     }
-    let mut core_parts: Vec<Vec<(usize, L1Controller, Core)>> =
-        (0..shards_n).map(|_| Vec::new()).collect();
     for (c, (l1, core)) in m.l1s.drain(..).zip(m.cores.drain(..)).enumerate() {
-        core_parts[c % shards_n].push((c, l1, core));
-    }
-    let mut shards: Vec<Shard> = Vec::with_capacity(shards_n);
-    for (s, mut view) in views.into_iter().enumerate() {
-        view.set_staging(true);
-        let dirs = std::mem::take(&mut dir_parts[s]);
-        let cores = std::mem::take(&mut core_parts[s]);
-        let n_comps = 1 + dirs.len() + cores.len();
-        let mut comp_of_node = vec![u32::MAX; nodes];
-        for (i, (b, _)) in dirs.iter().enumerate() {
-            comp_of_node[n_cores + b] = (1 + i) as u32;
-        }
-        for (i, (c, _, _)) in cores.iter().enumerate() {
-            comp_of_node[*c] = (1 + dirs.len() + i) as u32;
-        }
-        shards.push(Shard {
-            fabric: view,
-            dirs,
-            cores,
-            comp_of_node,
-            wheel: WakeWheel::new(n_comps, start.as_u64() + 1),
-            last_tick: vec![start; n_comps],
-            due: Vec::with_capacity(n_comps),
-            woken: Vec::new(),
-            mem: None,
-        });
+        let shard = &mut shards[c % shards_n];
+        shard.l1s.push(l1);
+        shard.cores.push(core);
     }
 
     let mut base = Arc::new(std::mem::take(&mut m.mem));
     let mut deltas: Vec<Option<ArchMem>> = vec![Some(ArchMem::new()); shards_n];
     let mut pending: Vec<Staged<Msg>> = Vec::new();
-    let mut parts: Vec<Option<ShardParts>> = (0..shards_n).map(|_| None).collect();
+    let mut parts: Vec<Option<Shard>> = (0..shards_n).map(|_| None).collect();
     let mut t_final = start.as_u64();
 
     // Spin-wait at epoch boundaries only when every shard worker plus the
@@ -417,10 +274,17 @@ pub(crate) fn run(m: &mut Machine, limit: u64, workers: usize) -> RunSummary {
         let (reply_tx, reply_rx) = channel::<(usize, Reply)>();
         let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(shards_n);
         for (idx, shard) in shards.drain(..).enumerate() {
+            let wake = WakeLoop::new(
+                start,
+                n_cores,
+                nodes,
+                shard.dir_ids.iter().copied(),
+                shard.core_ids.iter().copied(),
+            );
             let (cmd_tx, cmd_rx) = channel::<Cmd>();
             cmd_txs.push(cmd_tx);
             let reply_tx = reply_tx.clone();
-            scope.spawn(move || worker(shard, &cmd_rx, &reply_tx, idx, spin));
+            scope.spawn(move || worker(shard, wake, &cmd_rx, &reply_tx, idx, spin));
         }
 
         let mut lo = start.as_u64() + 1;
@@ -537,12 +401,12 @@ pub(crate) fn run(m: &mut Machine, limit: u64, workers: usize) -> RunSummary {
     // ---- reassemble the machine ----
     let mut fabric_views = Vec::with_capacity(shards_n);
     let mut dirs: Vec<(usize, DirectoryBank)> = Vec::new();
-    let mut cores: Vec<(usize, L1Controller, Core)> = Vec::new();
+    let mut cores: Vec<(usize, (L1Controller, Core))> = Vec::new();
     for p in parts {
         let p = p.expect("every shard shipped its parts");
         fabric_views.push(p.fabric);
-        dirs.extend(p.dirs);
-        cores.extend(p.cores);
+        dirs.extend(p.dir_ids.into_iter().zip(p.dirs));
+        cores.extend(p.core_ids.into_iter().zip(p.l1s.into_iter().zip(p.cores)));
     }
     let mut fabric = Fabric::recompose(fabric_views);
     // In-flight messages staged at the final boundary belong in the
@@ -552,8 +416,8 @@ pub(crate) fn run(m: &mut Machine, limit: u64, workers: usize) -> RunSummary {
     m.fabric = fabric;
     dirs.sort_unstable_by_key(|(b, _)| *b);
     m.dirs = dirs.into_iter().map(|(_, d)| d).collect();
-    cores.sort_by_key(|(c, _, _)| *c);
-    for (_, l1, core) in cores {
+    cores.sort_by_key(|(c, _)| *c);
+    for (_, (l1, core)) in cores {
         m.l1s.push(l1);
         m.cores.push(core);
     }

@@ -11,7 +11,7 @@ use crate::archmem::ArchMem;
 use crate::consistency::ConsistencyModel;
 use crate::core::Core;
 use crate::op::ThreadProgram;
-use crate::wake::{WakeWheel, NEVER};
+use crate::wake::{Units, WakeLoop};
 
 type CoherenceMsg = tenways_coherence::Msg;
 
@@ -21,9 +21,6 @@ type CoherenceMsg = tenways_coherence::Msg;
 pub enum SchedMode {
     /// Tick every component every cycle. The reference loop.
     Naive,
-    /// Tick every component every cycle, but jump the clock across
-    /// machine-wide quiescent gaps (the PR 3 event-horizon fast-forward).
-    MachineGap,
     /// Component-granular wake scheduling: each cycle, tick only the
     /// components whose wake time is due; idle components sleep and have
     /// their stat-only cycle effects replayed lazily on wake. The default.
@@ -31,11 +28,13 @@ pub enum SchedMode {
     ComponentWake,
     /// Conservative epoch-parallel scheduling: the scheduling units
     /// (fabric, directory banks, fused core+L1 complexes) are sharded
-    /// across `workers` threads; each shard free-runs its own wake wheel
-    /// through windows of the minimum NoC latency and exchanges fabric
-    /// messages only at window boundaries (see `crate::epoch`). Falls
-    /// back to [`ComponentWake`] when the machine is too small to shard
-    /// or the minimum latency is zero.
+    /// across `workers` threads; each shard runs the wake loop over its
+    /// own components through windows of the minimum NoC latency and
+    /// exchanges fabric messages only at window boundaries (see
+    /// `crate::epoch`). Falls back to
+    /// [`ComponentWake`](SchedMode::ComponentWake) when the machine is too
+    /// small to shard, the minimum latency is zero, or a tracer is
+    /// attached.
     ParallelEpoch {
         /// Worker threads to shard across (clamped to the core count;
         /// `0` behaves as `1`).
@@ -48,10 +47,22 @@ impl SchedMode {
     pub fn label(&self) -> &'static str {
         match self {
             SchedMode::Naive => "naive",
-            SchedMode::MachineGap => "machine-gap",
             SchedMode::ComponentWake => "component-wake",
             SchedMode::ParallelEpoch { .. } => "parallel-epoch",
         }
+    }
+}
+
+impl tenways_sim::json::ToJson for SchedMode {
+    /// The `[sched]` config section: `{"mode": label}`, plus `workers`
+    /// for [`SchedMode::ParallelEpoch`].
+    fn to_json(&self) -> tenways_sim::json::Json {
+        use tenways_sim::json::Json;
+        let mut pairs = vec![("mode", Json::from(self.label()))];
+        if let SchedMode::ParallelEpoch { workers } = self {
+            pairs.push(("workers", Json::from(*workers)));
+        }
+        Json::obj(pairs)
     }
 }
 
@@ -166,6 +177,8 @@ pub struct Machine {
     /// all modes; non-default modes exist for regression comparison,
     /// benchmarking, and multi-worker wall-clock scaling).
     sched: SchedMode,
+    /// Whether an enabled tracer is attached (see [`Machine::set_tracer`]).
+    traced: bool,
 }
 
 impl Machine {
@@ -211,6 +224,7 @@ impl Machine {
             cores,
             mem: ArchMem::new(),
             sched: SchedMode::default(),
+            traced: false,
         }
     }
 
@@ -227,12 +241,12 @@ impl Machine {
 
     /// Attaches an event tracer to every instrumented component (cores,
     /// directory banks, fabric). Clones of the handle share one buffer.
+    /// Every scheduler records the same events in the same order, except
+    /// that a traced [`SchedMode::ParallelEpoch`] run takes the sequential
+    /// wake loop: shard threads would push into the one buffer in a
+    /// nondeterministic order.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        if tracer.is_enabled() {
-            // Tracing wants a span for every cycle, including quiescent
-            // ones; fall back to naive stepping so none are skipped.
-            self.sched = SchedMode::Naive;
-        }
+        self.traced = tracer.is_enabled();
         for core in &mut self.cores {
             core.set_tracer(tracer.clone());
         }
@@ -272,267 +286,63 @@ impl Machine {
         self.cores.iter().all(Core::is_done)
     }
 
-    /// Advances the whole machine one cycle.
-    pub fn step(&mut self) {
-        self.step_tracked();
-    }
-
-    /// Advances one cycle and reports whether any component made progress
-    /// (changed non-stat state). A `false` return means this cycle was pure
-    /// waiting: every component's side effects were stat-only and will
-    /// repeat identically each cycle until the next scheduled event.
-    fn step_tracked(&mut self) -> bool {
-        let now = self.clock.advance();
-        let mut progress = self.fabric.tick(now);
-        for dir in &mut self.dirs {
-            progress |= dir.tick(now, &mut self.fabric);
-        }
-        for i in 0..self.cores.len() {
-            progress |= self.l1s[i].tick(now, &mut self.fabric);
-            progress |= self.cores[i].tick(now, &mut self.l1s[i], &mut self.fabric, &mut self.mem);
-            // Core-driven requests land in the L1 after its own tick; a
-            // failed request can still consume one-shot state (e.g. clear
-            // a prefetched bit), which makes this cycle non-repeatable.
-            progress |= self.l1s[i].took_one_time_fx();
-        }
-        progress
-    }
-
-    /// Earliest future cycle at which any component has scheduled work: the
-    /// machine-wide event horizon. `None` means no component will act on
-    /// its own (all threads done, or a hard deadlock).
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut horizon: Option<Cycle> = None;
-        let mut fold = |e: Option<Cycle>| {
-            if let Some(at) = e {
-                horizon = Some(horizon.map_or(at, |h| h.min(at)));
-            }
-        };
-        fold(self.fabric.next_event(now));
-        for dir in &self.dirs {
-            fold(dir.next_event(now));
-        }
-        for l1 in &self.l1s {
-            fold(l1.next_event(now));
-        }
-        for core in &self.cores {
-            fold(core.next_event(now));
-        }
-        horizon
-    }
-
     /// Runs until every thread finishes or `limit` cycles elapse, using
     /// the configured [`SchedMode`] (component-granular wake scheduling by
     /// default). Results are bit-for-bit identical to [`Machine::run_naive`].
     pub fn run(&mut self, limit: u64) -> RunSummary {
         match self.sched {
             SchedMode::Naive => self.run_naive(limit),
-            SchedMode::MachineGap => self.run_machine_gap(limit),
-            SchedMode::ComponentWake => self.run_wake(limit),
-            SchedMode::ParallelEpoch { workers } => crate::epoch::run(self, limit, workers),
+            SchedMode::ParallelEpoch { workers } if !self.traced => {
+                crate::epoch::run(self, limit, workers)
+            }
+            SchedMode::ComponentWake | SchedMode::ParallelEpoch { .. } => self.run_wake(limit),
         }
     }
 
-    /// The PR 3 loop: every component ticks every cycle, but machine-wide
-    /// quiescent gaps are replayed in bulk and jumped over.
-    fn run_machine_gap(&mut self, limit: u64) -> RunSummary {
-        let start = self.clock.now();
-        let end = start.after(limit);
-        while !self.all_done() && self.clock.now() < end {
-            let progress = self.step_tracked();
-            let now = self.clock.now();
-            if progress || now >= end || self.all_done() {
-                continue;
-            }
-            // Quiescent cycle: naive stepping would repeat it verbatim up
-            // to the cycle before the next event (or the run limit).
-            // Replay its stat-only side effects across the gap and jump.
-            let target = match self.next_event(now) {
-                Some(h) => {
-                    debug_assert!(h > now, "horizon must be in the future");
-                    Cycle::new(h.as_u64() - 1).min(end)
-                }
-                // Nothing scheduled but threads unfinished: deadlocked
-                // until the limit cuts the run off.
-                None => end,
-            };
-            let gap = target - now;
-            if gap == 0 {
-                continue;
-            }
-            self.fabric.skip_idle(now, gap);
-            for l1 in &mut self.l1s {
-                l1.skip_idle(now, gap);
-            }
-            for core in &mut self.cores {
-                core.skip_idle(now, gap);
-            }
-            self.clock.advance_by(gap);
-        }
-        self.finish(start)
-    }
-
-    /// Component index of the fabric in the wake wheel.
-    const FABRIC_COMP: u32 = 0;
-
-    /// Maps a fabric endpoint to its wake-wheel component: directory banks
-    /// follow the fabric, core complexes (L1 + core, fused because they
-    /// exchange state within a cycle) follow the banks.
-    fn comp_of_node(&self, node: tenways_sim::NodeId) -> u32 {
-        let cores = self.cores.len();
-        if node.index() < cores {
-            (1 + self.dirs.len() + node.index()) as u32
-        } else {
-            (1 + (node.index() - cores)) as u32
-        }
-    }
-
-    /// The component-granular wake scheduler: each cycle with any due
-    /// work, tick exactly the due components (in the canonical fabric →
-    /// directory banks → core complexes order) and put each back to sleep
-    /// until its own next event. Components woken after a gap first replay
-    /// the stat-only effects of the no-progress ticks they slept through
-    /// (`skip_idle`), so results stay bit-for-bit identical to
-    /// [`Machine::run_naive`].
+    /// The component-granular wake scheduler: the whole machine as one
+    /// [`WakeLoop`], run to the cycle limit.
     pub(crate) fn run_wake(&mut self, limit: u64) -> RunSummary {
         let start = self.clock.now();
         let end = start.after(limit);
-        let n_dirs = self.dirs.len();
-        let n_comps = 1 + n_dirs + self.cores.len();
-        // Every component ticks the first cycle; idleness is only ever
-        // proven by a real tick that reports no progress.
-        let mut wheel = WakeWheel::new(n_comps, start.as_u64() + 1);
-        // Cycle of each component's most recent real tick: the replay
-        // basis for the gap behind a wake.
-        let mut last_tick: Vec<Cycle> = vec![start; n_comps];
-        let mut due: Vec<u32> = Vec::with_capacity(n_comps);
-        let mut woken: Vec<tenways_sim::NodeId> = Vec::new();
-
-        while !self.all_done() && self.clock.now() < end {
-            let t = match wheel.next_due() {
-                Some(at) if at <= end.as_u64() => Cycle::new(at),
-                // Nothing due before the limit (deadlock, or events past
-                // the cut-off): idle out the rest of the run.
-                _ => {
-                    let now = self.clock.now();
-                    self.clock.advance_by(end - now);
-                    break;
-                }
-            };
-            let now = self.clock.now();
-            debug_assert!(t > now, "due cycle must be in the future");
-            self.clock.advance_by(t - now);
-            wheel.take_due(t.as_u64(), &mut due);
-
-            // The fabric ticks first (component 0 sorts first). Its
-            // deliveries this cycle wake the owning components *this*
-            // cycle — in naive stepping they would drain their inboxes in
-            // the same cycle the fabric filled them.
-            if due.first() == Some(&Self::FABRIC_COMP) {
-                let gap = t.as_u64() - 1 - last_tick[0].as_u64();
-                if gap > 0 {
-                    self.fabric.skip_idle(last_tick[0], gap);
-                }
-                woken.clear();
-                let progress = self.fabric.tick_observed(t, &mut woken);
-                last_tick[0] = t;
-                let mut grew = false;
-                for &dst in &woken {
-                    let comp = self.comp_of_node(dst);
-                    if wheel.wake_of(comp) != t.as_u64() {
-                        due.push(comp);
-                        grew = true;
-                    }
-                }
-                if grew {
-                    due[1..].sort_unstable();
-                    due.dedup();
-                }
-                // The fabric's own wake is refreshed at the end of the
-                // cycle, after every component has had a chance to send.
-                let _ = progress;
-            }
-
-            for &comp in &due {
-                let comp = comp as usize;
-                if comp == Self::FABRIC_COMP as usize {
-                    continue;
-                }
-                let basis = last_tick[comp];
-                let gap = t.as_u64() - 1 - basis.as_u64();
-                last_tick[comp] = t;
-                if comp <= n_dirs {
-                    // Directory bank: an idle bank tick mutates nothing
-                    // (see `DirectoryBank::next_event`), so slept cycles
-                    // need no replay.
-                    let dir = &mut self.dirs[comp - 1];
-                    let progress = dir.tick(t, &mut self.fabric);
-                    let at = if progress {
-                        t.as_u64() + 1
-                    } else {
-                        dir.next_event(t).map_or(NEVER, Cycle::as_u64)
-                    };
-                    wheel.set(comp as u32, at);
-                } else {
-                    // Core complex: L1 then core, exactly the per-cycle
-                    // order of `step_tracked`.
-                    let c = comp - 1 - n_dirs;
-                    if gap > 0 {
-                        self.l1s[c].skip_idle(basis, gap);
-                        self.cores[c].skip_idle(basis, gap);
-                    }
-                    let mut progress = self.l1s[c].tick(t, &mut self.fabric);
-                    progress |=
-                        self.cores[c].tick(t, &mut self.l1s[c], &mut self.fabric, &mut self.mem);
-                    progress |= self.l1s[c].took_one_time_fx();
-                    let at = if progress {
-                        t.as_u64() + 1
-                    } else {
-                        let l1 = self.l1s[c].next_event(t).map_or(NEVER, Cycle::as_u64);
-                        let core = self.cores[c].next_event(t).map_or(NEVER, Cycle::as_u64);
-                        l1.min(core)
-                    };
-                    wheel.set(comp as u32, at);
-                }
-            }
-
-            // Any component may have handed the fabric a message this
-            // cycle (`pending_inject > 0` ⇒ `next_event` = t+1), so the
-            // fabric's wake is recomputed unconditionally — O(1) with the
-            // cached delivery minimum.
-            let at = self.fabric.next_event(t).map_or(NEVER, Cycle::as_u64);
-            wheel.set(Self::FABRIC_COMP, at);
-        }
-
-        // Cycles between each component's last real tick and the end of
-        // the run were slept through; replay their stat-only effects so
-        // totals match naive stepping, which ticks everything up to the
-        // final cycle.
-        let fin = self.clock.now();
-        if fin > start {
-            let gap = fin.as_u64() - last_tick[0].as_u64();
-            if gap > 0 {
-                self.fabric.skip_idle(last_tick[0], gap);
-            }
-            for c in 0..self.cores.len() {
-                let comp = 1 + n_dirs + c;
-                let basis = last_tick[comp];
-                let gap = fin.as_u64() - basis.as_u64();
-                if gap > 0 {
-                    self.l1s[c].skip_idle(basis, gap);
-                    self.cores[c].skip_idle(basis, gap);
-                }
-            }
-        }
+        let mut wake = WakeLoop::new(
+            start,
+            self.cores.len(),
+            self.fabric.nodes(),
+            0..self.dirs.len(),
+            0..self.cores.len(),
+        );
+        let mut units = Units {
+            fabric: &mut self.fabric,
+            dirs: &mut self.dirs,
+            l1s: &mut self.l1s,
+            cores: &mut self.cores,
+        };
+        // The loop stops once every core is done, at the cycle the last
+        // one finished; otherwise nothing was due before the limit
+        // (deadlock, or events past the cut-off) and the run idles out.
+        let fin = wake
+            .run(&mut units, &mut self.mem, end.as_u64(), true)
+            .unwrap_or(end);
+        wake.replay_tail(&mut units, fin);
+        self.clock.advance_by(fin - start);
         self.finish(start)
     }
 
-    /// Runs with plain one-cycle-at-a-time stepping, never fast-forwarding.
-    /// Reference loop for regression tests and benchmark baselines.
+    /// Runs with plain one-cycle-at-a-time stepping, ticking every
+    /// component every cycle. Reference loop for regression tests and
+    /// benchmark baselines.
     pub fn run_naive(&mut self, limit: u64) -> RunSummary {
         let start = self.clock.now();
         while !self.all_done() && self.clock.now() - start < limit {
-            self.step();
+            let now = self.clock.advance();
+            self.fabric.tick(now);
+            for dir in &mut self.dirs {
+                dir.tick(now, &mut self.fabric);
+            }
+            for (l1, core) in self.l1s.iter_mut().zip(&mut self.cores) {
+                l1.tick(now, &mut self.fabric);
+                core.tick(now, l1, &mut self.fabric, &mut self.mem);
+            }
         }
         self.finish(start)
     }

@@ -20,6 +20,12 @@
 //!   bit-for-bit reproducible.
 //! * **Monotonicity.** Wake times are only ever set at or after the
 //!   wheel's base (the last drained cycle); the debug build asserts it.
+//!
+//! `WakeLoop` is the scheduler built on the wheel. It is the one run loop
+//! behind both [`SchedMode::ComponentWake`](crate::SchedMode::ComponentWake),
+//! which drives it over the whole machine, and
+//! [`SchedMode::ParallelEpoch`](crate::SchedMode::ParallelEpoch), whose
+//! workers each drive one over their shard, a window at a time.
 
 /// Slots in the near-term window. Covers L1 hit latencies, NoC hops and
 /// directory latencies without touching the heap; anything longer (DRAM)
@@ -31,6 +37,13 @@ pub const NEVER: u64 = u64::MAX;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+use tenways_coherence::{DirectoryBank, L1Controller, Msg};
+use tenways_noc::Fabric;
+use tenways_sim::{Cycle, NodeId};
+
+use crate::archmem::MemBackend;
+use crate::core::Core;
 
 /// A bucketed timing wheel over a fixed set of component indices.
 #[derive(Debug)]
@@ -159,6 +172,222 @@ impl WakeWheel {
         out.sort_unstable();
         out.dedup();
         self.base = t;
+    }
+}
+
+/// Wake-loop component index of the fabric (or a shard's fabric view).
+const FABRIC_COMP: u32 = 0;
+
+/// `comp_of_node` entry for a fabric node another shard owns.
+const FOREIGN: u32 = u32::MAX;
+
+/// The scheduling units one [`WakeLoop`] drives: the whole machine, or
+/// one epoch shard's fabric view with the banks and core complexes it
+/// owns. `l1s[i]` and `cores[i]` form one complex.
+pub(crate) struct Units<'a> {
+    pub(crate) fabric: &'a mut Fabric<Msg>,
+    pub(crate) dirs: &'a mut [DirectoryBank],
+    pub(crate) l1s: &'a mut [L1Controller],
+    pub(crate) cores: &'a mut [Core],
+}
+
+/// The component-granular wake scheduler. Its components are the fabric
+/// (0), then the directory banks, then the core complexes (L1 + core,
+/// fused because they exchange state within a cycle), each in ascending
+/// global order — the order naive stepping ticks them in.
+#[derive(Debug)]
+pub(crate) struct WakeLoop {
+    wheel: WakeWheel,
+    /// Cycle of each component's most recent real tick: the replay basis
+    /// for the gap behind a wake.
+    last_tick: Vec<Cycle>,
+    /// Global fabric node → component (`FOREIGN` for other shards' nodes).
+    comp_of_node: Vec<u32>,
+    due: Vec<u32>,
+    woken: Vec<NodeId>,
+    /// The last cycle processed (the start cycle before the first).
+    now: Cycle,
+}
+
+impl WakeLoop {
+    /// A loop over the directory banks `dir_ids` and core complexes
+    /// `core_ids` (global indices, ascending) of a machine with `n_cores`
+    /// cores and `nodes` fabric nodes, whose first cycle is `start + 1`.
+    /// Every component ticks that cycle: idleness is only ever proven by
+    /// a real tick that reports no progress.
+    pub(crate) fn new(
+        start: Cycle,
+        n_cores: usize,
+        nodes: usize,
+        dir_ids: impl IntoIterator<Item = usize>,
+        core_ids: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let mut comp_of_node = vec![FOREIGN; nodes];
+        let mut n_comps = 1;
+        for b in dir_ids {
+            comp_of_node[n_cores + b] = n_comps;
+            n_comps += 1;
+        }
+        for c in core_ids {
+            comp_of_node[c] = n_comps;
+            n_comps += 1;
+        }
+        let n_comps = n_comps as usize;
+        WakeLoop {
+            wheel: WakeWheel::new(n_comps, start.as_u64() + 1),
+            last_tick: vec![start; n_comps],
+            comp_of_node,
+            due: Vec::with_capacity(n_comps),
+            woken: Vec::new(),
+            now: start,
+        }
+    }
+
+    /// Processes every due event through cycle `hi`. Each cycle with due
+    /// work ticks exactly the due components, in the canonical fabric →
+    /// directory banks → core complexes order, and puts each back to
+    /// sleep until its own next event. A component woken after a gap
+    /// first replays the stat-only effects of the no-progress ticks it
+    /// slept through (`skip_idle`), so results stay bit-for-bit those of
+    /// naive stepping.
+    ///
+    /// Returns `None` once nothing more is due by `hi`. With
+    /// `stop_on_done` it stops earlier, as soon as every core in `u` is
+    /// done, and returns the last cycle processed.
+    pub(crate) fn run<M: MemBackend>(
+        &mut self,
+        u: &mut Units<'_>,
+        mem: &mut M,
+        hi: u64,
+        stop_on_done: bool,
+    ) -> Option<Cycle> {
+        let n_dirs = u.dirs.len();
+        loop {
+            if stop_on_done && u.cores.iter().all(Core::is_done) {
+                return Some(self.now);
+            }
+            let t = match self.wheel.next_due() {
+                Some(at) if at <= hi => Cycle::new(at),
+                _ => return None,
+            };
+            self.now = t;
+            self.wheel.take_due(t.as_u64(), &mut self.due);
+
+            // The fabric ticks first (component 0 sorts first). Its
+            // deliveries this cycle wake the owning components *this*
+            // cycle — in naive stepping they would drain their inboxes in
+            // the same cycle the fabric filled them.
+            if self.due.first() == Some(&FABRIC_COMP) {
+                let basis = self.last_tick[0];
+                let gap = t.as_u64() - 1 - basis.as_u64();
+                if gap > 0 {
+                    u.fabric.skip_idle(basis, gap);
+                }
+                self.woken.clear();
+                u.fabric.tick_observed(t, &mut self.woken);
+                self.last_tick[0] = t;
+                let mut grew = false;
+                for &dst in &self.woken {
+                    let comp = self.comp_of_node[dst.index()];
+                    debug_assert_ne!(comp, FOREIGN, "delivery to a foreign node");
+                    if self.wheel.wake_of(comp) != t.as_u64() {
+                        self.due.push(comp);
+                        grew = true;
+                    }
+                }
+                if grew {
+                    self.due[1..].sort_unstable();
+                    self.due.dedup();
+                }
+            }
+
+            for &comp in &self.due {
+                let comp = comp as usize;
+                if comp == FABRIC_COMP as usize {
+                    continue;
+                }
+                let basis = self.last_tick[comp];
+                let gap = t.as_u64() - 1 - basis.as_u64();
+                self.last_tick[comp] = t;
+                let at = if comp <= n_dirs {
+                    // Directory bank: an idle bank tick mutates nothing
+                    // (see `DirectoryBank::next_event`), so slept cycles
+                    // need no replay.
+                    let dir = &mut u.dirs[comp - 1];
+                    if dir.tick(t, u.fabric) {
+                        t.as_u64() + 1
+                    } else {
+                        dir.next_event(t).map_or(NEVER, Cycle::as_u64)
+                    }
+                } else {
+                    // Core complex: L1 then core, the per-cycle order of
+                    // naive stepping.
+                    let c = comp - 1 - n_dirs;
+                    let (l1, core) = (&mut u.l1s[c], &mut u.cores[c]);
+                    if gap > 0 {
+                        l1.skip_idle(basis, gap);
+                        core.skip_idle(basis, gap);
+                    }
+                    let mut progress = l1.tick(t, u.fabric);
+                    progress |= core.tick(t, l1, u.fabric, mem);
+                    // Core-driven requests land in the L1 after its own
+                    // tick; a failed request can still consume one-shot
+                    // state (e.g. clear a prefetched bit), which makes
+                    // this cycle non-repeatable.
+                    progress |= l1.took_one_time_fx();
+                    if progress {
+                        t.as_u64() + 1
+                    } else {
+                        let l1_at = l1.next_event(t).map_or(NEVER, Cycle::as_u64);
+                        l1_at.min(core.next_event(t).map_or(NEVER, Cycle::as_u64))
+                    }
+                };
+                self.wheel.set(comp as u32, at);
+            }
+
+            // Any component may have handed the fabric a message this
+            // cycle (`pending_inject > 0` ⇒ `next_event` = t+1), so the
+            // fabric's wake is recomputed unconditionally — O(1) with the
+            // cached delivery minimum.
+            let at = u.fabric.next_event(t).map_or(NEVER, Cycle::as_u64);
+            self.wheel.set(FABRIC_COMP, at);
+        }
+    }
+
+    /// Replays the stat-only effects of the cycles each component slept
+    /// through between its last real tick and `fin`, the run's final
+    /// cycle, so totals match naive stepping, which ticks everything up
+    /// to it. Directory banks need no replay.
+    pub(crate) fn replay_tail(&self, u: &mut Units<'_>, fin: Cycle) {
+        let gap = fin - self.last_tick[0];
+        if gap > 0 {
+            u.fabric.skip_idle(self.last_tick[0], gap);
+        }
+        let complexes = u.l1s.iter_mut().zip(u.cores.iter_mut());
+        for ((l1, core), &basis) in complexes.zip(&self.last_tick[1 + u.dirs.len()..]) {
+            let gap = fin - basis;
+            if gap > 0 {
+                l1.skip_idle(basis, gap);
+                core.skip_idle(basis, gap);
+            }
+        }
+    }
+
+    /// The next cycle any component is due (`NEVER` when all are parked).
+    pub(crate) fn next_due(&mut self) -> u64 {
+        self.wheel.next_due().unwrap_or(NEVER)
+    }
+
+    /// Re-reads the fabric's wake after messages were absorbed into it
+    /// ahead of the window starting at `lo`: they may be due before the
+    /// wake cached at its last tick (the stale-min hazard pinned in
+    /// tenways-noc's tests). Every absorbed delivery is at or after `lo`,
+    /// so the new wake never lands behind the wheel's base.
+    pub(crate) fn rewake_fabric(&mut self, fabric: &Fabric<Msg>, lo: u64) {
+        let at = fabric
+            .next_event(Cycle::new(lo - 1))
+            .map_or(NEVER, Cycle::as_u64);
+        self.wheel.set(FABRIC_COMP, at);
     }
 }
 

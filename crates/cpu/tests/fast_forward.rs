@@ -34,12 +34,10 @@ fn machine() -> Machine {
     Machine::new(&ms, programs)
 }
 
-/// The accelerated schedulers (machine-gap fast-forward, component-
-/// granular wake scheduling, and epoch-parallel at several worker
-/// counts — including counts above the core count, which clamp) against
-/// the naive reference.
-const FAST_MODES: [SchedMode; 5] = [
-    SchedMode::MachineGap,
+/// The accelerated schedulers (component-granular wake scheduling, and
+/// epoch-parallel at several worker counts — including counts above the
+/// core count, which clamp) against the naive reference.
+const FAST_MODES: [SchedMode; 4] = [
     SchedMode::ComponentWake,
     SchedMode::ParallelEpoch { workers: 1 },
     SchedMode::ParallelEpoch { workers: 2 },

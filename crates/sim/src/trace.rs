@@ -151,8 +151,8 @@ impl TraceBuffer {
 /// so the sharing container below is never touched on the hot path.
 /// Handles are `Arc`-shared within one simulated machine; the lock only
 /// matters to the epoch-parallel scheduler, which must be able to move
-/// components (each holding a tracer clone) onto worker threads. Enabled
-/// tracing forces the naive single-threaded scheduler anyway, so the
+/// components (each holding a tracer clone) onto worker threads. A traced
+/// run never shards (it takes the sequential wake loop instead), so the
 /// mutex is never contended.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer(Option<Arc<Mutex<TraceBuffer>>>);

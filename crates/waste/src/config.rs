@@ -44,221 +44,150 @@ use tenways_workloads::WorkloadParams;
 
 use crate::energy::EnergyModel;
 
-/// The run-loop scheduler a [`SchedConfig`] selects. Every choice
-/// produces byte-identical results; they differ only in wall-clock
-/// speed (see [`SchedMode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedModeChoice {
-    /// Reference per-cycle stepping.
-    Naive,
-    /// Whole-machine quiescent-gap fast-forward.
-    MachineGap,
-    /// Component-granular wake scheduling (the default).
-    #[default]
-    ComponentWake,
-    /// Epoch-parallel scheduling across worker threads.
-    ParallelEpoch,
-}
-
-impl SchedModeChoice {
-    /// The config-file / CLI label (matches [`SchedMode::label`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedModeChoice::Naive => "naive",
-            SchedModeChoice::MachineGap => "machine-gap",
-            SchedModeChoice::ComponentWake => "component-wake",
-            SchedModeChoice::ParallelEpoch => "parallel-epoch",
-        }
-    }
-
-    /// Parses a config-file / CLI label.
-    pub fn from_label(label: &str) -> Option<SchedModeChoice> {
-        match label {
-            "naive" => Some(SchedModeChoice::Naive),
-            "machine-gap" => Some(SchedModeChoice::MachineGap),
-            "component-wake" => Some(SchedModeChoice::ComponentWake),
-            "parallel-epoch" => Some(SchedModeChoice::ParallelEpoch),
-            _ => None,
-        }
-    }
-}
-
-/// The `[sched]` config section: which run-loop scheduler to use, and —
-/// for `parallel-epoch` only — how many *intra-run* worker threads shard
-/// the machine. This is distinct from the sweep/litmus `--workers` flag,
-/// which fans independent runs out *across* processes or threads; see
-/// [`SchedConfig::check_host_budget`] for the combination rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedConfig {
-    /// Scheduler selection (`mode = "..."`).
-    pub mode: SchedModeChoice,
-    /// Intra-run shard workers (`workers = N`); only meaningful for
-    /// `parallel-epoch`, defaults to the host's available parallelism.
-    pub workers: Option<usize>,
-}
-
-/// A [`SchedConfig`] that cannot be turned into a [`SchedMode`].
+/// Across-run parallelism times intra-run shard workers would pin more
+/// threads than the host has (see [`check_host_budget`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchedConfigError {
-    /// `workers` was set for a mode that runs single-threaded.
-    WorkersWithoutParallelMode {
-        /// The configured (sequential) mode's label.
-        mode: &'static str,
-    },
-    /// `workers = 0` is meaningless for a sharded run.
-    ZeroWorkers,
-    /// Across-run parallelism times intra-run workers exceeds the host.
-    Oversubscribed {
-        /// Total threads the combination would pin.
-        requested: usize,
-        /// Hardware threads actually available.
-        available: usize,
-    },
+pub struct Oversubscribed {
+    /// Total threads the combination would pin.
+    pub requested: usize,
+    /// Hardware threads actually available.
+    pub available: usize,
 }
 
-impl std::fmt::Display for SchedConfigError {
+impl std::fmt::Display for Oversubscribed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedConfigError::WorkersWithoutParallelMode { mode } => write!(
-                f,
-                "sched.workers only applies to mode `parallel-epoch` (mode is `{mode}`); \
-                 use the sweep-level --workers for across-run parallelism"
-            ),
-            SchedConfigError::ZeroWorkers => write!(f, "sched.workers must be at least 1"),
-            SchedConfigError::Oversubscribed {
-                requested,
-                available,
-            } => write!(
-                f,
-                "oversubscribed: --workers x --sched-workers pins {requested} threads \
-                 but the host has {available}; lower one of them"
-            ),
-        }
+        write!(
+            f,
+            "oversubscribed: --workers x --sched-workers pins {} threads \
+             but the host has {}; lower one of them",
+            self.requested, self.available
+        )
     }
 }
 
-impl std::error::Error for SchedConfigError {}
+impl std::error::Error for Oversubscribed {}
 
 /// Fallback intra-run worker count when `workers` is unset.
 fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get())
 }
 
-impl SchedConfig {
-    /// Validates the section and produces the [`SchedMode`] to run with.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedConfigError::WorkersWithoutParallelMode`] when `workers` is
-    /// set for a sequential mode, [`SchedConfigError::ZeroWorkers`] for
-    /// `workers = 0`.
-    pub fn resolve(&self) -> Result<SchedMode, SchedConfigError> {
-        if self.workers == Some(0) {
-            return Err(SchedConfigError::ZeroWorkers);
-        }
-        if self.workers.is_some() && self.mode != SchedModeChoice::ParallelEpoch {
-            return Err(SchedConfigError::WorkersWithoutParallelMode {
-                mode: self.mode.label(),
-            });
-        }
-        Ok(match self.mode {
-            SchedModeChoice::Naive => SchedMode::Naive,
-            SchedModeChoice::MachineGap => SchedMode::MachineGap,
-            SchedModeChoice::ComponentWake => SchedMode::ComponentWake,
-            SchedModeChoice::ParallelEpoch => SchedMode::ParallelEpoch {
-                workers: self.workers.unwrap_or_else(host_parallelism),
+/// Overlays a `[sched]` mode label and worker count onto `current`, the
+/// scheduler configured so far; either may be absent. An absent label
+/// keeps `current`'s mode. An absent count keeps `current`'s workers
+/// when it already shards, and otherwise means the host's available
+/// parallelism. The `--sched`/`--sched-workers` flags and the section's
+/// keys all decode here, so their order never matters.
+///
+/// `workers` is the number of *intra-run* threads that shard one
+/// `parallel-epoch` run. It is distinct from the sweep/litmus `--workers`
+/// flag, which fans independent runs out *across* threads; see
+/// [`check_host_budget`] for the combination rule.
+///
+/// # Errors
+///
+/// An unknown mode label, `workers = 0`, or `workers` with a sequential
+/// mode.
+pub fn overlay_sched(
+    current: SchedMode,
+    label: Option<&str>,
+    workers: Option<usize>,
+) -> Result<SchedMode, String> {
+    if workers == Some(0) {
+        return Err("sched.workers must be at least 1".to_string());
+    }
+    match (label.unwrap_or(current.label()), workers) {
+        ("naive", None) => Ok(SchedMode::Naive),
+        ("component-wake", None) => Ok(SchedMode::ComponentWake),
+        ("parallel-epoch", Some(workers)) => Ok(SchedMode::ParallelEpoch { workers }),
+        ("parallel-epoch", None) => Ok(SchedMode::ParallelEpoch {
+            workers: match current {
+                SchedMode::ParallelEpoch { workers } => workers,
+                _ => host_parallelism(),
             },
-        })
-    }
-
-    /// Threads one run pins under this section (1 for sequential modes).
-    pub fn intra_workers(&self) -> usize {
-        match self.mode {
-            SchedModeChoice::ParallelEpoch => self.workers.unwrap_or_else(host_parallelism),
-            _ => 1,
-        }
-    }
-
-    /// Rejects the combination of *across-run* parallelism (the sweep and
-    /// litmus `--workers` flag: how many independent runs execute
-    /// concurrently) with this section's *intra-run* workers when it would
-    /// pin more threads than the host offers.
-    ///
-    /// The check only binds when this section actually shards runs
-    /// (`intra_workers() > 1`): plain across-run oversubscription of
-    /// sequential runs is long-supported (merely slow), but multiplying
-    /// it by intra-run shard teams is never what the user meant.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedConfigError::Oversubscribed`] when `intra_workers() > 1`
-    /// and `across * intra_workers() > host`.
-    pub fn check_host_budget(&self, across: usize, host: usize) -> Result<(), SchedConfigError> {
-        let intra = self.intra_workers();
-        if intra <= 1 {
-            return Ok(());
-        }
-        let requested = across.saturating_mul(intra);
-        if requested > host {
-            return Err(SchedConfigError::Oversubscribed {
-                requested,
-                available: host,
-            });
-        }
-        Ok(())
-    }
-
-    /// Overlays a JSON value: either the section object
-    /// (`{"mode": "...", "workers": N}`) or the CLI shorthand string
-    /// (`"parallel-epoch"` / `"parallel-epoch:4"`).
-    pub fn apply_json(&mut self, value: &Json) -> Result<(), String> {
-        if let Some(text) = value.as_str() {
-            let (label, workers) = match text.split_once(':') {
-                Some((label, n)) => {
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| format!("bad sched worker count `{n}`"))?;
-                    (label, Some(n))
-                }
-                None => (text, None),
-            };
-            self.mode = SchedModeChoice::from_label(label)
-                .ok_or_else(|| format!("unknown sched mode `{label}`"))?;
-            self.workers = workers;
-            return Ok(());
-        }
-        let pairs = value.as_object().ok_or_else(|| {
-            format!(
-                "sched must be an object or string, got {}",
-                value.type_name()
-            )
-        })?;
-        for (key, value) in pairs {
-            match key.as_str() {
-                "mode" => {
-                    let label = value.as_str().ok_or("sched.mode must be a string")?;
-                    self.mode = SchedModeChoice::from_label(label)
-                        .ok_or_else(|| format!("unknown sched mode `{label}`"))?;
-                }
-                "workers" => {
-                    self.workers =
-                        Some(value.as_u64().ok_or("sched.workers must be an integer")? as usize)
-                }
-                other => return Err(format!("unknown sched field `{other}`")),
-            }
-        }
-        Ok(())
+        }),
+        (mode @ ("naive" | "component-wake"), Some(_)) => Err(format!(
+            "sched.workers only applies to mode `parallel-epoch` (mode is `{mode}`); \
+             use the sweep-level --workers for across-run parallelism"
+        )),
+        (other, _) => Err(format!("unknown sched mode `{other}`")),
     }
 }
 
-impl ToJson for SchedConfig {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![("mode", Json::from(self.mode.label().to_string()))];
-        if let Some(w) = self.workers {
-            pairs.push(("workers", Json::from(w)));
-        }
-        Json::obj(pairs)
+/// Threads one run pins under `sched` (1 for sequential modes).
+pub fn intra_workers(sched: SchedMode) -> usize {
+    match sched {
+        SchedMode::ParallelEpoch { workers } => workers.max(1),
+        _ => 1,
     }
+}
+
+/// Rejects the combination of *across-run* parallelism (the sweep and
+/// litmus `--workers` flag: how many independent runs execute
+/// concurrently) with `sched`'s *intra-run* workers when it would pin
+/// more threads than the host offers.
+///
+/// The check only binds when `sched` actually shards runs
+/// (`intra_workers(sched) > 1`): plain across-run oversubscription of
+/// sequential runs is long-supported (merely slow), but multiplying it by
+/// intra-run shard teams is never what the user meant.
+///
+/// # Errors
+///
+/// [`Oversubscribed`] when `intra_workers(sched) > 1` and
+/// `across * intra_workers(sched) > host`.
+pub fn check_host_budget(
+    sched: SchedMode,
+    across: usize,
+    host: usize,
+) -> Result<(), Oversubscribed> {
+    let intra = intra_workers(sched);
+    let requested = across.saturating_mul(intra);
+    if intra > 1 && requested > host {
+        return Err(Oversubscribed {
+            requested,
+            available: host,
+        });
+    }
+    Ok(())
+}
+
+/// Overlays a `sched` value onto `sched`: either the section object
+/// (`{"mode": "...", "workers": N}`, absent keys keeping their values) or
+/// the CLI shorthand string (`"parallel-epoch"` / `"parallel-epoch:4"`),
+/// which replaces the whole section.
+fn apply_sched_json(sched: &mut SchedMode, value: &Json) -> Result<(), String> {
+    if let Some(text) = value.as_str() {
+        let (label, workers) = match text.split_once(':') {
+            Some((label, n)) => {
+                let n: usize = n
+                    .parse()
+                    .map_err(|_| format!("bad sched worker count `{n}`"))?;
+                (label, Some(n))
+            }
+            None => (text, None),
+        };
+        *sched = overlay_sched(SchedMode::default(), Some(label), workers)?;
+        return Ok(());
+    }
+    let pairs = value.as_object().ok_or_else(|| {
+        format!(
+            "sched must be an object or string, got {}",
+            value.type_name()
+        )
+    })?;
+    let (mut label, mut workers) = (None, None);
+    for (key, value) in pairs {
+        match key.as_str() {
+            "mode" => label = Some(value.as_str().ok_or("sched.mode must be a string")?),
+            "workers" => {
+                workers = Some(value.as_u64().ok_or("sched.workers must be an integer")? as usize)
+            }
+            other => return Err(format!("unknown sched field `{other}`")),
+        }
+    }
+    *sched = overlay_sched(*sched, label, workers)?;
+    Ok(())
 }
 
 /// Complete, serializable description of one simulation run.
@@ -295,9 +224,10 @@ pub struct SimConfig {
     pub atomics: AtomicsConfig,
     /// Energy constants.
     pub energy: EnergyModel,
-    /// Run-loop scheduler selection. Cannot change results — every mode
-    /// is byte-identical — only wall-clock speed.
-    pub sched: SchedConfig,
+    /// Run-loop scheduler (the `[sched]` section: `mode`, and `workers`
+    /// for `parallel-epoch`). Cannot change results — every mode is
+    /// byte-identical — only wall-clock speed.
+    pub sched: SchedMode,
     /// Runs are cut off (not failed) at this many cycles.
     pub cycle_limit: u64,
 }
@@ -316,7 +246,7 @@ impl Default for SimConfig {
             protocol: ProtocolConfig::default(),
             atomics: AtomicsConfig::default(),
             energy: EnergyModel::default(),
-            sched: SchedConfig::default(),
+            sched: SchedMode::default(),
             cycle_limit: 50_000_000,
         }
     }
@@ -418,7 +348,7 @@ impl SimConfig {
                     self.atomics.validate().map_err(|e| e.to_string())?;
                 }
                 "energy" => self.energy.apply_json(value)?,
-                "sched" => self.sched.apply_json(value)?,
+                "sched" => apply_sched_json(&mut self.sched, value)?,
                 "cycle_limit" => {
                     self.cycle_limit = value.as_u64().ok_or("cycle_limit must be an integer")?
                 }
@@ -563,43 +493,67 @@ mod tests {
     fn sched_section_parses_from_toml_and_shorthand() {
         let cfg =
             SimConfig::from_toml_str("[sched]\nmode = \"parallel-epoch\"\nworkers = 4\n").unwrap();
-        assert_eq!(cfg.sched.mode, SchedModeChoice::ParallelEpoch);
-        assert_eq!(cfg.sched.workers, Some(4));
-        assert_eq!(
-            cfg.sched.resolve(),
-            Ok(SchedMode::ParallelEpoch { workers: 4 })
-        );
+        assert_eq!(cfg.sched, SchedMode::ParallelEpoch { workers: 4 });
+        // Key order within the section does not matter.
+        let cfg =
+            SimConfig::from_json_str(r#"{"sched":{"workers":3,"mode":"parallel-epoch"}}"#).unwrap();
+        assert_eq!(cfg.sched, SchedMode::ParallelEpoch { workers: 3 });
 
-        let cfg = SimConfig::from_json_str(r#"{"sched":"machine-gap"}"#).unwrap();
-        assert_eq!(cfg.sched.resolve(), Ok(SchedMode::MachineGap));
+        let cfg = SimConfig::from_json_str(r#"{"sched":"naive"}"#).unwrap();
+        assert_eq!(cfg.sched, SchedMode::Naive);
         let cfg = SimConfig::from_json_str(r#"{"sched":"parallel-epoch:2"}"#).unwrap();
-        assert_eq!(
-            cfg.sched.resolve(),
-            Ok(SchedMode::ParallelEpoch { workers: 2 })
-        );
+        assert_eq!(cfg.sched, SchedMode::ParallelEpoch { workers: 2 });
         let back = SimConfig::from_json_str(&cfg.to_json().to_string()).unwrap();
         assert_eq!(back, cfg);
+        // An absent worker count means the host's parallelism.
+        let cfg = SimConfig::from_json_str(r#"{"sched":{"mode":"parallel-epoch"}}"#).unwrap();
+        assert_eq!(
+            cfg.sched,
+            SchedMode::ParallelEpoch {
+                workers: host_parallelism()
+            }
+        );
     }
 
     #[test]
-    fn sched_validation_errors_are_typed() {
-        let cfg = SchedConfig {
-            mode: SchedModeChoice::ComponentWake,
-            workers: Some(4),
-        };
+    fn sched_overlay_keeps_what_it_is_not_given() {
+        let sharded = SchedMode::ParallelEpoch { workers: 4 };
+        assert_eq!(overlay_sched(sharded, None, None), Ok(sharded));
         assert_eq!(
-            cfg.resolve(),
-            Err(SchedConfigError::WorkersWithoutParallelMode {
-                mode: "component-wake"
-            })
+            overlay_sched(sharded, Some("parallel-epoch"), None),
+            Ok(sharded)
         );
-        let cfg = SchedConfig {
-            mode: SchedModeChoice::ParallelEpoch,
-            workers: Some(0),
-        };
-        assert_eq!(cfg.resolve(), Err(SchedConfigError::ZeroWorkers));
-        assert!(SimConfig::from_toml_str("[sched]\nmode = \"warp-drive\"\n").is_err());
-        assert!(SimConfig::from_json_str(r#"{"sched":{"wrkers":2}}"#).is_err());
+        assert_eq!(
+            overlay_sched(sharded, None, Some(2)),
+            Ok(SchedMode::ParallelEpoch { workers: 2 })
+        );
+        assert_eq!(
+            overlay_sched(sharded, Some("naive"), None),
+            Ok(SchedMode::Naive)
+        );
+        assert_eq!(
+            overlay_sched(SchedMode::Naive, Some("parallel-epoch"), Some(3)),
+            Ok(SchedMode::ParallelEpoch { workers: 3 })
+        );
+    }
+
+    #[test]
+    fn sched_section_is_validated_at_decode() {
+        for bad in [
+            "[sched]\nmode = \"component-wake\"\nworkers = 4\n",
+            "[sched]\nmode = \"parallel-epoch\"\nworkers = 0\n",
+            "[sched]\nworkers = 2\n",
+            "[sched]\nwrkers = 2\n",
+        ] {
+            let err = SimConfig::from_toml_str(bad).unwrap_err();
+            assert!(matches!(err, ConfigLoadError::Invalid(_)), "{bad}: {err:?}");
+        }
+        let err = SimConfig::from_json_str(r#"{"sched":"warp-drive"}"#).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigLoadError::Invalid("unknown sched mode `warp-drive`".to_string())
+        );
+        assert!(SimConfig::from_json_str(r#"{"sched":"parallel-epoch:0"}"#).is_err());
     }
 
     #[test]
@@ -638,24 +592,21 @@ mod tests {
 
     #[test]
     fn host_budget_combines_across_and_intra_workers() {
-        let cfg = SchedConfig {
-            mode: SchedModeChoice::ParallelEpoch,
-            workers: Some(4),
-        };
-        assert_eq!(cfg.intra_workers(), 4);
-        assert_eq!(cfg.check_host_budget(2, 8), Ok(()));
+        let sharded = SchedMode::ParallelEpoch { workers: 4 };
+        assert_eq!(intra_workers(sharded), 4);
+        assert_eq!(check_host_budget(sharded, 2, 8), Ok(()));
         assert_eq!(
-            cfg.check_host_budget(3, 8),
-            Err(SchedConfigError::Oversubscribed {
+            check_host_budget(sharded, 3, 8),
+            Err(Oversubscribed {
                 requested: 12,
                 available: 8
             })
         );
         // Sequential modes never trip the budget: across-run
         // oversubscription alone is supported (merely slow).
-        let seq = SchedConfig::default();
-        assert_eq!(seq.intra_workers(), 1);
-        assert_eq!(seq.check_host_budget(8, 8), Ok(()));
-        assert_eq!(seq.check_host_budget(64, 1), Ok(()));
+        let seq = SchedMode::default();
+        assert_eq!(intra_workers(seq), 1);
+        assert_eq!(check_host_budget(seq, 8, 8), Ok(()));
+        assert_eq!(check_host_budget(seq, 64, 1), Ok(()));
     }
 }

@@ -50,7 +50,9 @@ pub mod report;
 mod runner;
 mod taxonomy;
 
-pub use config::{ConfigLoadError, SchedConfig, SchedConfigError, SchedModeChoice, SimConfig};
+pub use config::{
+    check_host_budget, intra_workers, overlay_sched, ConfigLoadError, Oversubscribed, SimConfig,
+};
 pub use energy::{EnergyModel, EnergyReport};
 pub use runner::{Experiment, ExperimentError, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 pub use taxonomy::{WasteBreakdown, WasteCategory};

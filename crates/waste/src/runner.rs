@@ -9,7 +9,7 @@ use tenways_sim::trace::{TraceEvent, Tracer};
 use tenways_sim::{AtomicsConfig, AtomicsError, Histogram, MachineConfig, StatSet};
 use tenways_workloads::{contended_programs, ContendedParams, WorkloadKind, WorkloadParams};
 
-use crate::config::{SchedConfigError, SimConfig};
+use crate::config::SimConfig;
 use crate::energy::{EnergyModel, EnergyReport};
 use crate::taxonomy::WasteBreakdown;
 
@@ -26,8 +26,6 @@ pub enum ExperimentError {
     /// The machine description is invalid (after the runner overrode its
     /// core count with the thread count).
     InvalidMachine(ConfigError),
-    /// The `[sched]` section is inconsistent (see [`SchedConfigError`]).
-    Sched(SchedConfigError),
     /// The atomics cost model is inconsistent (see [`AtomicsError`]).
     Atomics(AtomicsError),
     /// Any other configuration problem.
@@ -39,7 +37,6 @@ impl std::fmt::Display for ExperimentError {
         match self {
             ExperimentError::UnknownWorkload(name) => write!(f, "unknown workload `{name}`"),
             ExperimentError::InvalidMachine(e) => write!(f, "invalid machine: {e}"),
-            ExperimentError::Sched(e) => write!(f, "invalid sched config: {e}"),
             ExperimentError::Atomics(e) => write!(f, "invalid atomics config: {e}"),
             ExperimentError::Config(e) => write!(f, "invalid experiment: {e}"),
         }
@@ -106,11 +103,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::UnknownWorkload`] if the name matches nothing,
-    /// [`ExperimentError::Sched`] if the `[sched]` section is
-    /// inconsistent (e.g. `workers` set for a sequential mode).
+    /// [`ExperimentError::UnknownWorkload`] if the name matches nothing.
     pub fn from_config(cfg: &SimConfig) -> Result<Experiment, ExperimentError> {
-        let sched = cfg.sched.resolve().map_err(ExperimentError::Sched)?;
         let base = if cfg.workload == "contended" {
             Experiment::contended(ContendedParams {
                 threads: cfg.threads,
@@ -134,7 +128,7 @@ impl Experiment {
             .protocol(cfg.protocol)
             .atomics(cfg.atomics)
             .energy(cfg.energy)
-            .sched(sched)
+            .sched(cfg.sched)
             .cycle_limit(cfg.cycle_limit))
     }
 

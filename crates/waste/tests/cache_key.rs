@@ -6,7 +6,7 @@
 //! a false collision would serve the wrong record, so the "different"
 //! half of the contract is the load-bearing one.
 
-use tenways_waste::{SchedModeChoice, SimConfig};
+use tenways_waste::{SchedMode, SimConfig};
 
 /// A key is 64 lowercase hex chars (SHA-256).
 fn well_formed(key: &str) -> bool {
@@ -78,16 +78,14 @@ fn sched_mode_is_not_part_of_the_key() {
     // must serve requests made under any other.
     let base = SimConfig::default();
     for mode in [
-        SchedModeChoice::Naive,
-        SchedModeChoice::MachineGap,
-        SchedModeChoice::ComponentWake,
-        SchedModeChoice::ParallelEpoch,
+        SchedMode::Naive,
+        SchedMode::ComponentWake,
+        SchedMode::ParallelEpoch { workers: 2 },
     ] {
-        let mut cfg = base.clone();
-        cfg.sched.mode = mode;
-        if mode == SchedModeChoice::ParallelEpoch {
-            cfg.sched.workers = Some(2);
-        }
+        let cfg = SimConfig {
+            sched: mode,
+            ..base.clone()
+        };
         assert_eq!(
             cfg.cache_key(),
             base.cache_key(),

@@ -1,10 +1,9 @@
-//! Scheduler regression matrix: every accelerated run loop (machine-gap
-//! fast-forward, component-granular wake scheduling, and epoch-parallel
-//! sharding) must be **byte-for-byte** identical to naive per-cycle
-//! stepping — same `RunRecord` fingerprint (stats, waste taxonomy,
-//! energy, summary; everything except the scheduler's own provenance
-//! label) for every workload under every consistency model, with
-//! speculation on and off.
+//! Scheduler regression matrix: every accelerated run loop
+//! (component-granular wake scheduling and epoch-parallel sharding) must
+//! be **byte-for-byte** identical to naive per-cycle stepping — same
+//! `RunRecord` fingerprint (stats, waste taxonomy, energy, summary;
+//! everything except the scheduler's own provenance label) for every
+//! workload under every consistency model, with speculation on and off.
 
 use tenways_core::SpecConfig;
 use tenways_cpu::ConsistencyModel;
@@ -19,7 +18,6 @@ fn assert_ff_matches_naive(label: &str, exp: Experiment) {
         .unwrap()
         .fingerprint();
     for mode in [
-        SchedMode::MachineGap,
         SchedMode::ComponentWake,
         SchedMode::ParallelEpoch { workers: 2 },
     ] {

@@ -1,8 +1,8 @@
 //! Property test: randomly drawn small configurations must produce
 //! byte-identical `RunRecord` fingerprints under all run-loop schedulers
-//! (naive stepping, machine-gap fast-forward, component-granular wake
-//! scheduling, and epoch-parallel sharding at several worker counts —
-//! one, a few, and one per core).
+//! (naive stepping, component-granular wake scheduling, and
+//! epoch-parallel sharding at several worker counts — one, a few, and one
+//! per core).
 //!
 //! The point of drawing configurations from a [`DetRng`] instead of
 //! enumerating a fixed matrix is coverage of the *interactions*: odd
@@ -83,10 +83,10 @@ fn draw(rng: &mut DetRng, case: usize) -> (String, Experiment, usize) {
 }
 
 /// Every modern-sync workload (queue locks, RCU, hazard pointers, flat
-/// combining, work stealing) must fingerprint identically under all four
-/// run-loop schedulers — their long spin phases and RMW-heavy handoffs
-/// are exactly the shapes that punish a scheduler that wakes a component
-/// one cycle late. Priced atomics are part of the sweep: the cost model
+/// combining, work stealing) must fingerprint identically under all
+/// three run-loop schedulers — their long spin phases and RMW-heavy
+/// handoffs are exactly the shapes that punish a scheduler that wakes a
+/// component one cycle late. Priced atomics are part of the sweep: the cost model
 /// shifts completion times, which must shift them identically everywhere.
 #[test]
 fn modern_sync_workloads_are_byte_identical_across_all_schedulers() {
@@ -112,7 +112,6 @@ fn modern_sync_workloads_are_byte_identical_across_all_schedulers() {
                 .unwrap_or_else(|e| panic!("{label}: naive run failed: {e}"))
                 .fingerprint();
             for mode in [
-                SchedMode::MachineGap,
                 SchedMode::ComponentWake,
                 SchedMode::ParallelEpoch { workers: 2 },
             ] {
@@ -142,7 +141,6 @@ fn random_configs_are_byte_identical_across_all_schedulers() {
         // Worker counts: degenerate (1 falls back to sequential wake),
         // small, larger-than-most-machines, and exactly one per core.
         let modes = [
-            SchedMode::MachineGap,
             SchedMode::ComponentWake,
             SchedMode::ParallelEpoch { workers: 1 },
             SchedMode::ParallelEpoch { workers: 2 },
@@ -157,6 +155,46 @@ fn random_configs_are_byte_identical_across_all_schedulers() {
                 .unwrap_or_else(|e| panic!("{label}: {mode:?} run failed: {e}"))
                 .fingerprint();
             assert_eq!(fast, naive, "{label}: {mode:?} diverged from naive");
+        }
+    }
+}
+
+/// Tracing follows the configured scheduler: every workload must record
+/// the same events, in the same order, under each of them. A slept gap
+/// must extend an open stall span by its full length, and a traced
+/// epoch-parallel run must not let shard threads interleave their pushes.
+#[test]
+fn traces_are_identical_across_all_schedulers() {
+    for kind in WorkloadKind::all() {
+        for spec in [SpecConfig::disabled(), SpecConfig::on_demand()] {
+            let exp = Experiment::new(kind)
+                .params(WorkloadParams {
+                    threads: 2,
+                    scale: 1,
+                    seed: 7,
+                })
+                .model(ConsistencyModel::Sc)
+                .spec(spec);
+            let label = format!("{}/{:?}", kind.name(), spec.mode);
+            let traced = |mode: SchedMode| {
+                let (record, events) = exp
+                    .clone()
+                    .sched(mode)
+                    .run_traced(1 << 20)
+                    .unwrap_or_else(|e| panic!("{label}: {mode:?} run failed: {e}"));
+                (record.fingerprint(), events)
+            };
+            let (naive, naive_events) = traced(SchedMode::Naive);
+            assert!(!naive_events.is_empty(), "{label}: empty trace");
+            for mode in [
+                SchedMode::ComponentWake,
+                SchedMode::ParallelEpoch { workers: 2 },
+            ] {
+                let (fast, events) = traced(mode);
+                assert_eq!(fast, naive, "{label}: {mode:?} record diverged");
+                // Not `assert_eq!`: a failure would print both traces.
+                assert!(events == naive_events, "{label}: {mode:?} trace diverged");
+            }
         }
     }
 }

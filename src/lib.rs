@@ -78,9 +78,8 @@ pub mod prelude {
     };
     pub use tenways_sim::{Addr, AtomicsConfig, CoreId, Cycle, MachineConfig};
     pub use tenways_waste::{
-        ConfigLoadError, EnergyModel, Experiment, ExperimentError, RunRecord, SchedConfig,
-        SchedConfigError, SchedMode, SchedModeChoice, SimConfig, WasteBreakdown, WasteCategory,
-        RUN_RECORD_SCHEMA_VERSION,
+        ConfigLoadError, EnergyModel, Experiment, ExperimentError, RunRecord, SchedMode, SimConfig,
+        WasteBreakdown, WasteCategory, RUN_RECORD_SCHEMA_VERSION,
     };
     pub use tenways_workloads::{ContendedParams, WorkloadKind, WorkloadParams};
 }

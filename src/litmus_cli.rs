@@ -14,7 +14,7 @@ use tenways::bench::{results_dir, BENCH_ROWS_SCHEMA_VERSION};
 use tenways::cpu::ConsistencyModel;
 use tenways::litmus::{corpus, explore, judge, ExploreOptions, LitmusTest};
 use tenways::sim::json::{Json, ToJson};
-use tenways::waste::{SchedConfig, SchedModeChoice};
+use tenways::waste::{check_host_budget, intra_workers, overlay_sched};
 
 fn usage() -> ! {
     eprintln!(
@@ -32,9 +32,9 @@ fn usage() -> ! {
                       --sched-workers when sharding)
   --cycle-limit <n>   per-run cycle limit; a run that exceeds it fails
                       (default 1000000)
-  --sched <mode>      per-run scheduler: naive | machine-gap |
-                      component-wake | parallel-epoch (default
-                      component-wake; verdicts are identical in all modes)
+  --sched <mode>      per-run scheduler: naive | component-wake |
+                      parallel-epoch (default component-wake; verdicts
+                      are identical in all modes)
   --sched-workers <n> intra-run shard threads for --sched parallel-epoch
                       (default: host parallelism). When sharding (n > 1),
                       an explicit --workers x --sched-workers may not
@@ -64,7 +64,7 @@ pub fn main(argv: &[String]) -> ! {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut models: Vec<ConsistencyModel> = ConsistencyModel::all().to_vec();
     let mut opts = ExploreOptions::default();
-    let mut sched = SchedConfig::default();
+    let (mut sched_mode, mut sched_workers) = (None, None);
     let mut json: Option<String> = None;
     let mut out: Option<PathBuf> = None;
     let mut quiet = false;
@@ -107,12 +107,8 @@ pub fn main(argv: &[String]) -> ! {
             "--seed" => opts.seed = number(&mut i),
             "--workers" => opts.workers = Some(number(&mut i).max(1) as usize),
             "--cycle-limit" => opts.cycle_limit = number(&mut i).max(1),
-            "--sched" => {
-                let v = value(&mut i);
-                sched.mode = SchedModeChoice::from_label(v)
-                    .unwrap_or_else(|| fail(format!("unknown sched mode `{v}`")));
-            }
-            "--sched-workers" => sched.workers = Some(number(&mut i) as usize),
+            "--sched" => sched_mode = Some(value(&mut i).as_str()),
+            "--sched-workers" => sched_workers = Some(number(&mut i) as usize),
             "--json" | "-j" => json = Some(value(&mut i).clone()),
             "--out" => out = Some(PathBuf::from(value(&mut i))),
             "--quiet" | "-q" => quiet = true,
@@ -126,14 +122,12 @@ pub fn main(argv: &[String]) -> ! {
     // shards each individual run. Both explicit: reject oversubscription.
     // `--workers` left automatic: divide the host budget by the shard
     // width so the combination fits.
-    opts.sched = sched.resolve().unwrap_or_else(|e| fail(e));
+    opts.sched = overlay_sched(opts.sched, sched_mode, sched_workers).unwrap_or_else(|e| fail(e));
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     match opts.workers {
-        Some(across) => sched
-            .check_host_budget(across, host)
-            .unwrap_or_else(|e| fail(e)),
-        None if sched.intra_workers() > 1 => {
-            opts.workers = Some((host / sched.intra_workers()).max(1));
+        Some(across) => check_host_budget(opts.sched, across, host).unwrap_or_else(|e| fail(e)),
+        None if intra_workers(opts.sched) > 1 => {
+            opts.workers = Some((host / intra_workers(opts.sched)).max(1));
         }
         None => {}
     }
