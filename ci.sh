@@ -9,6 +9,8 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: broken, private or ambiguous intra-doc links fail CI.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Overflow regressions: the stats layer must saturate, not wrap — run the
 # workspace tests once in release with debug assertions (which turn silent

@@ -1,5 +1,5 @@
 //! Grid sweeps: expand one TOML file into many [`SimConfig`] points, run
-//! them on the [`SweepRunner`](crate::SweepRunner), and checkpoint
+//! them on the [`SweepRunner`], and checkpoint
 //! completed rows so an interrupted sweep resumes instead of restarting.
 //!
 //! # Grid file format
@@ -43,7 +43,7 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, SimConfig};
 
 use crate::cache::ResultCache;
-use crate::serve::http_call;
+use crate::http::http_call;
 use crate::sweep::{JobOutcome, SweepError, SweepJob, SweepOptions, SweepRunner};
 use crate::{record_row, record_row_json, BENCH_ROWS_SCHEMA_VERSION};
 

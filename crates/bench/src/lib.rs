@@ -3,7 +3,7 @@
 //! Every table and figure of the evaluation is regenerated by one binary in
 //! `src/bin/` (see DESIGN.md §3 for the index). This library holds what
 //! they share: canonical sizing built on the unified
-//! [`SimConfig`](tenways_waste::SimConfig), environment overrides, the
+//! [`SimConfig`], environment overrides, the
 //! fail-soft parallel [`SweepRunner`] (runs are independent simulations, so
 //! they scale across host cores; one failing or panicking job costs only
 //! its own row), the grid-sweep layer behind `tenways sweep`
@@ -12,7 +12,7 @@
 //!
 //! Environment knobs:
 //!
-//! * `TENWAYS_CONFIG` — path to a TOML/JSON [`SimConfig`](tenways_waste::SimConfig) file
+//! * `TENWAYS_CONFIG` — path to a TOML/JSON [`SimConfig`] file
 //! * `TENWAYS_THREADS` — simulated cores per run (default 8)
 //! * `TENWAYS_SCALE` — per-thread work units (default 8)
 //! * `TENWAYS_SEED` — run seed (default 7)
@@ -30,19 +30,21 @@ use tenways_workloads::WorkloadParams;
 
 pub mod cache;
 pub mod grid;
+pub mod http;
 pub mod router;
 pub mod serve;
 pub mod sweep;
 
 pub use cache::{CacheCounters, CacheStats, ResultCache, CACHE_ENTRY_SCHEMA_VERSION};
 pub use grid::{run_sweep, run_sweep_server, SweepParams, SweepPoint, SweepReport, SweepSpec};
+pub use http::{http_call, http_request, HttpClient, HttpReply};
 pub use router::{
     route_http, Router, RouterOptions, CLUSTER_STATS_SCHEMA_VERSION, SERVE_CLUSTER_STATS_SCHEMA,
 };
 pub use serve::{
-    http_call, http_request, serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus,
-    HttpClient, HttpReply, JobView, ServeError, ServeOptions, ShardedCounter, SimService,
-    Submission, WarmReport, SERVE_RESPONSE_SCHEMA_VERSION,
+    serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus, JobView, ServeError,
+    ServeOptions, ShardedCounter, SimService, Submission, WarmReport,
+    SERVE_RESPONSE_SCHEMA_VERSION,
 };
 pub use sweep::{
     CancelToken, JobOutcome, JobStatus, SweepBatch, SweepError, SweepJob, SweepOptions, SweepRunner,

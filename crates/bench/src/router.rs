@@ -29,10 +29,10 @@
 //!   exponential backoff, re-resolving the owner each attempt so a retry
 //!   after a mark-down lands on a survivor. Past the bound the router
 //!   answers 503 — backpressure propagates, it does not amplify.
-//! * **Pooled keep-alive connections.** Forwards reuse persistent
-//!   connections from a small per-backend pool; a send failure on a
-//!   pooled socket (the backend may have idle-closed it) is retried once
-//!   on a fresh connection before counting as a backend failure.
+//! * **Pooled keep-alive connections.** Forwards go through a small
+//!   per-backend pool of [`HttpClient`]s; a send failure on a pooled
+//!   socket (the backend may have idle-closed it) is retried once on a
+//!   fresh connection before counting as a backend failure.
 //! * **Lock-free counters.** The router's own request counters are
 //!   sharded/atomic ([`ShardedCounter`]); `GET /stats` aggregates them
 //!   with each live backend's `/stats` into a `serve_cluster_stats.v1`
@@ -43,12 +43,12 @@
 //! concurrently, and merges the per-key statuses back into input order;
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
 //! backend census. Clients need no changes: the router speaks the same
-//! `serve_response.v2`/`serve_batch.v1` documents as a single backend,
-//! so `tenways sweep --server` points at a router transparently.
+//! `serve_response.v2`/`serve_batch.v1` documents as a single backend
+//! over the same HTTP layer ([`crate::http`]), so `tenways sweep
+//! --server` points at a router transparently.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -57,10 +57,12 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_sim::Sha256;
 use tenways_waste::SimConfig;
 
+use crate::http::{
+    self, connect, error_doc, exchange, Handler, HttpClient, HttpCounters, HttpReply, HttpRequest,
+    Response,
+};
 use crate::serve::{
-    accept_loop, error_doc, parse_batch_body, read_request, reply_keeps_alive, send_on_stream,
-    write_response, HttpReply, HttpRequest, ShardedCounter, KEEP_ALIVE_IDLE,
-    SERVE_RESPONSE_SCHEMA_VERSION, SOCKET_TIMEOUT,
+    parse_batch_body, parse_run_body, ShardedCounter, SERVE_RESPONSE_SCHEMA_VERSION,
 };
 
 /// Version of the `GET /stats` aggregation document; bumped on any
@@ -69,9 +71,6 @@ pub const CLUSTER_STATS_SCHEMA_VERSION: u64 = 1;
 
 /// File name of the published cluster-stats schema under `results/schema/`.
 pub const SERVE_CLUSTER_STATS_SCHEMA: &str = "serve_cluster_stats.v1.json";
-
-/// Connect timeout for forwarded requests (probes use a shorter one).
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Health-probe connect timeout: a probe is cheap and frequent, so it
 /// gives up fast — the next interval retries anyway.
@@ -127,7 +126,7 @@ struct Backend {
     /// Up/down flips (initial probe included when it finds the backend
     /// down).
     transitions: AtomicU64,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<HttpClient>>,
 }
 
 impl Backend {
@@ -142,14 +141,17 @@ impl Backend {
         }
     }
 
-    fn pooled(&self) -> Option<TcpStream> {
-        self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop()
+    /// A pooled client holding an open connection, else a fresh client.
+    fn client(&self) -> HttpClient {
+        let pooled = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        pooled.unwrap_or_else(|| HttpClient::new(self.addr.clone()))
     }
 
-    fn pool_push(&self, stream: TcpStream) {
+    /// Returns a client to the pool when it still holds a connection.
+    fn pool_push(&self, client: HttpClient) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < POOL_CAP {
-            pool.push(stream);
+        if client.connected() && pool.len() < POOL_CAP {
+            pool.push(client);
         }
     }
 
@@ -163,8 +165,7 @@ impl Backend {
 /// a forward.
 #[derive(Debug, Default)]
 struct RouterCounters {
-    connections: ShardedCounter,
-    requests: ShardedCounter,
+    http: HttpCounters,
     /// Backend responses successfully relayed to a client.
     proxied: ShardedCounter,
     /// Extra forward attempts taken (503 or transport failure).
@@ -175,7 +176,6 @@ struct RouterCounters {
     /// Requests the router gave up on (no live backend / retry budget
     /// exhausted) and answered 503 itself.
     rejected: AtomicU64,
-    bad_requests: AtomicU64,
 }
 
 /// The shard-by-key router. See the [module docs](self).
@@ -333,10 +333,10 @@ impl Router {
         }
     }
 
-    /// One request to one backend over a pooled keep-alive connection.
-    /// A failure on a pooled socket gets one fresh-connection retry (the
-    /// backend may have idle-closed it); a failure on a fresh connection
-    /// counts as a backend error.
+    /// One request to one backend through its client pool. A failure on
+    /// a pooled connection gets one fresh-connection retry
+    /// ([`HttpClient::request`]: the backend may have idle-closed it); a
+    /// failure on a fresh connection counts as a backend error.
     fn backend_request(
         &self,
         b: &Backend,
@@ -345,36 +345,11 @@ impl Router {
         body: Option<(&str, &str)>,
     ) -> Result<HttpReply, String> {
         b.forwarded.incr();
-        if let Some(mut stream) = b.pooled() {
-            if let Ok(reply) = send_on_stream(&mut stream, &b.addr, method, path, body) {
-                if reply_keeps_alive(&reply) {
-                    b.pool_push(stream);
-                }
-                return Ok(reply);
-            }
-        }
-        let fresh = || -> Result<TcpStream, String> {
-            let sa = b
-                .addr
-                .to_socket_addrs()
-                .map_err(|e| format!("resolve: {e}"))?
-                .next()
-                .ok_or_else(|| "resolve: no address".to_string())?;
-            let stream =
-                TcpStream::connect_timeout(&sa, CONNECT_TIMEOUT).map_err(|e| format!("{e}"))?;
-            let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-            let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-            let _ = stream.set_nodelay(true);
-            Ok(stream)
-        };
-        let outcome = fresh().and_then(|mut stream| {
-            let reply = send_on_stream(&mut stream, &b.addr, method, path, body)?;
-            if reply_keeps_alive(&reply) {
-                b.pool_push(stream);
-            }
-            Ok(reply)
-        });
-        if outcome.is_err() {
+        let mut client = b.client();
+        let outcome = client.request(method, path, body);
+        if outcome.is_ok() {
+            b.pool_push(client);
+        } else {
             b.errors.fetch_add(1, Ordering::Relaxed);
         }
         outcome
@@ -498,13 +473,13 @@ impl Router {
         let c = &self.counters;
         let load = |a: &AtomicU64| Json::U64(a.load(Ordering::Relaxed));
         let router = Json::obj([
-            ("connections", Json::U64(c.connections.sum())),
-            ("requests", Json::U64(c.requests.sum())),
+            ("connections", Json::U64(c.http.connections.sum())),
+            ("requests", Json::U64(c.http.requests.sum())),
             ("proxied", Json::U64(c.proxied.sum())),
             ("retries", load(&c.retries)),
             ("rerouted", load(&c.rerouted)),
             ("rejected", load(&c.rejected)),
-            ("bad_requests", load(&c.bad_requests)),
+            ("bad_requests", load(&c.http.bad_requests)),
         ]);
         const SUMMED: [&str; 8] = [
             "requests",
@@ -595,28 +570,12 @@ fn hrw_weight(key: &str, addr: &str) -> u64 {
 }
 
 /// One synchronous `/healthz` probe (its own short-timeout, one-shot
-/// connection — probes never borrow the forwarding pool).
+/// `Connection: close` connection — probes never borrow the forwarding
+/// pool, and never park a backend's keep-alive handler).
 fn probe(addr: &str) -> bool {
-    let Ok(mut addrs) = addr.to_socket_addrs() else {
-        return false;
-    };
-    let Some(sa) = addrs.next() else {
-        return false;
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&sa, PROBE_CONNECT_TIMEOUT) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(PROBE_SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(PROBE_SOCKET_TIMEOUT));
-    let request = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    if stream.write_all(request.as_bytes()).is_err() {
-        return false;
-    }
-    let mut response = Vec::new();
-    if stream.read_to_end(&mut response).is_err() {
-        return false;
-    }
-    response.starts_with(b"HTTP/1.1 200")
+    connect(addr, PROBE_CONNECT_TIMEOUT, PROBE_SOCKET_TIMEOUT)
+        .and_then(|mut stream| exchange(&mut stream, addr, "GET", "/healthz", None, false))
+        .is_ok_and(|reply| reply.status == 200)
 }
 
 /// The monitor loop: probe every backend each interval, flip `up` flags
@@ -709,7 +668,7 @@ fn merge_batch_doc(
 }
 
 /// Relays a backend reply to the client, preserving `Retry-After`.
-fn relay(reply: HttpReply) -> (u16, Vec<(&'static str, String)>, Json) {
+fn relay(reply: HttpReply) -> Response {
     let mut headers = Vec::new();
     if let Some(v) = reply.header("retry-after") {
         headers.push(("Retry-After", v.to_string()));
@@ -717,124 +676,75 @@ fn relay(reply: HttpReply) -> (u16, Vec<(&'static str, String)>, Json) {
     (reply.status, headers, reply.body)
 }
 
-/// Routes one parsed client request through the router.
-fn route_request(
-    router: &Router,
-    request: &HttpRequest,
-) -> (u16, Vec<(&'static str, String)>, Json) {
-    let plain = |status: u16, doc: Json| (status, Vec::new(), doc);
-    let give_up = |router: &Router, e: String| {
-        router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        (
-            503,
-            vec![("Retry-After", ROUTE_RETRY_AFTER_S.to_string())],
-            error_doc(&e),
-        )
-    };
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/run") => {
-            let parsed = if request.content_type.contains("toml") {
-                SimConfig::from_toml_str(&request.body)
-            } else {
-                SimConfig::from_json_str(&request.body)
-            };
-            let cfg = match parsed {
-                Ok(cfg) => cfg,
-                Err(e) => {
-                    router.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    return plain(400, error_doc(&e.to_string()));
-                }
-            };
-            // Forward the canonical JSON rendering: the backend derives
-            // the same cache key from it by construction, so router and
-            // shard agree on ownership.
-            let key = cfg.cache_key();
-            let body = cfg.to_json().to_string();
-            match router.forward(&key, "POST", "/run", Some(("application/json", &body))) {
-                Ok(reply) => relay(reply),
-                Err(e) => give_up(router, e),
-            }
-        }
-        ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
-            Ok(configs) => plain(200, router.forward_batch(&configs)),
-            Err(e) => {
-                router.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                plain(400, error_doc(&e))
-            }
-        },
-        ("GET", "/stats") => plain(200, router.cluster_stats_json()),
-        ("GET", "/healthz") => {
-            let up = router.backends_up();
-            plain(
-                200,
-                Json::obj([
-                    ("ok", Json::Bool(up > 0)),
-                    ("backends_up", Json::from(up)),
-                    ("backends_total", Json::from(router.backends.len())),
-                ]),
-            )
-        }
-        ("GET", path) if path.starts_with("/jobs/") => {
-            let key = &path["/jobs/".len()..];
-            match router.forward(key, "GET", path, None) {
-                Ok(reply) => relay(reply),
-                Err(e) => give_up(router, e),
-            }
-        }
-        (method, path) => {
-            router.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            plain(
-                404,
-                error_doc(&format!("no such endpoint: {method} {path}")),
-            )
-        }
-    }
-}
+impl Handler for Router {
+    const TAG: &'static str = "route";
 
-/// One client connection to the router: the same keep-alive request
-/// loop the serve side runs.
-fn handle_connection(
-    router: &Router,
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-    verbose: bool,
-) {
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let mut carry = Vec::new();
-    let mut idle_limit = SOCKET_TIMEOUT;
-    loop {
-        let request = match read_request(stream, &mut carry, idle_limit, Some(shutdown)) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e) => {
-                router.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                write_response(stream, 400, &[], &error_doc(&e), false);
-                return;
-            }
+    fn http_counters(&self) -> &HttpCounters {
+        &self.counters.http
+    }
+
+    fn handle(&self, request: &HttpRequest) -> Response {
+        let plain = |status: u16, doc: Json| (status, Vec::new(), doc);
+        let bad_request = |status, message: &str| self.counters.http.bad_request(status, message);
+        let give_up = |e: String| {
+            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            (
+                503,
+                vec![("Retry-After", ROUTE_RETRY_AFTER_S.to_string())],
+                error_doc(&e),
+            )
         };
-        router.counters.requests.incr();
-        let (status, headers, doc) = route_request(router, &request);
-        if verbose {
-            eprintln!("[route] {} {} -> {status}", request.method, request.path);
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/run") => {
+                let cfg = match parse_run_body(&request.content_type, &request.body) {
+                    Ok(cfg) => cfg,
+                    Err(e) => return bad_request(400, &e),
+                };
+                // Forward the canonical JSON rendering: the backend derives
+                // the same cache key from it by construction, so router and
+                // shard agree on ownership.
+                let key = cfg.cache_key();
+                let body = cfg.to_json().to_string();
+                match self.forward(&key, "POST", "/run", Some(("application/json", &body))) {
+                    Ok(reply) => relay(reply),
+                    Err(e) => give_up(e),
+                }
+            }
+            ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
+                Ok(configs) => plain(200, self.forward_batch(&configs)),
+                Err(e) => bad_request(400, &e),
+            },
+            ("GET", "/stats") => plain(200, self.cluster_stats_json()),
+            ("GET", "/healthz") => {
+                let up = self.backends_up();
+                plain(
+                    200,
+                    Json::obj([
+                        ("ok", Json::Bool(up > 0)),
+                        ("backends_up", Json::from(up)),
+                        ("backends_total", Json::from(self.backends.len())),
+                    ]),
+                )
+            }
+            ("GET", path) if path.starts_with("/jobs/") => {
+                let key = &path["/jobs/".len()..];
+                match self.forward(key, "GET", path, None) {
+                    Ok(reply) => relay(reply),
+                    Err(e) => give_up(e),
+                }
+            }
+            (method, path) => bad_request(404, &format!("no such endpoint: {method} {path}")),
         }
-        let keep = request.keep_alive && !shutdown.load(Ordering::Relaxed);
-        write_response(stream, status, &headers, &doc, keep);
-        if !keep {
-            return;
-        }
-        idle_limit = KEEP_ALIVE_IDLE;
     }
 }
 
-/// The router's accept loop — [`serve_http_shutdown`]'s counterpart
-/// (`max_requests` counts accepted connections; raising `shutdown`
-/// drains and returns).
+/// Serves the router over the same HTTP layer as
+/// [`serve_http_shutdown`](crate::serve_http_shutdown) (`max_requests`
+/// counts accepted connections; raising `shutdown` drains and returns).
 ///
 /// # Errors
 ///
 /// Returns a message when the listener cannot be made pollable.
-///
-/// [`serve_http_shutdown`]: crate::serve::serve_http_shutdown
 pub fn route_http(
     router: Arc<Router>,
     listener: TcpListener,
@@ -842,26 +752,13 @@ pub fn route_http(
     verbose: bool,
     shutdown: Arc<AtomicBool>,
 ) -> Result<(), String> {
-    accept_loop(
-        listener,
-        max_requests,
-        &Arc::clone(&shutdown),
-        |mut stream| {
-            router.counters.connections.incr();
-            let router = Arc::clone(&router);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                handle_connection(&router, &mut stream, &shutdown, verbose);
-            })
-        },
-    )
+    http::serve(router, listener, max_requests, verbose, shutdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serve::{serve_http_shutdown, ServeOptions, SimService};
-    use crate::HttpClient;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1191,7 +1088,7 @@ mod tests {
             assert!(status == "computed" || status == "cached", "got {status}");
             let key = cfg.cache_key();
             let owner = cluster.router.owner(&key).unwrap();
-            let direct = crate::serve::http_request(
+            let direct = crate::http::http_request(
                 &cluster.backends[owner].addr,
                 "GET",
                 &format!("/jobs/{key}"),

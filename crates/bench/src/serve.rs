@@ -34,19 +34,9 @@
 //!   [`CacheCounters`] — stats traffic never takes the cache lock, so
 //!   observing the service cannot slow it down.
 //!
-//! The HTTP layer speaks persistent HTTP/1.1: a connection carries a
-//! request loop (`Connection: keep-alive`, the 1.1 default) until the
-//! client closes, asks to close, or idles past [`KEEP_ALIVE_IDLE`] — so
-//! a client issuing N requests pays one TCP handshake, not N. The
-//! pooled [`HttpClient`] is the matching client; [`http_request`] stays
-//! one-shot (`Connection: close`) for scripts and CI. The accept loop
-//! ([`serve_http_shutdown`]) also takes a shutdown flag: raising it
-//! stops accepting, lets every in-flight request finish (drain), and
-//! answers the last response on each connection with
-//! `Connection: close` — this is how a router observes a backend going
-//! away without losing a request.
-//!
-//! Endpoints (all responses JSON):
+//! [`serve_http_shutdown`] serves the service over the shared HTTP layer
+//! ([`crate::http`]: keep-alive connections, drain on shutdown). The
+//! service answers these endpoints (all responses JSON):
 //!
 //! | method & path     | body            | response                           |
 //! |-------------------|-----------------|------------------------------------|
@@ -62,8 +52,7 @@
 //! the tests prove hits never simulate).
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -74,6 +63,7 @@ use tenways_waste::{Experiment, SimConfig};
 
 use crate::cache::{CacheCounters, ResultCache};
 use crate::grid::SweepSpec;
+use crate::http::{self, error_doc, Handler, HttpCounters, HttpRequest, Response};
 use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
 
 /// Version of the serve response document layouts (`/run`, `/batch`,
@@ -81,27 +71,6 @@ use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
 /// `results/schema/serve_response.v2.json` (plus `serve_batch.v1.json`
 /// and `serve_job.v1.json` for the batch and job-poll bodies).
 pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 2;
-
-/// Largest request (headers + body) the server will read, in bytes.
-const MAX_REQUEST_BYTES: usize = 4 << 20;
-
-/// Per-connection socket timeout: a stalled peer cannot pin a handler
-/// thread forever. Generous because a miss legitimately blocks for the
-/// whole simulation.
-pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(600);
-
-/// How long a keep-alive connection may sit idle between requests
-/// before the server closes it.
-pub const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(10);
-
-/// Granularity of the blocking-read slices in the request reader: idle
-/// handler threads re-check the shutdown flag this often, which bounds
-/// how long a draining server waits on its parked keep-alive sockets.
-const READ_SLICE: Duration = Duration::from_millis(50);
-
-/// How often the accept loop polls for new connections (and re-checks
-/// the shutdown flag) when nothing is arriving.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// How many recent job failures `GET /jobs/<key>` can still report.
 const FAILURE_MEMORY: usize = 64;
@@ -421,16 +390,13 @@ impl BatchReport {
 /// counters are sharded; the rare-event ones are plain atomics.
 #[derive(Debug, Default)]
 struct Counters {
-    /// Accepted TCP connections (each may carry many keep-alive requests).
-    connections: ShardedCounter,
-    requests: ShardedCounter,
+    http: HttpCounters,
     hits: ShardedCounter,
     misses: ShardedCounter,
     joined: ShardedCounter,
     rejected: AtomicU64,
     sim_runs: AtomicU64,
     sim_failures: AtomicU64,
-    bad_requests: AtomicU64,
     /// Gauge: misses admitted to the queue, not yet picked up by a worker.
     queued: AtomicU64,
     /// Gauge: simulations currently executing.
@@ -920,22 +886,6 @@ impl SimService {
         map.remove(key);
     }
 
-    /// Counts one handled HTTP request (the CLI's `/stats` reports it).
-    fn count_request(&self) {
-        self.counters.requests.incr();
-    }
-
-    /// Counts one accepted connection. With keep-alive, `requests >`
-    /// `connections` is the visible proof that handshakes are reused.
-    fn count_connection(&self) {
-        self.counters.connections.incr();
-    }
-
-    /// Counts one malformed request.
-    fn count_bad_request(&self) {
-        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Simulations started since the service came up. A pure-hit workload
     /// keeps this at zero — the bench and the CI gate assert on it.
     pub fn sim_runs(&self) -> u64 {
@@ -956,8 +906,8 @@ impl SimService {
         let load = |a: &AtomicU64| Json::U64(a.load(Ordering::Relaxed));
         Json::obj([
             ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-            ("connections", Json::U64(c.connections.sum())),
-            ("requests", Json::U64(c.requests.sum())),
+            ("connections", Json::U64(c.http.connections.sum())),
+            ("requests", Json::U64(c.http.requests.sum())),
             ("hits", Json::U64(c.hits.sum())),
             ("misses", Json::U64(c.misses.sum())),
             ("joined", Json::U64(c.joined.sum())),
@@ -968,7 +918,7 @@ impl SimService {
             ("peak_in_flight", load(&c.peak_in_flight)),
             ("sim_runs", load(&c.sim_runs)),
             ("sim_failures", load(&c.sim_failures)),
-            ("bad_requests", load(&c.bad_requests)),
+            ("bad_requests", load(&c.http.bad_requests)),
             ("workers", Json::from(self.workers)),
             (
                 "cache",
@@ -1095,195 +1045,6 @@ enum Admitted {
     Raced(Json),
 }
 
-/// A parsed HTTP request.
-#[derive(Debug)]
-pub(crate) struct HttpRequest {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) content_type: String,
-    pub(crate) body: String,
-    /// Whether the client allows the connection to carry another request
-    /// (HTTP/1.1 defaults to yes; `Connection: close` or HTTP/1.0
-    /// without `Connection: keep-alive` says no).
-    pub(crate) keep_alive: bool,
-}
-
-/// Reads one HTTP/1.1 request from the stream (size-bounded).
-///
-/// `carry` holds bytes read past the previous request on the same
-/// keep-alive connection; leftovers past this request's body are put
-/// back for the next call. Reads run in [`READ_SLICE`]-long slices so an
-/// idle connection notices `shutdown` promptly. Returns `Ok(None)` when
-/// the connection ends *between* requests — peer close, `idle_limit`
-/// elapsed with no bytes, or shutdown raised — and `Err` when it dies
-/// mid-request.
-pub(crate) fn read_request(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-    idle_limit: Duration,
-    shutdown: Option<&AtomicBool>,
-) -> Result<Option<HttpRequest>, String> {
-    let mut buf: Vec<u8> = std::mem::take(carry);
-    let mut chunk = [0u8; 4096];
-    let _ = stream.set_read_timeout(Some(READ_SLICE));
-    let started = Instant::now();
-    let mut read_some = |buf: &mut Vec<u8>, started: Instant| -> Result<bool, String> {
-        // One sliced read: Ok(true) appended bytes, Ok(false) got a
-        // timeout slice (caller decides whether that ends the wait).
-        match stream.read(&mut chunk) {
-            Ok(0) => Err("closed".to_string()),
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                Ok(true)
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if started.elapsed() >= SOCKET_TIMEOUT {
-                    Err("timed out mid-request".to_string())
-                } else {
-                    Ok(false)
-                }
-            }
-            Err(e) => Err(format!("read: {e}")),
-        }
-    };
-    let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_REQUEST_BYTES {
-            return Err("request too large".to_string());
-        }
-        match read_some(&mut buf, started) {
-            Ok(true) => {}
-            Ok(false) if buf.is_empty() => {
-                // Nothing started yet: this is the idle window where a
-                // close (drain or idle timeout) loses no request.
-                if shutdown.is_some_and(|s| s.load(Ordering::Relaxed))
-                    || started.elapsed() >= idle_limit
-                {
-                    return Ok(None);
-                }
-            }
-            Ok(false) => {}
-            Err(e) if e == "closed" => {
-                return if buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err("connection closed mid-request".to_string())
-                };
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    let head =
-        std::str::from_utf8(&buf[..header_end]).map_err(|_| "non-utf8 header".to_string())?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_ascii_whitespace();
-    let method = parts.next().unwrap_or("").to_uppercase();
-    let path = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("HTTP/1.1").to_ascii_uppercase();
-    if method.is_empty() || path.is_empty() {
-        return Err(format!("malformed request line `{request_line}`"));
-    }
-    let mut content_length = 0usize;
-    let mut content_type = String::new();
-    let mut connection = String::new();
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| format!("bad content-length `{value}`"))?;
-        } else if name.eq_ignore_ascii_case("content-type") {
-            content_type = value.to_ascii_lowercase();
-        } else if name.eq_ignore_ascii_case("connection") {
-            connection = value.to_ascii_lowercase();
-        }
-    }
-    let keep_alive = if connection.contains("close") {
-        false
-    } else if version == "HTTP/1.0" {
-        connection.contains("keep-alive")
-    } else {
-        true
-    };
-    if content_length > MAX_REQUEST_BYTES {
-        return Err("request body too large".to_string());
-    }
-    let body_start = header_end + 4;
-    let mut body = buf.split_off(body_start.min(buf.len()));
-    while body.len() < content_length {
-        match read_some(&mut body, started) {
-            Ok(_) => {}
-            Err(e) if e == "closed" => return Err("connection closed mid-body".to_string()),
-            Err(e) => return Err(e),
-        }
-    }
-    // Bytes past the body belong to the next pipelined request.
-    *carry = body.split_off(content_length.min(body.len()));
-    let body = String::from_utf8(body).map_err(|_| "non-utf8 body".to_string())?;
-    Ok(Some(HttpRequest {
-        method,
-        path,
-        content_type,
-        body,
-        keep_alive,
-    }))
-}
-
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn status_reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    }
-}
-
-/// Writes one JSON response (plus any extra headers). The `Connection`
-/// header tells the client whether the server will read another request
-/// from this socket.
-pub(crate) fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    doc: &Json,
-    keep_alive: bool,
-) {
-    let mut body = doc.pretty();
-    body.push('\n');
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        status_reason(status),
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    // One write for head + body: a split write would let Nagle hold the
-    // body back until the head's delayed ACK (~40 ms per response on a
-    // persistent connection).
-    head.push_str(&body);
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.flush();
-}
-
-pub(crate) fn error_doc(message: &str) -> Json {
-    Json::obj([("error", Json::from(message))])
-}
-
 /// The structured body of a queue-full rejection (paired with the
 /// `Retry-After` header).
 fn rejection_doc(key: &str, queue_depth: usize) -> Json {
@@ -1295,46 +1056,6 @@ fn rejection_doc(key: &str, queue_depth: usize) -> Json {
         ("queue_depth", Json::from(queue_depth)),
         ("retry_after_s", Json::U64(RETRY_AFTER_S)),
     ])
-}
-
-/// Handles one connection: a keep-alive request loop. Each iteration
-/// parses one request, routes it, and answers; the loop ends when the
-/// client closes or asks to (`Connection: close`), the connection idles
-/// out, a request is malformed, or the server is draining (the request
-/// that already arrived is still answered — drained, not dropped).
-fn handle_connection(
-    service: &SimService,
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-    verbose: bool,
-) {
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let mut carry = Vec::new();
-    // The first request gets the full socket timeout; follow-ups on a
-    // kept-alive socket only get the idle window.
-    let mut idle_limit = SOCKET_TIMEOUT;
-    loop {
-        let request = match read_request(stream, &mut carry, idle_limit, Some(shutdown)) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e) => {
-                service.count_bad_request();
-                write_response(stream, 400, &[], &error_doc(&e), false);
-                return;
-            }
-        };
-        service.count_request();
-        let (status, headers, doc) = route(service, &request);
-        if verbose {
-            eprintln!("[serve] {} {} -> {status}", request.method, request.path);
-        }
-        let keep = request.keep_alive && !shutdown.load(Ordering::Relaxed);
-        write_response(stream, status, &headers, &doc, keep);
-        if !keep {
-            return;
-        }
-        idle_limit = KEEP_ALIVE_IDLE;
-    }
 }
 
 /// Parses a `POST /batch` body into labelled configs. Three accepted
@@ -1393,66 +1114,68 @@ pub(crate) fn parse_batch_body(
     }
 }
 
-/// Routes a parsed request to the service.
-fn route(service: &SimService, request: &HttpRequest) -> (u16, Vec<(&'static str, String)>, Json) {
-    let plain = |status: u16, doc: Json| (status, Vec::new(), doc);
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/run") => {
-            let parsed = if request.content_type.contains("toml") {
-                SimConfig::from_toml_str(&request.body)
-            } else {
-                SimConfig::from_json_str(&request.body)
-            };
-            let cfg = match parsed {
-                Ok(cfg) => cfg,
-                Err(e) => {
-                    service.count_bad_request();
-                    return plain(400, error_doc(&e.to_string()));
+/// Decodes a `POST /run` body: TOML under a `toml` content type, JSON
+/// otherwise.
+pub(crate) fn parse_run_body(content_type: &str, body: &str) -> Result<SimConfig, String> {
+    let parsed = if content_type.contains("toml") {
+        SimConfig::from_toml_str(body)
+    } else {
+        SimConfig::from_json_str(body)
+    };
+    parsed.map_err(|e| e.to_string())
+}
+
+impl Handler for SimService {
+    const TAG: &'static str = "serve";
+
+    fn http_counters(&self) -> &HttpCounters {
+        &self.counters.http
+    }
+
+    fn handle(&self, request: &HttpRequest) -> Response {
+        let plain = |status: u16, doc: Json| (status, Vec::new(), doc);
+        let bad_request = |status, message: &str| self.counters.http.bad_request(status, message);
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/run") => {
+                let cfg = match parse_run_body(&request.content_type, &request.body) {
+                    Ok(cfg) => cfg,
+                    Err(e) => return bad_request(400, &e),
+                };
+                match self.submit_with_deadline(&cfg, self.sync_timeout()) {
+                    Ok(Submission::Ready(answer)) => plain(200, answer.to_response_json()),
+                    Ok(Submission::Pending { key }) => plain(
+                        202,
+                        Json::obj([
+                            ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
+                            ("key", Json::from(key)),
+                            ("status", Json::from("pending")),
+                        ]),
+                    ),
+                    Err(ServeError::Rejected { key, queue_depth }) => (
+                        503,
+                        vec![("Retry-After", RETRY_AFTER_S.to_string())],
+                        rejection_doc(&key, queue_depth),
+                    ),
+                    Err(e @ ServeError::CacheOnly { .. }) => plain(503, error_doc(&e.to_string())),
+                    Err(e @ ServeError::Sim(_)) => plain(500, error_doc(&e.to_string())),
                 }
-            };
-            match service.submit_with_deadline(&cfg, service.sync_timeout()) {
-                Ok(Submission::Ready(answer)) => plain(200, answer.to_response_json()),
-                Ok(Submission::Pending { key }) => plain(
-                    202,
-                    Json::obj([
-                        ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-                        ("key", Json::from(key)),
-                        ("status", Json::from("pending")),
-                    ]),
-                ),
-                Err(ServeError::Rejected { key, queue_depth }) => (
-                    503,
-                    vec![("Retry-After", RETRY_AFTER_S.to_string())],
-                    rejection_doc(&key, queue_depth),
-                ),
-                Err(e @ ServeError::CacheOnly { .. }) => plain(503, error_doc(&e.to_string())),
-                Err(e @ ServeError::Sim(_)) => plain(500, error_doc(&e.to_string())),
             }
-        }
-        ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
-            Ok(configs) => {
-                let report = service.submit_batch(&configs, service.sync_timeout());
-                plain(200, report.to_response_json())
+            ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
+                Ok(configs) => {
+                    let report = self.submit_batch(&configs, self.sync_timeout());
+                    plain(200, report.to_response_json())
+                }
+                Err(e) => bad_request(400, &e),
+            },
+            ("GET", "/stats") => plain(200, self.stats_json()),
+            ("GET", "/healthz") => plain(200, Json::obj([("ok", Json::Bool(true))])),
+            ("GET", path) if path.starts_with("/jobs/") => {
+                let key = &path["/jobs/".len()..];
+                let view = self.job_status(key);
+                let status = if view == JobView::Unknown { 404 } else { 200 };
+                plain(status, view.to_response_json(key))
             }
-            Err(e) => {
-                service.count_bad_request();
-                plain(400, error_doc(&e))
-            }
-        },
-        ("GET", "/stats") => plain(200, service.stats_json()),
-        ("GET", "/healthz") => plain(200, Json::obj([("ok", Json::Bool(true))])),
-        ("GET", path) if path.starts_with("/jobs/") => {
-            let key = &path["/jobs/".len()..];
-            let view = service.job_status(key);
-            let status = if view == JobView::Unknown { 404 } else { 200 };
-            plain(status, view.to_response_json(key))
-        }
-        (method, path) => {
-            service.count_bad_request();
-            plain(
-                404,
-                error_doc(&format!("no such endpoint: {method} {path}")),
-            )
+            (method, path) => bad_request(404, &format!("no such endpoint: {method} {path}")),
         }
     }
 }
@@ -1489,327 +1212,14 @@ pub fn serve_http_shutdown(
     verbose: bool,
     shutdown: Arc<AtomicBool>,
 ) -> Result<(), String> {
-    accept_loop(
-        listener,
-        max_requests,
-        &Arc::clone(&shutdown),
-        |mut stream| {
-            service.count_connection();
-            let service = Arc::clone(&service);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                handle_connection(&service, &mut stream, &shutdown, verbose);
-            })
-        },
-    )
-}
-
-/// The shared accept loop behind [`serve_http_shutdown`] and the
-/// router's `route_http`: poll-accept (so the shutdown flag is noticed
-/// without another connection), spawn one handler thread per accepted
-/// socket, and join every handler before returning. `max_requests`
-/// counts accepted *connections* — with keep-alive one connection may
-/// carry many requests.
-pub(crate) fn accept_loop(
-    listener: TcpListener,
-    max_requests: Option<u64>,
-    shutdown: &AtomicBool,
-    mut spawn_handler: impl FnMut(TcpStream) -> std::thread::JoinHandle<()>,
-) -> Result<(), String> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("listener: {e}"))?;
-    let mut handled = 0u64;
-    let mut handlers = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => {
-                eprintln!("[serve] accept failed: {e}");
-                continue;
-            }
-        };
-        // The listener is nonblocking only so this loop can poll the
-        // shutdown flag; accepted sockets block (with timeouts) as usual.
-        if let Err(e) = stream.set_nonblocking(false) {
-            eprintln!("[serve] accept failed: {e}");
-            continue;
-        }
-        // Persistent connections make Nagle vs delayed-ACK stalls real;
-        // responses are single writes, so nothing is left to coalesce.
-        let _ = stream.set_nodelay(true);
-        handlers.push(spawn_handler(stream));
-        handled += 1;
-        if max_requests.is_some_and(|max| handled >= max) {
-            break;
-        }
-    }
-    for handle in handlers {
-        let _ = handle.join();
-    }
-    Ok(())
-}
-
-/// One parsed HTTP response: status, headers, JSON body.
-#[derive(Debug)]
-pub struct HttpReply {
-    /// The response status code.
-    pub status: u16,
-    /// Response headers, lowercased names, in wire order.
-    pub headers: Vec<(String, String)>,
-    /// The parsed JSON body.
-    pub body: Json,
-}
-
-impl HttpReply {
-    /// The first header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Minimal HTTP client for the server above: one request, one JSON
-/// response with headers. Used by `tenways serve --post/--stats`, the
-/// tests, and CI.
-///
-/// # Errors
-///
-/// Returns a message on connection failure or a malformed response.
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<(&str, &str)>, // (content type, payload)
-) -> Result<HttpReply, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    if let Some((content_type, payload)) = body {
-        request.push_str(&format!(
-            "Content-Type: {content_type}\r\nContent-Length: {}\r\n\r\n{payload}",
-            payload.len()
-        ));
-    } else {
-        request.push_str("\r\n");
-    }
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("receive: {e}"))?;
-    let text = String::from_utf8(response).map_err(|_| "non-utf8 response".to_string())?;
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| "malformed response: no header terminator".to_string())?;
-    let (status, headers) = parse_reply_head(head)?;
-    let body = Json::parse(payload).map_err(|e| format!("malformed response body: {e}"))?;
-    Ok(HttpReply {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// Parses an HTTP response head into (status, lowercased headers).
-fn parse_reply_head(head: &str) -> Result<(u16, Vec<(String, String)>), String> {
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line in `{status_line}`"))?;
-    let headers = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    Ok((status, headers))
-}
-
-/// [`http_request`] without the headers — the historical client shape
-/// most callers want.
-///
-/// # Errors
-///
-/// Same as [`http_request`].
-pub fn http_call(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<(&str, &str)>, // (content type, payload)
-) -> Result<(u16, Json), String> {
-    let reply = http_request(addr, method, path, body)?;
-    Ok((reply.status, reply.body))
-}
-
-/// Whether the server's response allows another request on the socket.
-pub(crate) fn reply_keeps_alive(reply: &HttpReply) -> bool {
-    !matches!(reply.header("connection"), Some(v) if v.eq_ignore_ascii_case("close"))
-}
-
-/// Sends one keep-alive request on an already-connected stream and
-/// reads the `Content-Length`-delimited reply (the stream stays usable
-/// for the next request when [`reply_keeps_alive`] says so).
-pub(crate) fn send_on_stream(
-    stream: &mut TcpStream,
-    host: &str,
-    method: &str,
-    path: &str,
-    body: Option<(&str, &str)>, // (content type, payload)
-) -> Result<HttpReply, String> {
-    let mut request =
-        format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n");
-    if let Some((content_type, payload)) = body {
-        request.push_str(&format!(
-            "Content-Type: {content_type}\r\nContent-Length: {}\r\n\r\n{payload}",
-            payload.len()
-        ));
-    } else {
-        request.push_str("\r\n");
-    }
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    read_reply(stream)
-}
-
-/// Reads one HTTP response off the stream, bounded by `Content-Length`
-/// (which this repo's server always sends) instead of waiting for EOF —
-/// the difference that makes connection reuse possible.
-fn read_reply(stream: &mut TcpStream) -> Result<HttpReply, String> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("receive: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-response".to_string());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head =
-        std::str::from_utf8(&buf[..header_end]).map_err(|_| "non-utf8 response".to_string())?;
-    let (status, headers) = parse_reply_head(head)?;
-    let content_length: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .ok_or_else(|| "response missing content-length".to_string())?;
-    let mut payload = buf.split_off((header_end + 4).min(buf.len()));
-    while payload.len() < content_length {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("receive: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-response".to_string());
-        }
-        payload.extend_from_slice(&chunk[..n]);
-    }
-    payload.truncate(content_length);
-    let text = String::from_utf8(payload).map_err(|_| "non-utf8 response".to_string())?;
-    let body = Json::parse(&text).map_err(|e| format!("malformed response body: {e}"))?;
-    Ok(HttpReply {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// A pooled keep-alive HTTP client: one client owns (at most) one
-/// persistent connection and reuses it across requests, reconnecting
-/// transparently when the server has since closed it. Not `Sync` — give
-/// each client thread its own. The one-shot [`http_request`] remains
-/// for fire-and-forget callers (CLI one-liners, CI probes).
-#[derive(Debug)]
-pub struct HttpClient {
-    addr: String,
-    conn: Option<TcpStream>,
-}
-
-impl HttpClient {
-    /// A client for `host:port` (connects lazily on first request).
-    pub fn new(addr: impl Into<String>) -> HttpClient {
-        HttpClient {
-            addr: addr.into(),
-            conn: None,
-        }
-    }
-
-    /// The server address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Whether a pooled connection is currently held open.
-    pub fn connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// Sends one request. A failure on a *reused* connection gets one
-    /// retry on a fresh connection — the server may have idle-closed the
-    /// pooled socket since the last request, which is not an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on connection failure or a malformed response.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<(&str, &str)>, // (content type, payload)
-    ) -> Result<HttpReply, String> {
-        let pooled = self.conn.is_some();
-        match self.send(method, path, body) {
-            Err(_) if pooled => self.send(method, path, body),
-            outcome => outcome,
-        }
-    }
-
-    fn send(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<(&str, &str)>,
-    ) -> Result<HttpReply, String> {
-        let mut stream = match self.conn.take() {
-            Some(stream) => stream,
-            None => {
-                let stream = TcpStream::connect(&self.addr)
-                    .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
-                let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-                let _ = stream.set_nodelay(true);
-                stream
-            }
-        };
-        let reply = send_on_stream(&mut stream, &self.addr, method, path, body)?;
-        if reply_keeps_alive(&reply) {
-            self.conn = Some(stream);
-        }
-        Ok(reply)
-    }
+    http::serve(service, listener, max_requests, verbose, shutdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{http_call, http_request, HttpClient};
+    use crate::router::{route_http, Router, RouterOptions};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tenways-serve-{tag}-{}", std::process::id()));
@@ -2331,80 +1741,146 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The two front ends the shared request loop serves.
+    #[derive(Debug, Clone, Copy)]
+    enum Front {
+        /// `serve` itself.
+        Serve,
+        /// `route` over one serve backend.
+        Route,
+    }
+
+    /// A front end running on an ephemeral port.
+    struct Running {
+        addr: String,
+        shutdown: Arc<AtomicBool>,
+        server: std::thread::JoinHandle<Result<(), String>>,
+        /// The serve backend behind a `Route` front end.
+        backend: Option<Box<Running>>,
+    }
+
+    impl Running {
+        fn start(front: Front, svc: Arc<SimService>, max_connections: Option<u64>) -> Running {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let stop = Arc::clone(&shutdown);
+            let (server, backend) = match front {
+                Front::Serve => (
+                    std::thread::spawn(move || {
+                        serve_http_shutdown(svc, listener, max_connections, false, stop)
+                    }),
+                    None,
+                ),
+                Front::Route => {
+                    let backend = Running::start(Front::Serve, svc, None);
+                    let router = Arc::new(
+                        Router::new(RouterOptions {
+                            backends: vec![backend.addr.clone()],
+                            ..RouterOptions::default()
+                        })
+                        .unwrap(),
+                    );
+                    (
+                        std::thread::spawn(move || {
+                            route_http(router, listener, max_connections, false, stop)
+                        }),
+                        Some(Box::new(backend)),
+                    )
+                }
+            };
+            Running {
+                addr,
+                shutdown,
+                server,
+                backend,
+            }
+        }
+
+        /// Waits for the front end to return, then drains the backend
+        /// behind a router. Returns how long the front end took.
+        fn join(self) -> Duration {
+            let begun = Instant::now();
+            self.server.join().unwrap().unwrap();
+            let took = begun.elapsed();
+            if let Some(backend) = self.backend {
+                backend.shutdown.store(true, Ordering::Relaxed);
+                backend.join();
+            }
+            took
+        }
+    }
+
     #[test]
     fn keep_alive_connection_carries_many_requests() {
-        let dir = tmp_dir("keep-alive");
-        let svc = Arc::new(service(&dir, 1));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        // max_requests counts *connections*: the server retires after
-        // one socket, so every request below must share it.
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(1), false))
-        };
+        for front in [Front::Serve, Front::Route] {
+            let dir = tmp_dir(&format!("keep-alive-{front:?}"));
+            // max_requests counts *connections*: the front end retires
+            // after one socket, so every request below must share it.
+            let running = Running::start(front, Arc::new(service(&dir, 1)), Some(1));
 
-        let mut client = HttpClient::new(addr);
-        let body = small_cfg().to_json().to_string();
-        let first = client
-            .request("POST", "/run", Some(("application/json", &body)))
-            .unwrap();
-        assert_eq!(first.status, 200);
-        assert_eq!(first.header("connection"), Some("keep-alive"));
-        let second = client
-            .request("POST", "/run", Some(("application/json", &body)))
-            .unwrap();
-        assert_eq!(second.status, 200);
-        assert_eq!(
-            second.body.get("cached").and_then(Json::as_bool),
-            Some(true)
-        );
-        let stats = client.request("GET", "/stats", None).unwrap();
-        assert_eq!(
-            stats.body.get("connections").and_then(Json::as_u64),
-            Some(1),
-            "three requests, one TCP connection"
-        );
-        assert_eq!(stats.body.get("requests").and_then(Json::as_u64), Some(3));
+            let mut client = HttpClient::new(running.addr.clone());
+            let body = small_cfg().to_json().to_string();
+            let first = client
+                .request("POST", "/run", Some(("application/json", &body)))
+                .unwrap();
+            assert_eq!(first.status, 200, "{front:?}");
+            assert_eq!(first.header("connection"), Some("keep-alive"));
+            let second = client
+                .request("POST", "/run", Some(("application/json", &body)))
+                .unwrap();
+            assert_eq!(second.status, 200, "{front:?}");
+            assert_eq!(
+                second.body.get("cached").and_then(Json::as_bool),
+                Some(true)
+            );
+            let stats = client.request("GET", "/stats", None).unwrap();
+            let wire = match front {
+                Front::Serve => &stats.body,
+                Front::Route => stats.body.get("router").unwrap(),
+            };
+            assert_eq!(
+                wire.get("connections").and_then(Json::as_u64),
+                Some(1),
+                "{front:?}: three requests, one TCP connection"
+            );
+            assert_eq!(
+                wire.get("requests").and_then(Json::as_u64),
+                Some(3),
+                "{front:?}"
+            );
 
-        drop(client); // EOF ends the handler's request loop
-        server.join().unwrap().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+            drop(client); // EOF ends the handler's request loop
+            running.join();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn shutdown_drains_parked_keep_alive_sockets_promptly() {
-        let dir = tmp_dir("drain");
-        let svc = Arc::new(service(&dir, 1));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let server = {
-            let svc = Arc::clone(&svc);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || serve_http_shutdown(svc, listener, None, false, shutdown))
-        };
+        for front in [Front::Serve, Front::Route] {
+            let dir = tmp_dir(&format!("drain-{front:?}"));
+            let running = Running::start(front, Arc::new(service(&dir, 1)), None);
 
-        // Park a keep-alive connection idle on the server, then drain:
-        // the handler must notice the flag long before the 10 s idle
-        // window and the accept loop must join it.
-        let mut client = HttpClient::new(addr);
-        let body = small_cfg().to_json().to_string();
-        let reply = client
-            .request("POST", "/run", Some(("application/json", &body)))
-            .unwrap();
-        assert_eq!(reply.status, 200);
-        assert!(client.connected(), "client pooled the connection");
+            // Park a keep-alive connection idle on the front end, then
+            // drain: the handler must notice the flag long before the
+            // 10 s idle window and the accept loop must join it.
+            let mut client = HttpClient::new(running.addr.clone());
+            let body = small_cfg().to_json().to_string();
+            let reply = client
+                .request("POST", "/run", Some(("application/json", &body)))
+                .unwrap();
+            assert_eq!(reply.status, 200, "{front:?}");
+            assert!(client.connected(), "client pooled the connection");
 
-        let begun = Instant::now();
-        shutdown.store(true, Ordering::Relaxed);
-        server.join().unwrap().unwrap();
-        assert!(
-            begun.elapsed() < Duration::from_secs(2),
-            "drain took {:?} with a parked keep-alive socket",
-            begun.elapsed()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+            running.shutdown.store(true, Ordering::Relaxed);
+            let drained = running.join();
+            assert!(
+                drained < Duration::from_secs(2),
+                "{front:?}: drain took {drained:?} with a parked keep-alive socket"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

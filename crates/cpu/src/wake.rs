@@ -3,7 +3,7 @@
 //!
 //! [`WakeWheel`] maps a small, fixed population of components (fabric,
 //! directory banks, core complexes) to the next cycle each is due to tick.
-//! Near-term wakes (within [`SLOTS`] cycles of the wheel's base) land in a
+//! Near-term wakes (within `SLOTS` cycles of the wheel's base) land in a
 //! circular slot array; far wakes (long DRAM round-trips, adaptive-backoff
 //! countdowns) go to a min-heap so an empty window is skipped in O(log n)
 //! instead of cycle-by-cycle.

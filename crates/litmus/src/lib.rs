@@ -13,9 +13,9 @@
 //! * [`parse`] — a small `.litmus`-style text format (per-thread op
 //!   lists over named locations, `forbidden:`/`allowed:` final-state
 //!   predicates) and its parser;
-//! * [`compile`] — turns a parsed test into reactive [`ThreadProgram`]s
+//! * [`mod@compile`] — turns a parsed test into reactive [`ThreadProgram`]s
 //!   whose consumed load values land in shared register cells;
-//! * [`explore`] — runs a test across a deterministic grid of timing
+//! * [`mod@explore`] — runs a test across a deterministic grid of timing
 //!   perturbations (per-thread skews, DRAM/NoC/directory latencies,
 //!   store-buffer depth, width, topology) for every
 //!   `(model, speculation mode)` cell, fanning out on the fail-soft
@@ -24,7 +24,7 @@
 //!   difference between the speculation-on and speculation-off
 //!   observable-state sets, each with a replayable
 //!   `{test, model, spec, seed, point}` repro;
-//! * [`corpus`] — the curated in-tree suite of 12 classic tests
+//! * [`mod@corpus`] — the curated in-tree suite of 12 classic tests
 //!   (SB, MP, LB, IRIW, R, S, 2+2W, CoRR and fence/RMW variants).
 //!
 //! [`ThreadProgram`]: tenways_cpu::ThreadProgram

@@ -62,7 +62,8 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// Streaming SHA-256 (FIPS 180-4). Safe-code only, no lookup beyond [`K`].
+/// Streaming SHA-256 (FIPS 180-4). Safe-code only, no lookup beyond the
+/// round-constant table `K`.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],

@@ -192,7 +192,8 @@ fn apply_sched_json(sched: &mut SchedMode, value: &Json) -> Result<(), String> {
 
 /// Complete, serializable description of one simulation run.
 ///
-/// See the [module docs](self) for the loading pipeline. Field semantics
+/// The loading pipeline is [`SimConfig::load`], [`SimConfig::from_toml_str`],
+/// [`SimConfig::from_json_str`] and [`SimConfig::apply_json`]. Field semantics
 /// match the long-standing CLI flags: `workload` is a kernel name (or
 /// `"contended"`), `threads` sets both the workload's thread count and the
 /// machine's core count, and `conflict` only affects the contended
