@@ -295,6 +295,28 @@ grep -q '"backends_up": 2' "$ROUTE_DIR/stats.json"
 # reads sim_runs 0, and the other — plus the cluster sum — reads 1.
 test "$(grep -c '"sim_runs": 0' "$ROUTE_DIR/stats.json")" = 1
 test "$(grep -c '"sim_runs": 1' "$ROUTE_DIR/stats.json")" = 2
+# Hostile-body smoke: bodies nested far past the parsers' depth bound
+# (40 KB of JSON arrays, 10 KB of TOML arrays) must each answer 400
+# (client exit 1) from the router and from a backend, instead of
+# overflowing a connection thread's stack; afterwards the router still
+# sees both backends up.
+{ head -c 20000 /dev/zero | tr '\0' '['; head -c 20000 /dev/zero | tr '\0' ']'; } \
+    > "$ROUTE_DIR/deep.json"
+{ printf 'a = '; head -c 5000 /dev/zero | tr '\0' '['
+  head -c 5000 /dev/zero | tr '\0' ']'; echo; } > "$ROUTE_DIR/deep.toml"
+for target in "$ROUTE_ADDR" "$B1_ADDR"; do
+    for body in deep.json deep.toml; do
+        status=0
+        ./target/release/tenways serve --addr "$target" \
+            --post "$ROUTE_DIR/$body" > "$ROUTE_DIR/hostile.json" || status=$?
+        test "$status" = 1
+        grep -q 'nesting deeper than' "$ROUTE_DIR/hostile.json"
+    done
+done
+sleep 0.3
+./target/release/tenways serve --addr "$ROUTE_ADDR" --stats \
+    > "$ROUTE_DIR/stats_hostile.json"
+grep -q '"backends_up": 2' "$ROUTE_DIR/stats_hostile.json"
 # Kill-and-reroute: take down backend 0, POST again through the router.
 kill "$B0_PID"
 wait "$B0_PID" || true

@@ -976,7 +976,19 @@ mod tests {
     #[test]
     fn failover_reroutes_a_dead_backends_keyspace_with_no_lost_request() {
         let mut cluster = TestCluster::start("failover", 2);
-        let configs: Vec<SimConfig> = (0..6).map(small_cfg).collect();
+        // Ownership depends on the ephemeral ports, so pick the keys
+        // against this cluster's ranking: three owned by each backend.
+        let mut owned: [Vec<SimConfig>; 2] = Default::default();
+        for cfg in (0..).map(small_cfg) {
+            let owner = cluster.router.rank(&cfg.cache_key())[0];
+            if owned[owner].len() < 3 {
+                owned[owner].push(cfg);
+            }
+            if owned.iter().all(|keys| keys.len() == 3) {
+                break;
+            }
+        }
+        let configs: Vec<SimConfig> = owned.concat();
         let mut client = HttpClient::new(cluster.addr.clone());
 
         // Warm every key through the router and remember who owns what.

@@ -1884,6 +1884,39 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_gets_400_and_the_server_lives_on() {
+        // 40 KB of nested arrays (20 000 deep) and its 10 KB TOML cousin:
+        // before parsing bounded nesting, either overflowed the
+        // connection thread's stack and aborted the whole process.
+        let deep_json = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+        let deep_toml = format!("a = {}{}\n", "[".repeat(5_000), "]".repeat(5_000));
+        for front in [Front::Serve, Front::Route] {
+            let dir = tmp_dir(&format!("hostile-{front:?}"));
+            let running = Running::start(front, Arc::new(service(&dir, 1)), None);
+            let mut client = HttpClient::new(running.addr.clone());
+            for (path, content_type, body) in [
+                ("/run", "application/json", &deep_json),
+                ("/run", "application/toml", &deep_toml),
+                ("/batch", "application/json", &deep_json),
+            ] {
+                let reply = client
+                    .request("POST", path, Some((content_type, body)))
+                    .unwrap();
+                assert_eq!(reply.status, 400, "{front:?} {path} {content_type}");
+                let error = reply.body.get("error").and_then(Json::as_str).unwrap();
+                assert!(error.contains("nesting deeper than"), "{front:?}: {error}");
+            }
+            let health = client.request("GET", "/healthz", None).unwrap();
+            assert_eq!(health.status, 200, "{front:?}: the server must live on");
+
+            drop(client);
+            running.shutdown.store(true, Ordering::Relaxed);
+            running.join();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn warm_prepopulates_cache_and_stays_counter_neutral() {
         let dir = tmp_dir("warm");
         let svc = service(&dir, 2);

@@ -7,17 +7,28 @@
 //! * [`Json`] — an ordered value tree (object keys keep insertion order, so
 //!   emitted documents are byte-stable across runs — a requirement for the
 //!   determinism guarantees of the results schema);
-//! * a compact writer ([`std::fmt::Display`]) and a pretty writer
-//!   ([`Json::pretty`]);
-//! * a strict parser ([`Json::parse`]) sufficient for config files and
-//!   round-trip tests;
+//! * a compact rendering ([`std::fmt::Display`]) and a pretty one
+//!   ([`Json::pretty`]), both produced by one recursive writer that
+//!   appends into a single `String`, copies unescaped text a run at a
+//!   time, and allocates nothing per line or key;
+//! * a strict parser ([`Json::parse`]);
 //! * the [`ToJson`] conversion trait implemented by every reportable type
 //!   in the workspace.
+//!
+//! The parser is on every `tenways serve` and `tenways route` request
+//! path: request bodies, cache entries and `index.json`, and every reply
+//! the router and the clients read. It runs in time linear in its input
+//! (a string is copied a run at a time between `"` and `\` delimiters),
+//! and it reads hostile input safely: nesting deeper than
+//! [`MAX_DEPTH`] and number literals that overflow to infinity are parse
+//! errors with a byte position, never a stack overflow or a value that
+//! would render as `null`.
 //!
 //! Numbers are kept in three lanes (`U64`, `I64`, `F64`) so counters never
 //! lose precision and floats render with a decimal point (via `{:?}`),
 //! which keeps `parse(render(v)) == v` for every value this workspace
-//! produces.
+//! produces and every value the parser accepts (`-0` parses into the
+//! `U64` lane, the lane `0` renders back into).
 //!
 //! # Example
 //!
@@ -34,6 +45,7 @@
 //! assert_eq!(Json::parse(&text).unwrap(), doc);
 //! ```
 
+use crate::MAX_DEPTH;
 use std::fmt;
 
 /// A JSON value. Object keys preserve insertion order.
@@ -156,115 +168,140 @@ impl Json {
     /// Renders with two-space indentation and a trailing newline-free body.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write_to(&mut out, Some(0));
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        const INDENT: &str = "  ";
+    /// The one writer behind both renderings: appends `self` to `out`,
+    /// compact when `indent` is `None`, else pretty with `self` sitting
+    /// `indent` levels deep. Empty containers render as `[]` / `{}` in
+    /// both forms.
+    fn write_to(&self, out: &mut String, indent: Option<usize>) {
+        use fmt::Write;
         match self {
-            Json::Arr(items) if !items.is_empty() => {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Writing into a `String` cannot fail.
+            Json::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v:?}");
+            }
+            Json::F64(_) => out.push_str("null"),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Json::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
+            Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&INDENT.repeat(depth + 1));
-                    v.write_pretty(out, depth + 1);
+                    separate(out, i, indent);
+                    v.write_to(out, indent.map(|d| d + 1));
                 }
-                out.push('\n');
-                out.push_str(&INDENT.repeat(depth));
-                out.push(']');
+                close(out, indent, ']');
             }
-            Json::Obj(pairs) if !pairs.is_empty() => {
+            Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&INDENT.repeat(depth + 1));
+                    separate(out, i, indent);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write_to(out, indent.map(|d| d + 1));
                 }
-                out.push('\n');
-                out.push_str(&INDENT.repeat(depth));
-                out.push('}');
-            }
-            other => {
-                use fmt::Write;
-                let _ = write!(out, "{other}");
+                close(out, indent, '}');
             }
         }
     }
 
-    /// Parses a JSON document. Strict: trailing garbage is an error.
+    /// Parses a JSON document. Strict: trailing garbage, nesting deeper
+    /// than [`MAX_DEPTH`] and number literals that overflow to infinity
+    /// are errors.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// Pretty indentation: two spaces per level.
+const INDENT: &str = "  ";
+
+/// Starts container member `i`: a comma after the first, and in pretty
+/// mode a newline and the member's indentation (`indent` is the
+/// container's own level).
+fn separate(out: &mut String, i: usize, indent: Option<usize>) {
+    if i > 0 {
+        out.push(',');
     }
+    if let Some(depth) = indent {
+        out.push('\n');
+        push_indent(out, depth + 1);
+    }
+}
+
+/// Closes a non-empty container, on a line of its own in pretty mode.
+fn close(out: &mut String, indent: Option<usize>, bracket: char) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        push_indent(out, depth);
+    }
+    out.push(bracket);
+}
+
+fn push_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str(INDENT);
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Bytes that need no escape are
+/// copied a run at a time; every escaped byte is ASCII, so each run
+/// starts and ends on a char boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::U64(v) => write!(f, "{v}"),
-            Json::I64(v) => write!(f, "{v}"),
-            Json::F64(v) if v.is_finite() => write!(f, "{v:?}"),
-            Json::F64(_) => f.write_str("null"),
-            Json::Str(s) => {
-                let mut buf = String::new();
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut buf = String::new();
-                    write_escaped(&mut buf, k);
-                    write!(f, "{buf}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out, None);
+        f.write_str(&out)
     }
 }
 
@@ -286,8 +323,10 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -298,8 +337,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -318,7 +361,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -332,11 +375,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => self.nested(open),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// The array or object opening at `pos`, one level deeper than the
+    /// value around it.
+    fn nested(&mut self, open: u8) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = if open == b'[' {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -390,56 +448,62 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A quoted string. Each run up to the next `"` or `\` is copied with
+    /// one `push_str`; both delimiters are ASCII, so every run is a
+    /// char-boundary slice of the (already valid UTF-8) input and the
+    /// whole string costs time linear in its length.
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            let rest = &self.bytes()[run..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("non-scalar \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the `\`
+    /// and ends just past the escape.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = self
+                    .bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                let c = char::from_u32(code).ok_or_else(|| self.err("non-scalar \\u escape"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -468,16 +532,22 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        // Only ASCII was consumed, so this slice is on char boundaries.
+        let text = &self.text[start..self.pos];
         if float {
-            text.parse::<f64>()
-                .map(Json::F64)
-                .map_err(|_| self.err("invalid float"))
+            match text.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+                Ok(_) => Err(self.err("number overflows to infinity")),
+                Err(_) => Err(self.err("invalid float")),
+            }
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Json::I64)
-                .map_err(|_| self.err("invalid integer"))
+            // `-0` is zero, which lives in the unsigned lane: the lane it
+            // renders back into.
+            match text.parse::<i64>() {
+                Ok(0) => Ok(Json::U64(0)),
+                Ok(v) => Ok(Json::I64(v)),
+                Err(_) => Err(self.err("invalid integer")),
+            }
         } else {
             text.parse::<u64>()
                 .map(Json::U64)
@@ -770,5 +840,196 @@ mod tests {
     #[test]
     fn nonfinite_floats_render_null() {
         assert_eq!(Json::F64(f64::NAN).to_string(), "null");
+    }
+
+    /// One document holding every variant and every escaping case.
+    fn golden_doc() -> Json {
+        Json::obj([
+            ("empty_arr", Json::arr([])),
+            ("empty_obj", Json::Obj(Vec::new())),
+            (
+                "nested_empty",
+                Json::arr([
+                    Json::arr([Json::arr([])]),
+                    Json::obj([("e", Json::Obj(Vec::new()))]),
+                ]),
+            ),
+            (
+                "lits",
+                Json::arr([Json::Null, Json::Bool(true), Json::Bool(false)]),
+            ),
+            (
+                "text",
+                Json::from(
+                    "tab\t nl\n cr\r nul\u{0} bel\u{7} us\u{1f} del\u{7f} \"q\" back\\slash /",
+                ),
+            ),
+            ("unicode", Json::from("é ß 日本 🎉")),
+            ("k\"e\\y\n", Json::Str(String::new())),
+            (
+                "ints",
+                Json::arr([
+                    Json::U64(0),
+                    Json::U64(u64::MAX),
+                    Json::I64(i64::MIN),
+                    Json::I64(-1),
+                ]),
+            ),
+            (
+                "floats",
+                Json::arr([
+                    Json::F64(1.0),
+                    Json::F64(-0.0),
+                    Json::F64(0.1),
+                    Json::F64(1e300),
+                    Json::F64(-1.5e-7),
+                    Json::F64(123456789.125),
+                    Json::F64(f64::NAN),
+                    Json::F64(f64::INFINITY),
+                    Json::F64(f64::NEG_INFINITY),
+                ]),
+            ),
+            (
+                "deep",
+                Json::obj([(
+                    "a",
+                    Json::arr([Json::obj([("b", Json::arr([Json::U64(7)]))])]),
+                )]),
+            ),
+        ])
+    }
+
+    /// The rendering of [`golden_doc`], pinned byte for byte. DEL (0x7f)
+    /// is the one character that passes through unescaped yet is
+    /// invisible, so it is spliced in by escape.
+    #[test]
+    fn writer_output_is_pinned() {
+        const COMPACT: &str = concat!(
+            r#"{"empty_arr":[],"empty_obj":{},"nested_empty":[[[]],{"e":{}}],"#,
+            r#""lits":[null,true,false],"#,
+            r#""text":"tab\t nl\n cr\r nul\u0000 bel\u0007 us\u001f del"#,
+            "\u{7f}",
+            r#" \"q\" back\\slash /","unicode":"é ß 日本 🎉","k\"e\\y\n":"","#,
+            r#""ints":[0,18446744073709551615,-9223372036854775808,-1],"#,
+            r#""floats":[1.0,-0.0,0.1,1e300,-1.5e-7,123456789.125,null,null,null],"#,
+            r#""deep":{"a":[{"b":[7]}]}}"#,
+        );
+        const PRETTY: &str = concat!(
+            r#"{
+  "empty_arr": [],
+  "empty_obj": {},
+  "nested_empty": [
+    [
+      []
+    ],
+    {
+      "e": {}
+    }
+  ],
+  "lits": [
+    null,
+    true,
+    false
+  ],
+  "text": "tab\t nl\n cr\r nul\u0000 bel\u0007 us\u001f del"#,
+            "\u{7f}",
+            r#" \"q\" back\\slash /",
+  "unicode": "é ß 日本 🎉",
+  "k\"e\\y\n": "",
+  "ints": [
+    0,
+    18446744073709551615,
+    -9223372036854775808,
+    -1
+  ],
+  "floats": [
+    1.0,
+    -0.0,
+    0.1,
+    1e300,
+    -1.5e-7,
+    123456789.125,
+    null,
+    null,
+    null
+  ],
+  "deep": {
+    "a": [
+      {
+        "b": [
+          7
+        ]
+      }
+    ]
+  }
+}"#,
+        );
+        let doc = golden_doc();
+        assert_eq!(doc.to_string(), COMPACT);
+        assert_eq!(doc.pretty(), PRETTY);
+        // `{}` and `to_string` agree, and so do nested renderings.
+        assert_eq!(format!("{doc}"), COMPACT);
+        let deep = doc.get("deep").unwrap();
+        assert_eq!(deep.to_string(), r#"{"a":[{"b":[7]}]}"#);
+    }
+
+    #[test]
+    fn nesting_is_bounded_for_arrays_and_objects() {
+        for (kind, open, inner, close) in [
+            ("arrays", "[", "", "]"),
+            ("objects", r#"{"k":"#, "null", "}"),
+        ] {
+            let doc = |n: usize| format!("{}{inner}{}", open.repeat(n), close.repeat(n));
+            let deepest = Json::parse(&doc(MAX_DEPTH)).unwrap();
+            assert_eq!(
+                Json::parse(&deepest.to_string()).unwrap(),
+                deepest,
+                "{kind}"
+            );
+            let e = Json::parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.msg.contains("nesting deeper than"), "{kind}: {e}");
+            // The error points at the bracket that went one too deep.
+            assert_eq!(e.pos, MAX_DEPTH * open.len(), "{kind}");
+            // Far past the bound (a stack overflow before the bound existed).
+            assert!(Json::parse(&doc(20_000)).is_err(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn number_literals_overflowing_to_infinity_are_rejected() {
+        for text in ["1e400", "-1e400", "[0, 2e308]", "1.8e308"] {
+            let e = Json::parse(text).unwrap_err();
+            assert!(e.msg.contains("infinity"), "{text}: {e}");
+        }
+        // The largest finite double and underflow to zero still parse.
+        assert_eq!(
+            Json::parse("1.7976931348623157e308").unwrap(),
+            Json::F64(f64::MAX)
+        );
+        assert_eq!(Json::parse("1e-400").unwrap(), Json::F64(0.0));
+    }
+
+    #[test]
+    fn minus_zero_lands_in_the_lane_it_renders_back_into() {
+        assert_eq!(Json::parse("-0").unwrap(), Json::U64(0));
+        assert_eq!(Json::parse("-1").unwrap(), Json::I64(-1));
+        assert_eq!(Json::parse("-0.0").unwrap().to_string(), "-0.0");
+    }
+
+    #[test]
+    fn strings_copy_runs_between_escapes() {
+        let text = r#""plain é 日本 \"q\" a\\b \/ \u00e9\u0001 \b\f\n\r\t end""#;
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::from("plain é 日本 \"q\" a\\b / é\u{1} \u{8}\u{c}\n\r\t end")
+        );
+        for (bad, pos) in [
+            (r#""abc"#, 4),
+            (r#""a\x""#, 3),
+            (r#""a\u12""#, 3),
+            (r#""a\ud800""#, 3),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err().pos, pos, "{bad}");
+        }
     }
 }

@@ -48,6 +48,13 @@ pub mod trace;
 
 mod cycle;
 
+/// How deeply a document read from outside may nest: the bound
+/// [`Json::parse`] and [`toml::parse_toml`] enforce before they recurse,
+/// so hostile input gets a parse error instead of overflowing a
+/// connection thread's stack. The deepest committed document nests six
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
 pub use config::{AtomicsConfig, AtomicsError, MachineConfig};
 pub use cycle::{Clock, Cycle};
 pub use hash::{canonical, canonical_hash, sha256_hex, Sha256};

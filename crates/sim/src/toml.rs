@@ -3,10 +3,15 @@
 //! Config files for `tenways` may be written in TOML or JSON; this module
 //! covers the TOML subset those configs need — top-level key/value pairs,
 //! `[section]` tables (one level deep, nested via dotted headers), strings,
-//! integers, floats, booleans, and flat arrays — without pulling in an
+//! integers, floats, booleans, and arrays — without pulling in an
 //! external crate (the build environment is offline). Everything parses
 //! into the same [`Json`] value model the rest of the observability layer
 //! uses, so `SimConfig::from_json` is the single decode path.
+//!
+//! `serve` reads TOML request bodies, so the reader bounds nesting like
+//! [`Json::parse`] does: a value may sit at most [`MAX_DEPTH`] levels
+//! below the root table, counting one level per section-header component
+//! and per enclosing array.
 //!
 //! ```rust
 //! use tenways_sim::toml::parse_toml;
@@ -26,6 +31,7 @@
 //! ```
 
 use crate::json::Json;
+use crate::MAX_DEPTH;
 use std::fmt;
 
 /// A TOML parse error with the 1-based line it occurred on.
@@ -73,6 +79,9 @@ pub fn parse_toml(text: &str) -> Result<Json, TomlError> {
             if section.iter().any(|s| s.is_empty()) {
                 return Err(err("empty section name component"));
             }
+            if section.len() > MAX_DEPTH {
+                return Err(err(&format!("nesting deeper than {MAX_DEPTH}")));
+            }
             // Materialize the table so empty sections still appear.
             table_at(&mut root, &section).map_err(|m| err(&m))?;
             continue;
@@ -81,7 +90,7 @@ pub fn parse_toml(text: &str) -> Result<Json, TomlError> {
             .split_once('=')
             .ok_or_else(|| err("expected `key = value`"))?;
         let key = unquote_key(key.trim()).ok_or_else(|| err("bad key"))?;
-        let value = parse_value(value.trim()).map_err(|m| err(&m))?;
+        let value = parse_value(value.trim(), section.len()).map_err(|m| err(&m))?;
         let table = table_at(&mut root, &section).map_err(|m| err(&m))?;
         if table.iter().any(|(k, _)| *k == key) {
             return Err(err(&format!("duplicate key `{key}`")));
@@ -140,7 +149,9 @@ fn table_at<'a>(
     Ok(cur)
 }
 
-fn parse_value(text: &str) -> Result<Json, String> {
+/// Parses one value nested `depth` levels below the root table (one per
+/// section-header component and enclosing array).
+fn parse_value(text: &str, depth: usize) -> Result<Json, String> {
     if text.is_empty() {
         return Err("missing value".to_string());
     }
@@ -155,13 +166,16 @@ fn parse_value(text: &str) -> Result<Json, String> {
         return Ok(Json::Bool(false));
     }
     if let Some(inner) = text.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
         let inner = inner.strip_suffix(']').ok_or("unterminated array")?.trim();
         if inner.is_empty() {
             return Ok(Json::Arr(Vec::new()));
         }
         return split_top_level(inner)?
             .into_iter()
-            .map(|item| parse_value(item.trim()))
+            .map(|item| parse_value(item.trim(), depth + 1))
             .collect::<Result<Vec<_>, _>>()
             .map(Json::Arr);
     }
@@ -292,5 +306,36 @@ mod tests {
     fn hash_inside_string_is_not_a_comment() {
         let doc = parse_toml("s = \"a#b\"\n").unwrap();
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("a#b"));
+    }
+
+    /// `key = [[…]]` with `depth` brackets.
+    fn nested_arrays(depth: usize) -> String {
+        format!("a = {}{}\n", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn array_nesting_is_bounded() {
+        let doc = parse_toml(&nested_arrays(MAX_DEPTH)).unwrap();
+        let mut v = doc.get("a").unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Arr(Vec::new()));
+        let e = parse_toml(&format!("ok = 1\n{}", nested_arrays(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("nesting deeper than"), "{e}");
+        // Far past the bound (a stack overflow before the bound existed).
+        assert!(parse_toml(&nested_arrays(5_000)).is_err());
+        // A section header is one level of its own.
+        assert!(parse_toml(&format!("[s]\n{}", nested_arrays(MAX_DEPTH))).is_err());
+    }
+
+    #[test]
+    fn header_nesting_is_bounded() {
+        let header = |n: usize| format!("[{}]\nk = 1\n", vec!["t"; n].join("."));
+        assert!(parse_toml(&header(MAX_DEPTH)).is_ok());
+        let e = parse_toml(&header(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("nesting deeper than"), "{e}");
     }
 }
