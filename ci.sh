@@ -295,6 +295,20 @@ grep -q '"backends_up": 2' "$ROUTE_DIR/stats.json"
 # reads sim_runs 0, and the other — plus the cluster sum — reads 1.
 test "$(grep -c '"sim_runs": 0' "$ROUTE_DIR/stats.json")" = 1
 test "$(grep -c '"sim_runs": 1' "$ROUTE_DIR/stats.json")" = 2
+# sweep --server through the router: job.toml's base over threads
+# [2, 3, 3]. All three rows come back ok and marked "served"; threads = 2
+# is job.toml's key, so it is served cached; the two threads = 3 points
+# share one key, so the cluster simulates exactly one more run.
+{ cat "$ROUTE_DIR/job.toml"; printf '\n[sweep]\nid = "ci-route"\n\n[grid]\nthreads = [2, 3, 3]\n'; } \
+    > "$ROUTE_DIR/grid.toml"
+./target/release/tenways sweep --config "$ROUTE_DIR/grid.toml" \
+    --server "$ROUTE_ADDR" --out "$ROUTE_DIR" --quiet
+test "$(grep -c '"status": "ok"' "$ROUTE_DIR/ci-route.json")" = 3
+test "$(grep -c '"served": ' "$ROUTE_DIR/ci-route.json")" = 3
+grep -q '"served": "cached"' "$ROUTE_DIR/ci-route.json"
+./target/release/tenways serve --addr "$ROUTE_ADDR" --stats \
+    > "$ROUTE_DIR/stats_sweep.json"
+sed -n '/"cluster":/,$p' "$ROUTE_DIR/stats_sweep.json" | grep -q '"sim_runs": 2'
 # Hostile-body smoke: bodies nested far past the parsers' depth bound
 # (40 KB of JSON arrays, 10 KB of TOML arrays) must each answer 400
 # (client exit 1) from the router and from a backend, instead of

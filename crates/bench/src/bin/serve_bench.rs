@@ -44,8 +44,8 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use tenways_bench::{
-    banner, route_http, serve_http_shutdown, write_results_json, write_text_atomic, HttpClient,
-    Router, RouterOptions, ServeOptions, SimService, SuiteConfig,
+    banner, batch_body, route_http, serve_http_shutdown, write_results_json, write_text_atomic,
+    HttpClient, Router, RouterOptions, ServeOptions, SimService, SuiteConfig,
 };
 use tenways_sim::json::{Json, ToJson};
 use tenways_waste::SimConfig;
@@ -539,22 +539,12 @@ fn main() {
             ..SimConfig::default()
         })
         .collect();
-    let dup_body = Json::obj([(
-        "configs",
-        Json::Arr(
-            (0..dup_copies)
-                .flat_map(|copy| {
-                    dup_cfgs.iter().enumerate().map(move |(i, c)| {
-                        Json::obj([
-                            ("label", Json::from(format!("dup{i}-{copy}"))),
-                            ("config", c.to_json()),
-                        ])
-                    })
-                })
-                .collect(),
-        ),
-    )])
-    .to_string();
+    let dup_body = batch_body((0..dup_copies).flat_map(|copy| {
+        dup_cfgs
+            .iter()
+            .enumerate()
+            .map(move |(i, c)| (format!("dup{i}-{copy}"), c))
+    }));
     let reply = router_client
         .request("POST", "/batch", Some(("application/json", &dup_body)))
         .expect("cluster batch");
@@ -587,22 +577,12 @@ fn main() {
     // rendezvous split gave each backend work; otherwise vacuous (and
     // reported as such), like every host-dependent gate in this suite.
     let capacity_cfgs: Vec<SimConfig> = QF_SEEDS.iter().map(|&seed| qf_config(seed)).collect();
-    let capacity_body = Json::obj([(
-        "configs",
-        Json::Arr(
-            capacity_cfgs
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    Json::obj([
-                        ("label", Json::from(format!("cap{i}"))),
-                        ("config", c.to_json()),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-    .to_string();
+    let capacity_body = batch_body(
+        capacity_cfgs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (format!("cap{i}"), c)),
+    );
 
     let mut single = Node::start(dir.join("cluster-single"));
     let mut single_client = HttpClient::new(single.addr.clone());

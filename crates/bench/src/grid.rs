@@ -44,6 +44,7 @@ use tenways_waste::{Experiment, SimConfig};
 
 use crate::cache::ResultCache;
 use crate::http::http_call;
+use crate::serve::{batch_body, MAX_BATCH_ITEMS};
 use crate::sweep::{JobOutcome, SweepError, SweepJob, SweepOptions, SweepRunner};
 use crate::{record_row, record_row_json, BENCH_ROWS_SCHEMA_VERSION};
 
@@ -163,6 +164,15 @@ impl SweepSpec {
         self.title
             .clone()
             .unwrap_or_else(|| format!("parameter sweep `{}`", self.id))
+    }
+
+    /// How many points [`SweepSpec::points`] expands to, without
+    /// expanding them: the product of the axis lengths, `None` when it
+    /// overflows `usize`.
+    pub(crate) fn point_count(&self) -> Option<usize> {
+        self.grid
+            .iter()
+            .try_fold(1usize, |n, (_, values)| n.checked_mul(values.len()))
     }
 
     /// Expands the grid's cross product into configured points, first axis
@@ -668,9 +678,10 @@ fn rejection_salt(addr: &str) -> u64 {
 /// (or a `tenways route` router fronting several — the router answers
 /// the identical `/batch`, `/jobs/<key>`, and `/stats` documents, so the
 /// address is interchangeable):
-/// the grid expands locally, the whole batch goes to `POST /batch` in one
-/// request (the server canonicalizes, deduplicates, and answers warm keys
-/// from its cache), points the server left `queued` are polled via
+/// the grid expands locally and goes to `POST /batch` in requests of at
+/// most [`MAX_BATCH_ITEMS`] points (the server canonicalizes,
+/// deduplicates, and answers warm keys from its cache; dedup holds within
+/// a request), points the server left `queued` are polled via
 /// `GET /jobs/<key>`, and points its admission queue `rejected` are
 /// re-submitted with backoff. The final document is the same
 /// `bench_rows.v1` layout `run_sweep` writes, with each ok row marked
@@ -698,66 +709,55 @@ pub fn run_sweep_server(
     let mut todo: Vec<usize> = (0..points.len()).collect();
     let mut rounds = 0usize;
     while !todo.is_empty() {
-        let body = Json::obj([(
-            "configs",
-            Json::Arr(
-                todo.iter()
-                    .map(|&i| {
-                        Json::obj([
-                            ("label", Json::from(points[i].label.clone())),
-                            ("config", points[i].config.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-        .to_string();
-        let (status, doc) = http_call(addr, "POST", "/batch", Some(("application/json", &body)))?;
-        if status != 200 {
-            return Err(format!("server {addr} answered {status} to /batch: {doc}"));
-        }
-        let results = doc
-            .get("results")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("server {addr} sent a /batch body without results"))?;
-        if results.len() != todo.len() {
-            return Err(format!(
-                "server {addr} answered {} results for {} configs",
-                results.len(),
-                todo.len()
-            ));
-        }
         let mut rejected: Vec<usize> = Vec::new();
-        for (slot, item) in results.iter().enumerate() {
-            let i = todo[slot];
-            let key = item.get("key").and_then(Json::as_str).unwrap_or("");
-            let verdict = item.get("status").and_then(Json::as_str).unwrap_or("?");
-            if params.verbose {
-                eprintln!("[sweep {}] server {verdict} {}", spec.id, points[i].label);
+        for chunk in todo.chunks(MAX_BATCH_ITEMS) {
+            let body = batch_body(chunk.iter().map(|&i| (&points[i].label, &points[i].config)));
+            let (status, doc) =
+                http_call(addr, "POST", "/batch", Some(("application/json", &body)))?;
+            if status != 200 {
+                return Err(format!("server {addr} answered {status} to /batch: {doc}"));
             }
-            match (verdict, item.get("record")) {
-                ("cached", Some(record)) => {
-                    rows[i] = Some(record_json_row(&points[i], record, ("served", "cached")));
-                    cached += 1;
+            let results = doc
+                .get("results")
+                .and_then(Json::as_array)
+                .ok_or_else(|| format!("server {addr} sent a /batch body without results"))?;
+            if results.len() != chunk.len() {
+                return Err(format!(
+                    "server {addr} answered {} results for {} configs",
+                    results.len(),
+                    chunk.len()
+                ));
+            }
+            for (&i, item) in chunk.iter().zip(results) {
+                let key = item.get("key").and_then(Json::as_str).unwrap_or("");
+                let verdict = item.get("status").and_then(Json::as_str).unwrap_or("?");
+                if params.verbose {
+                    eprintln!("[sweep {}] server {verdict} {}", spec.id, points[i].label);
                 }
-                ("computed", Some(record)) => {
-                    rows[i] = Some(record_json_row(&points[i], record, ("served", "computed")));
-                }
-                ("queued", _) => queued.push((i, key.to_string())),
-                ("rejected", _) => rejected.push(i),
-                ("failed", _) => {
-                    let error = item
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("server reported failure");
-                    rows[i] = Some(server_err_row(&points[i], "failed", error));
-                }
-                (other, _) => {
-                    rows[i] = Some(server_err_row(
-                        &points[i],
-                        "failed",
-                        &format!("unrecognized server batch status `{other}`"),
-                    ));
+                match (verdict, item.get("record")) {
+                    ("cached", Some(record)) => {
+                        rows[i] = Some(record_json_row(&points[i], record, ("served", "cached")));
+                        cached += 1;
+                    }
+                    ("computed", Some(record)) => {
+                        rows[i] = Some(record_json_row(&points[i], record, ("served", "computed")));
+                    }
+                    ("queued", _) => queued.push((i, key.to_string())),
+                    ("rejected", _) => rejected.push(i),
+                    ("failed", _) => {
+                        let error = item
+                            .get("error")
+                            .and_then(Json::as_str)
+                            .unwrap_or("server reported failure");
+                        rows[i] = Some(server_err_row(&points[i], "failed", error));
+                    }
+                    (other, _) => {
+                        rows[i] = Some(server_err_row(
+                            &points[i],
+                            "failed",
+                            &format!("unrecognized server batch status `{other}`"),
+                        ));
+                    }
                 }
             }
         }
@@ -1081,6 +1081,51 @@ mod tests {
             );
         }
         server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn server_mode_posts_an_over_limit_grid_in_chunks() {
+        use crate::serve::{serve_http, ServeOptions, SimService};
+        use std::sync::Arc;
+
+        // A cache-only server refuses every point without simulating, and
+        // retires after two connections: one per post, as `http_call`
+        // opens a connection per request.
+        let root = tmp_dir("chunks");
+        let svc = Arc::new(
+            SimService::new(ServeOptions {
+                workers: 0,
+                cache_dir: root.join("srv-cache"),
+                ..ServeOptions::default()
+            })
+            .unwrap(),
+        );
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
+        };
+
+        let seeds: Vec<String> = (0..=MAX_BATCH_ITEMS).map(|s| s.to_string()).collect();
+        let grid = format!(
+            "workload = \"lu\"\nscale = 1\n\n[grid]\nseed = [{}]\n",
+            seeds.join(", ")
+        );
+        let spec = SweepSpec::from_toml_str(&grid, "chunks").unwrap();
+        let params = SweepParams {
+            out_dir: root.join("out"),
+            verbose: false,
+            ..SweepParams::default()
+        };
+        let report = run_sweep_server(&spec, &addr, &params).unwrap();
+        let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), MAX_BATCH_ITEMS + 1);
+        assert_eq!(report.failed, MAX_BATCH_ITEMS + 1, "cache-only refuses all");
+        server.join().unwrap().unwrap();
+        let requests = svc.stats_json().get("requests").and_then(Json::as_u64);
+        assert_eq!(requests, Some(2), "1 025 points go out in two posts");
         let _ = std::fs::remove_dir_all(&root);
     }
 

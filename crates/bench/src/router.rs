@@ -62,7 +62,7 @@ use crate::http::{
     Response,
 };
 use crate::serve::{
-    parse_batch_body, parse_run_body, ShardedCounter, SERVE_RESPONSE_SCHEMA_VERSION,
+    batch_body, batch_reply, first_appearances, parse_batch_body, parse_run_body, ShardedCounter,
 };
 
 /// Version of the `GET /stats` aggregation document; bumped on any
@@ -237,11 +237,6 @@ impl Router {
         })
     }
 
-    /// The configured backend addresses, in configuration order.
-    pub fn backend_addrs(&self) -> Vec<String> {
-        self.backends.iter().map(|b| b.addr.clone()).collect()
-    }
-
     /// How many backends the monitor currently considers up.
     pub fn backends_up(&self) -> usize {
         self.backends
@@ -362,23 +357,13 @@ impl Router {
     /// marked down) for up to `retries` extra rounds; keys that still
     /// cannot be placed report `rejected`.
     fn forward_batch(&self, configs: &[(String, SimConfig)]) -> Json {
-        /// One batch item: (label, cache key, config).
-        type Item<'a> = (String, String, &'a SimConfig);
-        let keyed: Vec<Item> = configs
-            .iter()
-            .map(|(label, cfg)| (label.clone(), cfg.cache_key(), cfg))
-            .collect();
+        let keys: Vec<String> = configs.iter().map(|(_, cfg)| cfg.cache_key()).collect();
         // Distinct keys, first-appearance order: the cluster-wide dedup
         // (each key is posted to exactly one backend, whose own
         // single-flight admission handles any racing singles).
-        let mut todo: Vec<Item> = Vec::new();
-        for item in &keyed {
-            if !todo.iter().any(|(_, k, _)| *k == item.1) {
-                todo.push(item.clone());
-            }
-        }
+        let mut todo = first_appearances(keys.iter().map(String::as_str));
         let unique = todo.len();
-        let mut statuses: HashMap<String, Json> = HashMap::new();
+        let mut statuses: HashMap<&str, Json> = HashMap::new();
         let mut backoff = self.backoff;
         for round in 0..=self.retries {
             if todo.is_empty() {
@@ -390,23 +375,25 @@ impl Router {
                 backoff = backoff.saturating_mul(2);
             }
             // Group the remaining keys by their current live owner.
-            let mut groups: HashMap<usize, Vec<Item>> = HashMap::new();
+            let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
             let mut unroutable = Vec::new();
-            for item in todo.drain(..) {
-                match self.owner(&item.1) {
-                    Some(idx) => groups.entry(idx).or_default().push(item),
-                    None => unroutable.push(item),
+            for i in todo.drain(..) {
+                match self.owner(&keys[i]) {
+                    Some(idx) => groups.entry(idx).or_default().push(i),
+                    None => unroutable.push(i),
                 }
             }
             // Post the sub-batches concurrently — this fan-out is where
             // the cluster simulates shards in parallel.
-            let outcomes: Vec<(Vec<Item>, Result<HttpReply, String>)> =
+            let outcomes: Vec<(Vec<usize>, Result<HttpReply, String>)> =
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = groups
                         .into_iter()
                         .map(|(idx, group)| {
                             scope.spawn(move || {
-                                let body = sub_batch_body(&group);
+                                let body = batch_body(
+                                    group.iter().map(|&i| (&configs[i].0, &configs[i].1)),
+                                );
                                 let reply = self.backend_request(
                                     &self.backends[idx],
                                     "POST",
@@ -435,14 +422,14 @@ impl Router {
                                 }
                             }
                         }
-                        for item in group {
-                            match by_key.remove(&item.1) {
+                        for i in group {
+                            match by_key.remove(&keys[i]) {
                                 Some(doc) => {
-                                    statuses.insert(item.1.clone(), doc);
+                                    statuses.insert(&keys[i], doc);
                                 }
                                 // The backend's report is missing the key
                                 // (should not happen): try again.
-                                None => todo.push(item),
+                                None => todo.push(i),
                             }
                         }
                     }
@@ -452,18 +439,32 @@ impl Router {
                 }
             }
         }
-        for (_, key, _) in &todo {
+        for i in todo {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             statuses.insert(
-                key.clone(),
+                &keys[i],
                 Json::obj([
-                    ("key", Json::from(key.as_str())),
+                    ("key", Json::from(keys[i].as_str())),
                     ("status", Json::from("rejected")),
                     ("error", Json::from("no live backend")),
                 ]),
             );
         }
-        merge_batch_doc(&keyed, unique, &statuses)
+        // Every distinct key now has a status. The backend echoed the
+        // first-appearance label; each item gets its own back, and every
+        // other byte passes through.
+        let results = configs
+            .iter()
+            .zip(&keys)
+            .map(|((label, _), key)| {
+                let mut item = vec![("label".to_string(), Json::from(label.as_str()))];
+                if let Json::Obj(pairs) = &statuses[key.as_str()] {
+                    item.extend(pairs.iter().filter(|(name, _)| name != "label").cloned());
+                }
+                Json::Obj(item)
+            })
+            .collect();
+        batch_reply(unique, results)
     }
 
     /// The `GET /stats` aggregation: router counters, per-backend detail
@@ -602,69 +603,6 @@ fn monitor_loop(backends: &[Arc<Backend>], interval: Duration, shutdown: &Atomic
             std::thread::sleep(MONITOR_SLICE.min(interval));
         }
     }
-}
-
-/// Renders one per-backend sub-batch body (labelled canonical configs).
-fn sub_batch_body(group: &[(String, String, &SimConfig)]) -> String {
-    let configs: Vec<Json> = group
-        .iter()
-        .map(|(label, _, cfg)| {
-            Json::obj([
-                ("label", Json::from(label.as_str())),
-                ("config", cfg.to_json()),
-            ])
-        })
-        .collect();
-    Json::obj([("configs", Json::Arr(configs))]).to_string()
-}
-
-/// Merges resolved per-key statuses back into input order and rebuilds
-/// the `serve_batch.v1` counts — the same document shape a single
-/// backend answers, so batch clients cannot tell a cluster from a node.
-fn merge_batch_doc(
-    keyed: &[(String, String, &SimConfig)],
-    unique: usize,
-    statuses: &HashMap<String, Json>,
-) -> Json {
-    let items: Vec<Json> = keyed
-        .iter()
-        .map(|(label, key, _)| {
-            let resolved = statuses.get(key).cloned().unwrap_or_else(|| {
-                Json::obj([
-                    ("key", Json::from(key.as_str())),
-                    ("status", Json::from("rejected")),
-                    ("error", Json::from("no live backend")),
-                ])
-            });
-            // The backend echoed the first-appearance label; restore
-            // this item's own. Every other byte passes through.
-            let Json::Obj(pairs) = resolved else {
-                return resolved;
-            };
-            let mut relabelled: Vec<(String, Json)> =
-                vec![("label".to_string(), Json::from(label.as_str()))];
-            relabelled.extend(pairs.into_iter().filter(|(name, _)| name != "label"));
-            Json::Obj(relabelled)
-        })
-        .collect();
-    let count = |s: &str| {
-        items
-            .iter()
-            .filter(|i| i.get("status").and_then(Json::as_str) == Some(s))
-            .count()
-    };
-    Json::obj([
-        ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-        ("total", Json::from(keyed.len())),
-        ("unique", Json::from(unique)),
-        ("deduplicated", Json::from(keyed.len() - unique)),
-        ("cached", Json::from(count("cached"))),
-        ("computed", Json::from(count("computed"))),
-        ("queued", Json::from(count("queued"))),
-        ("rejected", Json::from(count("rejected"))),
-        ("failed", Json::from(count("failed"))),
-        ("results", Json::Arr(items)),
-    ])
 }
 
 /// Relays a backend reply to the client, preserving `Retry-After`.
@@ -1113,6 +1051,38 @@ mod tests {
                 "merged record must be byte-identical to the shard's"
             );
         }
+    }
+
+    #[test]
+    fn batch_reply_through_a_router_is_byte_identical_to_a_nodes() {
+        let cluster = TestCluster::start("identity", 1);
+        let twin = TestBackend::start("identity-twin");
+        let configs = [
+            ("a", small_cfg(1)),
+            (
+                "broken",
+                SimConfig {
+                    threads: 0,
+                    ..small_cfg(1)
+                },
+            ),
+            ("b", small_cfg(2)),
+            ("a-again", small_cfg(1)),
+            ("b-again", small_cfg(2)),
+        ];
+        let body = batch_body(configs.iter().map(|(label, cfg)| (label, cfg)));
+        let post = |addr: &str| {
+            let reply = HttpClient::new(addr.to_string())
+                .request("POST", "/batch", Some(("application/json", &body)))
+                .unwrap();
+            assert_eq!(reply.status, 200, "{addr}");
+            reply.body
+        };
+        let routed = post(&cluster.addr);
+        let direct = post(&twin.addr);
+        assert_eq!(routed.get("deduplicated").and_then(Json::as_u64), Some(2));
+        assert_eq!(routed.get("failed").and_then(Json::as_u64), Some(1));
+        assert_eq!(routed.to_string(), direct.to_string());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! | method & path     | body            | response                           |
 //! |-------------------|-----------------|------------------------------------|
 //! | `POST /run`       | `SimConfig` JSON (or TOML with a `toml` content type) | `200 {schema_version, key, cached, record}`, `202 {key, status}` past the sync timeout, or `503` + `Retry-After` when the queue is full |
-//! | `POST /batch`     | `{configs: [...]}`, a bare JSON array, or a sweep-grid document | `{schema_version, total, unique, results: [{label, key, status, ...}]}` |
+//! | `POST /batch`     | `{configs: [...]}`, a bare JSON array, or a sweep-grid document, of at most [`MAX_BATCH_ITEMS`] items | `{schema_version, total, unique, results: [{label, key, status, ...}]}`, or `400` past the limit |
 //! | `GET /jobs/<key>` | —               | `{schema_version, key, status: pending\|running\|done\|failed, ...}` |
 //! | `GET /stats`      | —               | counters: hits/misses, queue depth, rejections, cache tiers |
 //! | `GET /healthz`    | —               | `{"ok": true}`                     |
@@ -51,7 +51,7 @@
 //! service is cache-only and a miss is refused with HTTP 503 (this is how
 //! the tests prove hits never simulate).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -71,6 +71,13 @@ use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
 /// `results/schema/serve_response.v2.json` (plus `serve_batch.v1.json`
 /// and `serve_job.v1.json` for the batch and job-poll bodies).
 pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 2;
+
+/// The most items one `POST /batch` may carry, as a config list or as
+/// the points of a grid. Past it the body is refused with a 400 before
+/// anything is decoded or expanded: every item costs its own decode, key
+/// and record copy in the reply, so an unbounded batch let a 4 MiB body
+/// claim gigabytes.
+pub const MAX_BATCH_ITEMS: usize = 1024;
 
 /// How many recent job failures `GET /jobs/<key>` can still report.
 const FAILURE_MEMORY: usize = 64;
@@ -230,19 +237,6 @@ impl Answer {
     }
 }
 
-/// What a deadline-bounded submit produced.
-#[derive(Debug, Clone)]
-pub enum Submission {
-    /// The record is available (hit, join, or fresh simulation).
-    Ready(Answer),
-    /// The simulation is still queued/running past the sync timeout;
-    /// poll `GET /jobs/<key>`.
-    Pending {
-        /// The canonical key to poll.
-        key: String,
-    },
-}
-
 /// One `GET /jobs/<key>` verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobView {
@@ -346,43 +340,31 @@ pub struct BatchReport {
     pub unique: usize,
 }
 
+impl ToJson for BatchItem {
+    /// One `results` entry of the `POST /batch` reply.
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("label".to_string(), Json::from(self.label.as_str())),
+            ("key".to_string(), Json::from(self.key.as_str())),
+            ("status".to_string(), Json::from(self.status.status())),
+        ];
+        if let Some(record) = self.status.record() {
+            pairs.push(("record".to_string(), record.clone()));
+        }
+        if let BatchStatus::Failed(e) = &self.status {
+            pairs.push(("error".to_string(), Json::from(e.as_str())));
+        }
+        Json::Obj(pairs)
+    }
+}
+
 impl BatchReport {
     /// The `POST /batch` response document.
     pub fn to_response_json(&self) -> Json {
-        let count = |s: &str| self.items.iter().filter(|i| i.status.status() == s).count();
-        Json::obj([
-            ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-            ("total", Json::from(self.items.len())),
-            ("unique", Json::from(self.unique)),
-            ("deduplicated", Json::from(self.items.len() - self.unique)),
-            ("cached", Json::from(count("cached"))),
-            ("computed", Json::from(count("computed"))),
-            ("queued", Json::from(count("queued"))),
-            ("rejected", Json::from(count("rejected"))),
-            ("failed", Json::from(count("failed"))),
-            (
-                "results",
-                Json::Arr(
-                    self.items
-                        .iter()
-                        .map(|item| {
-                            let mut pairs = vec![
-                                ("label".to_string(), Json::from(item.label.clone())),
-                                ("key".to_string(), Json::from(item.key.clone())),
-                                ("status".to_string(), Json::from(item.status.status())),
-                            ];
-                            if let Some(record) = item.status.record() {
-                                pairs.push(("record".to_string(), record.clone()));
-                            }
-                            if let BatchStatus::Failed(e) = &item.status {
-                                pairs.push(("error".to_string(), Json::from(e.clone())));
-                            }
-                            Json::Obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        batch_reply(
+            self.unique,
+            self.items.iter().map(ToJson::to_json).collect(),
+        )
     }
 }
 
@@ -415,33 +397,26 @@ struct Flight {
 }
 
 impl Flight {
-    fn wait(&self) -> Result<Json, String> {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match &*slot {
-                Some(result) => return result.clone(),
-                None => slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner()),
-            }
-        }
-    }
-
-    /// Waits until the flight lands or `deadline` passes; `None` on
-    /// timeout (the flight keeps going — the caller polls later).
-    fn wait_until(&self, deadline: Instant) -> Option<Result<Json, String>> {
+    /// Waits until the flight lands, or until `deadline` passes (`None`
+    /// waits forever); `None` on timeout (the flight keeps going — the
+    /// caller polls later).
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<Json, String>> {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = &*slot {
                 return Some(result.clone());
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            slot = guard;
+            slot = match deadline {
+                None => self.done.wait(slot).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    let waited = self.done.wait_timeout(slot, deadline - now);
+                    waited.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
         }
     }
 
@@ -536,6 +511,7 @@ impl SimService {
         )?;
         let cache_counters = cache.counters();
         let runner = SweepRunner::with_options(SweepOptions {
+            workers: Some(options.workers.max(1)),
             retries: options.retries,
             job_budget_ms: options.job_budget_ms,
             ..SweepOptions::default()
@@ -562,7 +538,7 @@ impl SimService {
 
     /// Answers one job: cache hit, join of an identical in-flight
     /// simulation, or a fresh simulation on the worker pool. Blocks until
-    /// the record is available.
+    /// the record is available, whatever the configured sync timeout.
     ///
     /// # Errors
     ///
@@ -570,62 +546,8 @@ impl SimService {
     /// [`ServeError::Rejected`] when the admission queue is full,
     /// [`ServeError::Sim`] when the simulation itself fails.
     pub fn submit(&self, cfg: &SimConfig) -> Result<Answer, ServeError> {
-        match self.submit_with_deadline(cfg, None)? {
-            Submission::Ready(answer) => Ok(answer),
-            Submission::Pending { .. } => unreachable!("no deadline, no pending"),
-        }
-    }
-
-    /// [`SimService::submit`] with an explicit synchronous wait bound:
-    /// a miss still unfinished after `timeout` answers
-    /// [`Submission::Pending`] (the simulation keeps running; poll
-    /// [`SimService::job_status`]). `None` waits forever.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SimService::submit`].
-    pub fn submit_with_deadline(
-        &self,
-        cfg: &SimConfig,
-        timeout: Option<Duration>,
-    ) -> Result<Submission, ServeError> {
-        let key = cfg.cache_key();
-        if let Some(record) = self.lookup(&key) {
-            self.counters.hits.incr();
-            return Ok(Submission::Ready(Answer {
-                key,
-                cached: true,
-                record,
-            }));
-        }
-        let flight = match self.admit(&key, cfg)? {
-            Admitted::Flight(flight) => flight,
-            Admitted::Raced(record) => {
-                // The flight landed and was removed between our cache miss
-                // and the in-flight check; the cache has it now.
-                self.counters.hits.incr();
-                return Ok(Submission::Ready(Answer {
-                    key,
-                    cached: true,
-                    record,
-                }));
-            }
-        };
-        let result = match timeout {
-            None => flight.wait(),
-            Some(timeout) => match flight.wait_until(Instant::now() + timeout) {
-                Some(result) => result,
-                None => return Ok(Submission::Pending { key }),
-            },
-        };
-        match result {
-            Ok(record) => Ok(Submission::Ready(Answer {
-                key,
-                cached: false,
-                record,
-            })),
-            Err(e) => Err(ServeError::Sim(e)),
-        }
+        self.resolve_one(&cfg.cache_key(), cfg, None)
+            .map(|answer| answer.expect("no deadline, never queued"))
     }
 
     /// Resolves a whole batch: every config is canonicalized, duplicate
@@ -640,62 +562,90 @@ impl SimService {
         configs: &[(String, SimConfig)],
         timeout: Option<Duration>,
     ) -> BatchReport {
-        // Resolve each distinct key once, in first-appearance order.
-        let keyed: Vec<(String, String, &SimConfig)> = configs
+        let keyed: Vec<(String, &SimConfig)> = configs
             .iter()
-            .map(|(label, cfg)| (label.clone(), cfg.cache_key(), cfg))
+            .map(|(_, cfg)| (cfg.cache_key(), cfg))
             .collect();
-        let mut resolved: HashMap<String, BatchStatus> = HashMap::new();
-        let mut flights: Vec<(String, Arc<Flight>)> = Vec::new();
-        for (_, key, cfg) in &keyed {
-            if resolved.contains_key(key) || flights.iter().any(|(k, _)| k == key) {
-                continue;
-            }
-            if let Some(record) = self.lookup(key) {
-                self.counters.hits.incr();
-                resolved.insert(key.clone(), BatchStatus::Cached(record));
-                continue;
-            }
-            match self.admit(key, cfg) {
-                Ok(Admitted::Flight(flight)) => flights.push((key.clone(), flight)),
-                Ok(Admitted::Raced(record)) => {
-                    self.counters.hits.incr();
-                    resolved.insert(key.clone(), BatchStatus::Cached(record));
-                }
-                Err(ServeError::Rejected { .. }) => {
-                    resolved.insert(key.clone(), BatchStatus::Rejected);
-                }
-                Err(e) => {
-                    resolved.insert(key.clone(), BatchStatus::Failed(e.to_string()));
-                }
-            }
-        }
-
-        // Await the admitted flights under one shared deadline.
-        let deadline = timeout.or(self.sync_timeout).map(|t| Instant::now() + t);
-        for (key, flight) in flights {
-            let result = match deadline {
-                None => Some(flight.wait()),
-                Some(deadline) => flight.wait_until(deadline),
-            };
-            let status = match result {
-                Some(Ok(record)) => BatchStatus::Computed(record),
-                Some(Err(e)) => BatchStatus::Failed(e),
-                None => BatchStatus::Queued,
-            };
-            resolved.insert(key, status);
-        }
-
+        let resolved = self.resolve(&keyed, timeout.or(self.sync_timeout));
         let unique = resolved.len();
-        let items = keyed
+        let statuses: HashMap<&str, BatchStatus> = resolved
             .into_iter()
-            .map(|(label, key, _)| BatchItem {
-                status: resolved.get(&key).cloned().unwrap_or(BatchStatus::Queued),
-                label,
-                key,
+            .map(|(i, outcome)| {
+                let status = match outcome {
+                    Ok(Some(answer)) if answer.cached => BatchStatus::Cached(answer.record),
+                    Ok(Some(answer)) => BatchStatus::Computed(answer.record),
+                    Ok(None) => BatchStatus::Queued,
+                    Err(ServeError::Rejected { .. }) => BatchStatus::Rejected,
+                    // A failed simulation reports the runner's message
+                    // bare; other errors read as they display.
+                    Err(ServeError::Sim(e)) => BatchStatus::Failed(e),
+                    Err(e) => BatchStatus::Failed(e.to_string()),
+                };
+                (keyed[i].0.as_str(), status)
+            })
+            .collect();
+        let items = configs
+            .iter()
+            .zip(&keyed)
+            .map(|((label, _), (key, _))| BatchItem {
+                label: label.clone(),
+                key: key.clone(),
+                status: statuses[key.as_str()].clone(),
             })
             .collect();
         BatchReport { items, unique }
+    }
+
+    /// [`SimService::resolve`] for one config under its cache `key`:
+    /// `Ok(None)` when it is still queued or running at the deadline.
+    fn resolve_one(
+        &self,
+        key: &str,
+        cfg: &SimConfig,
+        timeout: Option<Duration>,
+    ) -> Result<Option<Answer>, ServeError> {
+        let mut resolved = self.resolve(&[(key.to_string(), cfg)], timeout);
+        resolved.pop().expect("one key, one outcome").1
+    }
+
+    /// The one resolve routine behind [`SimService::submit`], `POST /run`
+    /// and [`SimService::submit_batch`]. `keyed` pairs each config with
+    /// its cache key. Every distinct key, in first-appearance order, is
+    /// answered from the cache or joins or leads a flight; the flights
+    /// are then awaited until `timeout` after admission (`None` waits
+    /// forever). Returns one outcome per distinct key, beside the index
+    /// of its first appearance: `Ok(None)` for a key still queued or
+    /// running at the deadline.
+    fn resolve(
+        &self,
+        keyed: &[(String, &SimConfig)],
+        timeout: Option<Duration>,
+    ) -> Vec<(usize, Result<Option<Answer>, ServeError>)> {
+        let admitted: Vec<(usize, Result<Admitted, ServeError>)> =
+            first_appearances(keyed.iter().map(|(key, _)| key.as_str()))
+                .into_iter()
+                .map(|i| (i, self.admit(&keyed[i].0, keyed[i].1)))
+                .collect();
+        let deadline = timeout.map(|t| Instant::now() + t);
+        admitted
+            .into_iter()
+            .map(|(i, admitted)| {
+                let answer = |cached, record| Answer {
+                    key: keyed[i].0.clone(),
+                    cached,
+                    record,
+                };
+                let outcome = admitted.and_then(|admitted| match admitted {
+                    Admitted::Hit(record) => Ok(Some(answer(true, record))),
+                    Admitted::Flight(flight) => match flight.wait_until(deadline) {
+                        Some(Ok(record)) => Ok(Some(answer(false, record))),
+                        Some(Err(e)) => Err(ServeError::Sim(e)),
+                        None => Ok(None),
+                    },
+                });
+                (i, outcome)
+            })
+            .collect()
     }
 
     /// Where a key stands: queued, running, done (with the record),
@@ -730,10 +680,14 @@ impl SimService {
         }
     }
 
-    /// Single-flight admission: join an existing flight for `key`, or
-    /// lead a new one through the bounded queue. Leading requires a queue
-    /// slot; joining never does.
+    /// Admission: answer a cache hit, else join an existing flight for
+    /// `key`, or lead a new one through the bounded queue. Leading
+    /// requires a queue slot; joining never does.
     fn admit(&self, key: &str, cfg: &SimConfig) -> Result<Admitted, ServeError> {
+        if let Some(record) = self.lookup(key) {
+            self.counters.hits.incr();
+            return Ok(Admitted::Hit(record));
+        }
         let Some(pool) = &self.pool else {
             self.counters.misses.incr();
             return Err(ServeError::CacheOnly {
@@ -752,7 +706,8 @@ impl SimService {
                         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
                         cache.peek(key)
                     } {
-                        return Ok(Admitted::Raced(record));
+                        self.counters.hits.incr();
+                        return Ok(Admitted::Hit(record));
                     }
                     if !self.try_acquire_queue_slot() {
                         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -834,13 +789,7 @@ impl SimService {
                 .fetch_max(running, Ordering::Relaxed);
             flight.running.store(true, Ordering::Relaxed);
 
-            let job = SweepJob::new(key.clone(), move || {
-                let record = Experiment::from_config(&cfg)
-                    .map_err(|e| e.to_string())?
-                    .run()
-                    .map_err(|e| e.to_string())?;
-                Ok(record.to_json())
-            });
+            let job = SweepJob::new(key.clone(), move || simulate(&cfg));
             counters.sim_runs.fetch_add(1, Ordering::Relaxed);
             let outcome = runner.run_one(&job);
             let result = match outcome.result {
@@ -946,78 +895,51 @@ impl SimService {
     /// Pre-populates the result cache with every point of a grid before
     /// the service takes traffic (`tenways serve --warm`). Duplicate
     /// keys collapse first; already-cached keys are skipped. Cold keys
-    /// simulate on up to `workers` scoped threads (at least one — a
-    /// cache-only service can still be warmed, that is the point of it)
-    /// under the usual fail-soft containment. Traffic-counter-neutral
-    /// by design: warming uses `peek`/`put` directly, so the request
-    /// and hit/miss counters still read zero when the listener opens —
-    /// only `sim_runs`/`sim_failures` count, because those simulations
-    /// really ran.
+    /// simulate on the sweep runner with up to `workers` threads (at
+    /// least one — a cache-only service can still be warmed, that is the
+    /// point of it) under the usual fail-soft containment; each job
+    /// writes its record to the cache and keeps nothing. Bypasses the
+    /// admission bound, and is traffic-counter-neutral by design:
+    /// warming uses `peek`/`put` directly, so the request and hit/miss
+    /// counters still read zero when the listener opens — only
+    /// `sim_runs`/`sim_failures` count, because those simulations really
+    /// ran.
     pub fn warm(&self, points: &[(String, SimConfig)]) -> WarmReport {
-        let mut unique: Vec<(String, String, &SimConfig)> = Vec::new();
-        for (label, cfg) in points {
-            let key = cfg.cache_key();
-            if !unique.iter().any(|(_, k, _)| *k == key) {
-                unique.push((label.clone(), key, cfg));
-            }
-        }
+        let keys: Vec<String> = points.iter().map(|(_, cfg)| cfg.cache_key()).collect();
+        let distinct = first_appearances(keys.iter().map(String::as_str));
         let mut report = WarmReport {
-            unique: unique.len(),
+            unique: distinct.len(),
             ..WarmReport::default()
         };
-        let cold: Vec<&(String, String, &SimConfig)> = unique
-            .iter()
-            .filter(|(_, key, _)| {
-                let hit = {
-                    let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                    cache.peek(key).is_some()
-                };
-                if hit {
-                    report.skipped += 1;
-                }
-                !hit
+        let jobs: Vec<SweepJob<()>> = distinct
+            .into_iter()
+            .filter(|&i| {
+                let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+                let cached = cache.peek(&keys[i]).is_some();
+                report.skipped += usize::from(cached);
+                !cached
+            })
+            .map(|i| {
+                let (label, cfg) = (points[i].0.clone(), points[i].1.clone());
+                let (key, cache) = (keys[i].clone(), Arc::clone(&self.cache));
+                SweepJob::new(label, move || {
+                    let record = simulate(&cfg)?;
+                    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+                    cache.put(&key, record)
+                })
             })
             .collect();
-        let width = self.workers.max(1).min(cold.len().max(1));
-        let next = AtomicUsize::new(0);
-        let outcomes: Mutex<Vec<(String, Result<(), String>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((label, key, cfg)) = cold.get(i) else {
-                        break;
-                    };
-                    let job = SweepJob::new(key.clone(), {
-                        let cfg = (*cfg).clone();
-                        move || {
-                            let record = Experiment::from_config(&cfg)
-                                .map_err(|e| e.to_string())?
-                                .run()
-                                .map_err(|e| e.to_string())?;
-                            Ok(record.to_json())
-                        }
-                    });
-                    self.counters.sim_runs.fetch_add(1, Ordering::Relaxed);
-                    let outcome = match self.runner.run_one(&job).result {
-                        Ok(record) => {
-                            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                            cache.put(key, record)
-                        }
-                        Err(e) => {
-                            self.counters.sim_failures.fetch_add(1, Ordering::Relaxed);
-                            Err(e.to_string())
-                        }
-                    };
-                    let mut out = outcomes.lock().unwrap_or_else(|e| e.into_inner());
-                    out.push((label.clone(), outcome));
-                });
+        let counters = &self.counters;
+        let batch = self.runner.run_observed(jobs, |_, outcome| {
+            counters.sim_runs.fetch_add(1, Ordering::Relaxed);
+            if outcome.result.is_err() {
+                counters.sim_failures.fetch_add(1, Ordering::Relaxed);
             }
         });
-        for (label, outcome) in outcomes.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            match outcome {
+        for outcome in batch.outcomes {
+            match outcome.result {
                 Ok(()) => report.warmed += 1,
-                Err(e) => report.failed.push((label, e)),
+                Err(e) => report.failed.push((outcome.label, e.to_string())),
             }
         }
         report
@@ -1037,12 +959,13 @@ pub struct WarmReport {
     pub failed: Vec<(String, String)>,
 }
 
-/// What [`SimService::admit`] produced for a missed key.
+/// What [`SimService::admit`] produced for a key.
 enum Admitted {
+    /// The cache answered: a hit, or a flight that landed during
+    /// admission.
+    Hit(Json),
     /// A flight to wait on (led or joined).
     Flight(Arc<Flight>),
-    /// The previous flight landed during admission; here is its record.
-    Raced(Json),
 }
 
 /// The structured body of a queue-full rejection (paired with the
@@ -1058,11 +981,75 @@ fn rejection_doc(key: &str, queue_depth: usize) -> Json {
     ])
 }
 
+/// Runs one config to its `run_record.v1` document.
+fn simulate(cfg: &SimConfig) -> Result<Json, String> {
+    Experiment::from_config(cfg)
+        .and_then(|experiment| experiment.run())
+        .map(|record| record.to_json())
+        .map_err(|e| e.to_string())
+}
+
+/// The index of each distinct key's first appearance, in input order —
+/// the one dedup of labelled configs by cache key (batches, `warm`, and
+/// the router's cluster-wide split).
+pub(crate) fn first_appearances<'a>(keys: impl IntoIterator<Item = &'a str>) -> Vec<usize> {
+    let mut seen = HashSet::new();
+    keys.into_iter()
+        .enumerate()
+        .filter_map(|(i, key)| seen.insert(key).then_some(i))
+        .collect()
+}
+
+/// Encodes labelled configs as a `POST /batch` body: the
+/// `{"configs": [{"label", "config"}, ...]}` shape the service's batch
+/// decoder reads back. Every batch client (the router's per-backend
+/// sub-batches, `sweep --server`, `serve_bench`) posts through this.
+pub fn batch_body<'a, L: AsRef<str>>(
+    items: impl IntoIterator<Item = (L, &'a SimConfig)>,
+) -> String {
+    let configs = items
+        .into_iter()
+        .map(|(label, cfg)| {
+            Json::obj([
+                ("label", Json::from(label.as_ref())),
+                ("config", cfg.to_json()),
+            ])
+        })
+        .collect();
+    Json::obj([("configs", Json::Arr(configs))]).to_string()
+}
+
+/// The `POST /batch` reply (`serve_batch.v1`) over its rendered result
+/// items, in input order, of which `unique` distinct keys. The status
+/// counts are read off the items, so a node's [`BatchReport`] and the
+/// router's merge of its backends' replies render the same document.
+pub(crate) fn batch_reply(unique: usize, results: Vec<Json>) -> Json {
+    let count = |status: &str| {
+        let matches = |item: &&Json| item.get("status").and_then(Json::as_str) == Some(status);
+        Json::from(results.iter().filter(matches).count())
+    };
+    let total = results.len();
+    Json::obj([
+        ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
+        ("total", Json::from(total)),
+        ("unique", Json::from(unique)),
+        ("deduplicated", Json::from(total - unique)),
+        ("cached", count("cached")),
+        ("computed", count("computed")),
+        ("queued", count("queued")),
+        ("rejected", count("rejected")),
+        ("failed", count("failed")),
+        ("results", Json::Arr(results)),
+    ])
+}
+
 /// Parses a `POST /batch` body into labelled configs. Three accepted
 /// shapes: a JSON object with a `configs` array (each element a bare
 /// `SimConfig` object or a `{label, config}` wrapper), a bare JSON array
 /// of the same, or a sweep-grid document (TOML, or JSON with a `grid`/
-/// `sweep` section) expanded through [`SweepSpec`].
+/// `sweep` section) expanded through [`SweepSpec`]. A batch of more than
+/// [`MAX_BATCH_ITEMS`] items is refused before any item is decoded or
+/// any grid point expanded.
 pub(crate) fn parse_batch_body(
     content_type: &str,
     body: &str,
@@ -1073,11 +1060,8 @@ pub(crate) fn parse_batch_body(
         Json::parse(body).map_err(|e| e.to_string())?
     };
     let items = match &doc {
-        Json::Arr(items) => Some(items.clone()),
-        Json::Obj(_) => doc
-            .get("configs")
-            .and_then(Json::as_array)
-            .map(<[Json]>::to_vec),
+        Json::Arr(items) => Some(items.as_slice()),
+        Json::Obj(_) => doc.get("configs").and_then(Json::as_array),
         _ => {
             return Err(format!(
                 "batch body must be an object or array, got {}",
@@ -1085,33 +1069,46 @@ pub(crate) fn parse_batch_body(
             ))
         }
     };
-    match items {
-        Some(items) => items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let (label, cfg_doc) = match item.get("config") {
-                    Some(cfg_doc) => (
-                        item.get("label")
-                            .and_then(Json::as_str)
-                            .map_or_else(|| format!("cfg[{i}]"), str::to_string),
-                        cfg_doc.clone(),
-                    ),
-                    None => (format!("cfg[{i}]"), item.clone()),
-                };
-                let mut cfg = SimConfig::default();
-                cfg.apply_json(&cfg_doc)
-                    .map_err(|e| format!("configs[{i}]: {e}"))?;
-                Ok((label, cfg))
-            })
-            .collect(),
-        None => {
-            // No config list: treat the document as a sweep grid.
-            let spec = SweepSpec::from_json(&doc, "batch")?;
-            let points = spec.points()?;
-            Ok(points.into_iter().map(|p| (p.label, p.config)).collect())
-        }
-    }
+    let Some(items) = items else {
+        // No config list: treat the document as a sweep grid.
+        let spec = SweepSpec::from_json(&doc, "batch")?;
+        within_batch_limit(spec.point_count())?;
+        let points = spec.points()?;
+        return Ok(points.into_iter().map(|p| (p.label, p.config)).collect());
+    };
+    within_batch_limit(Some(items.len()))?;
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let (label, cfg_doc) = match item.get("config") {
+                Some(cfg_doc) => (
+                    item.get("label")
+                        .and_then(Json::as_str)
+                        .map_or_else(|| format!("cfg[{i}]"), str::to_string),
+                    cfg_doc,
+                ),
+                None => (format!("cfg[{i}]"), item),
+            };
+            let mut cfg = SimConfig::default();
+            cfg.apply_json(cfg_doc)
+                .map_err(|e| format!("configs[{i}]: {e}"))?;
+            Ok((label, cfg))
+        })
+        .collect()
+}
+
+/// Refuses a batch of more than [`MAX_BATCH_ITEMS`] items; `None` is a
+/// grid whose point count overflows `usize`.
+fn within_batch_limit(items: Option<usize>) -> Result<(), String> {
+    let items = match items {
+        Some(n) if n <= MAX_BATCH_ITEMS => return Ok(()),
+        Some(n) => n.to_string(),
+        None => format!("more than {}", usize::MAX),
+    };
+    Err(format!(
+        "batch of {items} items is over the limit of {MAX_BATCH_ITEMS} per request"
+    ))
 }
 
 /// Decodes a `POST /run` body: TOML under a `toml` content type, JSON
@@ -1141,9 +1138,10 @@ impl Handler for SimService {
                     Ok(cfg) => cfg,
                     Err(e) => return bad_request(400, &e),
                 };
-                match self.submit_with_deadline(&cfg, self.sync_timeout()) {
-                    Ok(Submission::Ready(answer)) => plain(200, answer.to_response_json()),
-                    Ok(Submission::Pending { key }) => plain(
+                let key = cfg.cache_key();
+                match self.resolve_one(&key, &cfg, self.sync_timeout()) {
+                    Ok(Some(answer)) => plain(200, answer.to_response_json()),
+                    Ok(None) => plain(
                         202,
                         Json::obj([
                             ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
@@ -1431,15 +1429,17 @@ mod tests {
         // A fast sync timeout turns a slow miss into a pending handle.
         let cfg = slow_cfg(7);
         let key = cfg.cache_key();
-        match svc
-            .submit_with_deadline(&cfg, Some(Duration::from_millis(1)))
-            .unwrap()
-        {
-            Submission::Pending { key: k } => assert_eq!(k, key),
-            Submission::Ready(_) => {
+        let report = svc.submit_batch(
+            &[("slow".to_string(), cfg.clone())],
+            Some(Duration::from_millis(1)),
+        );
+        match &report.items[0].status {
+            BatchStatus::Queued => assert_eq!(report.items[0].key, key),
+            BatchStatus::Computed(_) => {
                 // The host was fast enough to finish inside 1 ms; the
                 // remaining lifecycle still holds.
             }
+            other => panic!("expected queued or computed, got {other:?}"),
         }
         // Poll until done; in between the status must be one of the
         // in-flight states, never unknown.
@@ -1890,21 +1890,40 @@ mod tests {
         // connection thread's stack and aborted the whole process.
         let deep_json = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
         let deep_toml = format!("a = {}{}\n", "[".repeat(5_000), "]".repeat(5_000));
+        // Batches just over the item limit: a 33 x 33 grid of values that
+        // would not even decode, and 1 025 empty configs. Both must be
+        // refused by count, before anything is expanded or decoded.
+        let axis = vec!["\"x\""; 33].join(",");
+        let over_grid = format!(r#"{{"grid": {{"threads": [{axis}], "seed": [{axis}]}}}}"#);
+        let over_list = format!("[{}]", vec!["{}"; MAX_BATCH_ITEMS + 1].join(","));
+        let nesting = "nesting deeper than";
         for front in [Front::Serve, Front::Route] {
             let dir = tmp_dir(&format!("hostile-{front:?}"));
             let running = Running::start(front, Arc::new(service(&dir, 1)), None);
             let mut client = HttpClient::new(running.addr.clone());
-            for (path, content_type, body) in [
-                ("/run", "application/json", &deep_json),
-                ("/run", "application/toml", &deep_toml),
-                ("/batch", "application/json", &deep_json),
+            for (path, content_type, body, expected) in [
+                ("/run", "application/json", &deep_json, nesting),
+                ("/run", "application/toml", &deep_toml, nesting),
+                ("/batch", "application/json", &deep_json, nesting),
+                (
+                    "/batch",
+                    "application/json",
+                    &over_grid,
+                    "batch of 1089 items is over the limit of 1024",
+                ),
+                (
+                    "/batch",
+                    "application/json",
+                    &over_list,
+                    "batch of 1025 items is over the limit of 1024",
+                ),
             ] {
                 let reply = client
                     .request("POST", path, Some((content_type, body)))
                     .unwrap();
                 assert_eq!(reply.status, 400, "{front:?} {path} {content_type}");
                 let error = reply.body.get("error").and_then(Json::as_str).unwrap();
-                assert!(error.contains("nesting deeper than"), "{front:?}: {error}");
+                assert!(error.contains(expected), "{front:?}: {error}");
             }
             let health = client.request("GET", "/healthz", None).unwrap();
             assert_eq!(health.status, 200, "{front:?}: the server must live on");
@@ -1914,6 +1933,38 @@ mod tests {
             running.join();
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn batch_body_round_trips_through_parse_batch_body() {
+        let labels = [
+            "plain",
+            "quote \" and backslash \\",
+            "control \n\t\u{1} bytes",
+            "non-ASCII: déjà vu, 並列, 🧵",
+            "",
+        ];
+        let items: Vec<(String, SimConfig)> = labels
+            .iter()
+            .zip(1u64..)
+            .map(|(label, seed)| {
+                let cfg = SimConfig {
+                    seed,
+                    threads: 1 + seed as usize,
+                    ..small_cfg()
+                };
+                (label.to_string(), cfg)
+            })
+            .collect();
+        let body = batch_body(items.iter().map(|(label, cfg)| (label, cfg)));
+        let parsed = parse_batch_body("application/json", &body).unwrap();
+        let labels_and_keys = |batch: &[(String, SimConfig)]| -> Vec<(String, String)> {
+            batch
+                .iter()
+                .map(|(label, cfg)| (label.clone(), cfg.cache_key()))
+                .collect()
+        };
+        assert_eq!(labels_and_keys(&parsed), labels_and_keys(&items));
     }
 
     #[test]
