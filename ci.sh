@@ -19,6 +19,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 RUSTFLAGS="-C debug-assertions=on" CARGO_TARGET_DIR=target/ci-overflow \
     cargo test -q --release --workspace
 
+# The benchmark package (benchmark/) is a workspace of its own that builds
+# this repository's crates by path, so the workspace steps above never
+# compile it. Build and test it here, so a change to an API it uses fails
+# CI rather than only the benchmark run.
+CARGO_TARGET_DIR=target/benchmark \
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Sweep smoke test: a 4-point grid with one injected failing point
 # (threads = 0 fails at experiment start). The sweep must exit non-zero
 # *after* completing the other three rows — fail-soft, no lost results.

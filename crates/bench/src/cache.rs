@@ -9,28 +9,31 @@
 //! * an **in-memory LRU** of the hottest entries (bounded by
 //!   `mem_capacity`; a disk hit is promoted into it), and
 //! * a **disk store** under the cache directory — one
-//!   `<key>.entry.json` file per record plus an `index.json` listing the
-//!   known keys with their byte sizes in access order, both written
-//!   atomically via the temp-file + rename pattern
-//!   ([`crate::write_json_atomic`]), so a crash mid-write can never
-//!   corrupt an entry or the index.
+//!   `<key>.entry.json` file per record, written atomically via the
+//!   temp-file + rename pattern ([`crate::write_text_atomic`]), so a
+//!   crash mid-write can never corrupt an entry.
+//!
+//! The directory is its own index: opening a cache lists the entry
+//! files, oldest modification first (ties broken by key), with their
+//! byte sizes from the same `stat`. Caches that share a directory
+//! (`tenways sweep --cache` defaults to the store `tenways serve` uses)
+//! therefore see each other's entries on their next open, and no crash
+//! between two writes can orphan one.
 //!
 //! The disk tier is **byte-budgeted**: when `disk_budget` is set, a `put`
 //! that pushes the tier past the budget evicts least-recently-accessed
-//! entries (file + index row, counted in
-//! [`CacheCounters::disk_evictions`]) until the tier fits again. The
-//! entry being written is never evicted by its own `put`, so a single
-//! record larger than the whole budget still serves — the budget is a
-//! steady-state bound, not an admission filter. Access order is
-//! maintained in memory on every disk hit and persisted on `put`, so the
-//! order survives restarts at put-granularity.
+//! entries (file removed, counted in [`CacheCounters::disk_evictions`])
+//! until the tier fits again. The entry being written is never evicted
+//! by its own `put`, so a single record larger than the whole budget
+//! still serves — the budget is a steady-state bound, not an admission
+//! filter. Access order is kept in memory: a disk hit or a `put` makes
+//! its key the most recent, and a reopen starts again from modification
+//! order.
 //!
 //! Robustness contract: a truncated, garbage, wrong-schema, or
 //! wrong-key entry file is treated as a **miss** — the caller recomputes
 //! and the fresh `put` overwrites the bad bytes. The cache never crashes
-//! on, and never serves, a corrupt entry. A missing or corrupt index is
-//! rebuilt by scanning the directory for entry files (byte sizes from
-//! file metadata).
+//! on, and never serves, a corrupt entry.
 //!
 //! All behaviour counters live in an [`Arc<CacheCounters>`] of atomics
 //! ([`ResultCache::counters`]): the serve layer's `/stats` endpoint reads
@@ -41,11 +44,12 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::SystemTime;
 
 use tenways_sim::json::Json;
 
-/// Version of the on-disk cache entry / index layout; bumped on any
-/// breaking change. Entries with a different version are misses.
+/// Version of the on-disk cache entry layout; bumped on any breaking
+/// change. Entries with a different version are misses.
 pub const CACHE_ENTRY_SCHEMA_VERSION: u64 = 1;
 
 /// Lock-free behaviour counters shared out of the cache via
@@ -67,7 +71,7 @@ pub struct CacheCounters {
     pub disk_evictions: AtomicU64,
     /// Gauge: entries currently in the memory tier.
     pub mem_entries: AtomicU64,
-    /// Gauge: entries currently in the disk index.
+    /// Gauge: entries currently in the disk tier.
     pub disk_entries: AtomicU64,
     /// Gauge: total bytes the disk tier currently holds.
     pub disk_bytes: AtomicU64,
@@ -98,7 +102,7 @@ pub struct CacheStats {
     pub disk_bytes: u64,
 }
 
-/// One disk-index row: a key plus the byte size of its entry file.
+/// One disk-tier entry: a key plus the byte size of its entry file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct IndexEntry {
     key: String,
@@ -115,15 +119,15 @@ pub struct ResultCache {
     mem: HashMap<String, Json>,
     /// LRU order: front = least recently used, back = most recent.
     order: Vec<String>,
-    /// Disk index in access order: front = least recently accessed.
+    /// The disk tier's entries in access order: front = least recently
+    /// accessed. Listed from the directory on open, then kept in memory.
     index: Vec<IndexEntry>,
     counters: Arc<CacheCounters>,
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) the cache directory and loads the index,
-    /// with an **unbounded** disk tier. A corrupt or missing index is
-    /// rebuilt by scanning for entry files — never an error.
+    /// Opens (creating if needed) the cache directory and lists its entry
+    /// files, with an **unbounded** disk tier.
     ///
     /// `mem_capacity` bounds the in-memory tier (0 disables it; every hit
     /// then reads disk).
@@ -159,7 +163,7 @@ impl ResultCache {
             index: Vec::new(),
             counters: Arc::new(CacheCounters::default()),
         };
-        cache.index = cache.load_index().unwrap_or_else(|| cache.scan_entries());
+        cache.index = cache.scan_entries();
         cache.sync_disk_gauges();
         Ok(cache)
     }
@@ -179,12 +183,12 @@ impl ResultCache {
         self.mem.len()
     }
 
-    /// Entries the disk index knows about.
+    /// Entries in the disk tier.
     pub fn len_disk(&self) -> usize {
         self.index.len()
     }
 
-    /// Total bytes the disk tier currently holds (per the index).
+    /// Total bytes the disk tier currently holds.
     pub fn disk_bytes(&self) -> u64 {
         self.index.iter().map(|e| e.bytes).sum()
     }
@@ -245,11 +249,11 @@ impl ResultCache {
         self.load_entry(key, false)
     }
 
-    /// Stores `record` under `key` in both tiers. The entry file and the
-    /// index are each written atomically; an existing (possibly corrupt)
-    /// entry under the same key is overwritten. When the disk budget is
-    /// exceeded, least-recently-accessed entries (never the one just
-    /// written) are evicted until the tier fits.
+    /// Stores `record` under `key` in both tiers. The entry file is
+    /// written atomically; an existing (possibly corrupt) entry under the
+    /// same key is overwritten. When the disk budget is exceeded,
+    /// least-recently-accessed entries (never the one just written) are
+    /// evicted until the tier fits.
     ///
     /// # Errors
     ///
@@ -276,7 +280,7 @@ impl ResultCache {
         });
         self.enforce_disk_budget();
         self.sync_disk_gauges();
-        self.write_index()
+        Ok(())
     }
 
     /// Evicts least-recently-accessed disk entries until the tier fits
@@ -295,7 +299,7 @@ impl ResultCache {
         }
     }
 
-    /// Refreshes the gauge counters after an index mutation.
+    /// Refreshes the gauge counters after a disk-tier change.
     fn sync_disk_gauges(&self) {
         self.counters
             .disk_entries
@@ -313,7 +317,7 @@ impl ResultCache {
         }
     }
 
-    /// Marks `key` most-recently-accessed in the disk index order.
+    /// Marks `key` most-recently-accessed in the disk tier's order.
     fn touch_disk(&mut self, key: &str) {
         if let Some(pos) = self.index.iter().position(|e| e.key == key) {
             let e = self.index.remove(pos);
@@ -352,10 +356,6 @@ impl ResultCache {
         self.dir.join(format!("{safe}.entry.json"))
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.dir.join("index.json")
-    }
-
     /// Reads and validates one entry file; `None` on any defect.
     /// `count_defects` suppresses the corrupt counter for [`peek`].
     fn load_entry(&mut self, key: &str, count_defects: bool) -> Option<Json> {
@@ -385,81 +385,25 @@ impl ResultCache {
         }
     }
 
-    /// Loads the index file; `None` when absent or corrupt (the caller
-    /// falls back to a directory scan). Accepts both the current
-    /// `{key, bytes}` rows and the legacy bare-string rows (byte sizes
-    /// recovered from file metadata).
-    fn load_index(&self) -> Option<Vec<IndexEntry>> {
-        let text = std::fs::read_to_string(self.index_path()).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("kind").and_then(Json::as_str) != Some("cache_index")
-            || doc.get("schema_version").and_then(Json::as_u64) != Some(CACHE_ENTRY_SCHEMA_VERSION)
-        {
-            return None;
-        }
-        let entries = doc.get("entries").and_then(Json::as_array)?;
-        entries
-            .iter()
-            .map(|e| match e {
-                Json::Str(key) => Some(IndexEntry {
-                    bytes: self.file_bytes(key),
-                    key: key.clone(),
-                }),
-                Json::Obj(_) => {
-                    let key = e.get("key")?.as_str()?.to_string();
-                    let bytes = match e.get("bytes").and_then(Json::as_u64) {
-                        Some(bytes) => bytes,
-                        None => self.file_bytes(&key),
-                    };
-                    Some(IndexEntry { key, bytes })
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn file_bytes(&self, key: &str) -> u64 {
-        std::fs::metadata(self.entry_path(key)).map_or(0, |m| m.len())
-    }
-
-    /// Rebuilds the key list by scanning the directory for entry files.
+    /// Lists the directory's entry files, oldest modification first
+    /// (ties broken by key), each sized from the same `stat`.
     fn scan_entries(&self) -> Vec<IndexEntry> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        let mut keys: Vec<IndexEntry> = entries
+        let mut found: Vec<(SystemTime, IndexEntry)> = entries
             .filter_map(|e| e.ok())
             .filter_map(|e| {
                 let name = e.file_name().into_string().ok()?;
                 let key = name.strip_suffix(".entry.json")?.to_string();
-                let bytes = e.metadata().map_or(0, |m| m.len());
-                Some(IndexEntry { key, bytes })
+                let meta = e.metadata().ok()?;
+                let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                let bytes = meta.len();
+                Some((modified, IndexEntry { key, bytes }))
             })
             .collect();
-        keys.sort_by(|a, b| a.key.cmp(&b.key));
-        keys
-    }
-
-    fn write_index(&self) -> Result<(), String> {
-        let doc = Json::obj([
-            ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
-            ("kind", Json::from("cache_index")),
-            (
-                "entries",
-                Json::Arr(
-                    self.index
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("key", Json::from(e.key.clone())),
-                                ("bytes", Json::U64(e.bytes)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        crate::write_json_atomic(&self.index_path(), &doc)
+        found.sort_by(|(t1, a), (t2, b)| t1.cmp(t2).then_with(|| a.key.cmp(&b.key)));
+        found.into_iter().map(|(_, entry)| entry).collect()
     }
 }
 
@@ -701,42 +645,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn corrupt_or_missing_index_is_rebuilt_by_scan() {
-        let dir = tmp_dir("index");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
-        cache.put("aaa", record(1)).unwrap();
-        cache.put("bbb", record(2)).unwrap();
-        let index_path = cache.index_path();
-
-        std::fs::write(&index_path, b"garbage").unwrap();
-        let rebuilt = ResultCache::open(&dir, 4).unwrap();
-        assert_eq!(rebuilt.len_disk(), 2);
-        assert!(rebuilt.disk_bytes() > 0, "scan recovers byte sizes");
-
-        std::fs::remove_file(&index_path).unwrap();
-        let mut rebuilt = ResultCache::open(&dir, 4).unwrap();
-        assert_eq!(rebuilt.len_disk(), 2);
-        assert_eq!(rebuilt.get("aaa"), Some(record(1)));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Bytes of the entry files in `dir`, read off the file system.
+    fn entry_bytes_on_disk(dir: &Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".entry.json"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
     }
 
     #[test]
-    fn legacy_string_index_entries_still_load() {
-        let dir = tmp_dir("legacy-index");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
-        cache.put("abc", record(3)).unwrap();
-        // Rewrite the index in the PR-8 format: bare string entries.
-        let legacy = Json::obj([
-            ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
-            ("kind", Json::from("cache_index")),
-            ("entries", Json::Arr(vec![Json::from("abc")])),
-        ]);
-        crate::write_json_atomic(&cache.index_path(), &legacy).unwrap();
-        let mut fresh = ResultCache::open(&dir, 4).unwrap();
-        assert_eq!(fresh.len_disk(), 1);
-        assert!(fresh.disk_bytes() > 0, "bytes recovered from metadata");
-        assert_eq!(fresh.get("abc"), Some(record(3)));
+    fn caches_sharing_a_directory_lose_no_entry() {
+        // `tenways sweep --cache` defaults to the directory `tenways
+        // serve` uses. Two caches write into one directory; a reopen
+        // must list, size and budget every entry either of them wrote.
+        let dir = tmp_dir("shared");
+        let mut a = ResultCache::open(&dir, 0).unwrap();
+        let mut b = ResultCache::open(&dir, 0).unwrap();
+        a.put("k1", fat_record(1, 1)).unwrap();
+        a.put("k2", fat_record(2, 1)).unwrap();
+        b.put("k3", fat_record(3, 1)).unwrap();
+
+        let budget = 3 * 1024 + 512;
+        let mut reopened = ResultCache::open_budgeted(&dir, 0, Some(budget)).unwrap();
+        assert_eq!(
+            reopened.len_disk(),
+            3,
+            "a reopen lists both writers' entries"
+        );
+        assert_eq!(reopened.disk_bytes(), entry_bytes_on_disk(&dir));
+        for n in 4..10 {
+            reopened.put(&format!("k{n}"), fat_record(n, 1)).unwrap();
+        }
+        assert_eq!(
+            reopened.disk_bytes(),
+            entry_bytes_on_disk(&dir),
+            "every entry on disk is one the cache accounts for"
+        );
+        assert!(reopened.disk_bytes() <= budget);
+        assert_eq!(reopened.get("k1"), None, "the oldest entry was evicted");
+        assert!(reopened.get("k9").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -243,7 +243,7 @@ fn point_label(overlay: &[(String, Json)]) -> String {
 /// How [`run_sweep`] executes and persists a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepParams {
-    /// Runner options (workers, retries, budget, cancellation).
+    /// Runner options (workers, fail-fast, job cap).
     pub options: SweepOptions,
     /// Directory for the final and checkpoint documents.
     pub out_dir: PathBuf,
@@ -454,7 +454,7 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
                         eprintln!("[sweep {}] cache write failed: {e}", spec.id);
                     }
                 }
-                let row = ok_row(&points[i], record, *sim_ms, outcome.attempts);
+                let row = ok_row(&points[i], record, *sim_ms);
                 let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
                 st.0[i] = Some(row);
                 st.1 += 1;
@@ -544,12 +544,7 @@ fn sweep_doc(spec: &SweepSpec, total: usize, rows: Vec<Json>) -> (Json, usize, u
 /// assignments, and its status. This exact JSON is what the checkpoint
 /// stores, so resumed and fresh rows render identically — a resumed row
 /// keeps the wall time of the run that actually produced it.
-fn ok_row(
-    point: &SweepPoint,
-    record: &tenways_waste::RunRecord,
-    sim_ms: f64,
-    attempts: u32,
-) -> Json {
+fn ok_row(point: &SweepPoint, record: &tenways_waste::RunRecord, sim_ms: f64) -> Json {
     let mut pairs = match record_row(&point.label, record) {
         Json::Obj(pairs) => pairs,
         other => vec![("row".to_string(), other)],
@@ -565,9 +560,6 @@ fn ok_row(
         pairs.push(("point".to_string(), Json::Obj(point.overlay.to_vec())));
     }
     pairs.push(("status".to_string(), Json::from("ok")));
-    if attempts > 1 {
-        pairs.push(("attempts".to_string(), Json::U64(u64::from(attempts))));
-    }
     Json::Obj(pairs)
 }
 
@@ -582,12 +574,6 @@ fn err_row(point: &SweepPoint, outcome: &JobOutcome<(tenways_waste::RunRecord, f
         if !matches!(e, SweepError::Cancelled) {
             pairs.push(("error".to_string(), Json::from(e.to_string())));
         }
-    }
-    if outcome.attempts > 1 {
-        pairs.push((
-            "attempts".to_string(),
-            Json::U64(u64::from(outcome.attempts)),
-        ));
     }
     Json::Obj(pairs)
 }
@@ -632,8 +618,8 @@ fn server_err_row(point: &SweepPoint, status: &str, error: &str) -> Json {
 const JOB_POLL_INTERVAL: std::time::Duration = std::time::Duration::from_millis(200);
 
 /// How long server mode waits for one queued point before failing its
-/// row (when the sweep options carry no per-job budget).
-const DEFAULT_SERVER_ROW_BUDGET: std::time::Duration = std::time::Duration::from_secs(600);
+/// row.
+const SERVER_ROW_BUDGET: std::time::Duration = std::time::Duration::from_secs(600);
 
 /// How many times server mode re-submits points the server's admission
 /// queue rejected, and the envelope of the jittered exponential backoff
@@ -781,12 +767,8 @@ pub fn run_sweep_server(
 
     // Poll the points the server accepted but had not finished by its
     // sync timeout.
-    let row_budget = params
-        .options
-        .job_budget_ms
-        .map_or(DEFAULT_SERVER_ROW_BUDGET, std::time::Duration::from_millis);
     for (i, key) in queued {
-        let deadline = std::time::Instant::now() + row_budget;
+        let deadline = std::time::Instant::now() + SERVER_ROW_BUDGET;
         loop {
             let (status, doc) = http_call(addr, "GET", &format!("/jobs/{key}"), None)?;
             match doc.get("status").and_then(Json::as_str) {
@@ -819,7 +801,10 @@ pub fn run_sweep_server(
                 rows[i] = Some(server_err_row(
                     &points[i],
                     "failed",
-                    &format!("job {key} still unfinished after {}s", row_budget.as_secs()),
+                    &format!(
+                        "job {key} still unfinished after {}s",
+                        SERVER_ROW_BUDGET.as_secs()
+                    ),
                 ));
                 break;
             }

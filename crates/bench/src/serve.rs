@@ -9,8 +9,10 @@
 //! * [`SimService`] — accepts [`SimConfig`] jobs, answers repeats from the
 //!   two-tier content-addressed [`ResultCache`] (keyed on
 //!   [`SimConfig::cache_key`]), and dispatches misses onto a persistent
-//!   worker pool whose jobs run under the [`SweepRunner`]'s fail-soft
-//!   containment (`catch_unwind`, retries, per-job wall budget).
+//!   worker pool whose jobs run once each under the [`SweepRunner`]'s
+//!   fail-soft containment (`catch_unwind`), always under the default
+//!   scheduler ([`SchedMode::default`]), whatever `[sched]` a request
+//!   carries.
 //!   Concurrent requests for the same key are **single-flighted**: one
 //!   simulation runs, every waiter shares its result.
 //! * a **bounded admission queue** in front of the pool
@@ -59,7 +61,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tenways_sim::json::{Json, ToJson};
-use tenways_waste::{Experiment, SimConfig};
+use tenways_waste::{Experiment, SchedMode, SimConfig};
 
 use crate::cache::{CacheCounters, ResultCache};
 use crate::grid::SweepSpec;
@@ -153,10 +155,6 @@ pub struct ServeOptions {
     /// before answering `202`/`queued` (`None` = wait forever, the
     /// pre-queue behaviour).
     pub sync_timeout_ms: Option<u64>,
-    /// Extra attempts per failed simulation (SweepRunner retry policy).
-    pub retries: u32,
-    /// Per-job wall budget in milliseconds (cooperative, like sweeps).
-    pub job_budget_ms: Option<u64>,
 }
 
 impl Default for ServeOptions {
@@ -168,8 +166,6 @@ impl Default for ServeOptions {
             disk_budget: None,
             queue_depth: 256,
             sync_timeout_ms: None,
-            retries: 0,
-            job_budget_ms: None,
         }
     }
 }
@@ -190,7 +186,7 @@ pub enum ServeError {
         queue_depth: usize,
     },
     /// The simulation ran and failed (message from the sweep containment:
-    /// experiment error, panic, or timeout).
+    /// experiment error or panic).
     Sim(String),
 }
 
@@ -512,8 +508,6 @@ impl SimService {
         let cache_counters = cache.counters();
         let runner = SweepRunner::with_options(SweepOptions {
             workers: Some(options.workers.max(1)),
-            retries: options.retries,
-            job_budget_ms: options.job_budget_ms,
             ..SweepOptions::default()
         });
         Ok(SimService {
@@ -981,10 +975,13 @@ fn rejection_doc(key: &str, queue_depth: usize) -> Json {
     ])
 }
 
-/// Runs one config to its `run_record.v1` document.
+/// Runs one config to its `run_record.v1` document under the default
+/// scheduler. `[sched]` is not in the cache key, so the service, not the
+/// request, picks it: a client cannot make a miss take more threads than
+/// the pool's, and every client of a key reads the same record.
 fn simulate(cfg: &SimConfig) -> Result<Json, String> {
     Experiment::from_config(cfg)
-        .and_then(|experiment| experiment.run())
+        .and_then(|experiment| experiment.sched(SchedMode::default()).run())
         .map(|record| record.to_json())
         .map_err(|e| e.to_string())
 }
@@ -1629,6 +1626,58 @@ mod tests {
         assert_eq!(status, 404);
 
         server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_service_not_the_request_picks_the_scheduler() {
+        let dir = tmp_dir("sched");
+        let svc = Arc::new(service(&dir, 1));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
+        };
+        let run = |body: &str| {
+            let (status, doc) =
+                http_call(&addr, "POST", "/run", Some(("application/json", body))).unwrap();
+            assert_eq!(status, 200, "{doc}");
+            doc
+        };
+        let sharded = run(r#"{"workload":"lu","threads":2,"scale":1,"sched":"parallel-epoch:8"}"#);
+        let plain = run(r#"{"workload":"lu","threads":2,"scale":1}"#);
+        assert_eq!(
+            sharded.get("key"),
+            plain.get("key"),
+            "[sched] is not in the key"
+        );
+        assert_eq!(svc.sim_runs(), 1, "one key, one simulation");
+        let record = |doc: &Json| doc.get("record").unwrap().to_string();
+        assert_eq!(record(&sharded), record(&plain));
+        assert_eq!(
+            sharded
+                .get("record")
+                .and_then(|r| r.get("sched"))
+                .and_then(Json::as_str),
+            Some("component-wake"),
+            "the miss ran under the default scheduler, not the request's"
+        );
+        server.join().unwrap().unwrap();
+
+        // `warm` simulates under the default scheduler too.
+        let naive = SimConfig {
+            seed: 3,
+            sched: SchedMode::Naive,
+            ..small_cfg()
+        };
+        svc.warm(&[("naive".to_string(), naive.clone())]);
+        let warmed = svc.submit(&naive).unwrap();
+        assert!(warmed.cached);
+        assert_eq!(
+            warmed.record.get("sched").and_then(Json::as_str),
+            Some("component-wake")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

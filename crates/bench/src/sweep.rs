@@ -11,11 +11,10 @@
 //! * a job that returns `Err` or **panics** fails *only itself* — the
 //!   panic is contained with [`std::panic::catch_unwind`] and surfaced as
 //!   [`SweepError::Panicked`]; siblings keep running;
-//! * failed jobs can be **retried** with exponential backoff
-//!   ([`SweepOptions::retries`] / [`SweepOptions::backoff_ms`]);
-//! * a job whose wall-clock time exceeds [`SweepOptions::job_budget_ms`]
-//!   is reported as [`SweepError::TimedOut`] (cooperatively — the run is
-//!   not killed mid-simulation, its result is discarded on return);
+//! * every job runs **exactly once**. The jobs are deterministic
+//!   simulations: a retry would re-run an identical failure, and a
+//!   wall-clock budget would throw a correct result away. A run's bound
+//!   is its config's `cycle_limit`, which ends it as `finished: false`;
 //! * **cancellation** is cooperative: once a [`CancelToken`] fires (or
 //!   [`SweepOptions::fail_fast`] trips it on the first failure), jobs that
 //!   have not started yet complete immediately as
@@ -28,7 +27,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 use tenways_sim::json::Json;
 use tenways_waste::{Experiment, RunRecord};
@@ -36,19 +34,10 @@ use tenways_waste::{Experiment, RunRecord};
 /// Why one sweep job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
-    /// The job ran and returned an error (after exhausting retries).
+    /// The job ran and returned an error.
     Failed(String),
-    /// The job panicked (after exhausting retries); the payload is the
-    /// panic message.
+    /// The job panicked; the payload is the panic message.
     Panicked(String),
-    /// The job ran longer than its per-job wall-clock budget; its result
-    /// was discarded.
-    TimedOut {
-        /// The configured budget, in milliseconds.
-        budget_ms: u64,
-        /// How long the job actually ran, in milliseconds.
-        elapsed_ms: u64,
-    },
     /// The batch was cancelled before this job started.
     Cancelled,
 }
@@ -58,10 +47,6 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::Failed(e) => write!(f, "failed: {e}"),
             SweepError::Panicked(e) => write!(f, "panicked: {e}"),
-            SweepError::TimedOut {
-                budget_ms,
-                elapsed_ms,
-            } => write!(f, "timed out: ran {elapsed_ms} ms, budget {budget_ms} ms"),
             SweepError::Cancelled => write!(f, "cancelled before start"),
         }
     }
@@ -74,7 +59,7 @@ impl std::error::Error for SweepError {}
 pub enum JobStatus {
     /// The job completed and its result is available.
     Ok,
-    /// The job ran (possibly several times) and never produced a result.
+    /// The job ran and produced no result.
     Failed,
     /// The job never started (cancellation or a `max_jobs` cutoff).
     Skipped,
@@ -116,9 +101,10 @@ impl CancelToken {
     }
 }
 
-/// One unit of work: a label plus a retryable closure.
+/// One unit of work: a label plus the closure that computes it.
 ///
-/// The closure is `Fn` (not `FnOnce`) so failed attempts can be retried.
+/// The closure is `Fn` so a worker can call it through the shared job
+/// list; the runner calls it exactly once.
 pub struct SweepJob<T> {
     /// Display / results label for the job.
     pub label: String,
@@ -154,36 +140,15 @@ impl<T> std::fmt::Debug for SweepJob<T> {
 }
 
 /// Tuning knobs for a [`SweepRunner`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Worker threads; `None` uses `std::thread::available_parallelism`.
     pub workers: Option<usize>,
-    /// Extra attempts after the first failure (0 = no retries).
-    pub retries: u32,
-    /// Base backoff between retries, doubled per attempt (milliseconds).
-    pub backoff_ms: u64,
-    /// Per-job wall-clock budget in milliseconds; `None` = unlimited.
-    /// Enforced cooperatively: an over-budget job is not killed, but its
-    /// result is discarded and reported as [`SweepError::TimedOut`].
-    pub job_budget_ms: Option<u64>,
-    /// Cancel the rest of the batch as soon as one job fails for good.
+    /// Cancel the rest of the batch as soon as one job fails.
     pub fail_fast: bool,
     /// Start at most this many jobs; the rest report as skipped. Used for
     /// incremental sweeps and for exercising checkpoint/resume.
     pub max_jobs: Option<usize>,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            workers: None,
-            retries: 0,
-            backoff_ms: 50,
-            job_budget_ms: None,
-            fail_fast: false,
-            max_jobs: None,
-        }
-    }
 }
 
 /// What happened to one job, in input order inside a [`SweepBatch`].
@@ -191,8 +156,6 @@ impl Default for SweepOptions {
 pub struct JobOutcome<T> {
     /// The job's label.
     pub label: String,
-    /// How many times the job was attempted (0 for skipped jobs).
-    pub attempts: u32,
     /// The job's result, or why there is none.
     pub result: Result<T, SweepError>,
 }
@@ -272,7 +235,7 @@ impl SweepRunner {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    let budget_ok = match self.options.max_jobs {
+                    let claimed = match self.options.max_jobs {
                         Some(max) => {
                             // Claim a start slot; over-budget claims are
                             // rolled back so a later resume sees an exact
@@ -287,19 +250,8 @@ impl SweepRunner {
                         }
                         None => true,
                     };
-                    let outcome = if !budget_ok || self.cancel.is_cancelled() {
-                        JobOutcome {
-                            label: job.label.clone(),
-                            attempts: 0,
-                            result: Err(SweepError::Cancelled),
-                        }
-                    } else {
-                        self.attempt(job)
-                    };
-                    if outcome.result.is_err()
-                        && outcome.status() == JobStatus::Failed
-                        && self.options.fail_fast
-                    {
+                    let outcome = self.start(job, claimed);
+                    if self.options.fail_fast && outcome.status() == JobStatus::Failed {
                         self.cancel.cancel();
                     }
                     {
@@ -319,65 +271,30 @@ impl SweepRunner {
         }
     }
 
-    /// Runs one job on the calling thread with the full fail-soft
-    /// containment — `catch_unwind` panic capture, retry with backoff, the
-    /// per-job wall budget, and cancellation. This is what the `tenways
-    /// serve` worker pool uses per cache miss: the pool owns the threads,
-    /// the runner owns the containment policy.
+    /// Runs one job on the calling thread with the fail-soft
+    /// containment: `catch_unwind` panic capture and cancellation. This
+    /// is what the `tenways serve` worker pool uses per cache miss: the
+    /// pool owns the threads, the runner owns the containment policy.
     pub fn run_one<T>(&self, job: &SweepJob<T>) -> JobOutcome<T> {
-        if self.cancel.is_cancelled() {
-            return JobOutcome {
-                label: job.label.clone(),
-                attempts: 0,
-                result: Err(SweepError::Cancelled),
-            };
-        }
-        self.attempt(job)
+        self.start(job, true)
     }
 
-    /// Runs one job to completion, honouring retries, backoff and the
-    /// per-job budget.
-    fn attempt<T>(&self, job: &SweepJob<T>) -> JobOutcome<T> {
-        let mut attempts = 0;
-        let mut last_err;
-        loop {
-            attempts += 1;
-            let begun = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| (job.run)()));
-            let elapsed_ms = begun.elapsed().as_millis() as u64;
-            let err = match result {
-                Ok(Ok(value)) => match self.options.job_budget_ms {
-                    Some(budget_ms) if elapsed_ms > budget_ms => SweepError::TimedOut {
-                        budget_ms,
-                        elapsed_ms,
-                    },
-                    _ => {
-                        return JobOutcome {
-                            label: job.label.clone(),
-                            attempts,
-                            result: Ok(value),
-                        }
-                    }
-                },
-                Ok(Err(e)) => SweepError::Failed(e),
-                Err(payload) => SweepError::Panicked(panic_message(payload.as_ref())),
-            };
-            let retryable = !matches!(err, SweepError::TimedOut { .. });
-            last_err = err;
-            if !retryable || attempts > self.options.retries || self.cancel.is_cancelled() {
-                return JobOutcome {
-                    label: job.label.clone(),
-                    attempts,
-                    result: Err(last_err),
-                };
+    /// Runs `job` once, or skips it as [`SweepError::Cancelled`] when it
+    /// holds no start slot under `max_jobs` (`claimed` is false) or the
+    /// batch was cancelled.
+    fn start<T>(&self, job: &SweepJob<T>, claimed: bool) -> JobOutcome<T> {
+        let result = if !claimed || self.cancel.is_cancelled() {
+            Err(SweepError::Cancelled)
+        } else {
+            match catch_unwind(AssertUnwindSafe(|| (job.run)())) {
+                Ok(Ok(value)) => Ok(value),
+                Ok(Err(e)) => Err(SweepError::Failed(e)),
+                Err(payload) => Err(SweepError::Panicked(panic_message(payload.as_ref()))),
             }
-            let backoff = self
-                .options
-                .backoff_ms
-                .saturating_mul(1u64 << (attempts - 1).min(6));
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff.min(5_000)));
-            }
+        };
+        JobOutcome {
+            label: job.label.clone(),
+            result,
         }
     }
 }
@@ -437,9 +354,9 @@ impl<T> SweepBatch<T> {
     }
 
     /// Per-row status JSON: `row(label, value)` renders completed jobs
-    /// (the `status`/`attempts` keys are appended); failed and skipped
-    /// jobs become `{label, status, error}` rows, so no completed sibling
-    /// work is ever dropped from the results document.
+    /// (the `status` key is appended); failed and skipped jobs become
+    /// `{label, status, error}` rows, so no completed sibling work is
+    /// ever dropped from the results document.
     pub fn status_rows_with(&self, row: impl Fn(&str, &T) -> Json) -> Vec<Json> {
         self.outcomes
             .iter()
@@ -462,9 +379,6 @@ impl<T> SweepBatch<T> {
                     if !matches!(e, SweepError::Cancelled) {
                         pairs.push(("error".to_string(), Json::from(e.to_string())));
                     }
-                }
-                if o.attempts > 1 {
-                    pairs.push(("attempts".to_string(), Json::U64(u64::from(o.attempts))));
                 }
                 Json::Obj(pairs)
             })
@@ -498,6 +412,28 @@ mod tests {
         SweepJob::new(label, move || Ok(v))
     }
 
+    /// `jobs` with every call of each closure counted in that job's own
+    /// slot of the returned counters.
+    fn counted(jobs: Vec<SweepJob<u32>>) -> (Vec<SweepJob<u32>>, Arc<Vec<AtomicU32>>) {
+        let calls: Arc<Vec<AtomicU32>> = Arc::new(jobs.iter().map(|_| AtomicU32::new(0)).collect());
+        let jobs = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let calls = Arc::clone(&calls);
+                SweepJob::new(job.label, move || {
+                    calls[i].fetch_add(1, Ordering::SeqCst);
+                    (job.run)()
+                })
+            })
+            .collect();
+        (jobs, calls)
+    }
+
+    fn called_once_each(calls: &[AtomicU32]) -> bool {
+        calls.iter().all(|c| c.load(Ordering::SeqCst) == 1)
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let jobs = (0..32).map(|i| ok_job(&format!("j{i}"), i)).collect();
@@ -520,11 +456,11 @@ mod tests {
 
     #[test]
     fn an_err_job_fails_alone_and_siblings_complete() {
-        let jobs = vec![
+        let (jobs, calls) = counted(vec![
             ok_job("a", 1),
             SweepJob::new("bad", || Err::<u32, _>("boom".to_string())),
             ok_job("c", 3),
-        ];
+        ]);
         let batch = SweepRunner::new().run(jobs);
         assert_eq!(batch.counts(), (2, 1, 0));
         assert_eq!(batch.outcomes[0].result, Ok(1));
@@ -533,17 +469,18 @@ mod tests {
             Err(SweepError::Failed("boom".to_string()))
         );
         assert_eq!(batch.outcomes[2].result, Ok(3));
+        assert!(called_once_each(&calls), "each job runs once: {calls:?}");
     }
 
     #[test]
     fn a_panicking_job_fails_alone_and_siblings_complete() {
-        let jobs = vec![
+        let (jobs, calls) = counted(vec![
             ok_job("a", 1),
             SweepJob::new("kaboom", || -> Result<u32, String> {
                 panic!("workload exploded")
             }),
             ok_job("c", 3),
-        ];
+        ]);
         let batch = SweepRunner::new().run(jobs);
         assert_eq!(batch.counts(), (2, 1, 0));
         match &batch.outcomes[1].result {
@@ -551,60 +488,7 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         assert_eq!(batch.outcomes[2].result, Ok(3));
-    }
-
-    #[test]
-    fn retries_eventually_succeed() {
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = tries.clone();
-        let jobs = vec![SweepJob::new("flaky", move || {
-            if t.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err("transient".to_string())
-            } else {
-                Ok(99u32)
-            }
-        })];
-        let runner = SweepRunner::with_options(SweepOptions {
-            retries: 3,
-            backoff_ms: 0,
-            ..SweepOptions::default()
-        });
-        let batch = runner.run(jobs);
-        assert_eq!(batch.outcomes[0].result, Ok(99));
-        assert_eq!(batch.outcomes[0].attempts, 3);
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn retries_exhaust_into_failed() {
-        let jobs = vec![SweepJob::new("hopeless", || {
-            Err::<u32, _>("always".to_string())
-        })];
-        let runner = SweepRunner::with_options(SweepOptions {
-            retries: 2,
-            backoff_ms: 0,
-            ..SweepOptions::default()
-        });
-        let batch = runner.run(jobs);
-        assert_eq!(batch.outcomes[0].attempts, 3);
-        assert_eq!(batch.outcomes[0].status(), JobStatus::Failed);
-    }
-
-    #[test]
-    fn over_budget_jobs_report_timed_out() {
-        let jobs = vec![SweepJob::new("slow", || {
-            std::thread::sleep(Duration::from_millis(30));
-            Ok(1u32)
-        })];
-        let runner = SweepRunner::with_options(SweepOptions {
-            job_budget_ms: Some(1),
-            ..SweepOptions::default()
-        });
-        let batch = runner.run(jobs);
-        match &batch.outcomes[0].result {
-            Err(SweepError::TimedOut { budget_ms, .. }) => assert_eq!(*budget_ms, 1),
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
+        assert!(called_once_each(&calls), "each job runs once: {calls:?}");
     }
 
     #[test]

@@ -214,7 +214,10 @@ impl MachineConfig {
             };
             match key.as_str() {
                 "cores" => self.cores = uint()? as usize,
-                "block_bytes" => self.block_bytes = uint()? as u32,
+                "block_bytes" => {
+                    self.block_bytes = u32::try_from(uint()?)
+                        .map_err(|_| format!("machine.block_bytes must be at most {}", u32::MAX))?
+                }
                 "l1_sets" => self.l1_sets = uint()? as usize,
                 "l1_ways" => self.l1_ways = uint()? as usize,
                 "l1_hit_latency" => self.l1_hit_latency = uint()?,
@@ -714,6 +717,12 @@ mod tests {
         assert!(decoded
             .apply_json(&crate::json::Json::obj([("bogus", 1u64.into())]))
             .is_err());
+        // 2^32 + 64 must not truncate to a valid 64-byte block.
+        let err = decoded
+            .apply_json(&Json::obj([("block_bytes", Json::U64(4_294_967_360))]))
+            .unwrap_err();
+        assert!(err.contains("machine.block_bytes"), "{err}");
+        assert_eq!(decoded, cfg);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   in the workspace.
 //!
 //! The parser is on every `tenways serve` and `tenways route` request
-//! path: request bodies, cache entries and `index.json`, and every reply
-//! the router and the clients read. It runs in time linear in its input
+//! path: request bodies, cache entries, and every reply the router and
+//! the clients read. It runs in time linear in its input
 //! (a string is copied a run at a time between `"` and `\` delimiters),
 //! and it reads hostile input safely: nesting deeper than
 //! [`MAX_DEPTH`] and number literals that overflow to infinity are parse

@@ -45,8 +45,6 @@ server options:
   --sync-timeout-ms <n> a miss still simulating after this long answers
                         HTTP 202 + key instead of blocking; poll it with
                         GET /jobs/<key> (default: block until done)
-  --retries <n>         extra attempts per failed simulation (default 0)
-  --job-budget-ms <n>   per-job wall budget; over-budget jobs fail
   --warm <grid>         pre-populate the result cache from a sweep spec
                         (TOML or JSON) before binding the listener;
                         reports warmed/skipped counts on stderr
@@ -71,7 +69,8 @@ POST /run answers {{schema_version, key, cached, record}} where `key` is
 the canonical content-address of the config and `record` the run_record.v1
 document — byte-identical on a hit, freshly simulated on a miss. A full
 admission queue answers 503 + Retry-After; a miss past --sync-timeout-ms
-answers 202 + key for later polling."
+answers 202 + key for later polling. Each miss simulates once, under the
+default scheduler: a request's [sched] section is ignored."
     );
     std::process::exit(2);
 }
@@ -120,8 +119,6 @@ pub fn main(argv: &[String]) -> ! {
             "--disk-budget-mb" => options.disk_budget = Some(number(&mut i) * 1024 * 1024),
             "--queue-depth" => options.queue_depth = number(&mut i) as usize,
             "--sync-timeout-ms" => options.sync_timeout_ms = Some(number(&mut i)),
-            "--retries" => options.retries = number(&mut i) as u32,
-            "--job-budget-ms" => options.job_budget_ms = Some(number(&mut i)),
             "--warm" => warm = Some(PathBuf::from(value(&mut i))),
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),

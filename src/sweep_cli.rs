@@ -29,9 +29,6 @@ fn usage() -> ! {
                          (sched.workers > 1), an explicit --workers that
                          oversubscribes the host (workers x sched.workers
                          > hardware threads) is rejected
-  --retries <n>          extra attempts per failed job (default 0)
-  --backoff-ms <n>       base retry backoff, doubled per attempt (default 50)
-  --job-timeout-ms <n>   per-job wall budget; over-budget rows fail
   --fail-fast            skip the rest of the grid after the first failure
   --max-jobs <n>         start at most n fresh jobs this invocation
   --checkpoint-every <n> checkpoint after every n completed rows
@@ -92,9 +89,6 @@ pub fn main(argv: &[String]) -> ! {
             "--id" => id = Some(value(&mut i).clone()),
             "--out" => params.out_dir = PathBuf::from(value(&mut i)),
             "--workers" => options.workers = Some(number(&mut i).max(1) as usize),
-            "--retries" => options.retries = number(&mut i) as u32,
-            "--backoff-ms" => options.backoff_ms = number(&mut i),
-            "--job-timeout-ms" => options.job_budget_ms = Some(number(&mut i)),
             "--fail-fast" => options.fail_fast = true,
             "--max-jobs" => options.max_jobs = Some(number(&mut i) as usize),
             "--checkpoint-every" => params.checkpoint_every = number(&mut i) as usize,
