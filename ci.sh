@@ -14,8 +14,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Overflow regressions: the stats layer must saturate, not wrap — run the
 # workspace tests once in release with debug assertions (which turn silent
-# wrap-around into panics). Separate target dir so the release artifacts
-# above survive for the sweep smoke test.
+# wrap-around into panics). The same assertions check every StatSet bump
+# these tests make that hits the slot cache against the ordered name
+# index. Separate target dir so the release artifacts above survive for
+# the sweep smoke test.
 RUSTFLAGS="-C debug-assertions=on" CARGO_TARGET_DIR=target/ci-overflow \
     cargo test -q --release --workspace
 
@@ -85,6 +87,9 @@ grep -q '"workers": 4' "$BENCH_DIR/BENCH_sim_throughput.json"
 grep -q '"label": "ocean/tso/256c/mesh"' "$BENCH_DIR/BENCH_sim_throughput.json"
 grep -q '"gate_speedup_ok": true' "$BENCH_DIR/BENCH_sim_throughput.json"
 ! grep -q '"gate_speedup_ok": false' "$BENCH_DIR/BENCH_sim_throughput.json"
+# Every row records the host's thread count next to its timings.
+test "$(grep -c '"host_threads":' "$BENCH_DIR/BENCH_sim_throughput.json")" = \
+    "$(grep -c '"label":' "$BENCH_DIR/BENCH_sim_throughput.json")"
 
 # Lock-ablation figure gate: fig12 sweeps every LockKind (ttas, ticket,
 # mcs, clh) across the model/thread grid under the Schweizer-calibrated

@@ -57,7 +57,9 @@ fn bench_fabric() {
             cy += 1;
             fabric.tick(Cycle::new(cy));
             for n in 0..12u16 {
-                black_box(fabric.take_inbox(NodeId(n)).count());
+                while let Some(env) = fabric.pop_inbox(NodeId(n)) {
+                    black_box(env);
+                }
             }
         }
         black_box(&fabric);

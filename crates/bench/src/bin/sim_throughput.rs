@@ -17,6 +17,8 @@
 //! hardware threads to run the shards concurrently — on
 //! `speedup_vs_component_wake >= 1.0` at 4 workers (`gate_speedup_ok`).
 //! One worker is not timed: it runs the wake scheduler itself.
+//!
+//! Every row records `host_threads`, the host's available parallelism.
 
 use std::time::Instant;
 
@@ -125,6 +127,10 @@ fn timed_mixed(busy_ops: u64, idle_cores: usize, sched: SchedMode) -> Timed {
     })
 }
 
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn mode_row(label: &str, mode: &str, t: &Timed, naive: Option<&Timed>) -> Json {
     let per_sec = |n: u64| {
         if t.wall_s > 0.0 {
@@ -142,6 +148,7 @@ fn mode_row(label: &str, mode: &str, t: &Timed, naive: Option<&Timed>) -> Json {
         ("wall_s", Json::F64(t.wall_s)),
         ("sim_cycles_per_sec", Json::F64(per_sec(t.cycles))),
         ("retired_ops_per_sec", Json::F64(per_sec(t.retired_ops))),
+        ("host_threads", Json::from(host_threads())),
     ];
     if let Some(b) = naive.filter(|_| t.wall_s > 0.0) {
         fields.push(("speedup_vs_naive", Json::F64(b.wall_s / t.wall_s)));
@@ -292,7 +299,7 @@ fn main() {
             seed: cfg.seed(),
         })
         .machine(big_mesh);
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_threads = host_threads();
     const EPOCH_WORKERS: [usize; 3] = [2, 4, 8];
     const GATE_WORKERS: usize = 4;
 
@@ -330,6 +337,7 @@ fn main() {
             ("wall_s", Json::F64(t.wall_s)),
             ("sim_cycles_per_sec", Json::F64(t.cycles as f64 / t.wall_s)),
             ("speedup_vs_component_wake", Json::F64(speedup)),
+            ("host_threads", Json::from(host_threads)),
         ];
         if workers == GATE_WORKERS {
             // The speedup gate binds only where it is physically
@@ -348,7 +356,6 @@ fn main() {
                 );
                 mismatches += 1;
             }
-            fields.push(("host_threads", Json::from(host_threads)));
             fields.push(("gate_host_capable", Json::Bool(capable)));
             fields.push(("gate_speedup_ok", Json::Bool(ok)));
         }

@@ -123,8 +123,7 @@ impl DirectoryBank {
     /// a message) this cycle.
     pub fn tick(&mut self, now: Cycle, fabric: &mut Fabric<Msg>) -> bool {
         let mut progress = false;
-        let arrivals: Vec<_> = fabric.take_inbox(self.node).collect();
-        for env in arrivals {
+        while let Some(env) = fabric.pop_inbox(self.node) {
             progress = true;
             let core = CoreId(env.src.0);
             self.pending

@@ -430,11 +430,6 @@ impl L1Controller {
         dropped
     }
 
-    /// Number of currently spec-marked resident lines (for footprints).
-    pub fn spec_footprint(&self) -> usize {
-        self.cache.iter().filter(|(_, l)| l.is_spec()).count()
-    }
-
     /// Advances the controller: matures hit completions, retries displaced
     /// writes, and processes protocol messages delivered by the fabric.
     ///
@@ -469,10 +464,9 @@ impl L1Controller {
             }
         }
 
-        let msgs: Vec<Msg> = fabric.take_inbox(self.node).map(|e| e.payload).collect();
-        for msg in msgs {
+        while let Some(env) = fabric.pop_inbox(self.node) {
             progress = true;
-            self.handle_msg(now, msg, fabric);
+            self.handle_msg(now, env.payload, fabric);
         }
         progress
     }
@@ -748,11 +742,13 @@ impl L1Controller {
         );
     }
 
-    /// Drains finished requests (sorted by completion time).
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        let mut out = std::mem::take(&mut self.completions);
+    /// Moves the finished requests, sorted by completion time, into `out`,
+    /// and keeps `out`'s old buffer, cleared, for the next ones: a caller
+    /// that drains into the same buffer every cycle allocates nothing.
+    pub fn take_completions(&mut self, out: &mut Vec<Completion>) {
+        out.clear();
+        std::mem::swap(&mut self.completions, out);
         out.sort_by_key(|c| (c.at, c.req));
-        out
     }
 
     /// Drains speculation violations observed since the last call.
@@ -793,11 +789,5 @@ impl L1Controller {
     /// Controller statistics.
     pub fn stats(&self) -> &StatSet {
         &self.stats
-    }
-
-    /// Storage devoted to speculation bookkeeping, in bits: two bits per L1
-    /// line. (The register checkpoint is counted by the speculation engine.)
-    pub fn spec_state_bits(&self) -> usize {
-        self.cache.params().blocks() * 2
     }
 }

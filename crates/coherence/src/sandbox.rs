@@ -130,9 +130,9 @@ impl ProtocolSandbox {
         }
         for l1 in &mut self.l1s {
             let core = l1.core();
-            for c in l1.take_completions() {
-                self.completions.push((core, c));
-            }
+            let mut done = Vec::new();
+            l1.take_completions(&mut done);
+            self.completions.extend(done.into_iter().map(|c| (core, c)));
             for v in l1.take_violations() {
                 self.violations.push((core, v));
             }

@@ -21,9 +21,11 @@
 //! Values live in the functional layer: loads resolve against the store
 //! buffer, then the speculative overlay, then [`ArchMem`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use tenways_coherence::{AccessKind, FillClass, L1Controller, ReqId, RequestError, SpecMark};
+use tenways_coherence::{
+    AccessKind, Completion, FillClass, L1Controller, ReqId, RequestError, SpecMark,
+};
 use tenways_core::{DrainCond, SpecConfig, SpecEngine};
 use tenways_noc::Fabric;
 use tenways_sim::trace::{TraceCategory, Tracer};
@@ -52,6 +54,9 @@ struct Slot {
     waited: u64,
     /// The fill class of the memory completion, for attribution.
     class: Option<FillClass>,
+    /// The L1 request a load or atomic waits on; its completion finds the
+    /// slot by this id.
+    req: Option<ReqId>,
 }
 
 impl Slot {
@@ -123,9 +128,8 @@ pub struct Core {
 
     rob: VecDeque<Slot>,
     sb: VecDeque<SbEntry>,
-    inflight_rob: BTreeMap<u64, u64>,
-    inflight_sb: BTreeMap<u64, u64>,
-    doomed: BTreeSet<u64>,
+    /// The L1's completions, drained into one buffer every tick.
+    completions: Vec<Completion>,
     next_req: u64,
 
     engine: SpecEngine,
@@ -192,9 +196,7 @@ impl Core {
             next_seq: 0,
             rob: VecDeque::new(),
             sb: VecDeque::new(),
-            inflight_rob: BTreeMap::new(),
-            inflight_sb: BTreeMap::new(),
-            doomed: BTreeSet::new(),
+            completions: Vec::new(),
             next_req: 0,
             engine: SpecEngine::new(spec),
             checkpoint: None,
@@ -270,33 +272,29 @@ impl Core {
 
     // ---------------- condition predicates ----------------
 
-    fn no_stores_before(&self, now: Cycle, seq: u64) -> bool {
-        !self
-            .rob
-            .iter()
-            .any(|s| s.seq < seq && matches!(s.op, Op::Store { .. }) && !s.complete(now))
-            && !self.sb.iter().any(|e| e.seq < seq)
-    }
-
-    fn no_loads_before(&self, now: Cycle, seq: u64) -> bool {
-        !self.rob.iter().any(|s| {
-            s.seq < seq && matches!(s.op, Op::Load { .. } | Op::Rmw { .. }) && !s.complete(now)
-        })
-    }
-
-    fn op_done(&self, now: Cycle, seq: u64) -> bool {
-        match self.rob.iter().find(|s| s.seq == seq) {
-            Some(s) => s.complete(now),
-            None => true, // already retired
+    /// Whether `cond` holds over `rob` and `sb`. It takes the queues rather
+    /// than the core so that `try_commit` can check conditions while the
+    /// speculation engine is borrowed.
+    fn holds(rob: &VecDeque<Slot>, sb: &VecDeque<SbEntry>, now: Cycle, cond: &DrainCond) -> bool {
+        match *cond {
+            DrainCond::NoStoresBefore(seq) => {
+                !rob.iter()
+                    .any(|s| s.seq < seq && matches!(s.op, Op::Store { .. }) && !s.complete(now))
+                    && !sb.iter().any(|e| e.seq < seq)
+            }
+            DrainCond::NoLoadsBefore(seq) => !rob.iter().any(|s| {
+                s.seq < seq && matches!(s.op, Op::Load { .. } | Op::Rmw { .. }) && !s.complete(now)
+            }),
+            // An op no longer in the ROB has retired.
+            DrainCond::OpDone(seq) => rob
+                .iter()
+                .find(|s| s.seq == seq)
+                .is_none_or(|s| s.complete(now)),
         }
     }
 
     fn cond_holds(&self, now: Cycle, cond: &DrainCond) -> bool {
-        match *cond {
-            DrainCond::NoStoresBefore(s) => self.no_stores_before(now, s),
-            DrainCond::NoLoadsBefore(s) => self.no_loads_before(now, s),
-            DrainCond::OpDone(s) => self.op_done(now, s),
-        }
+        Self::holds(&self.rob, &self.sb, now, cond)
     }
 
     /// Same-address hazard resolution for a load at `seq`: scan ROB entries
@@ -455,19 +453,15 @@ impl Core {
         fabric: &mut Fabric<CoherenceMsg>,
         mem: &mut M,
     ) {
-        let completions = l1.take_completions();
+        let mut completions = std::mem::take(&mut self.completions);
+        l1.take_completions(&mut completions);
         if !completions.is_empty() {
             self.tick_progress = true;
         }
-        for c in completions {
-            let rid = c.req.0;
-            if self.doomed.remove(&rid) {
-                continue;
-            }
-            if let Some(seq) = self.inflight_rob.remove(&rid) {
-                let Some(idx) = self.rob.iter().position(|s| s.seq == seq) else {
-                    continue;
-                };
+        // A completion that matches no ROB slot and no store-buffer entry
+        // belonged to an op a rollback discarded: it is dropped.
+        for c in completions.drain(..) {
+            if let Some(idx) = self.rob.iter().position(|s| s.req == Some(c.req)) {
                 let (op, spec) = (self.rob[idx].op, self.rob[idx].spec);
                 let value = match op {
                     Op::Load { addr, .. } => self.resolve_value(addr, mem),
@@ -514,11 +508,8 @@ impl Core {
                         }
                     }
                 }
-            } else if let Some(seq) = self.inflight_sb.remove(&rid) {
+            } else if let Some(pos) = self.sb.iter().position(|e| e.req == Some(c.req)) {
                 // Store drain completed: it must be the SB head.
-                let Some(pos) = self.sb.iter().position(|e| e.seq == seq) else {
-                    continue;
-                };
                 debug_assert_eq!(pos, 0, "stores drain in order");
                 let entry = self.sb.remove(pos).expect("position found");
                 if entry.spec {
@@ -535,6 +526,7 @@ impl Core {
                 }
             }
         }
+        self.completions = completions;
     }
 
     fn process_violations(
@@ -557,28 +549,11 @@ impl Core {
         if !self.engine.speculating() {
             return;
         }
-        let rob = &self.rob;
-        let sb = &self.sb;
-        let committed = {
-            let mut check = |cond: &DrainCond| match *cond {
-                DrainCond::NoStoresBefore(s) => {
-                    !rob.iter().any(|sl| {
-                        sl.seq < s && matches!(sl.op, Op::Store { .. }) && !sl.complete(now)
-                    }) && !sb.iter().any(|e| e.seq < s)
-                }
-                DrainCond::NoLoadsBefore(s) => !rob.iter().any(|sl| {
-                    sl.seq < s
-                        && matches!(sl.op, Op::Load { .. } | Op::Rmw { .. })
-                        && !sl.complete(now)
-                }),
-                DrainCond::OpDone(s) => match rob.iter().find(|sl| sl.seq == s) {
-                    Some(sl) => sl.complete(now),
-                    None => true,
-                },
-            };
-            self.engine.try_commit(now, &mut check)
-        };
-        if committed {
+        let (rob, sb) = (&self.rob, &self.sb);
+        if self
+            .engine
+            .try_commit(now, &mut |c| Self::holds(rob, sb, now, c))
+        {
             self.tick_progress = true;
             self.retired_ops += std::mem::take(&mut self.spec_retired_pending);
             l1.commit_spec();
@@ -748,7 +723,8 @@ impl Core {
             Op::Load { addr, tag, .. } => {
                 let ordering_ok = match self.model {
                     ConsistencyModel::Sc => {
-                        self.no_loads_before(now, seq) && self.no_stores_before(now, seq)
+                        self.cond_holds(now, &DrainCond::NoLoadsBefore(seq))
+                            && self.cond_holds(now, &DrainCond::NoStoresBefore(seq))
                     }
                     ConsistencyModel::Tso => self.older_incomplete_rmw(now, seq).is_none(),
                     ConsistencyModel::Rmo => true,
@@ -819,8 +795,7 @@ impl Core {
                     fabric,
                 ) {
                     Ok(()) => {
-                        self.inflight_rob.insert(req.0, seq);
-                        self.push_slot(seq, op, None, spec, None);
+                        self.push_slot(seq, op, None, spec, Some(req));
                         true
                     }
                     Err(RequestError::MshrFull) => {
@@ -832,7 +807,8 @@ impl Core {
             Op::Rmw { addr, tag, .. } => {
                 let ordering_ok = match self.model {
                     ConsistencyModel::Sc | ConsistencyModel::Tso => {
-                        self.no_loads_before(now, seq) && self.no_stores_before(now, seq)
+                        self.cond_holds(now, &DrainCond::NoLoadsBefore(seq))
+                            && self.cond_holds(now, &DrainCond::NoStoresBefore(seq))
                     }
                     ConsistencyModel::Rmo => true,
                 };
@@ -866,8 +842,7 @@ impl Core {
                     fabric,
                 ) {
                     Ok(()) => {
-                        self.inflight_rob.insert(req.0, seq);
-                        self.push_slot(seq, op, None, spec, None);
+                        self.push_slot(seq, op, None, spec, Some(req));
                         true
                     }
                     Err(RequestError::MshrFull) => {
@@ -957,16 +932,17 @@ impl Core {
         op: Op,
         done: Option<Cycle>,
         spec: bool,
-        value: Option<u64>,
+        req: Option<ReqId>,
     ) -> usize {
         self.rob.push_back(Slot {
             seq,
             op,
             done,
             spec,
-            value,
+            value: None,
             waited: 0,
             class: None,
+            req,
         });
         self.staged = None;
         if op.consumes() {
@@ -991,8 +967,6 @@ impl Core {
             Ok(()) => {
                 self.next_req += 1;
                 head.req = Some(req);
-                let seq = head.seq;
-                self.inflight_sb.insert(req.0, seq);
                 self.tick_progress = true;
             }
             Err(RequestError::MshrFull) => {
@@ -1011,30 +985,10 @@ impl Core {
             .expect("engine reported an active epoch without a checkpoint");
         let start = cp.start_seq;
 
-        // Discard speculative ROB slots, dooming their in-flight requests.
-        let doomed_rob: Vec<u64> = self
-            .inflight_rob
-            .iter()
-            .filter(|(_, &seq)| seq >= start)
-            .map(|(&rid, _)| rid)
-            .collect();
-        for rid in doomed_rob {
-            self.inflight_rob.remove(&rid);
-            self.doomed.insert(rid);
-        }
+        // Discard speculative ROB slots and store-buffer entries. The
+        // completions of their in-flight requests then match nothing and
+        // are dropped.
         self.rob.retain(|s| s.seq < start);
-
-        // Discard speculative store-buffer entries.
-        let doomed_sb: Vec<u64> = self
-            .inflight_sb
-            .iter()
-            .filter(|(_, &seq)| seq >= start)
-            .map(|(&rid, _)| rid)
-            .collect();
-        for rid in doomed_sb {
-            self.inflight_sb.remove(&rid);
-            self.doomed.insert(rid);
-        }
         self.sb.retain(|e| e.seq < start);
 
         self.spec_retired_pending = 0;
@@ -1065,12 +1019,8 @@ impl Core {
         if self.done_at.is_some() {
             return;
         }
-        let drained = self.fetch_done
-            && self.staged.is_none()
-            && self.rob.is_empty()
-            && self.sb.is_empty()
-            && self.inflight_rob.is_empty()
-            && self.inflight_sb.is_empty();
+        let drained =
+            self.fetch_done && self.staged.is_none() && self.rob.is_empty() && self.sb.is_empty();
         if !drained {
             return;
         }

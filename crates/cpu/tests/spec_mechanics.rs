@@ -80,17 +80,105 @@ fn rollback_reexecutes_ops_from_the_checkpoint() {
     let s = m.run(1_000_000);
     assert!(s.finished);
     let stats = m.merged_stats();
-    if stats.get("spec.rollbacks") > 0 {
-        // Program was asked for more ops than it has: re-execution happened.
-        assert!(
-            emitted.load(std::sync::atomic::Ordering::Relaxed) > ops.len() as u64,
-            "rollback must re-drive the program: emitted {} of {}",
-            emitted.load(std::sync::atomic::Ordering::Relaxed),
-            ops.len()
-        );
-    }
-    // Regardless of speculation, retired op count is exact (no double retire).
+    assert!(
+        stats.get("spec.rollbacks") > 0,
+        "the attacker must force a rollback"
+    );
+    // Program was asked for more ops than it has: re-execution happened.
+    assert!(
+        emitted.load(std::sync::atomic::Ordering::Relaxed) > ops.len() as u64,
+        "rollback must re-drive the program: emitted {} of {}",
+        emitted.load(std::sync::atomic::Ordering::Relaxed),
+        ops.len()
+    );
+    // Retired op count is exact (no double retire).
     assert_eq!(m.core(CoreId(0)).retired_ops(), ops.len() as u64);
+}
+
+/// Plays `ops` in order and records every value a consuming load hands
+/// back, replayed loads included.
+#[derive(Debug, Clone)]
+struct RecordingProgram {
+    ops: Vec<Op>,
+    pos: usize,
+    consumed: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+}
+
+impl ThreadProgram for RecordingProgram {
+    fn next_op(&mut self, last: Option<u64>) -> Option<Op> {
+        if let Some(v) = last {
+            self.consumed.lock().unwrap().push(v);
+        }
+        let op = self.ops.get(self.pos).copied();
+        self.pos += usize::from(op.is_some());
+        op
+    }
+
+    fn snapshot(&self) -> Box<dyn ThreadProgram> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn rollback_drops_fills_that_arrive_after_it() {
+    // Far memory: every cold miss takes 400+ cycles. Core 0 buffers three
+    // cold stores (drained one at a time, so its fence cannot commit for
+    // ~1 200 cycles), speculates past the fence, consumes a load of
+    // `shared`, and then sends three cold loads to far memory. Core 1's
+    // store to `shared` lands while those loads are in flight: the
+    // rollback discards them, and their fills arrive afterwards for ops
+    // that no longer exist.
+    let shared = Addr(0x500);
+    let consumed = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let ops = vec![
+        Op::store(Addr(0x1000), 1),
+        Op::store(Addr(0x2000), 2),
+        Op::store(Addr(0x3000), 3),
+        Op::Fence(FenceKind::Full),
+        Op::Load {
+            addr: shared,
+            tag: MemTag::Data,
+            consume: true,
+        },
+        Op::load(Addr(0x10000)),
+        Op::load(Addr(0x20000)),
+        Op::load(Addr(0x30000)),
+    ];
+    let victim = RecordingProgram {
+        ops: ops.clone(),
+        pos: 0,
+        consumed: consumed.clone(),
+    };
+    let attacker = ScriptProgram::new(vec![Op::Compute(600), Op::store(shared, 99)]);
+    let cfg = MachineConfig::builder()
+        .cores(2)
+        .dram(4, 400, 24)
+        .build()
+        .unwrap();
+    let ms = MachineSpec::baseline(ConsistencyModel::Rmo)
+        .with_machine(cfg)
+        .with_spec(SpecConfig::on_demand());
+    let mut m = Machine::new(&ms, vec![boxed(victim), boxed(attacker)]);
+    let s = m.run(1_000_000);
+    assert!(
+        s.finished,
+        "a fill for a discarded op must not wedge the core"
+    );
+    assert!(m.merged_stats().get("spec.rollbacks") > 0);
+    assert_eq!(m.core(CoreId(0)).retired_ops(), ops.len() as u64);
+    let consumed = consumed.lock().unwrap();
+    assert_eq!(
+        consumed.first(),
+        Some(&0),
+        "the speculative load read the old value"
+    );
+    assert_eq!(
+        consumed.last(),
+        Some(&99),
+        "the replayed load consumes the conflicting store's value"
+    );
+    assert_eq!(m.mem().read(shared), 99);
+    assert_eq!(m.mem().read(Addr(0x3000)), 3);
 }
 
 #[test]

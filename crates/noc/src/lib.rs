@@ -28,18 +28,28 @@
 //! for cy in 1..=7 {
 //!     fabric.tick(cy.into());
 //! }
-//! let delivered: Vec<_> = fabric.take_inbox(tenways_sim::NodeId(3)).collect();
-//! assert_eq!(delivered.len(), 1);
-//! assert_eq!(delivered[0].payload, "hello");
+//! let delivered = fabric.pop_inbox(NodeId(3)).expect("delivered by cycle 7");
+//! assert_eq!(delivered.payload, "hello");
+//! assert!(fabric.pop_inbox(NodeId(3)).is_none());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use tenways_sim::trace::{TraceCategory, Tracer, NOC_TID};
-use tenways_sim::{Cycle, NodeId, StatId, StatSet};
+use tenways_sim::{Cycle, NodeId, StatSet};
+
+/// The fabric's statistics keys, all present (at zero) from construction,
+/// so a run without queueing still reports its queueing counters.
+const FABRIC_KEYS: [&str; 5] = [
+    "noc.sent",
+    "noc.delivered",
+    "noc.total_delay_cycles",
+    "noc.inject_queue_cycles",
+    "noc.accept_queue_cycles",
+];
 
 /// Physical organization of the interconnect: determines per-message
 /// latency as a function of the (source, destination) pair.
@@ -175,12 +185,10 @@ pub struct Fabric<P> {
     /// Total messages across all `inbox` queues, so quiescence checks and
     /// `next_event` never scan the per-node inboxes.
     inbox_count: usize,
-    /// Destinations with a non-empty flight queue, kept sorted so the
-    /// delivery stage visits only active endpoints in deterministic
-    /// (ascending) index order.
-    active_dsts: BTreeSet<u32>,
-    /// Reusable buffer for iterating `active_dsts` while mutating it.
-    scratch_dsts: Vec<u32>,
+    /// Destinations with a non-empty flight queue, one bit per node, so
+    /// the delivery stage visits only active endpoints, in ascending
+    /// (deterministic) index order.
+    active_dsts: Vec<u64>,
     /// Cached minimum `deliver_at` across every flight-queue head
     /// (`Cycle::NEVER` when nothing is in flight): min-updated on insert,
     /// recomputed over the active heads after each delivery stage.
@@ -192,31 +200,7 @@ pub struct Fabric<P> {
     staged: Vec<Staged<P>>,
     last_tick: Cycle,
     stats: StatSet,
-    ids: FabricStatIds,
     tracer: Tracer,
-}
-
-/// Cached [`StatId`] handles for the per-message hot path; bumping through
-/// these is a slot index instead of a string-keyed map lookup.
-#[derive(Debug, Clone, Copy)]
-struct FabricStatIds {
-    sent: StatId,
-    delivered: StatId,
-    total_delay: StatId,
-    inject_queue: StatId,
-    accept_queue: StatId,
-}
-
-impl FabricStatIds {
-    fn intern(stats: &mut StatSet) -> Self {
-        FabricStatIds {
-            sent: stats.id("noc.sent"),
-            delivered: stats.id("noc.delivered"),
-            total_delay: stats.id("noc.total_delay_cycles"),
-            inject_queue: stats.id("noc.inject_queue_cycles"),
-            accept_queue: stats.id("noc.accept_queue_cycles"),
-        }
-    }
 }
 
 impl<P> Fabric<P> {
@@ -246,8 +230,6 @@ impl<P> Fabric<P> {
             inject_bw > 0 && accept_bw > 0,
             "bandwidths must be non-zero"
         );
-        let mut stats = StatSet::new();
-        let ids = FabricStatIds::intern(&mut stats);
         Fabric {
             topology,
             inject_bw,
@@ -258,14 +240,12 @@ impl<P> Fabric<P> {
             pending_inject: 0,
             in_flight: 0,
             inbox_count: 0,
-            active_dsts: BTreeSet::new(),
-            scratch_dsts: Vec::new(),
+            active_dsts: vec![0; nodes.div_ceil(64)],
             earliest_deliver: Cycle::NEVER,
             staging: false,
             staged: Vec::new(),
             last_tick: Cycle::ZERO,
-            stats,
-            ids,
+            stats: FABRIC_KEYS.iter().map(|&k| (k, 0)).collect(),
             tracer: Tracer::disabled(),
         }
     }
@@ -319,7 +299,7 @@ impl<P> Fabric<P> {
     /// Panics if `src` or `dst` is out of range.
     pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, payload: P) {
         assert!(dst.index() < self.inbox.len(), "dst {dst} out of range");
-        self.stats.bump_id(self.ids.sent);
+        self.stats.bump("noc.sent");
         self.inject_q[src.index()].push_back((now, dst, payload));
         self.pending_inject += 1;
     }
@@ -360,7 +340,8 @@ impl<P> Fabric<P> {
                     if inject_wait > 1 {
                         // A message sent at cycle t naturally injects at t+1;
                         // anything beyond that is contention.
-                        self.stats.add_id(self.ids.inject_queue, inject_wait - 1);
+                        self.stats
+                            .bump_by("noc.inject_queue_cycles", inject_wait - 1);
                         self.tracer.span(
                             now,
                             inject_wait - 1,
@@ -396,7 +377,7 @@ impl<P> Fabric<P> {
                     // equal times keep injection order, which preserves the
                     // per-pair FIFO guarantee — same-pair messages have equal
                     // latency and monotone injection times).
-                    self.active_dsts.insert(dst.index() as u32);
+                    self.mark_active(dst.index());
                     self.earliest_deliver = self.earliest_deliver.min(deliver_at);
                     let q = &mut self.flight[dst.index()];
                     let pos = q.partition_point(|f| f.deliver_at <= deliver_at);
@@ -409,57 +390,68 @@ impl<P> Fabric<P> {
         // Delivery stage — visits only destinations with flight traffic,
         // skipped outright when nothing is due yet.
         if self.in_flight > 0 && self.earliest_deliver <= now {
-            let mut scratch = std::mem::take(&mut self.scratch_dsts);
-            scratch.clear();
-            scratch.extend(self.active_dsts.iter().copied());
             let mut earliest = Cycle::NEVER;
-            for &dst32 in &scratch {
-                let dst = dst32 as usize;
-                let mut accepted = 0;
-                while accepted < self.accept_bw {
+            for word in 0..self.active_dsts.len() {
+                let mut bits = self.active_dsts[word];
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let dst = word * 64 + bit;
+                    moved |= self.deliver(now, dst, woken.as_deref_mut());
                     match self.flight[dst].front() {
-                        Some(head) if head.deliver_at <= now => {}
-                        _ => break,
-                    }
-                    let head = self.flight[dst].pop_front().expect("peeked above");
-                    self.in_flight -= 1;
-                    moved = true;
-                    let accept_wait = now - head.deliver_at;
-                    if accept_wait > 0 {
-                        self.stats.add_id(self.ids.accept_queue, accept_wait);
-                        self.tracer.span(
-                            now,
-                            accept_wait,
-                            NOC_TID,
-                            TraceCategory::Noc,
-                            "noc.accept_queue",
-                            dst as u64,
-                        );
-                    }
-                    let mut env = head.env;
-                    env.delivered = now;
-                    self.stats.bump_id(self.ids.delivered);
-                    self.stats.add_id(self.ids.total_delay, env.delay());
-                    self.inbox[dst].push_back(env);
-                    self.inbox_count += 1;
-                    accepted += 1;
-                }
-                if accepted > 0 {
-                    if let Some(w) = woken.as_deref_mut() {
-                        w.push(NodeId(dst as u16));
-                    }
-                }
-                match self.flight[dst].front() {
-                    Some(head) => earliest = earliest.min(head.deliver_at),
-                    None => {
-                        self.active_dsts.remove(&dst32);
+                        Some(head) => earliest = earliest.min(head.deliver_at),
+                        None => self.active_dsts[word] &= !(1 << bit),
                     }
                 }
             }
             self.earliest_deliver = earliest;
-            self.scratch_dsts = scratch;
         }
         moved
+    }
+
+    /// Moves up to `accept_bw` due messages from `dst`'s flight queue into
+    /// its inbox, noting `dst` in `woken` if any moved. Returns whether any
+    /// did.
+    fn deliver(&mut self, now: Cycle, dst: usize, woken: Option<&mut Vec<NodeId>>) -> bool {
+        let mut accepted = 0;
+        while accepted < self.accept_bw {
+            match self.flight[dst].front() {
+                Some(head) if head.deliver_at <= now => {}
+                _ => break,
+            }
+            let head = self.flight[dst].pop_front().expect("peeked above");
+            self.in_flight -= 1;
+            let accept_wait = now - head.deliver_at;
+            if accept_wait > 0 {
+                self.stats.bump_by("noc.accept_queue_cycles", accept_wait);
+                self.tracer.span(
+                    now,
+                    accept_wait,
+                    NOC_TID,
+                    TraceCategory::Noc,
+                    "noc.accept_queue",
+                    dst as u64,
+                );
+            }
+            let mut env = head.env;
+            env.delivered = now;
+            self.stats.bump("noc.delivered");
+            self.stats.bump_by("noc.total_delay_cycles", env.delay());
+            self.inbox[dst].push_back(env);
+            self.inbox_count += 1;
+            accepted += 1;
+        }
+        if accepted > 0 {
+            if let Some(w) = woken {
+                w.push(NodeId(dst as u16));
+            }
+        }
+        accepted > 0
+    }
+
+    /// Notes that `dst`'s flight queue is non-empty.
+    fn mark_active(&mut self, dst: usize) {
+        self.active_dsts[dst / 64] |= 1 << (dst % 64);
     }
 
     /// Earliest future cycle at which this fabric can make progress, or
@@ -515,7 +507,7 @@ impl<P> Fabric<P> {
     pub fn absorb_staged(&mut self, batch: impl IntoIterator<Item = Staged<P>>) {
         for st in batch {
             let dst = st.env.dst;
-            self.active_dsts.insert(dst.index() as u32);
+            self.mark_active(dst.index());
             self.earliest_deliver = self.earliest_deliver.min(st.deliver_at);
             let q = &mut self.flight[dst.index()];
             let pos = q.partition_point(|f| f.deliver_at <= st.deliver_at);
@@ -566,13 +558,10 @@ impl<P> Fabric<P> {
             v.inbox_count += self.inbox[n].len();
             v.inbox[n] = std::mem::take(&mut self.inbox[n]);
             if let Some(head) = v.flight[n].front() {
-                v.active_dsts.insert(n as u32);
                 v.earliest_deliver = v.earliest_deliver.min(head.deliver_at);
+                v.mark_active(n);
             }
         }
-        // View 0 inherits the accumulated statistics. The cached stat ids
-        // stay valid: every fabric interns the same keys first, in the
-        // same order, so the slot indices agree across sets.
         views[0].stats = self.stats;
         views
     }
@@ -598,7 +587,7 @@ impl<P> Fabric<P> {
                     debug_assert!(out.flight[n].is_empty(), "overlapping views");
                     out.in_flight += v.flight[n].len();
                     out.flight[n] = std::mem::take(&mut v.flight[n]);
-                    out.active_dsts.insert(n as u32);
+                    out.mark_active(n);
                     let head = out.flight[n].front().expect("non-empty");
                     out.earliest_deliver = out.earliest_deliver.min(head.deliver_at);
                 }
@@ -614,10 +603,11 @@ impl<P> Fabric<P> {
         out
     }
 
-    /// Drains all delivered messages waiting at `node`, in delivery order.
-    pub fn take_inbox(&mut self, node: NodeId) -> impl Iterator<Item = Envelope<P>> + '_ {
-        self.inbox_count -= self.inbox[node.index()].len();
-        self.inbox[node.index()].drain(..)
+    /// Takes the oldest delivered message waiting at `node`, if any.
+    pub fn pop_inbox(&mut self, node: NodeId) -> Option<Envelope<P>> {
+        let env = self.inbox[node.index()].pop_front()?;
+        self.inbox_count -= 1;
+        Some(env)
     }
 
     /// Number of delivered-but-unprocessed messages at `node`.
@@ -633,11 +623,6 @@ impl<P> Fabric<P> {
     /// Fabric-wide statistics (sent/delivered counts, queueing delays).
     pub fn stats(&self) -> &StatSet {
         &self.stats
-    }
-
-    /// One-way latency between a node pair under the configured topology.
-    pub fn latency_between(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.topology.latency(src, dst)
     }
 
     /// One-way latency parameter (crossbar) or router latency (mesh).
@@ -664,7 +649,7 @@ mod tests {
             let now = Cycle::new(cy);
             f.tick(now);
             for n in 0..f.nodes() {
-                for env in f.take_inbox(NodeId(n as u16)) {
+                while let Some(env) = f.pop_inbox(NodeId(n as u16)) {
                     out.push((cy, env));
                 }
             }
@@ -776,7 +761,7 @@ mod tests {
         assert!(f.tick(Cycle::new(7)), "delivery counts as progress");
         // Delivered but unclaimed: still reports an immediate event.
         assert_eq!(f.next_event(Cycle::new(7)), Some(Cycle::new(8)));
-        let _ = f.take_inbox(NodeId(1)).count();
+        assert!(f.pop_inbox(NodeId(1)).is_some());
         assert_eq!(f.next_event(Cycle::new(7)), None);
         assert!(f.is_quiescent());
     }
@@ -799,14 +784,14 @@ mod tests {
         f.skip_idle(Cycle::new(1), 0);
         f.tick(Cycle::new(2)); // delivers to 2, injects the second
         assert_eq!(f.inbox_len(NodeId(2)), 1);
-        let _ = f.take_inbox(NodeId(2)).count();
+        assert!(f.pop_inbox(NodeId(2)).is_some());
         // Only the second message remains in flight, due at 3.
         assert_eq!(f.next_event(Cycle::new(2)), Some(Cycle::new(3)));
         f.tick(Cycle::new(3));
         assert_eq!(f.inbox_len(NodeId(3)), 1);
         // Pickup pending: still an immediate event; drained: none.
         assert_eq!(f.next_event(Cycle::new(3)), Some(Cycle::new(4)));
-        let _ = f.take_inbox(NodeId(3)).count();
+        assert!(f.pop_inbox(NodeId(3)).is_some());
         assert_eq!(f.next_event(Cycle::new(3)), None);
         assert!(f.is_quiescent());
         // Skip a long idle stretch, then reuse the fabric: the min must
@@ -816,7 +801,7 @@ mod tests {
         f.tick(Cycle::new(101));
         assert_eq!(f.next_event(Cycle::new(101)), Some(Cycle::new(102)));
         f.tick(Cycle::new(102));
-        assert_eq!(f.take_inbox(NodeId(0)).next().unwrap().payload, 40);
+        assert_eq!(f.pop_inbox(NodeId(0)).unwrap().payload, 40);
     }
 
     /// `tick_observed` reports exactly the destinations whose inboxes
@@ -930,7 +915,7 @@ mod mesh_tests {
         let mut got = Vec::new();
         for cy in 1..=15 {
             f.tick(Cycle::new(cy));
-            for env in f.take_inbox(NodeId(0)) {
+            while let Some(env) = f.pop_inbox(NodeId(0)) {
                 got.push((cy, env.payload));
             }
         }
@@ -957,7 +942,9 @@ mod mesh_tests {
         let mut got = Vec::new();
         for cy in 1..=40 {
             f.tick(Cycle::new(cy));
-            got.extend(f.take_inbox(NodeId(0)).map(|e| e.payload));
+            while let Some(env) = f.pop_inbox(NodeId(0)) {
+                got.push(env.payload);
+            }
         }
         assert_eq!(got, (0..6).collect::<Vec<_>>());
     }
@@ -1018,7 +1005,7 @@ mod epoch_tests {
         f.tick(Cycle::new(cy));
         let mut out = Vec::new();
         for n in 0..f.nodes() {
-            for env in f.take_inbox(NodeId(n as u16)) {
+            while let Some(env) = f.pop_inbox(NodeId(n as u16)) {
                 out.push((cy, n as u16, env.payload));
             }
         }
@@ -1083,7 +1070,7 @@ mod epoch_tests {
         );
         b.skip_idle(Cycle::new(4), 5);
         assert!(b.tick(Cycle::new(10)), "delivery happens on time");
-        assert_eq!(b.take_inbox(NodeId(3)).next().unwrap().payload, 7);
+        assert_eq!(b.pop_inbox(NodeId(3)).unwrap().payload, 7);
         assert!(b.is_quiescent());
         // Absorbing an *earlier* delivery than a local pending one must
         // pull the cached minimum down, not leave it stale.

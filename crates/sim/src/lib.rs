@@ -62,5 +62,5 @@ pub use hist::Histogram;
 pub use ids::{Addr, BlockAddr, BlockGeometry, CoreId, NodeId};
 pub use json::{validate_schema, Json, ToJson};
 pub use rng::DetRng;
-pub use stats::{Counter, StatId, StatSet};
+pub use stats::{Counter, StatSet};
 pub use trace::{TraceCategory, TraceEvent, Tracer};

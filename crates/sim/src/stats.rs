@@ -17,6 +17,21 @@
 //!
 //! All accumulation saturates at [`u64::MAX`] rather than wrapping (or
 //! panicking under debug assertions) on long-horizon runs.
+//!
+//! # The slot cache
+//!
+//! A counter is bumped on every event and read rarely, so a bump must be
+//! an indexed add, not a search. Names are `&'static str`, and two such
+//! strings with the same address and length hold the same bytes. So each
+//! set keeps a small open-addressed table, keyed by a name's address and
+//! length, that maps straight to the counter's slot: a bump hashes one
+//! pointer, compares one or two entries and adds. Only a name the table
+//! has not seen — the first bump of a key, or a copy of a known name that
+//! lives at another address — searches the ordered name index, which
+//! stays the one source of key order and the rule that a key exists once
+//! touched. That is why a hot path bumps by name and holds no handles:
+//! after its first bump a name costs a few nanoseconds more than a slot
+//! index would, and there is no handle to keep in step with its set.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -80,21 +95,22 @@ struct Stat {
     gauge: bool,
 }
 
-/// A cached handle to one counter inside a specific [`StatSet`].
-///
-/// Obtained from [`StatSet::id`] and used with [`StatSet::bump_id`] /
-/// [`StatSet::add_id`] to make hot per-event bumps a plain array index
-/// instead of a string-keyed map lookup. A handle is only meaningful for
-/// the set that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatId(u32);
+/// One slot-cache entry: a name's address and length, and its slot.
+/// `addr == 0` marks an empty entry (no string lives at address zero).
+#[derive(Debug, Clone, Copy, Default)]
+struct Cached {
+    addr: usize,
+    len: u32,
+    slot: u32,
+}
 
 /// An ordered collection of named counters and gauges.
 ///
 /// Keys are `&'static str` event names; ordering is lexicographic so report
-/// rows are stable across runs. Values live in a flat slot vector; a name →
-/// slot map provides the ordered view and lets hot paths cache a [`StatId`]
-/// once and bump the slot directly thereafter.
+/// rows are stable across runs. Values live in a flat slot vector, a
+/// name → slot map gives the ordered view, and the
+/// [slot cache](self#the-slot-cache) makes a bump of a name seen before
+/// one hashed probe, so callers bump by name and hold no handles.
 ///
 /// # Example
 ///
@@ -116,6 +132,11 @@ pub struct StatId(u32);
 pub struct StatSet {
     slots: Vec<Stat>,
     index: BTreeMap<&'static str, u32>,
+    /// The slot cache: a power-of-two table probed linearly from a hash of
+    /// the name's address, at most half full.
+    cache: Vec<Cached>,
+    /// Occupied `cache` entries.
+    cached: usize,
 }
 
 impl StatSet {
@@ -124,46 +145,92 @@ impl StatSet {
         StatSet::default()
     }
 
+    /// Where `name`'s probe starts in a table of `mask + 1` entries.
+    #[inline]
+    fn home(addr: usize, mask: usize) -> usize {
+        ((addr as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask
+    }
+
+    /// `name`'s slot, created at zero if absent.
+    #[inline]
     fn slot(&mut self, name: &'static str) -> usize {
-        match self.index.get(name) {
-            Some(&i) => i as usize,
+        if !self.cache.is_empty() {
+            let addr = name.as_ptr() as usize;
+            let mask = self.cache.len() - 1;
+            let mut i = Self::home(addr, mask);
+            loop {
+                let c = self.cache[i];
+                if c.addr == addr && c.len as usize == name.len() {
+                    debug_assert_eq!(self.index.get(name), Some(&c.slot), "stale slot cache");
+                    return c.slot as usize;
+                }
+                if c.addr == 0 {
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        self.slot_miss(name)
+    }
+
+    /// The slot cache missed: find or create `name` in the index, then
+    /// cache its address.
+    #[cold]
+    fn slot_miss(&mut self, name: &'static str) -> usize {
+        let slot = match self.index.get(name) {
+            Some(&i) => i,
             None => {
-                let i = self.slots.len();
+                let i = self.slots.len() as u32;
                 self.slots.push(Stat {
                     value: 0,
                     gauge: false,
                 });
-                self.index.insert(name, i as u32);
+                self.index.insert(name, i);
                 i
             }
+        };
+        // A name too long for the entry is never cached; it still counts.
+        if let Ok(len) = u32::try_from(name.len()) {
+            if (self.cached + 1) * 2 > self.cache.len() {
+                self.grow();
+            }
+            self.insert_cached(Cached {
+                addr: name.as_ptr() as usize,
+                len,
+                slot,
+            });
+        }
+        slot as usize
+    }
+
+    fn insert_cached(&mut self, c: Cached) {
+        let mask = self.cache.len() - 1;
+        let mut i = Self::home(c.addr, mask);
+        while self.cache[i].addr != 0 {
+            i = (i + 1) & mask;
+        }
+        self.cache[i] = c;
+        self.cached += 1;
+    }
+
+    /// Doubles the slot cache (16 entries at first) and rehashes it.
+    fn grow(&mut self) {
+        let size = (self.cache.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.cache, vec![Cached::default(); size]);
+        self.cached = 0;
+        for c in old.into_iter().filter(|c| c.addr != 0) {
+            self.insert_cached(c);
         }
     }
 
-    /// Interns `name` (creating it at zero if absent) and returns a handle
-    /// for slot-indexed bumps on the per-event hot path.
-    pub fn id(&mut self, name: &'static str) -> StatId {
-        StatId(self.slot(name) as u32)
-    }
-
-    /// Adds one to the counter behind `id` (saturating).
-    #[inline]
-    pub fn bump_id(&mut self, id: StatId) {
-        self.add_id(id, 1);
-    }
-
-    /// Adds `n` to the counter behind `id` (saturating).
-    #[inline]
-    pub fn add_id(&mut self, id: StatId, n: u64) {
-        let e = &mut self.slots[id.0 as usize];
-        e.value = e.value.saturating_add(n);
-    }
-
     /// Adds one to `name`, creating it at zero first if absent.
+    #[inline]
     pub fn bump(&mut self, name: &'static str) {
         self.bump_by(name, 1);
     }
 
     /// Adds `n` to `name` (saturating at [`u64::MAX`]).
+    #[inline]
     pub fn bump_by(&mut self, name: &'static str, n: u64) {
         let i = self.slot(name);
         let e = &mut self.slots[i];
@@ -401,20 +468,92 @@ mod tests {
     }
 
     #[test]
-    fn cached_ids_alias_named_counters() {
+    fn one_name_at_two_addresses_is_one_counter() {
+        let literal: &'static str = "l1.hit";
+        let copy: &'static str = Box::leak(literal.to_owned().into_boxed_str());
+        assert_ne!(literal.as_ptr(), copy.as_ptr());
         let mut s = StatSet::new();
-        let hit = s.id("l1.hit");
-        s.bump("l1.hit");
-        s.bump_id(hit);
-        s.add_id(hit, 3);
+        s.bump(literal);
+        s.bump_by(copy, 2);
+        s.bump(literal);
+        s.bump(copy);
         assert_eq!(s.get("l1.hit"), 5);
-        // Interning alone leaves the counter at zero but visible.
-        let miss = s.id("l1.miss");
-        assert_eq!(s.get("l1.miss"), 0);
-        assert_eq!(s.len(), 2);
-        s.add_id(miss, u64::MAX);
-        s.bump_id(miss);
-        assert_eq!(s.get("l1.miss"), u64::MAX, "id bumps must saturate");
+        assert_eq!(s.len(), 1);
+        // Same address, different length: a different name.
+        let longer = "l1.hits";
+        s.bump(longer);
+        s.bump(&longer[..6]);
+        assert_eq!(s.get("l1.hit"), 6);
+        assert_eq!(s.get("l1.hits"), 1);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![("l1.hit", 6), ("l1.hits", 1)]
+        );
+    }
+
+    #[test]
+    fn many_names_survive_slot_cache_growth() {
+        let names: Vec<&'static str> = (0..100)
+            .map(|i| &*Box::leak(format!("k{:03}", (i * 37) % 100).into_boxed_str()))
+            .collect();
+        let mut s = StatSet::new();
+        for round in 1..=3u64 {
+            for (i, &k) in names.iter().enumerate() {
+                s.bump_by(k, i as u64 + round);
+            }
+        }
+        assert_eq!(s.len(), 100);
+        for (i, &k) in names.iter().enumerate() {
+            assert_eq!(s.get(k), 3 * i as u64 + 6, "{k}");
+        }
+        let keys: Vec<_> = s.iter().map(|(k, _)| k).collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted, "iteration stays in key order");
+        let reversed: StatSet = names
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, &k)| (k, 3 * i as u64 + 6))
+            .collect();
+        assert_eq!(s, reversed);
+    }
+
+    #[test]
+    fn zero_bumps_and_gauges_still_create_keys() {
+        let mut s = StatSet::new();
+        s.bump_by("zero", 0);
+        assert_eq!(s.len(), 1, "a zero bump creates the key");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![("zero", 0)]);
+        s.bump("c");
+        s.set("g", 3);
+        assert!(s.is_gauge("g"));
+        s.bump_by("c", u64::MAX);
+        assert_eq!(s.get("c"), u64::MAX, "cached bumps saturate");
+        let mut t = StatSet::new();
+        t.set("g", 9);
+        t.bump("c");
+        t.bump_by("zero", 0);
+        s.merge(&t);
+        assert_eq!(s.get("g"), 9, "a gauge overwrites on merge");
+        assert!(s.is_gauge("g"));
+        assert_eq!(s.get("c"), u64::MAX);
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn a_clone_counts_into_its_own_slots() {
+        let mut a = StatSet::new();
+        a.bump("x");
+        a.bump("y");
+        let mut b = a.clone();
+        b.bump("x");
+        b.bump("z");
+        a.bump("y");
+        assert_eq!((a.get("x"), a.get("y"), a.get("z")), (1, 2, 0));
+        assert_eq!((b.get("x"), b.get("y"), b.get("z")), (2, 1, 1));
+        assert_eq!(a.len(), 2);
+        assert_eq!(b.len(), 3);
     }
 
     #[test]
