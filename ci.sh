@@ -5,6 +5,10 @@ set -eux
 
 export TENWAYS_FAST=1
 
+# Lines of non-test Rust code, per crate: information for judging a
+# change's size, not a gate.
+sh scripts/loc.sh
+
 cargo build --release --workspace
 cargo test -q --workspace
 cargo fmt --all -- --check

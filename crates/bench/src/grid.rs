@@ -383,30 +383,6 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
     // Dispatch the points that still need to run. Each job carries its own
     // wall time (milliseconds) alongside the record so rows can report
     // simulation throughput; timing inside the closure excludes queueing.
-    // Intra-run sharding (`[sched] mode = "parallel-epoch"`) multiplies
-    // the sweep's across-run parallelism. An explicitly requested worker
-    // count that oversubscribes the host is rejected (typed
-    // `Oversubscribed`, surfaced as the sweep's infrastructure error);
-    // the automatic default divides the host budget by the widest point
-    // instead.
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_intra = points
-        .iter()
-        .map(|p| tenways_waste::intra_workers(p.config.sched))
-        .max()
-        .unwrap_or(1);
-    let mut options = params.options.clone();
-    match options.workers {
-        Some(across) => {
-            for point in &points {
-                tenways_waste::check_host_budget(point.config.sched, across, host)
-                    .map_err(|e| format!("{}: {e}", point.label))?;
-            }
-        }
-        None if max_intra > 1 => options.workers = Some((host / max_intra).max(1)),
-        None => {}
-    }
-
     let todo: Vec<usize> = (0..points.len()).filter(|&i| rows[i].is_none()).collect();
     let jobs: Vec<SweepJob<(tenways_waste::RunRecord, f64)>> = todo
         .iter()
@@ -425,7 +401,7 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
 
     let total = points.len();
     let state = Mutex::new((rows, 0usize)); // (rows, completions since checkpoint)
-    let runner = SweepRunner::with_options(options);
+    let runner = SweepRunner::with_options(params.options.clone());
     let batch = runner.run_observed(
         jobs,
         |j, outcome: &JobOutcome<(tenways_waste::RunRecord, f64)>| {

@@ -10,9 +10,9 @@
 //!   two-tier content-addressed [`ResultCache`] (keyed on
 //!   [`SimConfig::cache_key`]), and dispatches misses onto a persistent
 //!   worker pool whose jobs run once each under the [`SweepRunner`]'s
-//!   fail-soft containment (`catch_unwind`), always under the default
-//!   scheduler ([`SchedMode::default`]), whatever `[sched]` a request
-//!   carries.
+//!   fail-soft containment (`catch_unwind`). A request is a config and
+//!   nothing more: one that carries a `[sched]` section is refused with
+//!   HTTP 400 like any other unknown field.
 //!   Concurrent requests for the same key are **single-flighted**: one
 //!   simulation runs, every waiter shares its result.
 //! * a **bounded admission queue** in front of the pool
@@ -61,7 +61,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tenways_sim::json::{Json, ToJson};
-use tenways_waste::{Experiment, SchedMode, SimConfig};
+use tenways_waste::{Experiment, SimConfig};
 
 use crate::cache::{CacheCounters, ResultCache};
 use crate::grid::SweepSpec;
@@ -975,13 +975,10 @@ fn rejection_doc(key: &str, queue_depth: usize) -> Json {
     ])
 }
 
-/// Runs one config to its `run_record.v1` document under the default
-/// scheduler. `[sched]` is not in the cache key, so the service, not the
-/// request, picks it: a client cannot make a miss take more threads than
-/// the pool's, and every client of a key reads the same record.
+/// Runs one config to its `run_record.v1` document.
 fn simulate(cfg: &SimConfig) -> Result<Json, String> {
     Experiment::from_config(cfg)
-        .and_then(|experiment| experiment.sched(SchedMode::default()).run())
+        .and_then(|experiment| experiment.run())
         .map(|record| record.to_json())
         .map_err(|e| e.to_string())
 }
@@ -1637,47 +1634,63 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = {
             let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
+            std::thread::spawn(move || serve_http(svc, listener, Some(5), false))
         };
-        let run = |body: &str| {
-            let (status, doc) =
-                http_call(&addr, "POST", "/run", Some(("application/json", body))).unwrap();
-            assert_eq!(status, 200, "{doc}");
-            doc
-        };
-        let sharded = run(r#"{"workload":"lu","threads":2,"scale":1,"sched":"parallel-epoch:8"}"#);
-        let plain = run(r#"{"workload":"lu","threads":2,"scale":1}"#);
+        // `[sched]` is refused on every front door: a /run body in either
+        // format, a /batch config list and a /batch grid.
+        for (path, content_type, body) in [
+            (
+                "/run",
+                "application/json",
+                r#"{"workload":"lu","threads":2,"scale":1,"sched":"parallel-epoch:8"}"#,
+            ),
+            (
+                "/run",
+                "application/toml",
+                "workload = \"lu\"\n[sched]\nmode = \"naive\"\n",
+            ),
+            (
+                "/batch",
+                "application/json",
+                r#"[{"workload":"lu","sched":{"mode":"naive"}}]"#,
+            ),
+            (
+                "/batch",
+                "application/toml",
+                "workload = \"lu\"\n[sched]\nmode = \"naive\"\n[grid]\nthreads = [2, 3]\n",
+            ),
+        ] {
+            let (status, doc) = http_call(&addr, "POST", path, Some((content_type, body))).unwrap();
+            assert_eq!(status, 400, "{path} {content_type}: {doc}");
+            let error = doc.get("error").and_then(Json::as_str).unwrap_or("");
+            assert!(
+                error.contains("unknown config field `sched`"),
+                "{path} {content_type}: {error}"
+            );
+        }
+        assert_eq!(svc.sim_runs(), 0, "a refused body simulates nothing");
+
+        let (status, plain) = http_call(
+            &addr,
+            "POST",
+            "/run",
+            Some((
+                "application/json",
+                r#"{"workload":"lu","threads":2,"scale":1}"#,
+            )),
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{plain}");
+        assert_eq!(svc.sim_runs(), 1);
         assert_eq!(
-            sharded.get("key"),
-            plain.get("key"),
-            "[sched] is not in the key"
-        );
-        assert_eq!(svc.sim_runs(), 1, "one key, one simulation");
-        let record = |doc: &Json| doc.get("record").unwrap().to_string();
-        assert_eq!(record(&sharded), record(&plain));
-        assert_eq!(
-            sharded
+            plain
                 .get("record")
                 .and_then(|r| r.get("sched"))
                 .and_then(Json::as_str),
             Some("component-wake"),
-            "the miss ran under the default scheduler, not the request's"
+            "a miss runs under the default scheduler"
         );
         server.join().unwrap().unwrap();
-
-        // `warm` simulates under the default scheduler too.
-        let naive = SimConfig {
-            seed: 3,
-            sched: SchedMode::Naive,
-            ..small_cfg()
-        };
-        svc.warm(&[("naive".to_string(), naive.clone())]);
-        let warmed = svc.submit(&naive).unwrap();
-        assert!(warmed.cached);
-        assert_eq!(
-            warmed.record.get("sched").and_then(Json::as_str),
-            Some("component-wake")
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,26 +43,13 @@ pub enum SchedMode {
 }
 
 impl SchedMode {
-    /// Stable label for configs, CLI flags and run records.
+    /// Stable label for run records and bench rows.
     pub fn label(&self) -> &'static str {
         match self {
             SchedMode::Naive => "naive",
             SchedMode::ComponentWake => "component-wake",
             SchedMode::ParallelEpoch { .. } => "parallel-epoch",
         }
-    }
-}
-
-impl tenways_sim::json::ToJson for SchedMode {
-    /// The `[sched]` config section: `{"mode": label}`, plus `workers`
-    /// for [`SchedMode::ParallelEpoch`].
-    fn to_json(&self) -> tenways_sim::json::Json {
-        use tenways_sim::json::Json;
-        let mut pairs = vec![("mode", Json::from(self.label()))];
-        if let SchedMode::ParallelEpoch { workers } = self {
-            pairs.push(("workers", Json::from(*workers)));
-        }
-        Json::obj(pairs)
     }
 }
 

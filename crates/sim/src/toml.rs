@@ -8,10 +8,13 @@
 //! into the same [`Json`] value model the rest of the observability layer
 //! uses, so `SimConfig::from_json` is the single decode path.
 //!
-//! `serve` reads TOML request bodies, so the reader bounds nesting like
-//! [`Json::parse`] does: a value may sit at most [`MAX_DEPTH`] levels
-//! below the root table, counting one level per section-header component
-//! and per enclosing array.
+//! `serve` reads TOML request bodies and answers, caches and forwards
+//! them as JSON, so every tree the reader accepts is one [`Json::parse`]
+//! accepts back unchanged. Nesting is bounded the way `Json::parse`
+//! bounds it: at most [`MAX_DEPTH`] containers deep, counting the root
+//! table, each section-header component and each enclosing array.
+//! Numbers take the JSON parser's lanes, and a float that overflows to
+//! infinity is an error.
 //!
 //! ```rust
 //! use tenways_sim::toml::parse_toml;
@@ -79,7 +82,7 @@ pub fn parse_toml(text: &str) -> Result<Json, TomlError> {
             if section.iter().any(|s| s.is_empty()) {
                 return Err(err("empty section name component"));
             }
-            if section.len() > MAX_DEPTH {
+            if section.len() >= MAX_DEPTH {
                 return Err(err(&format!("nesting deeper than {MAX_DEPTH}")));
             }
             // Materialize the table so empty sections still appear.
@@ -90,7 +93,7 @@ pub fn parse_toml(text: &str) -> Result<Json, TomlError> {
             .split_once('=')
             .ok_or_else(|| err("expected `key = value`"))?;
         let key = unquote_key(key.trim()).ok_or_else(|| err("bad key"))?;
-        let value = parse_value(value.trim(), section.len()).map_err(|m| err(&m))?;
+        let value = parse_value(value.trim(), section.len() + 1).map_err(|m| err(&m))?;
         let table = table_at(&mut root, &section).map_err(|m| err(&m))?;
         if table.iter().any(|(k, _)| *k == key) {
             return Err(err(&format!("duplicate key `{key}`")));
@@ -149,8 +152,8 @@ fn table_at<'a>(
     Ok(cur)
 }
 
-/// Parses one value nested `depth` levels below the root table (one per
-/// section-header component and enclosing array).
+/// Parses one value inside `depth` containers: the root table, one per
+/// section-header component, and one per enclosing array.
 fn parse_value(text: &str, depth: usize) -> Result<Json, String> {
     if text.is_empty() {
         return Err("missing value".to_string());
@@ -187,16 +190,20 @@ fn parse_value(text: &str, depth: usize) -> Result<Json, String> {
             .map_err(|_| format!("bad hex integer `{text}`"));
     }
     if num.contains(['.', 'e', 'E']) {
-        return num
-            .parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| format!("bad float `{text}`"));
+        return match num.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            Ok(_) => Err(format!("float `{text}` overflows to infinity")),
+            Err(_) => Err(format!("bad float `{text}`")),
+        };
     }
     if num.starts_with('-') {
-        return num
-            .parse::<i64>()
-            .map(Json::I64)
-            .map_err(|_| format!("bad integer `{text}`"));
+        // `-0` is zero, which lives in the unsigned lane, as in
+        // `Json::parse`.
+        return match num.parse::<i64>() {
+            Ok(0) => Ok(Json::U64(0)),
+            Ok(v) => Ok(Json::I64(v)),
+            Err(_) => Err(format!("bad integer `{text}`")),
+        };
     }
     num.parse::<u64>()
         .map(Json::U64)
@@ -315,27 +322,41 @@ mod tests {
 
     #[test]
     fn array_nesting_is_bounded() {
-        let doc = parse_toml(&nested_arrays(MAX_DEPTH)).unwrap();
+        // The root table is one level, so MAX_DEPTH - 1 arrays fit.
+        let doc = parse_toml(&nested_arrays(MAX_DEPTH - 1)).unwrap();
         let mut v = doc.get("a").unwrap();
-        for _ in 1..MAX_DEPTH {
+        for _ in 1..MAX_DEPTH - 1 {
             v = &v.as_array().unwrap()[0];
         }
         assert_eq!(v, &Json::Arr(Vec::new()));
-        let e = parse_toml(&format!("ok = 1\n{}", nested_arrays(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
+        let e = parse_toml(&format!("ok = 1\n{}", nested_arrays(MAX_DEPTH))).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.msg.contains("nesting deeper than"), "{e}");
         // Far past the bound (a stack overflow before the bound existed).
         assert!(parse_toml(&nested_arrays(5_000)).is_err());
         // A section header is one level of its own.
-        assert!(parse_toml(&format!("[s]\n{}", nested_arrays(MAX_DEPTH))).is_err());
+        assert!(parse_toml(&format!("[s]\n{}", nested_arrays(MAX_DEPTH - 1))).is_err());
     }
 
     #[test]
     fn header_nesting_is_bounded() {
         let header = |n: usize| format!("[{}]\nk = 1\n", vec!["t"; n].join("."));
-        assert!(parse_toml(&header(MAX_DEPTH)).is_ok());
-        let e = parse_toml(&header(MAX_DEPTH + 1)).unwrap_err();
+        let doc = parse_toml(&header(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
+        let e = parse_toml(&header(MAX_DEPTH)).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.msg.contains("nesting deeper than"), "{e}");
+    }
+
+    #[test]
+    fn numbers_take_the_json_lanes() {
+        let doc = parse_toml("z = -0\nn = -0_0\n").unwrap();
+        assert_eq!(doc.get("z"), Some(&Json::U64(0)));
+        assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
+        for text in ["f = 1e400\n", "f = -1.5e999\n"] {
+            let e = parse_toml(text).unwrap_err();
+            assert!(e.msg.contains("overflows to infinity"), "{e}");
+        }
     }
 }

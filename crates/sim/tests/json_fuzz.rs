@@ -10,11 +10,14 @@
 //! renderings: `parse(render(v)) == v` for the compact and the pretty
 //! writer.
 
+mod common;
+
+use common::{mutate, repo_root};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
 use tenways_sim::json::Json;
-use tenways_sim::{DetRng, MAX_DEPTH};
+use tenways_sim::DetRng;
 
 const CASES: u64 = 10_000;
 
@@ -41,10 +44,6 @@ const SPLICES: &[&str] = &[
     "é",
     "\u{1}",
 ];
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// `*.json` files in `dir` whose names start with `prefix`.
 fn json_files(dir: &Path, prefix: &str) -> Vec<PathBuf> {
@@ -73,44 +72,6 @@ fn corpus() -> Vec<(String, String)> {
             (path.display().to_string(), text)
         })
         .collect()
-}
-
-/// One random edit of `bytes`.
-fn mutate(rng: &mut DetRng, bytes: &mut Vec<u8>) {
-    let len = bytes.len() as u64;
-    let at = rng.below(len + 1) as usize;
-    match rng.below(6) {
-        // Flip one bit.
-        0 if len > 0 => {
-            let i = rng.below(len) as usize;
-            bytes[i] ^= 1 << rng.below(8);
-        }
-        // Insert one byte.
-        1 => bytes.insert(at, rng.below(256) as u8),
-        // Delete up to eight bytes.
-        2 if len > 0 => {
-            let end = (at + 1 + rng.below(8) as usize).min(bytes.len());
-            bytes.drain(at.min(end)..end);
-        }
-        // Truncate.
-        3 => bytes.truncate(at),
-        // Splice a delimiter or edge-case literal.
-        4 => {
-            let piece = SPLICES[rng.below(SPLICES.len() as u64) as usize];
-            bytes.splice(at..at, piece.bytes());
-        }
-        // Splice containers opened (not closed) around the depth bound
-        // or far past it.
-        _ => {
-            let depth = if rng.chance(0.5) {
-                MAX_DEPTH - 2 + rng.below(5) as usize
-            } else {
-                rng.range(1, 4_000) as usize
-            };
-            let open = if rng.chance(0.5) { "[" } else { "{\"k\":" };
-            bytes.splice(at..at, open.repeat(depth).into_bytes());
-        }
-    }
 }
 
 /// Parses `text` and checks every property; `case` names the input.
@@ -160,7 +121,7 @@ fn mutated_documents_never_panic_and_round_trip_when_accepted() {
         let (_, seed) = &corpus[rng.below(corpus.len() as u64) as usize];
         let mut bytes = seed.clone().into_bytes();
         for _ in 0..rng.range(1, 5) {
-            mutate(&mut rng, &mut bytes);
+            mutate(&mut rng, &mut bytes, SPLICES);
         }
         // Bodies reach the parser as `&str`; invalid UTF-8 becomes U+FFFD.
         let text = String::from_utf8_lossy(&bytes);

@@ -18,6 +18,12 @@
 //! file, a `TENWAYS_*` environment override, and a command-line flag all
 //! funnel through the same decode path.
 //!
+//! The run loop is not a setting. Every [`SchedMode`](crate::SchedMode)
+//! gives a byte-identical record, so a config holds only what a run
+//! measures, and a `[sched]` section is refused like any other unknown
+//! field. Library code picks a loop with
+//! [`Experiment::sched`](crate::Experiment::sched).
+//!
 //! ```rust
 //! use tenways_waste::SimConfig;
 //!
@@ -36,159 +42,13 @@
 
 use tenways_coherence::ProtocolConfig;
 use tenways_core::SpecConfig;
-use tenways_cpu::{ConsistencyModel, SchedMode};
+use tenways_cpu::ConsistencyModel;
 use tenways_sim::json::{Json, JsonError, ToJson};
 use tenways_sim::toml::parse_toml;
 use tenways_sim::{AtomicsConfig, MachineConfig};
 use tenways_workloads::WorkloadParams;
 
 use crate::energy::EnergyModel;
-
-/// Across-run parallelism times intra-run shard workers would pin more
-/// threads than the host has (see [`check_host_budget`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Oversubscribed {
-    /// Total threads the combination would pin.
-    pub requested: usize,
-    /// Hardware threads actually available.
-    pub available: usize,
-}
-
-impl std::fmt::Display for Oversubscribed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "oversubscribed: --workers x --sched-workers pins {} threads \
-             but the host has {}; lower one of them",
-            self.requested, self.available
-        )
-    }
-}
-
-impl std::error::Error for Oversubscribed {}
-
-/// Fallback intra-run worker count when `workers` is unset.
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(2, |n| n.get())
-}
-
-/// Overlays a `[sched]` mode label and worker count onto `current`, the
-/// scheduler configured so far; either may be absent. An absent label
-/// keeps `current`'s mode. An absent count keeps `current`'s workers
-/// when it already shards, and otherwise means the host's available
-/// parallelism. The `--sched`/`--sched-workers` flags and the section's
-/// keys all decode here, so their order never matters.
-///
-/// `workers` is the number of *intra-run* threads that shard one
-/// `parallel-epoch` run. It is distinct from the sweep/litmus `--workers`
-/// flag, which fans independent runs out *across* threads; see
-/// [`check_host_budget`] for the combination rule.
-///
-/// # Errors
-///
-/// An unknown mode label, `workers = 0`, or `workers` with a sequential
-/// mode.
-pub fn overlay_sched(
-    current: SchedMode,
-    label: Option<&str>,
-    workers: Option<usize>,
-) -> Result<SchedMode, String> {
-    if workers == Some(0) {
-        return Err("sched.workers must be at least 1".to_string());
-    }
-    match (label.unwrap_or(current.label()), workers) {
-        ("naive", None) => Ok(SchedMode::Naive),
-        ("component-wake", None) => Ok(SchedMode::ComponentWake),
-        ("parallel-epoch", Some(workers)) => Ok(SchedMode::ParallelEpoch { workers }),
-        ("parallel-epoch", None) => Ok(SchedMode::ParallelEpoch {
-            workers: match current {
-                SchedMode::ParallelEpoch { workers } => workers,
-                _ => host_parallelism(),
-            },
-        }),
-        (mode @ ("naive" | "component-wake"), Some(_)) => Err(format!(
-            "sched.workers only applies to mode `parallel-epoch` (mode is `{mode}`); \
-             use the sweep-level --workers for across-run parallelism"
-        )),
-        (other, _) => Err(format!("unknown sched mode `{other}`")),
-    }
-}
-
-/// Threads one run pins under `sched` (1 for sequential modes).
-pub fn intra_workers(sched: SchedMode) -> usize {
-    match sched {
-        SchedMode::ParallelEpoch { workers } => workers.max(1),
-        _ => 1,
-    }
-}
-
-/// Rejects the combination of *across-run* parallelism (the sweep and
-/// litmus `--workers` flag: how many independent runs execute
-/// concurrently) with `sched`'s *intra-run* workers when it would pin
-/// more threads than the host offers.
-///
-/// The check only binds when `sched` actually shards runs
-/// (`intra_workers(sched) > 1`): plain across-run oversubscription of
-/// sequential runs is long-supported (merely slow), but multiplying it by
-/// intra-run shard teams is never what the user meant.
-///
-/// # Errors
-///
-/// [`Oversubscribed`] when `intra_workers(sched) > 1` and
-/// `across * intra_workers(sched) > host`.
-pub fn check_host_budget(
-    sched: SchedMode,
-    across: usize,
-    host: usize,
-) -> Result<(), Oversubscribed> {
-    let intra = intra_workers(sched);
-    let requested = across.saturating_mul(intra);
-    if intra > 1 && requested > host {
-        return Err(Oversubscribed {
-            requested,
-            available: host,
-        });
-    }
-    Ok(())
-}
-
-/// Overlays a `sched` value onto `sched`: either the section object
-/// (`{"mode": "...", "workers": N}`, absent keys keeping their values) or
-/// the CLI shorthand string (`"parallel-epoch"` / `"parallel-epoch:4"`),
-/// which replaces the whole section.
-fn apply_sched_json(sched: &mut SchedMode, value: &Json) -> Result<(), String> {
-    if let Some(text) = value.as_str() {
-        let (label, workers) = match text.split_once(':') {
-            Some((label, n)) => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("bad sched worker count `{n}`"))?;
-                (label, Some(n))
-            }
-            None => (text, None),
-        };
-        *sched = overlay_sched(SchedMode::default(), Some(label), workers)?;
-        return Ok(());
-    }
-    let pairs = value.as_object().ok_or_else(|| {
-        format!(
-            "sched must be an object or string, got {}",
-            value.type_name()
-        )
-    })?;
-    let (mut label, mut workers) = (None, None);
-    for (key, value) in pairs {
-        match key.as_str() {
-            "mode" => label = Some(value.as_str().ok_or("sched.mode must be a string")?),
-            "workers" => {
-                workers = Some(value.as_u64().ok_or("sched.workers must be an integer")? as usize)
-            }
-            other => return Err(format!("unknown sched field `{other}`")),
-        }
-    }
-    *sched = overlay_sched(*sched, label, workers)?;
-    Ok(())
-}
 
 /// Complete, serializable description of one simulation run.
 ///
@@ -225,10 +85,6 @@ pub struct SimConfig {
     pub atomics: AtomicsConfig,
     /// Energy constants.
     pub energy: EnergyModel,
-    /// Run-loop scheduler (the `[sched]` section: `mode`, and `workers`
-    /// for `parallel-epoch`). Cannot change results — every mode is
-    /// byte-identical — only wall-clock speed.
-    pub sched: SchedMode,
     /// Runs are cut off (not failed) at this many cycles.
     pub cycle_limit: u64,
 }
@@ -247,7 +103,6 @@ impl Default for SimConfig {
             protocol: ProtocolConfig::default(),
             atomics: AtomicsConfig::default(),
             energy: EnergyModel::default(),
-            sched: SchedMode::default(),
             cycle_limit: 50_000_000,
         }
     }
@@ -317,7 +172,7 @@ impl SimConfig {
     /// Overlays fields from a (possibly partial) JSON object onto `self`.
     /// Unknown keys and mistyped values are errors; absent keys keep their
     /// current value. Section values (`machine`, `spec`, `protocol`,
-    /// `energy`, `sched`) are themselves overlaid field-by-field.
+    /// `atomics`, `energy`) are themselves overlaid field-by-field.
     pub fn apply_json(&mut self, doc: &Json) -> Result<(), String> {
         let pairs = doc
             .as_object()
@@ -349,7 +204,6 @@ impl SimConfig {
                     self.atomics.validate().map_err(|e| e.to_string())?;
                 }
                 "energy" => self.energy.apply_json(value)?,
-                "sched" => apply_sched_json(&mut self.sched, value)?,
                 "cycle_limit" => {
                     self.cycle_limit = value.as_u64().ok_or("cycle_limit must be an integer")?
                 }
@@ -371,22 +225,14 @@ impl SimConfig {
     /// The canonical JSON document of this configuration: the full
     /// serialization (every field explicit, so defaulted and
     /// explicitly-set-to-default fields render identically) with keys
-    /// sorted recursively, minus the non-semantic `sched` section.
+    /// sorted recursively.
     ///
     /// Because loading normalizes every source — TOML vs JSON text, key
     /// order, CLI flag overlays, partial documents overlaid onto defaults
     /// — into this one struct, any two semantically equal configs produce
-    /// a byte-identical canonical document. The scheduler is excluded for
-    /// the same reason [`RunRecord::fingerprint`](crate::RunRecord::fingerprint)
-    /// excludes it: every [`SchedMode`] produces byte-identical results,
-    /// so a result computed under any scheduler answers all of them.
+    /// a byte-identical canonical document.
     pub fn canonical_json(&self) -> Json {
-        let doc = self.to_json();
-        let pairs = match doc {
-            Json::Obj(pairs) => pairs.into_iter().filter(|(k, _)| k != "sched").collect(),
-            other => return tenways_sim::hash::canonical(&other),
-        };
-        tenways_sim::hash::canonical(&Json::Obj(pairs))
+        tenways_sim::hash::canonical(&self.to_json())
     }
 
     /// The content-address of this configuration: the SHA-256 hex digest
@@ -412,7 +258,6 @@ impl ToJson for SimConfig {
             ("protocol", self.protocol.to_json()),
             ("atomics", self.atomics.to_json()),
             ("energy", self.energy.to_json()),
-            ("sched", self.sched.to_json()),
             ("cycle_limit", Json::from(self.cycle_limit)),
         ])
     }
@@ -482,79 +327,24 @@ mod tests {
             SimConfig::from_json_str("not json"),
             Err(ConfigLoadError::Parse(_))
         ));
+        // The run loop is chosen in code, not in a config.
+        for sched in [
+            SimConfig::from_toml_str("[sched]\nmode = \"parallel-epoch\"\nworkers = 4\n"),
+            SimConfig::from_json_str(r#"{"sched":"naive"}"#),
+        ] {
+            assert_eq!(
+                sched,
+                Err(ConfigLoadError::Invalid(
+                    "unknown config field `sched`".to_string()
+                ))
+            );
+        }
     }
 
     #[test]
     fn spec_accepts_cli_shorthand_string() {
         let cfg = SimConfig::from_json_str(r#"{"spec":"per-store:9"}"#).unwrap();
         assert_eq!(cfg.spec, SpecConfig::per_store(9));
-    }
-
-    #[test]
-    fn sched_section_parses_from_toml_and_shorthand() {
-        let cfg =
-            SimConfig::from_toml_str("[sched]\nmode = \"parallel-epoch\"\nworkers = 4\n").unwrap();
-        assert_eq!(cfg.sched, SchedMode::ParallelEpoch { workers: 4 });
-        // Key order within the section does not matter.
-        let cfg =
-            SimConfig::from_json_str(r#"{"sched":{"workers":3,"mode":"parallel-epoch"}}"#).unwrap();
-        assert_eq!(cfg.sched, SchedMode::ParallelEpoch { workers: 3 });
-
-        let cfg = SimConfig::from_json_str(r#"{"sched":"naive"}"#).unwrap();
-        assert_eq!(cfg.sched, SchedMode::Naive);
-        let cfg = SimConfig::from_json_str(r#"{"sched":"parallel-epoch:2"}"#).unwrap();
-        assert_eq!(cfg.sched, SchedMode::ParallelEpoch { workers: 2 });
-        let back = SimConfig::from_json_str(&cfg.to_json().to_string()).unwrap();
-        assert_eq!(back, cfg);
-        // An absent worker count means the host's parallelism.
-        let cfg = SimConfig::from_json_str(r#"{"sched":{"mode":"parallel-epoch"}}"#).unwrap();
-        assert_eq!(
-            cfg.sched,
-            SchedMode::ParallelEpoch {
-                workers: host_parallelism()
-            }
-        );
-    }
-
-    #[test]
-    fn sched_overlay_keeps_what_it_is_not_given() {
-        let sharded = SchedMode::ParallelEpoch { workers: 4 };
-        assert_eq!(overlay_sched(sharded, None, None), Ok(sharded));
-        assert_eq!(
-            overlay_sched(sharded, Some("parallel-epoch"), None),
-            Ok(sharded)
-        );
-        assert_eq!(
-            overlay_sched(sharded, None, Some(2)),
-            Ok(SchedMode::ParallelEpoch { workers: 2 })
-        );
-        assert_eq!(
-            overlay_sched(sharded, Some("naive"), None),
-            Ok(SchedMode::Naive)
-        );
-        assert_eq!(
-            overlay_sched(SchedMode::Naive, Some("parallel-epoch"), Some(3)),
-            Ok(SchedMode::ParallelEpoch { workers: 3 })
-        );
-    }
-
-    #[test]
-    fn sched_section_is_validated_at_decode() {
-        for bad in [
-            "[sched]\nmode = \"component-wake\"\nworkers = 4\n",
-            "[sched]\nmode = \"parallel-epoch\"\nworkers = 0\n",
-            "[sched]\nworkers = 2\n",
-            "[sched]\nwrkers = 2\n",
-        ] {
-            let err = SimConfig::from_toml_str(bad).unwrap_err();
-            assert!(matches!(err, ConfigLoadError::Invalid(_)), "{bad}: {err:?}");
-        }
-        let err = SimConfig::from_json_str(r#"{"sched":"warp-drive"}"#).unwrap_err();
-        assert_eq!(
-            err,
-            ConfigLoadError::Invalid("unknown sched mode `warp-drive`".to_string())
-        );
-        assert!(SimConfig::from_json_str(r#"{"sched":"parallel-epoch:0"}"#).is_err());
     }
 
     #[test]
@@ -589,25 +379,5 @@ mod tests {
         assert!(matches!(err, ConfigLoadError::Invalid(_)), "{err:?}");
         assert!(SimConfig::from_json_str(r#"{"atomics":"haswell"}"#).is_err());
         assert!(SimConfig::from_json_str(r#"{"atomics":{"rmw_l9":3}}"#).is_err());
-    }
-
-    #[test]
-    fn host_budget_combines_across_and_intra_workers() {
-        let sharded = SchedMode::ParallelEpoch { workers: 4 };
-        assert_eq!(intra_workers(sharded), 4);
-        assert_eq!(check_host_budget(sharded, 2, 8), Ok(()));
-        assert_eq!(
-            check_host_budget(sharded, 3, 8),
-            Err(Oversubscribed {
-                requested: 12,
-                available: 8
-            })
-        );
-        // Sequential modes never trip the budget: across-run
-        // oversubscription alone is supported (merely slow).
-        let seq = SchedMode::default();
-        assert_eq!(intra_workers(seq), 1);
-        assert_eq!(check_host_budget(seq, 8, 8), Ok(()));
-        assert_eq!(check_host_budget(seq, 64, 1), Ok(()));
     }
 }

@@ -50,9 +50,7 @@ pub mod report;
 mod runner;
 mod taxonomy;
 
-pub use config::{
-    check_host_budget, intra_workers, overlay_sched, ConfigLoadError, Oversubscribed, SimConfig,
-};
+pub use config::{ConfigLoadError, SimConfig};
 pub use energy::{EnergyModel, EnergyReport};
 pub use runner::{Experiment, ExperimentError, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 pub use taxonomy::{WasteBreakdown, WasteCategory};

@@ -128,7 +128,6 @@ impl Experiment {
             .protocol(cfg.protocol)
             .atomics(cfg.atomics)
             .energy(cfg.energy)
-            .sched(cfg.sched)
             .cycle_limit(cfg.cycle_limit))
     }
 
@@ -184,7 +183,9 @@ impl Experiment {
     }
 
     /// Selects the run-loop scheduling strategy (component-granular wake
-    /// scheduling by default; `[sched]` in [`SimConfig`] feeds this).
+    /// scheduling by default). Only code picks the loop: a [`SimConfig`]
+    /// has no scheduler field, so [`from_config`](Self::from_config)
+    /// leaves the default.
     /// Every [`SchedMode`] produces byte-identical results — including
     /// [`SchedMode::ParallelEpoch`] at any worker count — so it cannot
     /// change what a run measures, only how fast the host simulates it.

@@ -6,7 +6,7 @@
 //! a false collision would serve the wrong record, so the "different"
 //! half of the contract is the load-bearing one.
 
-use tenways_waste::{SchedMode, SimConfig};
+use tenways_waste::SimConfig;
 
 /// A key is 64 lowercase hex chars (SHA-256).
 fn well_formed(key: &str) -> bool {
@@ -72,24 +72,33 @@ fn flag_style_overlay_matches_file_style() {
 }
 
 #[test]
-fn sched_mode_is_not_part_of_the_key() {
-    // Every scheduler produces byte-identical results (the repo's
-    // sched-equivalence contract), so a record computed under one mode
-    // must serve requests made under any other.
-    let base = SimConfig::default();
-    for mode in [
-        SchedMode::Naive,
-        SchedMode::ComponentWake,
-        SchedMode::ParallelEpoch { workers: 2 },
-    ] {
-        let cfg = SimConfig {
-            sched: mode,
-            ..base.clone()
-        };
+fn keys_are_pinned() {
+    // Literal keys, not keys compared with each other: a key that moves
+    // orphans every `results/cache/` entry and every serve disk tier.
+    let pins = [
+        (
+            "",
+            "a3fec8a1a60906fe34385fcd12326d5284590ee2f1da8c0a3cab0783f6ff2a78",
+        ),
+        (
+            "workload = \"lu\"\nthreads = 2\nscale = 1\n",
+            "2d4d92c6907b4ca0c6ef47daae4149f0ec706c1731c4db62328479dfdbd7978a",
+        ),
+        (
+            "workload = \"contended\"\nthreads = 16\nconflict = 0.25\nmodel = \"sc\"\n\
+             spec = \"per-store:12\"\natomics = \"schweizer\"\n\
+             [machine]\nnoc_mesh = true\ndram_latency = 200\n\
+             [protocol]\ngrant_exclusive = false\n",
+            "075dce15aab7504fb06364ed49d56d2acc0099dbb37cb0233afe8da2f1a5bf45",
+        ),
+    ];
+    for (toml, pinned) in pins {
+        let key = SimConfig::from_toml_str(toml).unwrap().cache_key();
         assert_eq!(
-            cfg.cache_key(),
-            base.cache_key(),
-            "mode {mode:?} split the key"
+            key, pinned,
+            "the cache key of {toml:?} moved. A moved key orphans every \
+             results/cache/ entry and every serve disk tier; only a deliberate \
+             semantics bump (ROADMAP item 1) may update these pins"
         );
     }
 }

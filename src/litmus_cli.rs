@@ -14,7 +14,6 @@ use tenways::bench::{results_dir, BENCH_ROWS_SCHEMA_VERSION};
 use tenways::cpu::ConsistencyModel;
 use tenways::litmus::{corpus, explore, judge, ExploreOptions, LitmusTest};
 use tenways::sim::json::{Json, ToJson};
-use tenways::waste::{check_host_budget, intra_workers, overlay_sched};
 
 fn usage() -> ! {
     eprintln!(
@@ -27,18 +26,10 @@ fn usage() -> ! {
   --models <list>     comma-separated subset of sc,tso,rmo (default all)
   --points <n>        grid points per (model, spec mode) cell (default 32)
   --seed <n>          grid base seed (default 7)
-  --workers <n>       across-run worker threads: how many grid points run
-                      concurrently (default: host parallelism, divided by
-                      --sched-workers when sharding)
+  --workers <n>       worker threads: how many grid points run
+                      concurrently (default: host parallelism)
   --cycle-limit <n>   per-run cycle limit; a run that exceeds it fails
                       (default 1000000)
-  --sched <mode>      per-run scheduler: naive | component-wake |
-                      parallel-epoch (default component-wake; verdicts
-                      are identical in all modes)
-  --sched-workers <n> intra-run shard threads for --sched parallel-epoch
-                      (default: host parallelism). When sharding (n > 1),
-                      an explicit --workers x --sched-workers may not
-                      exceed the host's hardware threads
   --json <path|->     also write the report JSON to a path (- for stdout)
   --out <dir>         results directory for litmus.json (default
                       $TENWAYS_RESULTS_DIR or results/)
@@ -64,7 +55,6 @@ pub fn main(argv: &[String]) -> ! {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut models: Vec<ConsistencyModel> = ConsistencyModel::all().to_vec();
     let mut opts = ExploreOptions::default();
-    let (mut sched_mode, mut sched_workers) = (None, None);
     let mut json: Option<String> = None;
     let mut out: Option<PathBuf> = None;
     let mut quiet = false;
@@ -107,8 +97,6 @@ pub fn main(argv: &[String]) -> ! {
             "--seed" => opts.seed = number(&mut i),
             "--workers" => opts.workers = Some(number(&mut i).max(1) as usize),
             "--cycle-limit" => opts.cycle_limit = number(&mut i).max(1),
-            "--sched" => sched_mode = Some(value(&mut i).as_str()),
-            "--sched-workers" => sched_workers = Some(number(&mut i) as usize),
             "--json" | "-j" => json = Some(value(&mut i).clone()),
             "--out" => out = Some(PathBuf::from(value(&mut i))),
             "--quiet" | "-q" => quiet = true,
@@ -116,20 +104,6 @@ pub fn main(argv: &[String]) -> ! {
             other => fail(format!("unknown argument: {other}")),
         }
         i += 1;
-    }
-
-    // `--workers` fans grid points out across threads; `--sched-workers`
-    // shards each individual run. Both explicit: reject oversubscription.
-    // `--workers` left automatic: divide the host budget by the shard
-    // width so the combination fits.
-    opts.sched = overlay_sched(opts.sched, sched_mode, sched_workers).unwrap_or_else(|e| fail(e));
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match opts.workers {
-        Some(across) => check_host_budget(opts.sched, across, host).unwrap_or_else(|e| fail(e)),
-        None if intra_workers(opts.sched) > 1 => {
-            opts.workers = Some((host / intra_workers(opts.sched)).max(1));
-        }
-        None => {}
     }
 
     let mut tests: Vec<LitmusTest> = Vec::new();

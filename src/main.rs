@@ -53,12 +53,6 @@ fn usage() -> ! {
   --prefetch          enable the next-line L1 prefetcher
   --atomics <preset>  RMW/fence latency model: off | schweizer (default
                       off; schweizer = Haswell-calibrated near/far costs)
-  --sched <mode>      run-loop scheduler: naive | component-wake |
-                      parallel-epoch (default component-wake; results
-                      and --trace events are identical in all modes)
-  --sched-workers <n> intra-run shard threads for --sched parallel-epoch
-                      (default: host parallelism); distinct from the
-                      sweep/litmus --workers across-run parallelism
   --json <path|->     write the run record as JSON (- for stdout)
   --trace <path>      record an event trace (Chrome trace_event JSON)
   --breakdown         print the ten-ways cycle breakdown
@@ -121,9 +115,6 @@ fn parse_args() -> Args {
         energy: false,
         stats: false,
     };
-    // The two sched flags decode together after the loop, so their
-    // order does not matter.
-    let (mut sched_mode, mut sched_workers) = (None::<String>, None);
     let mut i = 0;
     let value = |i: &mut usize| -> String {
         *i += 1;
@@ -149,10 +140,6 @@ fn parse_args() -> Args {
             "--scale" => args.cfg.scale = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => args.cfg.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--conflict" => args.cfg.conflict = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--sched" => sched_mode = Some(value(&mut i)),
-            "--sched-workers" => {
-                sched_workers = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
             "--atomics" => {
                 let v = value(&mut i);
                 args.cfg.atomics = match v.as_str() {
@@ -181,9 +168,6 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    args.cfg.sched =
-        tenways::waste::overlay_sched(args.cfg.sched, sched_mode.as_deref(), sched_workers)
-            .unwrap_or_else(|e| fail(e));
     args
 }
 

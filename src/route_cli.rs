@@ -82,7 +82,11 @@ pub fn main(argv: &[String]) -> ! {
             "--health-interval-ms" => {
                 options.health_interval = Duration::from_millis(number(&mut i));
             }
-            "--retries" => options.retries = number(&mut i) as u32,
+            "--retries" => {
+                let n = number(&mut i);
+                options.retries = u32::try_from(n)
+                    .unwrap_or_else(|_| fail(format!("--retries {n} is more than {}", u32::MAX)));
+            }
             "--backoff-ms" => options.backoff = Duration::from_millis(number(&mut i)),
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),

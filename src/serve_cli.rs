@@ -69,8 +69,8 @@ POST /run answers {{schema_version, key, cached, record}} where `key` is
 the canonical content-address of the config and `record` the run_record.v1
 document — byte-identical on a hit, freshly simulated on a miss. A full
 admission queue answers 503 + Retry-After; a miss past --sync-timeout-ms
-answers 202 + key for later polling. Each miss simulates once, under the
-default scheduler: a request's [sched] section is ignored."
+answers 202 + key for later polling. Each miss simulates once. A config
+with an unknown field, such as a [sched] section, answers 400."
     );
     std::process::exit(2);
 }
@@ -116,7 +116,15 @@ pub fn main(argv: &[String]) -> ! {
             "--cache-dir" => options.cache_dir = PathBuf::from(value(&mut i)),
             "--workers" => options.workers = number(&mut i) as usize,
             "--mem-capacity" => options.mem_capacity = number(&mut i) as usize,
-            "--disk-budget-mb" => options.disk_budget = Some(number(&mut i) * 1024 * 1024),
+            "--disk-budget-mb" => {
+                let mb = number(&mut i);
+                let bytes = mb.checked_mul(1024 * 1024).unwrap_or_else(|| {
+                    fail(format!(
+                        "--disk-budget-mb {mb} is more bytes than a u64 holds"
+                    ))
+                });
+                options.disk_budget = Some(bytes);
+            }
             "--queue-depth" => options.queue_depth = number(&mut i) as usize,
             "--sync-timeout-ms" => options.sync_timeout_ms = Some(number(&mut i)),
             "--warm" => warm = Some(PathBuf::from(value(&mut i))),

@@ -21,14 +21,8 @@ fn usage() -> ! {
   --id <name>            sweep id (default: [sweep] id, else the file stem)
   --out <dir>            output directory (default $TENWAYS_RESULTS_DIR
                          or results/)
-  --workers <n>          across-run worker threads: how many grid points
-                         run concurrently (default: host parallelism,
-                         divided by the widest point's sched.workers).
-                         Intra-run sharding is configured separately via
-                         [sched] in the grid file; when a point shards
-                         (sched.workers > 1), an explicit --workers that
-                         oversubscribes the host (workers x sched.workers
-                         > hardware threads) is rejected
+  --workers <n>          worker threads: how many grid points run
+                         concurrently (default: host parallelism)
   --fail-fast            skip the rest of the grid after the first failure
   --max-jobs <n>         start at most n fresh jobs this invocation
   --checkpoint-every <n> checkpoint after every n completed rows

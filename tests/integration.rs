@@ -1,5 +1,8 @@
 //! Cross-crate integration tests driven through the `tenways` facade.
 
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 use tenways::prelude::*;
 
 fn small(threads: usize, scale: u64) -> WorkloadParams {
@@ -334,4 +337,126 @@ fn lockbench_layout_counter_is_protected() {
             "{kind:?} lost updates under speculation"
         );
     }
+}
+
+/// A fresh scratch directory for one CLI test.
+fn cli_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tenways-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs the `tenways` binary and returns its exit code and stderr. A
+/// process still running after 60 s is killed and fails the test, so a
+/// command that should refuse its arguments cannot hang the suite.
+fn run_tenways(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tenways"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tenways");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll tenways").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("tenways {args:?} was still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("tenways stderr");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
+#[test]
+fn oversized_numeric_flags_exit_2_before_binding() {
+    let dir = cli_dir("numeric");
+    let (port, cache) = (dir.join("port"), dir.join("cache"));
+    let common = [
+        "--addr",
+        "127.0.0.1:0",
+        "--port-file",
+        port.to_str().unwrap(),
+    ];
+    for (flag, args) in [
+        // 2^44 MiB is 2^64 bytes: one past what the budget can hold.
+        (
+            "--disk-budget-mb",
+            vec![
+                "serve",
+                "--cache-dir",
+                cache.to_str().unwrap(),
+                "--disk-budget-mb",
+                "17592186044416",
+            ],
+        ),
+        // One past u32::MAX.
+        (
+            "--retries",
+            vec![
+                "route",
+                "--backend",
+                "127.0.0.1:9",
+                "--retries",
+                "4294967296",
+            ],
+        ),
+    ] {
+        let args = [args.as_slice(), &common].concat();
+        let (code, stderr) = run_tenways(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(!port.exists(), "{args:?} bound a listener before refusing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_run_loop_is_not_a_cli_or_config_setting() {
+    let dir = cli_dir("sched");
+    let cfg = dir.join("cfg.toml");
+    std::fs::write(&cfg, "workload = \"lu\"\n[sched]\nmode = \"naive\"\n").unwrap();
+    let grid = dir.join("grid.toml");
+    std::fs::write(
+        &grid,
+        "workload = \"lu\"\nscale = 1\n[sched]\nmode = \"naive\"\n[grid]\nthreads = [2]\n",
+    )
+    .unwrap();
+    let (cfg, grid, out) = (
+        cfg.to_str().unwrap(),
+        grid.to_str().unwrap(),
+        dir.to_str().unwrap(),
+    );
+    // `--list` exits 0 once the arguments before it are accepted.
+    for (args, refusal) in [
+        (
+            vec!["--sched", "naive", "--list"],
+            "unknown argument: --sched",
+        ),
+        (
+            vec!["--sched-workers", "2", "--list"],
+            "unknown argument: --sched-workers",
+        ),
+        (
+            vec!["litmus", "--sched", "naive", "--list"],
+            "unknown argument: --sched",
+        ),
+        (
+            vec!["--config", cfg, "--list"],
+            "unknown config field `sched`",
+        ),
+        (
+            vec!["sweep", "--config", grid, "--out", out, "--quiet"],
+            "unknown config field `sched`",
+        ),
+    ] {
+        let (code, stderr) = run_tenways(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(refusal), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
