@@ -294,6 +294,7 @@ fn main() {
     };
     let sim_cycles = cold
         .record
+        .to_json()
         .get("summary")
         .and_then(|s| s.get("cycles"))
         .and_then(Json::as_u64)

@@ -8,10 +8,17 @@
 //!
 //! * an **in-memory LRU** of the hottest entries (bounded by
 //!   `mem_capacity`; a disk hit is promoted into it), and
-//! * a **disk store** under the cache directory — one
+//! * a **disk store** under the cache directory — one compact
 //!   `<key>.entry.json` file per record, written atomically via the
 //!   temp-file + rename pattern ([`crate::write_text_atomic`]), so a
 //!   crash mid-write can never corrupt an entry.
+//!
+//! A record is held as its compact rendering, a [`Record`]: the text is
+//! made once, when the record enters the cache (a `put`, or the disk hit
+//! that parses and validates an entry file), and is shared and immutable
+//! from then on. A hit hands out a reference count, not a copy, and
+//! every reply that carries the record splices the text in as it is
+//! ([`Record::render_in`]).
 //!
 //! The directory is its own index: opening a cache lists the entry
 //! files, oldest modification first (ties broken by key), with their
@@ -41,6 +48,7 @@
 //! with the hot request path.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,6 +91,74 @@ impl CacheCounters {
     }
 }
 
+/// One cached `run_record.v1` document, held as its compact rendering
+/// (`Json::to_string`). Cloning shares the text. See the
+/// [module docs](self).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record(Arc<str>);
+
+impl Record {
+    /// The compact rendering.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The record parsed back into a tree, for callers that read its
+    /// fields.
+    pub fn to_json(&self) -> Json {
+        Json::parse(&self.0).expect("a record holds rendered JSON")
+    }
+
+    /// Renders the object of `members` with `"record":<this text>` as its
+    /// last member: the bytes `Json::to_string` gives for that object
+    /// with the record tree pushed onto it. The one renderer of every
+    /// document that carries a record: the cache entry, the `/run`
+    /// answer, a done job and a `/batch` item.
+    pub fn render_in<K: Into<String>>(
+        &self,
+        members: impl IntoIterator<Item = (K, Json)>,
+    ) -> String {
+        render_with_last(&Json::obj(members), "record", &self.0)
+    }
+}
+
+impl From<&Json> for Record {
+    fn from(doc: &Json) -> Record {
+        Record(doc.to_string().into())
+    }
+}
+
+impl From<Json> for Record {
+    fn from(doc: Json) -> Record {
+        Record::from(&doc)
+    }
+}
+
+impl fmt::Display for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// Renders the object `members` with one more member, `"name":value`,
+/// where `value` is already rendered JSON.
+pub(crate) fn render_with_last(members: &Json, name: &str, value: &str) -> String {
+    let head = members.to_string();
+    let open = head.strip_suffix('}').expect("members render as an object");
+    // Room for the member, the closing brace and the newline a reply adds.
+    let mut out = String::with_capacity(open.len() + name.len() + value.len() + 6);
+    out.push_str(open);
+    if open.len() > 1 {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+    out.push_str(value);
+    out.push('}');
+    out
+}
+
 /// A point-in-time snapshot of the counters, for tests and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -110,13 +186,13 @@ struct IndexEntry {
 }
 
 /// A two-tier (memory LRU + atomic disk store) map from canonical config
-/// hashes to `run_record.v1` JSON trees. See the [module docs](self).
+/// hashes to `run_record.v1` documents. See the [module docs](self).
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
     mem_capacity: usize,
     disk_budget: Option<u64>,
-    mem: HashMap<String, Json>,
+    mem: HashMap<String, Record>,
     /// LRU order: front = least recently used, back = most recent.
     order: Vec<String>,
     /// The disk tier's entries in access order: front = least recently
@@ -218,7 +294,7 @@ impl ResultCache {
     /// order. Any disk problem — unreadable file, garbage bytes, wrong
     /// schema version, entry recorded under a different key — is a miss,
     /// never an error.
-    pub fn get(&mut self, key: &str) -> Option<Json> {
+    pub fn get(&mut self, key: &str) -> Option<Record> {
         if let Some(record) = self.mem.get(key).cloned() {
             self.touch(key);
             CacheCounters::bump(&self.counters.mem_hits);
@@ -242,15 +318,16 @@ impl ResultCache {
     /// promoting or touching anything — the read-only probe behind
     /// `GET /jobs/<key>`, whose polls must not skew the hit/miss
     /// counters or the LRU orders.
-    pub fn peek(&mut self, key: &str) -> Option<Json> {
+    pub fn peek(&mut self, key: &str) -> Option<Record> {
         if let Some(record) = self.mem.get(key) {
             return Some(record.clone());
         }
         self.load_entry(key, false)
     }
 
-    /// Stores `record` under `key` in both tiers. The entry file is
-    /// written atomically; an existing (possibly corrupt) entry under the
+    /// Stores `record` under `key` in both tiers (a [`Json`] tree is
+    /// rendered here, once). The entry file is written atomically from
+    /// the same text; an existing (possibly corrupt) entry under the
     /// same key is overwritten. When the disk budget is exceeded,
     /// least-recently-accessed entries (never the one just written) are
     /// evicted until the tier fits.
@@ -259,16 +336,15 @@ impl ResultCache {
     ///
     /// Returns a message when the disk write fails; the memory tier is
     /// updated regardless, so the current process still benefits.
-    pub fn put(&mut self, key: &str, record: Json) -> Result<(), String> {
-        let entry = Json::obj([
+    pub fn put(&mut self, key: &str, record: impl Into<Record>) -> Result<(), String> {
+        let record = record.into();
+        let mut text = record.render_in([
             ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
             ("kind", Json::from("cache_entry")),
             ("key", Json::from(key)),
-            ("record", record.clone()),
         ]);
-        self.insert_mem(key.to_string(), record);
-        let mut text = entry.pretty();
         text.push('\n');
+        self.insert_mem(key.to_string(), record);
         let bytes = text.len() as u64;
         crate::write_text_atomic(&self.entry_path(key), &text)?;
         if let Some(pos) = self.index.iter().position(|e| e.key == key) {
@@ -327,7 +403,7 @@ impl ResultCache {
 
     /// Inserts into the memory tier, evicting the least recently used
     /// entry when the capacity bound is hit.
-    fn insert_mem(&mut self, key: String, record: Json) {
+    fn insert_mem(&mut self, key: String, record: Record) {
         if self.mem_capacity == 0 {
             return;
         }
@@ -356,12 +432,13 @@ impl ResultCache {
         self.dir.join(format!("{safe}.entry.json"))
     }
 
-    /// Reads and validates one entry file; `None` on any defect.
-    /// `count_defects` suppresses the corrupt counter for [`peek`].
-    fn load_entry(&mut self, key: &str, count_defects: bool) -> Option<Json> {
+    /// Reads and validates one entry file, compact or pretty, and renders
+    /// its record; `None` on any defect. `count_defects` suppresses the
+    /// corrupt counter for [`peek`].
+    fn load_entry(&mut self, key: &str, count_defects: bool) -> Option<Record> {
         let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(_) => return None, // absent (or unreadable) = plain miss
         };
         let defect = |cache: &mut ResultCache| {
@@ -369,6 +446,9 @@ impl ResultCache {
                 CacheCounters::bump(&cache.counters.corrupt_entries);
             }
             None
+        };
+        let Ok(text) = String::from_utf8(bytes) else {
+            return defect(self);
         };
         let Ok(doc) = Json::parse(&text) else {
             return defect(self);
@@ -380,7 +460,7 @@ impl ResultCache {
             return defect(self);
         }
         match doc.get("record") {
-            Some(record @ Json::Obj(_)) => Some(record.clone()),
+            Some(record @ Json::Obj(_)) => Some(Record::from(record)),
             _ => defect(self),
         }
     }
@@ -412,17 +492,20 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    fn record(n: u64) -> Json {
-        Json::obj([("schema_version", Json::U64(1)), ("cycles", Json::U64(n))])
+    fn record(n: u64) -> Record {
+        Record::from(Json::obj([
+            ("schema_version", Json::U64(1)),
+            ("cycles", Json::U64(n)),
+        ]))
     }
 
     /// A record padded to roughly `kb` kilobytes on disk.
-    fn fat_record(n: u64, kb: usize) -> Json {
-        Json::obj([
+    fn fat_record(n: u64, kb: usize) -> Record {
+        Record::from(Json::obj([
             ("schema_version", Json::U64(1)),
             ("cycles", Json::U64(n)),
             ("pad", Json::from("x".repeat(kb * 1024))),
-        ])
+        ]))
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -557,7 +640,7 @@ mod tests {
                             guard.put(key, fat_record(i as u64, 1)).unwrap();
                         } else if let Some(record) = guard.get(key) {
                             assert_eq!(
-                                record.get("cycles").and_then(Json::as_u64),
+                                record.to_json().get("cycles").and_then(Json::as_u64),
                                 Some(i as u64),
                                 "entry under {key} served someone else's record"
                             );
@@ -696,6 +779,149 @@ mod tests {
         let path = cache.entry_path("../../etc/passwd");
         assert!(path.starts_with(&dir), "{}", path.display());
         assert!(!path.to_string_lossy().contains(".."));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record whose rendering exercises escapes, numbers in every lane
+    /// and nesting.
+    fn tricky_record() -> Json {
+        Json::obj([
+            ("schema_version", Json::U64(1)),
+            (
+                "label",
+                Json::from("quote \" slash \\ tab \t ctl \u{1} déjà 並列 🧵"),
+            ),
+            ("cycles", Json::U64(u64::MAX)),
+            ("delta", Json::I64(-42)),
+            ("useful", Json::F64(0.125)),
+            ("empty", Json::obj::<&str>([])),
+            (
+                "rows",
+                Json::arr([Json::Null, Json::Bool(true), Json::arr([])]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn render_in_equals_the_tree_rendering() {
+        let tree = tricky_record();
+        let record = Record::from(&tree);
+        assert_eq!(record.as_str(), tree.to_string());
+        assert_eq!(record.to_json(), tree);
+        let members = [("key", Json::from("k\"1")), ("n", Json::U64(3))];
+        let mut whole = members.to_vec();
+        whole.push(("record", tree.clone()));
+        assert_eq!(record.render_in(members), Json::obj(whole).to_string());
+        assert_eq!(
+            record.render_in::<&str>([]),
+            Json::obj([("record", tree)]).to_string()
+        );
+    }
+
+    #[test]
+    fn entries_are_compact_and_pretty_entries_still_read() {
+        let dir = tmp_dir("compact");
+        let mut cache = ResultCache::open(&dir, 0).unwrap();
+        let tree = tricky_record();
+        cache.put("k", tree.clone()).unwrap();
+        let entry = Json::obj([
+            ("schema_version", Json::U64(CACHE_ENTRY_SCHEMA_VERSION)),
+            ("kind", Json::from("cache_entry")),
+            ("key", Json::from("k")),
+            ("record", tree.clone()),
+        ]);
+        let path = cache.entry_path("k");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{entry}\n"),
+            "entry files are compact"
+        );
+        assert_eq!(cache.disk_bytes(), entry.to_string().len() as u64 + 1);
+        // An entry written pretty (as earlier versions did) reads back as
+        // the same record text.
+        std::fs::write(&path, format!("{}\n", entry.pretty())).unwrap();
+        let mut fresh = ResultCache::open(&dir, 4).unwrap();
+        assert_eq!(fresh.get("k"), Some(Record::from(&tree)));
+        assert_eq!(fresh.stats().corrupt_entries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fragments spliced into fuzzed entry files: the JSON delimiters and
+    /// the members the decoder checks.
+    const ENTRY_SPLICES: &[&str] = &[
+        "\"",
+        "\\",
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "null",
+        "-0",
+        "1e400",
+        "\"schema_version\":1",
+        "\"schema_version\":2",
+        "\"kind\":\"cache_entry\"",
+        "\"key\":\"k\"",
+        "\"record\":{}",
+        "\"record\":3",
+        "é",
+        "\u{0}",
+    ];
+
+    /// Mutation fuzzing of the entry decoder. Seeds are entries `put`
+    /// wrote; each case writes a few DetRng mutations of one over the
+    /// entry file and reads it through a fresh cache. Properties: no
+    /// panic; a miss counts as corrupt (the file is there, so a miss
+    /// means it failed validation); a hit's text is the compact rendering
+    /// of the file's `record` member; an unmutated entry reads back
+    /// byte-identical.
+    #[test]
+    fn mutated_entries_read_as_misses_or_as_their_record() {
+        use crate::mutator::mutate;
+        use tenways_sim::DetRng;
+
+        const CASES: u64 = 10_000;
+        let dir = tmp_dir("fuzz");
+        let records = [record(1), fat_record(2, 1), Record::from(tricky_record())];
+        let seeds: Vec<Vec<u8>> = records
+            .iter()
+            .map(|r| {
+                let mut cache = ResultCache::open(&dir, 0).unwrap();
+                cache.put("k", r.clone()).unwrap();
+                let bytes = std::fs::read(cache.entry_path("k")).unwrap();
+                let mut fresh = ResultCache::open(&dir, 0).unwrap();
+                assert_eq!(fresh.get("k").as_ref(), Some(r), "an entry reads back");
+                bytes
+            })
+            .collect();
+        let path = ResultCache::open(&dir, 0).unwrap().entry_path("k");
+        let (mut hits, mut misses) = (0, 0);
+        for case in 0..CASES {
+            let mut rng = DetRng::seed(0xCAC4E).split("cache-entry").split_index(case);
+            let mut bytes = seeds[rng.below(seeds.len() as u64) as usize].clone();
+            for _ in 0..rng.range(1, 4) {
+                mutate(&mut rng, &mut bytes, ENTRY_SPLICES);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let mut cache = ResultCache::open(&dir, 0).unwrap();
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get("k")))
+                .unwrap_or_else(|_| panic!("case {case}: the decoder panicked"));
+            match got {
+                Some(got) => {
+                    let doc = Json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+                    let member = doc.get("record").unwrap().to_string();
+                    assert_eq!(got.as_str(), member, "case {case}");
+                    hits += 1;
+                }
+                None => {
+                    assert_eq!(cache.stats().corrupt_entries, 1, "case {case}");
+                    misses += 1;
+                }
+            }
+        }
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -364,7 +364,7 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
                 continue;
             }
             if let Some(record) = store.get(&point.config.cache_key()) {
-                rows[i] = Some(cached_row(point, &record, "hit"));
+                rows[i] = Some(cached_row(point, &record.to_json(), "hit"));
                 cached += 1;
                 if params.verbose {
                     eprintln!("[sweep {}] cached {}", spec.id, point.label);

@@ -17,6 +17,11 @@
 //! connection per call), the pooled [`HttpClient`] (the router forwards
 //! through a per-backend pool of them), and the router's health probes.
 //!
+//! **Bodies.** A response body is rendered text, sent as it is: a compact
+//! JSON document and a newline. A client keeps the text it received
+//! beside the parsed document ([`HttpReply::text`]), so the router relays
+//! a backend's reply without rendering it again.
+//!
 //! The request and reply readers work over any [`Read`] and the response
 //! writer over any [`Write`], so the tests drive them with byte slices.
 
@@ -68,8 +73,19 @@ pub(crate) struct HttpRequest {
     pub(crate) keep_alive: bool,
 }
 
-/// One response: status, extra headers, JSON body.
-pub(crate) type Response = (u16, Vec<(&'static str, String)>, Json);
+/// One response: status, extra headers, and the body as sent.
+pub(crate) type Response = (u16, Vec<(&'static str, String)>, String);
+
+/// A response whose body is the rendered JSON document `text` and a
+/// newline.
+pub(crate) fn reply(
+    status: u16,
+    headers: Vec<(&'static str, String)>,
+    mut text: String,
+) -> Response {
+    text.push('\n');
+    (status, headers, text)
+}
 
 /// Wire counters of one front end (monotonic since start). The two that
 /// move on every connection and request are sharded.
@@ -89,7 +105,7 @@ impl HttpCounters {
     /// Counts one malformed request and answers it with an error document.
     pub(crate) fn bad_request(&self, status: u16, message: &str) -> Response {
         self.bad_requests.fetch_add(1, Ordering::Relaxed);
-        (status, Vec::new(), error_doc(message))
+        reply(status, Vec::new(), error_doc(message))
     }
 }
 
@@ -105,8 +121,9 @@ pub(crate) trait Handler: Send + Sync + 'static {
     fn handle(&self, request: &HttpRequest) -> Response;
 }
 
-pub(crate) fn error_doc(message: &str) -> Json {
-    Json::obj([("error", Json::from(message))])
+/// The rendered `{"error": message}` document.
+pub(crate) fn error_doc(message: &str) -> String {
+    Json::obj([("error", Json::from(message))]).to_string()
 }
 
 /// Serves `handler` on `listener`: poll-accept (so the shutdown flag is
@@ -186,13 +203,13 @@ fn connection_loop<H: Handler>(
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(e) => {
-                let (status, headers, doc) = counters.bad_request(400, &e);
-                write_response(&mut stream, status, &headers, &doc, false);
+                let (status, headers, body) = counters.bad_request(400, &e);
+                write_response(&mut stream, status, &headers, &body, false);
                 return;
             }
         };
         counters.requests.incr();
-        let (status, headers, doc) = handler.handle(&request);
+        let (status, headers, body) = handler.handle(&request);
         if verbose {
             eprintln!(
                 "[{}] {} {} -> {status}",
@@ -202,7 +219,7 @@ fn connection_loop<H: Handler>(
             );
         }
         let keep = request.keep_alive && !shutdown.load(Ordering::Relaxed);
-        write_response(&mut stream, status, &headers, &doc, keep);
+        write_response(&mut stream, status, &headers, &body, keep);
         if !keep {
             return;
         }
@@ -376,18 +393,16 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response (plus any extra headers). The `Connection`
-/// header tells the client whether the server will read another request
-/// from this socket.
+/// Writes one response with a JSON body (plus any extra headers). The
+/// `Connection` header tells the client whether the server will read
+/// another request from this socket.
 fn write_response(
     writer: &mut impl Write,
     status: u16,
     extra_headers: &[(&str, String)],
-    doc: &Json,
+    body: &str,
     keep_alive: bool,
 ) {
-    let mut body = doc.pretty();
-    body.push('\n');
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
@@ -401,7 +416,7 @@ fn write_response(
     // One write for head + body: a split write would let Nagle hold the
     // body back until the head's delayed ACK (~40 ms per response on a
     // persistent connection).
-    head.push_str(&body);
+    head.push_str(body);
     let _ = writer.write_all(head.as_bytes());
     let _ = writer.flush();
 }
@@ -413,6 +428,8 @@ pub struct HttpReply {
     pub status: u16,
     /// Response headers, lowercased names, in wire order.
     pub headers: Vec<(String, String)>,
+    /// The body exactly as received.
+    pub text: String,
     /// The parsed JSON body.
     pub body: Json,
 }
@@ -464,6 +481,21 @@ pub(crate) fn exchange(
     body: Option<(&str, &str)>, // (content type, payload)
     keep_alive: bool,
 ) -> Result<HttpReply, String> {
+    let request = request_text(host, method, path, body, keep_alive);
+    stream
+        .write_all(request.as_bytes())
+        .map_err(|e| format!("send: {e}"))?;
+    read_reply(stream)
+}
+
+/// The request [`exchange`] sends.
+fn request_text(
+    host: &str,
+    method: &str,
+    path: &str,
+    body: Option<(&str, &str)>,
+    keep_alive: bool,
+) -> String {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut request =
         format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: {connection}\r\n");
@@ -474,10 +506,7 @@ pub(crate) fn exchange(
         )),
         None => request.push_str("\r\n"),
     }
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-    read_reply(stream)
+    request
 }
 
 /// Reads one response, bounded by its `Content-Length` (which this
@@ -525,6 +554,7 @@ fn read_reply(reader: &mut impl Read) -> Result<HttpReply, String> {
     Ok(HttpReply {
         status,
         headers,
+        text,
         body,
     })
 }
@@ -634,7 +664,9 @@ impl HttpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutator::mutate;
     use std::collections::VecDeque;
+    use tenways_sim::DetRng;
 
     /// Hands out one scripted chunk per read (split further if the
     /// caller's buffer is smaller); an empty chunk is a read that times
@@ -774,14 +806,10 @@ mod tests {
     #[test]
     fn written_response_reads_back_through_the_reply_reader() {
         let doc = Json::obj([("ok", Json::Bool(true))]);
+        let (status, headers, body) =
+            reply(503, vec![("Retry-After", "1".to_string())], doc.to_string());
         let mut wire = Vec::new();
-        write_response(
-            &mut wire,
-            503,
-            &[("Retry-After", "1".to_string())],
-            &doc,
-            false,
-        );
+        write_response(&mut wire, status, &headers, &body, false);
         // Bytes past the Content-Length are not part of the reply.
         wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
         let chunks: Vec<&[u8]> = wire.chunks(7).collect();
@@ -790,11 +818,201 @@ mod tests {
         assert_eq!(reply.header("Retry-After"), Some("1"));
         assert_eq!(reply.header("connection"), Some("close"));
         assert_eq!(reply.body.to_string(), doc.to_string());
+        assert_eq!(reply.text, format!("{doc}\n"), "the body as written");
 
         let short = b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}";
         assert_eq!(
             read_reply(&mut &short[..]).unwrap_err(),
             "connection closed mid-response"
+        );
+    }
+
+    /// Fragments spliced into fuzzed messages: the delimiters and headers
+    /// the readers branch on, and lengths at and past the size cap.
+    const WIRE_SPLICES: &[&str] = &[
+        "\r\n",
+        "\r\n\r\n",
+        "\r",
+        ":",
+        " ",
+        "HTTP/1.0",
+        "Connection: close\r\n",
+        "Connection: keep-alive\r\n",
+        "Content-Length: 0\r\n",
+        "Content-Length: 4194305\r\n",
+        "Content-Length: 18446744073709551616\r\n",
+        "Content-Length: -1\r\n",
+        "Content-Type: application/toml\r\n",
+        "é",
+        "\u{0}",
+    ];
+
+    /// Requests in [`exchange`]'s format, and two of them pipelined.
+    fn request_seeds() -> Vec<Vec<u8>> {
+        let run = r#"{"workload":"lu","threads":2,"scale":1}"#;
+        let toml = "workload = \"lu\"\nthreads = 2\n";
+        let batch = r#"{"configs":[{"label":"a","config":{"workload":"lu"}}]}"#;
+        let mut seeds: Vec<Vec<u8>> = [
+            request_text(
+                "127.0.0.1:1",
+                "POST",
+                "/run",
+                Some(("application/json", run)),
+                true,
+            ),
+            request_text("h", "POST", "/run", Some(("application/toml", toml)), false),
+            request_text(
+                "h",
+                "POST",
+                "/batch",
+                Some(("application/json", batch)),
+                true,
+            ),
+            request_text("h", "GET", "/stats", None, false),
+            request_text("h", "GET", "/jobs/0123abcd", None, true),
+        ]
+        .into_iter()
+        .map(String::into_bytes)
+        .collect();
+        seeds.push([seeds[0].clone(), seeds[3].clone()].concat());
+        seeds
+    }
+
+    /// Replies as [`write_response`] writes them, with their statuses and
+    /// bodies.
+    fn reply_seeds() -> Vec<(Vec<u8>, u16, String)> {
+        let record = Json::obj([("label", Json::from("é \" \\ \n")), ("n", Json::U64(1))]);
+        [
+            reply(200, Vec::new(), Json::obj([("record", record)]).to_string()),
+            reply(
+                202,
+                Vec::new(),
+                Json::obj([("status", Json::from("pending"))]).to_string(),
+            ),
+            reply(
+                503,
+                vec![("Retry-After", "1".to_string())],
+                error_doc("queue full"),
+            ),
+            reply(404, Vec::new(), error_doc("no such endpoint: GET /x")),
+        ]
+        .into_iter()
+        .map(|(status, headers, body)| {
+            let mut wire = Vec::new();
+            write_response(&mut wire, status, &headers, &body, status == 200);
+            (wire, status, body)
+        })
+        .collect()
+    }
+
+    /// `bytes` cut into a DetRng-drawn script of reads, with a read that
+    /// times out before about one in ten of them when `timeouts` is set.
+    fn trickle(rng: &mut DetRng, bytes: &[u8], timeouts: bool) -> Trickle {
+        let mut chunks = VecDeque::new();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            if timeouts && rng.chance(0.1) {
+                chunks.push_back(Vec::new());
+            }
+            let n = (rng.range(1, 64) as usize).min(rest.len());
+            chunks.push_back(rest[..n].to_vec());
+            rest = &rest[n..];
+        }
+        Trickle(chunks)
+    }
+
+    /// Every request on one connection's bytes, rendered with `Debug` so
+    /// two reads compare, or the error that ended it.
+    fn read_all(reader: &mut impl Read) -> Result<Vec<String>, String> {
+        let (mut carry, running) = (Vec::new(), AtomicBool::new(false));
+        let mut requests = Vec::new();
+        while let Some(r) = read_request(reader, &mut carry, KEEP_ALIVE_IDLE, &running)? {
+            assert!(r.body.len() <= MAX_REQUEST_BYTES, "body over the cap");
+            requests.push(format!("{r:?}"));
+        }
+        Ok(requests)
+    }
+
+    /// Mutation fuzzing of [`read_request`] on DetRng mutants of the
+    /// request seeds, fed whole and as a trickle of reads with timeouts.
+    /// Properties: no panic, no body over the cap, and the same requests
+    /// or error however the bytes arrive.
+    #[test]
+    fn mutated_requests_never_panic_and_read_alike_however_they_arrive() {
+        const CASES: u64 = 10_000;
+        let seeds = request_seeds();
+        for seed in &seeds {
+            assert!(!read_all(&mut &seed[..]).unwrap().is_empty());
+        }
+        let mut accepted = 0;
+        for case in 0..CASES {
+            let mut rng = DetRng::seed(0x4771).split("read-request").split_index(case);
+            let mut bytes = seeds[rng.below(seeds.len() as u64) as usize].clone();
+            for _ in 0..rng.range(1, 4) {
+                mutate(&mut rng, &mut bytes, WIRE_SPLICES);
+            }
+            let mut trickled = trickle(&mut rng, &bytes, true);
+            let (whole, split) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (read_all(&mut &bytes[..]), read_all(&mut trickled))
+            }))
+            .unwrap_or_else(|_| panic!("case {case}: the request reader panicked"));
+            assert_eq!(whole, split, "case {case}");
+            accepted += usize::from(whole.is_ok_and(|r| !r.is_empty()));
+        }
+        assert!(
+            accepted > 0 && accepted < CASES as usize,
+            "{accepted} accepted"
+        );
+    }
+
+    /// Mutation fuzzing of [`read_reply`] on DetRng mutants of written
+    /// replies, fed whole and as a trickle of reads. Properties: no
+    /// panic; the same reply or error however the bytes arrive; an
+    /// accepted reply's text is within the cap and parses to its body;
+    /// and an unmutated reply reads back with its text byte-identical to
+    /// the body written.
+    #[test]
+    fn mutated_replies_never_panic_and_written_ones_read_back_exactly() {
+        const CASES: u64 = 10_000;
+        let seeds = reply_seeds();
+        let mut rng = DetRng::seed(0x4772).split("read-reply");
+        for (wire, status, body) in &seeds {
+            for mut reader in [Trickle::new(&[wire]), trickle(&mut rng, wire, false)] {
+                let reply = read_reply(&mut reader).unwrap();
+                assert_eq!(reply.status, *status);
+                assert_eq!(reply.text, *body, "the body as written");
+                assert_eq!(Json::parse(body).as_ref(), Ok(&reply.body));
+            }
+        }
+        let project = |reply: Result<HttpReply, String>| {
+            reply.map(|r| {
+                assert!(r.text.len() <= MAX_REQUEST_BYTES, "body over the cap");
+                assert_eq!(Json::parse(&r.text).as_ref(), Ok(&r.body));
+                (r.status, r.headers, r.text)
+            })
+        };
+        let mut accepted = 0;
+        for case in 0..CASES {
+            let mut rng = DetRng::seed(0x4772).split("read-reply").split_index(case);
+            let (seed, _, _) = &seeds[rng.below(seeds.len() as u64) as usize];
+            let mut bytes = seed.clone();
+            for _ in 0..rng.range(1, 4) {
+                mutate(&mut rng, &mut bytes, WIRE_SPLICES);
+            }
+            let mut trickled = trickle(&mut rng, &bytes, false);
+            let (whole, split) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (
+                    project(read_reply(&mut &bytes[..])),
+                    project(read_reply(&mut trickled)),
+                )
+            }))
+            .unwrap_or_else(|_| panic!("case {case}: the reply reader panicked"));
+            assert_eq!(whole, split, "case {case}");
+            accepted += usize::from(whole.is_ok());
+        }
+        assert!(
+            accepted > 0 && accepted < CASES as usize,
+            "{accepted} accepted"
         );
     }
 }

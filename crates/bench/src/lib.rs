@@ -35,7 +35,14 @@ pub mod router;
 pub mod serve;
 pub mod sweep;
 
-pub use cache::{CacheCounters, CacheStats, ResultCache, CACHE_ENTRY_SCHEMA_VERSION};
+/// The DetRng mutator the parser fuzz tests share, for the fuzz targets
+/// of the HTTP readers and the cache-entry decoder.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../sim/tests/common/mod.rs"]
+mod mutator;
+
+pub use cache::{CacheCounters, CacheStats, Record, ResultCache, CACHE_ENTRY_SCHEMA_VERSION};
 pub use grid::{run_sweep, run_sweep_server, SweepParams, SweepPoint, SweepReport, SweepSpec};
 pub use http::{http_call, http_request, HttpClient, HttpReply};
 pub use router::{

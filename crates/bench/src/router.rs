@@ -39,8 +39,11 @@
 //!   document (per-backend detail + cluster totals).
 //!
 //! Endpoints: `POST /run` and `GET /jobs/<key>` proxy to the owning
-//! shard; `POST /batch` splits into per-backend sub-batches, posts them
-//! concurrently, and merges the per-key statuses back into input order;
+//! shard, relaying its status, `Retry-After` and body text unchanged (the
+//! body is still parsed on receipt, so a malformed one is a transport
+//! failure that marks the backend down); `POST /batch` splits into
+//! per-backend sub-batches, posts them concurrently, and merges the
+//! parsed per-key statuses back into input order;
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
 //! backend census. Clients need no changes: the router speaks the same
 //! `serve_response.v2`/`serve_batch.v1` documents as a single backend
@@ -58,8 +61,8 @@ use tenways_sim::Sha256;
 use tenways_waste::SimConfig;
 
 use crate::http::{
-    self, connect, error_doc, exchange, Handler, HttpClient, HttpCounters, HttpReply, HttpRequest,
-    Response,
+    self, connect, error_doc, exchange, reply, Handler, HttpClient, HttpCounters, HttpReply,
+    HttpRequest, Response,
 };
 use crate::serve::{
     batch_body, batch_reply, first_appearances, parse_batch_body, parse_run_body, ShardedCounter,
@@ -279,9 +282,9 @@ impl Router {
     }
 
     /// Forwards one keyed request to its owner, retrying with backoff on
-    /// 503 and transport failure. The owner is re-resolved each attempt,
-    /// so a mark-down re-routes the retry to the key's next-ranked live
-    /// backend.
+    /// 503 and transport failure. The key is ranked once; each attempt
+    /// takes the first ranked backend that is up, so a mark-down
+    /// re-routes the retry to the key's next-ranked live backend.
     ///
     /// # Errors
     ///
@@ -294,11 +297,15 @@ impl Router {
         path: &str,
         body: Option<(&str, &str)>,
     ) -> Result<HttpReply, String> {
-        let home = self.rank(key)[0];
+        let ranked = self.rank(key);
         let mut backoff = self.backoff;
         let mut attempt = 0u32;
         loop {
-            let Some(idx) = self.owner(key) else {
+            let live = ranked
+                .iter()
+                .copied()
+                .find(|&i| self.backends[i].up.load(Ordering::Relaxed));
+            let Some(idx) = live else {
                 return Err("no live backend".to_string());
             };
             match self.backend_request(&self.backends[idx], method, path, body) {
@@ -308,7 +315,7 @@ impl Router {
                     // stays the same unless the monitor says otherwise.
                 }
                 Ok(reply) => {
-                    if idx != home {
+                    if idx != ranked[0] {
                         self.counters.rerouted.fetch_add(1, Ordering::Relaxed);
                     }
                     self.counters.proxied.incr();
@@ -355,8 +362,8 @@ impl Router {
     /// input order. A sub-batch whose backend fails mid-post is
     /// re-grouped over the survivors (the failed backend is already
     /// marked down) for up to `retries` extra rounds; keys that still
-    /// cannot be placed report `rejected`.
-    fn forward_batch(&self, configs: &[(String, SimConfig)]) -> Json {
+    /// cannot be placed report `rejected`. Returns the rendered reply.
+    fn forward_batch(&self, configs: &[(String, SimConfig)]) -> String {
         let keys: Vec<String> = configs.iter().map(|(_, cfg)| cfg.cache_key()).collect();
         // Distinct keys, first-appearance order: the cluster-wide dedup
         // (each key is posted to exactly one backend, whose own
@@ -452,19 +459,21 @@ impl Router {
         }
         // Every distinct key now has a status. The backend echoed the
         // first-appearance label; each item gets its own back, and every
-        // other byte passes through.
-        let results = configs
+        // other member passes through.
+        let results: Vec<(&str, String)> = configs
             .iter()
             .zip(&keys)
             .map(|((label, _), key)| {
+                let status = &statuses[key.as_str()];
                 let mut item = vec![("label".to_string(), Json::from(label.as_str()))];
-                if let Json::Obj(pairs) = &statuses[key.as_str()] {
+                if let Json::Obj(pairs) = status {
                     item.extend(pairs.iter().filter(|(name, _)| name != "label").cloned());
                 }
-                Json::Obj(item)
+                let name = status.get("status").and_then(Json::as_str).unwrap_or("");
+                (name, Json::Obj(item).to_string())
             })
             .collect();
-        batch_reply(unique, results)
+        batch_reply(unique, &results)
     }
 
     /// The `GET /stats` aggregation: router counters, per-backend detail
@@ -605,13 +614,14 @@ fn monitor_loop(backends: &[Arc<Backend>], interval: Duration, shutdown: &Atomic
     }
 }
 
-/// Relays a backend reply to the client, preserving `Retry-After`.
+/// Relays a backend reply to the client: its status, `Retry-After`, and
+/// its body text as received.
 fn relay(reply: HttpReply) -> Response {
     let mut headers = Vec::new();
     if let Some(v) = reply.header("retry-after") {
         headers.push(("Retry-After", v.to_string()));
     }
-    (reply.status, headers, reply.body)
+    (reply.status, headers, reply.text)
 }
 
 impl Handler for Router {
@@ -622,11 +632,11 @@ impl Handler for Router {
     }
 
     fn handle(&self, request: &HttpRequest) -> Response {
-        let plain = |status: u16, doc: Json| (status, Vec::new(), doc);
+        let plain = |status: u16, text: String| reply(status, Vec::new(), text);
         let bad_request = |status, message: &str| self.counters.http.bad_request(status, message);
         let give_up = |e: String| {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            (
+            reply(
                 503,
                 vec![("Retry-After", ROUTE_RETRY_AFTER_S.to_string())],
                 error_doc(&e),
@@ -652,7 +662,7 @@ impl Handler for Router {
                 Ok(configs) => plain(200, self.forward_batch(&configs)),
                 Err(e) => bad_request(400, &e),
             },
-            ("GET", "/stats") => plain(200, self.cluster_stats_json()),
+            ("GET", "/stats") => plain(200, self.cluster_stats_json().to_string()),
             ("GET", "/healthz") => {
                 let up = self.backends_up();
                 plain(
@@ -661,7 +671,8 @@ impl Handler for Router {
                         ("ok", Json::Bool(up > 0)),
                         ("backends_up", Json::from(up)),
                         ("backends_total", Json::from(self.backends.len())),
-                    ]),
+                    ])
+                    .to_string(),
                 )
             }
             ("GET", path) if path.starts_with("/jobs/") => {
@@ -1138,5 +1149,94 @@ mod tests {
         assert_eq!(router_doc.get("requests").and_then(Json::as_u64), Some(5));
         assert_eq!(router_doc.get("proxied").and_then(Json::as_u64), Some(4));
         assert_eq!(router_doc.get("rejected").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn relayed_replies_are_byte_identical_to_the_owners() {
+        let cluster = TestCluster::start("relay", 1);
+        let body = small_cfg(1).to_json().to_string();
+        let mut routed = HttpClient::new(cluster.addr.clone());
+        let mut direct = HttpClient::new(cluster.backends[0].addr.clone());
+        let post = |client: &mut HttpClient| {
+            let reply = client
+                .request("POST", "/run", Some(("application/json", &body)))
+                .unwrap();
+            assert_eq!(reply.status, 200);
+            reply
+        };
+        let cold = post(&mut routed);
+        let key = cold.body.get("key").and_then(Json::as_str).unwrap();
+        // Both answers are now hits of the same key.
+        let (via_router, from_owner) = (post(&mut routed), post(&mut direct));
+        assert_eq!(via_router.text, from_owner.text);
+        assert!(via_router.text.ends_with("}\n"), "one trailing newline");
+        let path = format!("/jobs/{key}");
+        let job_routed = routed.request("GET", &path, None).unwrap();
+        let job_direct = direct.request("GET", &path, None).unwrap();
+        assert_eq!(job_routed.status, 200);
+        assert_eq!(job_routed.text, job_direct.text);
+        assert!(job_routed.text.ends_with("}\n"), "one trailing newline");
+    }
+
+    /// A backend whose health probe answers JSON and whose every other
+    /// reply is a 200 with a body that is not JSON.
+    struct Garbled(HttpCounters);
+
+    impl Handler for Garbled {
+        const TAG: &'static str = "garbled";
+
+        fn http_counters(&self) -> &HttpCounters {
+            &self.0
+        }
+
+        fn handle(&self, request: &HttpRequest) -> Response {
+            if request.path == "/healthz" {
+                return reply(200, Vec::new(), r#"{"ok":true}"#.to_string());
+            }
+            (200, Vec::new(), "not json from the backend\n".to_string())
+        }
+    }
+
+    #[test]
+    fn a_backend_answering_malformed_bodies_is_marked_down() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            let garbled = Arc::new(Garbled(HttpCounters::default()));
+            std::thread::spawn(move || http::serve(garbled, listener, None, false, stop))
+        };
+        let router = Router::new(RouterOptions {
+            backends: vec![addr],
+            health_interval: Duration::from_secs(600),
+            retries: 1,
+            backoff: Duration::from_millis(1),
+        })
+        .unwrap();
+        assert_eq!(router.backends_up(), 1, "its health probe answers JSON");
+        let request = HttpRequest {
+            method: "POST".to_string(),
+            path: "/run".to_string(),
+            content_type: "application/json".to_string(),
+            body: small_cfg(1).to_json().to_string(),
+            keep_alive: true,
+        };
+        let (status, _, body) = router.handle(&request);
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            !body.contains("not json"),
+            "the body reached the client: {body}"
+        );
+        assert!(Json::parse(&body).is_ok(), "{body}");
+        let backend = &router.backends[0];
+        assert!(backend.errors.load(Ordering::Relaxed) >= 1);
+        assert!(
+            backend.transitions.load(Ordering::Relaxed) >= 1,
+            "the backend was marked down"
+        );
+        drop(router);
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
     }
 }

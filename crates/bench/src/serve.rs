@@ -63,9 +63,9 @@ use std::time::{Duration, Instant};
 use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, SimConfig};
 
-use crate::cache::{CacheCounters, ResultCache};
+use crate::cache::{render_with_last, CacheCounters, Record, ResultCache};
 use crate::grid::SweepSpec;
-use crate::http::{self, error_doc, Handler, HttpCounters, HttpRequest, Response};
+use crate::http::{self, error_doc, reply, Handler, HttpCounters, HttpRequest, Response};
 use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
 
 /// Version of the serve response document layouts (`/run`, `/batch`,
@@ -218,17 +218,16 @@ pub struct Answer {
     /// in-flight simulation see, since their request did trigger a wait).
     pub cached: bool,
     /// The `run_record.v1` document, byte-identical to the original run.
-    pub record: Json,
+    pub record: Record,
 }
 
 impl Answer {
-    /// The `POST /run` response document.
-    pub fn to_response_json(&self) -> Json {
-        Json::obj([
+    /// The `POST /run` response document, rendered.
+    pub fn to_response_json(&self) -> String {
+        self.record.render_in([
             ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-            ("key", Json::from(self.key.clone())),
+            ("key", Json::from(self.key.as_str())),
             ("cached", Json::Bool(self.cached)),
-            ("record", self.record.clone()),
         ])
     }
 }
@@ -241,7 +240,7 @@ pub enum JobView {
     /// A worker is simulating it right now.
     Running,
     /// The record is in the cache.
-    Done(Json),
+    Done(Record),
     /// The simulation failed; the service remembers recent failures.
     Failed(String),
     /// The service has never seen this key (or has forgotten a failure).
@@ -260,8 +259,8 @@ impl JobView {
         }
     }
 
-    /// The `GET /jobs/<key>` response document.
-    pub fn to_response_json(&self, key: &str) -> Json {
+    /// The `GET /jobs/<key>` response document, rendered.
+    pub fn to_response_json(&self, key: &str) -> String {
         let mut pairs = vec![
             (
                 "schema_version".to_string(),
@@ -271,11 +270,11 @@ impl JobView {
             ("status".to_string(), Json::from(self.status())),
         ];
         match self {
-            JobView::Done(record) => pairs.push(("record".to_string(), record.clone())),
-            JobView::Failed(e) => pairs.push(("error".to_string(), Json::from(e.clone()))),
+            JobView::Done(record) => return record.render_in(pairs),
+            JobView::Failed(e) => pairs.push(("error".to_string(), Json::from(e.as_str()))),
             _ => {}
         }
-        Json::Obj(pairs)
+        Json::Obj(pairs).to_string()
     }
 }
 
@@ -283,9 +282,9 @@ impl JobView {
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchStatus {
     /// Served from the cache without simulating.
-    Cached(Json),
+    Cached(Record),
     /// Simulated (or joined) within the batch deadline.
-    Computed(Json),
+    Computed(Record),
     /// Admitted but not finished by the deadline; poll `/jobs/<key>`.
     Queued,
     /// The admission queue was full; the key was not admitted.
@@ -307,7 +306,7 @@ impl BatchStatus {
     }
 
     /// The served record, when there is one.
-    pub fn record(&self) -> Option<&Json> {
+    pub fn record(&self) -> Option<&Record> {
         match self {
             BatchStatus::Cached(r) | BatchStatus::Computed(r) => Some(r),
             _ => None,
@@ -336,31 +335,34 @@ pub struct BatchReport {
     pub unique: usize,
 }
 
-impl ToJson for BatchItem {
-    /// One `results` entry of the `POST /batch` reply.
-    fn to_json(&self) -> Json {
+impl BatchItem {
+    /// One `results` entry of the `POST /batch` reply, rendered.
+    pub fn to_response_json(&self) -> String {
         let mut pairs = vec![
             ("label".to_string(), Json::from(self.label.as_str())),
             ("key".to_string(), Json::from(self.key.as_str())),
             ("status".to_string(), Json::from(self.status.status())),
         ];
-        if let Some(record) = self.status.record() {
-            pairs.push(("record".to_string(), record.clone()));
+        match &self.status {
+            BatchStatus::Cached(record) | BatchStatus::Computed(record) => {
+                return record.render_in(pairs)
+            }
+            BatchStatus::Failed(e) => pairs.push(("error".to_string(), Json::from(e.as_str()))),
+            BatchStatus::Queued | BatchStatus::Rejected => {}
         }
-        if let BatchStatus::Failed(e) = &self.status {
-            pairs.push(("error".to_string(), Json::from(e.as_str())));
-        }
-        Json::Obj(pairs)
+        Json::Obj(pairs).to_string()
     }
 }
 
 impl BatchReport {
-    /// The `POST /batch` response document.
-    pub fn to_response_json(&self) -> Json {
-        batch_reply(
-            self.unique,
-            self.items.iter().map(ToJson::to_json).collect(),
-        )
+    /// The `POST /batch` response document, rendered.
+    pub fn to_response_json(&self) -> String {
+        let results: Vec<(&str, String)> = self
+            .items
+            .iter()
+            .map(|item| (item.status.status(), item.to_response_json()))
+            .collect();
+        batch_reply(self.unique, &results)
     }
 }
 
@@ -386,7 +388,7 @@ struct Counters {
 /// One in-flight simulation that waiters rendezvous on.
 #[derive(Debug, Default)]
 struct Flight {
-    slot: Mutex<Option<Result<Json, String>>>,
+    slot: Mutex<Option<Result<Record, String>>>,
     done: Condvar,
     /// False while queued, true once a worker picked the job up.
     running: AtomicBool,
@@ -396,7 +398,7 @@ impl Flight {
     /// Waits until the flight lands, or until `deadline` passes (`None`
     /// waits forever); `None` on timeout (the flight keeps going — the
     /// caller polls later).
-    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<Json, String>> {
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<Record, String>> {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = &*slot {
@@ -416,7 +418,7 @@ impl Flight {
         }
     }
 
-    fn fill(&self, result: Result<Json, String>) {
+    fn fill(&self, result: Result<Record, String>) {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         *slot = Some(result);
         self.done.notify_all();
@@ -788,6 +790,7 @@ impl SimService {
             let outcome = runner.run_one(&job);
             let result = match outcome.result {
                 Ok(record) => {
+                    let record = Record::from(record);
                     let put = {
                         let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
                         cache.put(&key, record.clone())
@@ -819,7 +822,7 @@ impl SimService {
         })
     }
 
-    fn lookup(&self, key: &str) -> Option<Json> {
+    fn lookup(&self, key: &str) -> Option<Record> {
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         cache.get(key)
     }
@@ -957,7 +960,7 @@ pub struct WarmReport {
 enum Admitted {
     /// The cache answered: a hit, or a flight that landed during
     /// admission.
-    Hit(Json),
+    Hit(Record),
     /// A flight to wait on (led or joined).
     Flight(Arc<Flight>),
 }
@@ -1013,17 +1016,15 @@ pub fn batch_body<'a, L: AsRef<str>>(
     Json::obj([("configs", Json::Arr(configs))]).to_string()
 }
 
-/// The `POST /batch` reply (`serve_batch.v1`) over its rendered result
-/// items, in input order, of which `unique` distinct keys. The status
-/// counts are read off the items, so a node's [`BatchReport`] and the
-/// router's merge of its backends' replies render the same document.
-pub(crate) fn batch_reply(unique: usize, results: Vec<Json>) -> Json {
-    let count = |status: &str| {
-        let matches = |item: &&Json| item.get("status").and_then(Json::as_str) == Some(status);
-        Json::from(results.iter().filter(matches).count())
-    };
+/// The rendered `POST /batch` reply (`serve_batch.v1`) over its result
+/// items, in input order, each given as its status and its rendering;
+/// `unique` of them have distinct keys. The status counts are read off
+/// the items, so a node's [`BatchReport`] and the router's merge of its
+/// backends' replies render the same document.
+pub(crate) fn batch_reply(unique: usize, results: &[(&str, String)]) -> String {
+    let count = |status: &str| Json::from(results.iter().filter(|(s, _)| *s == status).count());
     let total = results.len();
-    Json::obj([
+    let members = Json::obj([
         ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
         ("total", Json::from(total)),
         ("unique", Json::from(unique)),
@@ -1033,8 +1034,9 @@ pub(crate) fn batch_reply(unique: usize, results: Vec<Json>) -> Json {
         ("queued", count("queued")),
         ("rejected", count("rejected")),
         ("failed", count("failed")),
-        ("results", Json::Arr(results)),
-    ])
+    ]);
+    let items: Vec<&str> = results.iter().map(|(_, item)| item.as_str()).collect();
+    render_with_last(&members, "results", &format!("[{}]", items.join(",")))
 }
 
 /// Parses a `POST /batch` body into labelled configs. Three accepted
@@ -1124,7 +1126,7 @@ impl Handler for SimService {
     }
 
     fn handle(&self, request: &HttpRequest) -> Response {
-        let plain = |status: u16, doc: Json| (status, Vec::new(), doc);
+        let plain = |status: u16, text: String| reply(status, Vec::new(), text);
         let bad_request = |status, message: &str| self.counters.http.bad_request(status, message);
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/run") => {
@@ -1141,12 +1143,13 @@ impl Handler for SimService {
                             ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
                             ("key", Json::from(key)),
                             ("status", Json::from("pending")),
-                        ]),
+                        ])
+                        .to_string(),
                     ),
-                    Err(ServeError::Rejected { key, queue_depth }) => (
+                    Err(ServeError::Rejected { key, queue_depth }) => reply(
                         503,
                         vec![("Retry-After", RETRY_AFTER_S.to_string())],
-                        rejection_doc(&key, queue_depth),
+                        rejection_doc(&key, queue_depth).to_string(),
                     ),
                     Err(e @ ServeError::CacheOnly { .. }) => plain(503, error_doc(&e.to_string())),
                     Err(e @ ServeError::Sim(_)) => plain(500, error_doc(&e.to_string())),
@@ -1159,8 +1162,8 @@ impl Handler for SimService {
                 }
                 Err(e) => bad_request(400, &e),
             },
-            ("GET", "/stats") => plain(200, self.stats_json()),
-            ("GET", "/healthz") => plain(200, Json::obj([("ok", Json::Bool(true))])),
+            ("GET", "/stats") => plain(200, self.stats_json().to_string()),
+            ("GET", "/healthz") => plain(200, Json::obj([("ok", Json::Bool(true))]).to_string()),
             ("GET", path) if path.starts_with("/jobs/") => {
                 let key = &path["/jobs/".len()..];
                 let view = self.job_status(key);
@@ -1250,6 +1253,93 @@ mod tests {
             ..ServeOptions::default()
         })
         .unwrap()
+    }
+
+    #[test]
+    fn spliced_replies_equal_the_tree_rendering() {
+        let tree = Json::obj([
+            ("schema_version", Json::U64(1)),
+            ("label", Json::from("déjà \"vu\" \\ \n")),
+            ("cycles", Json::U64(7)),
+            ("useful", Json::F64(0.5)),
+        ]);
+        let record = Record::from(&tree);
+        let version = || ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION));
+        let answer = Answer {
+            key: "k1".to_string(),
+            cached: true,
+            record: record.clone(),
+        };
+        let expected = Json::obj([
+            version(),
+            ("key", Json::from("k1")),
+            ("cached", Json::Bool(true)),
+            ("record", tree.clone()),
+        ]);
+        assert_eq!(answer.to_response_json(), expected.to_string());
+        let expected = Json::obj([
+            version(),
+            ("key", Json::from("k1")),
+            ("status", Json::from("done")),
+            ("record", tree.clone()),
+        ]);
+        assert_eq!(
+            JobView::Done(record.clone()).to_response_json("k1"),
+            expected.to_string()
+        );
+
+        let statuses = [
+            BatchStatus::Cached(record.clone()),
+            BatchStatus::Computed(record.clone()),
+            BatchStatus::Queued,
+            BatchStatus::Rejected,
+            BatchStatus::Failed("boom".to_string()),
+            BatchStatus::Cached(record),
+        ];
+        let items: Vec<BatchItem> = statuses
+            .into_iter()
+            .enumerate()
+            .map(|(i, status)| BatchItem {
+                label: format!("item {i}"),
+                key: format!("k{}", i % 5),
+                status,
+            })
+            .collect();
+        let item_trees: Vec<Json> = items
+            .iter()
+            .map(|item| {
+                let mut pairs = vec![
+                    ("label", Json::from(item.label.as_str())),
+                    ("key", Json::from(item.key.as_str())),
+                    ("status", Json::from(item.status.status())),
+                ];
+                match &item.status {
+                    BatchStatus::Cached(_) | BatchStatus::Computed(_) => {
+                        pairs.push(("record", tree.clone()))
+                    }
+                    BatchStatus::Failed(e) => pairs.push(("error", Json::from(e.as_str()))),
+                    _ => {}
+                }
+                Json::obj(pairs)
+            })
+            .collect();
+        for (item, tree) in items.iter().zip(&item_trees) {
+            assert_eq!(item.to_response_json(), tree.to_string());
+        }
+        let expected = Json::obj([
+            version(),
+            ("total", Json::U64(6)),
+            ("unique", Json::U64(5)),
+            ("deduplicated", Json::U64(1)),
+            ("cached", Json::U64(2)),
+            ("computed", Json::U64(1)),
+            ("queued", Json::U64(1)),
+            ("rejected", Json::U64(1)),
+            ("failed", Json::U64(1)),
+            ("results", Json::Arr(item_trees)),
+        ]);
+        let report = BatchReport { items, unique: 5 };
+        assert_eq!(report.to_response_json(), expected.to_string());
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn serve_response_matches_published_schema() {
     for _ in 0..2 {
         // Both the miss and the hit response must conform, and the
         // embedded record is itself a valid run_record.v1.
-        let doc = service.submit(&cfg).unwrap().to_response_json();
+        let doc = Json::parse(&service.submit(&cfg).unwrap().to_response_json()).unwrap();
         validate_schema(&doc, &schema).unwrap();
         validate_schema(doc.get("record").unwrap(), &record_schema).unwrap();
     }
@@ -92,7 +92,7 @@ fn batch_response_matches_published_schema() {
         ],
         None,
     );
-    let doc = report.to_response_json();
+    let doc = Json::parse(&report.to_response_json()).unwrap();
     validate_schema(&doc, &repo_schema("serve_batch.v1.json")).unwrap();
     // Duplicate keys collapse, the bad config reports failed, and every
     // embedded record is itself a valid run_record.v1.
@@ -129,9 +129,12 @@ fn job_response_matches_published_schema() {
 
     // A finished job answers `done` with the embedded record.
     let answer = service.submit(&cfg).unwrap();
-    let doc = service
-        .job_status(&answer.key)
-        .to_response_json(&answer.key);
+    let doc = Json::parse(
+        &service
+            .job_status(&answer.key)
+            .to_response_json(&answer.key),
+    )
+    .unwrap();
     validate_schema(&doc, &schema).unwrap();
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
     validate_schema(doc.get("record").unwrap(), &record_schema).unwrap();
@@ -143,7 +146,7 @@ fn job_response_matches_published_schema() {
     };
     let bad_key = bad.cache_key();
     assert!(service.submit(&bad).is_err());
-    let doc = service.job_status(&bad_key).to_response_json(&bad_key);
+    let doc = Json::parse(&service.job_status(&bad_key).to_response_json(&bad_key)).unwrap();
     validate_schema(&doc, &schema).unwrap();
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
     assert!(doc.get("error").is_some());

@@ -200,20 +200,22 @@ pub trait ThreadProgram: std::fmt::Debug + Send {
 }
 
 /// A scripted program that plays a fixed operation sequence (tests and
-/// microbenchmarks).
+/// microbenchmarks). The script is shared: a snapshot bumps a reference
+/// count instead of copying it.
 #[derive(Debug, Clone)]
 pub struct ScriptProgram {
-    ops: std::sync::Arc<[Op]>,
+    ops: std::sync::Arc<Vec<Op>>,
     pos: usize,
     /// Values received for consume ops, observable by tests.
     pub consumed: Vec<u64>,
 }
 
 impl ScriptProgram {
-    /// Creates a program that emits `ops` in order, then finishes.
+    /// Creates a program that emits `ops` in order, then finishes. A
+    /// `Vec` is kept as it is, not copied.
     pub fn new(ops: impl Into<Vec<Op>>) -> Self {
         ScriptProgram {
-            ops: ops.into().into(),
+            ops: std::sync::Arc::new(ops.into()),
             pos: 0,
             consumed: Vec::new(),
         }
@@ -266,6 +268,20 @@ mod tests {
             4
         );
         assert_eq!(RmwOp::FetchAdd(1).apply(u64::MAX), 0, "wrapping");
+    }
+
+    #[test]
+    fn script_keeps_the_callers_buffer() {
+        let ops = vec![Op::Compute(1); 4096];
+        let buffer = ops.as_ptr();
+        let program = ScriptProgram::new(ops);
+        assert_eq!(program.ops.as_ptr(), buffer, "the script was copied");
+        let snapshot = program.clone();
+        assert_eq!(
+            snapshot.ops.as_ptr(),
+            buffer,
+            "a snapshot copied the script"
+        );
     }
 
     #[test]
