@@ -421,3 +421,25 @@ grep -q '"gate_batch_dedup": true' "$BENCH_DIR/BENCH_serve.json"
 grep -q '"gate_cluster_dedup": true' "$BENCH_DIR/BENCH_serve.json"
 grep -q '"gate_no_lost_requests": true' "$BENCH_DIR/BENCH_serve.json"
 grep -q '"gate_scaleout_capacity": true' "$BENCH_DIR/BENCH_serve.json"
+# Allocation-count gate: serve_bench counts allocations per
+# `SimConfig::cache_key`, per warm in-process submit and per warm
+# `POST /run` (direct and routed) in passes of their own, over a fixed
+# config. Counts are deterministic where timings are not, so a fresh
+# count may exceed its committed row in BENCH_serve.json by at most 1%;
+# a change that raises one recommits the row and says why.
+alloc_rows() {
+    awk '/"label": "allocs\// { split($0, q, "\""); label = q[4] }
+         /"allocs_per_op":/ && label != "" {
+             v = $2; sub(/,$/, "", v); print label, v; label = ""
+         }' "$1"
+}
+alloc_rows BENCH_serve.json > "$BENCH_DIR/allocs.committed"
+alloc_rows "$BENCH_DIR/BENCH_serve.json" > "$BENCH_DIR/allocs.fresh"
+test "$(wc -l < "$BENCH_DIR/allocs.committed")" = 4
+test "$(wc -l < "$BENCH_DIR/allocs.fresh")" = 4
+awk 'NR == FNR { committed[$1] = $2; next }
+     !($1 in committed) || $2 > committed[$1] * 1.01 {
+         print "allocation count over its committed row:", $1, $2, "vs", committed[$1]
+         bad = 1
+     }
+     END { exit bad }' "$BENCH_DIR/allocs.committed" "$BENCH_DIR/allocs.fresh"

@@ -30,6 +30,13 @@
 //!    with the cores to express it — a cold batch completes faster on
 //!    the 2-node cluster than on one node (`gate_host_capable: false`
 //!    passes vacuously on small hosts, as in section 2).
+//! 6. **Allocation counts** (in-process and loopback): allocations per
+//!    `SimConfig::cache_key`, per warm in-process `submit`, and per warm
+//!    `POST /run` direct to a node and through a router (client and
+//!    servers counted together), each counted by this binary's global
+//!    allocator in a pass of its own after a warm-up. Counts are
+//!    deterministic where timings are not; `ci.sh` fails when a fresh
+//!    count exceeds its committed row by more than 1%.
 //!
 //! All HTTP load runs over persistent keep-alive connections (one per
 //! client thread), so requests/sec measures the serving stack rather
@@ -38,8 +45,9 @@
 //! Results land in `results/serve_bench.json` and are mirrored to
 //! `BENCH_serve.json` at the current directory.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -87,6 +95,58 @@ fn qf_config(seed: u64) -> SimConfig {
         seed,
         ..SimConfig::default()
     }
+}
+
+/// The system allocator, counting every allocation and reallocation so
+/// section 6 can read allocations per operation.
+struct CountingAlloc;
+
+/// Allocations (and reallocations) since the process started, on every
+/// thread.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counter has no effect on the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Operations per allocation count: the same on every run, so a count
+/// gate does not depend on `TENWAYS_FAST`.
+const ALLOC_OPS: u64 = 200;
+
+/// Allocations per call of `op` over [`ALLOC_OPS`] calls, after as many
+/// uncounted warm-up calls. Every thread's allocations count, so a pass
+/// over loopback counts the client and the servers together.
+fn allocs_per_op(mut op: impl FnMut()) -> f64 {
+    for _ in 0..ALLOC_OPS {
+        op();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..ALLOC_OPS {
+        op();
+    }
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ALLOC_OPS as f64
 }
 
 fn percentile_us(sorted: &[f64], p: f64) -> f64 {
@@ -697,6 +757,81 @@ fn main() {
     router_thread.join().unwrap().expect("router loop");
     drop(router);
     b1.stop();
+
+    // ---- Section 6: allocation counts ---------------------------------
+    // A fixed small config, so the counts do not move with TENWAYS_FAST:
+    // its warm reply carries a ~2 KB record.
+    let alloc_cfg = SimConfig {
+        workload: "lu".to_string(),
+        threads: 2,
+        scale: 1,
+        ..SimConfig::default()
+    };
+    let mut node = Node::start(dir.join("allocs"));
+    node.service
+        .submit(&alloc_cfg)
+        .expect("alloc config simulates");
+    // The router's health monitor probes once at start and then sleeps
+    // through the count.
+    let router = Arc::new(
+        Router::new(RouterOptions {
+            backends: vec![node.addr.clone()],
+            health_interval: Duration::from_secs(3600),
+            ..RouterOptions::default()
+        })
+        .expect("router starts"),
+    );
+    let router_listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let router_addr = router_listener.local_addr().expect("router addr");
+    let router_shutdown = Arc::new(AtomicBool::new(false));
+    let router_thread = {
+        let router = Arc::clone(&router);
+        let shutdown = Arc::clone(&router_shutdown);
+        std::thread::spawn(move || route_http(router, router_listener, None, false, shutdown))
+    };
+    let alloc_body = alloc_cfg.to_json().to_string();
+    let warm_run = |client: &mut HttpClient| {
+        let reply = client
+            .request("POST", "/run", Some(("application/json", &alloc_body)))
+            .expect("warm /run");
+        assert_eq!(reply.status, 200, "warm /run answered {}", reply.status);
+    };
+    let mut direct = HttpClient::new(node.addr.clone());
+    let mut routed = HttpClient::new(router_addr.to_string());
+    // The loopback passes go first: their warm-ups outlast the monitor's
+    // first probe, which would otherwise land in a count.
+    let run_direct = allocs_per_op(|| warm_run(&mut direct));
+    let run_routed = allocs_per_op(|| warm_run(&mut routed));
+    let counts = [
+        (
+            "cache_key",
+            allocs_per_op(|| {
+                std::hint::black_box(alloc_cfg.cache_key());
+            }),
+        ),
+        (
+            "submit_hit",
+            allocs_per_op(|| {
+                let answer = node.service.submit(&alloc_cfg).expect("warm submit");
+                assert!(answer.cached, "a warm submit must hit");
+            }),
+        ),
+        ("run_direct", run_direct),
+        ("run_routed", run_routed),
+    ];
+    for (op, allocs) in counts {
+        println!("allocs    : {op:<10} {allocs:>8.2} per op  (over {ALLOC_OPS})");
+        rows.push(Json::obj([
+            ("label", Json::from(format!("allocs/{op}"))),
+            ("ops", Json::U64(ALLOC_OPS)),
+            ("allocs_per_op", Json::from(allocs)),
+        ]));
+    }
+    drop((direct, routed));
+    router_shutdown.store(true, Ordering::Relaxed);
+    router_thread.join().unwrap().expect("router loop");
+    drop(router);
+    node.stop();
 
     let path = write_results_json(ID, TITLE, &cfg, rows);
     let text = std::fs::read_to_string(&path).expect("re-read results JSON");

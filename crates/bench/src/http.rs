@@ -20,7 +20,11 @@
 //! **Bodies.** A response body is rendered text, sent as it is: a compact
 //! JSON document and a newline. A client keeps the text it received
 //! beside the parsed document ([`HttpReply::text`]), so the router relays
-//! a backend's reply without rendering it again.
+//! a backend's reply without rendering it again. A reader either parses
+//! a reply's body or, for a reply it only relays, validates it
+//! (`ReplyBody`); either way a body that is not one JSON document is an
+//! error, and a body announced past `MAX_REPLY_BYTES` (about 40 MiB) is
+//! refused before any of it is read.
 //!
 //! The request and reply readers work over any [`Read`] and the response
 //! writer over any [`Write`], so the tests drive them with byte slices.
@@ -33,11 +37,35 @@ use std::time::{Duration, Instant};
 
 use tenways_sim::json::Json;
 
-use crate::serve::ShardedCounter;
+use crate::serve::{ShardedCounter, MAX_BATCH_ITEMS};
 
 /// Largest request head, and largest request body, the server will read,
 /// in bytes. Also bounds a reply head.
 const MAX_REQUEST_BYTES: usize = 4 << 20;
+
+/// Bound on one rendered run record, in bytes. A record has a fixed set
+/// of stat keys and histograms of at most 65 and 256 buckets, so its size
+/// is bounded whatever the run. The largest of 540 measured runs — every
+/// workload × model × crossbar/mesh × speculation off/continuous, at 2,
+/// 16 and 256 threads, scale 1 — renders 5 594 bytes (`mcs`, TSO,
+/// 256 threads on the mesh, continuous speculation), about a third of
+/// this bound.
+pub(crate) const MAX_RECORD_BYTES: usize = 16 << 10;
+
+/// Bound on what a `/batch` result item holds beside its record and the
+/// text it echoes from its request: the key and status members and the
+/// separators (about 100 bytes rendered).
+const ITEM_MEMBERS_BYTES: usize = 1 << 10;
+
+/// Largest reply body the readers accept, in bytes: the largest reply
+/// the service sends when its items echo no more than their request's
+/// bytes. That is a `/batch` of [`MAX_BATCH_ITEMS`] items of the largest
+/// record, plus the labels and errors it echoes from a request of at
+/// most [`MAX_REQUEST_BYTES`], each request byte rendering as at most six
+/// (`\u00XX`): about 40 MiB. (A sweep-grid body can repeat one string
+/// in every point's error and pass it; that reply is refused.)
+pub(crate) const MAX_REPLY_BYTES: usize =
+    MAX_BATCH_ITEMS * (MAX_RECORD_BYTES + ITEM_MEMBERS_BYTES) + 6 * MAX_REQUEST_BYTES;
 
 /// Socket timeout of server connections and of clients: a stalled peer
 /// cannot pin a thread forever. Generous because a miss legitimately
@@ -430,8 +458,20 @@ pub struct HttpReply {
     pub headers: Vec<(String, String)>,
     /// The body exactly as received.
     pub text: String,
-    /// The parsed JSON body.
+    /// The parsed JSON body (`Json::Null` when the reply was only
+    /// validated, as the router reads the replies it relays).
     pub body: Json,
+}
+
+/// How the reply reader checks a body. Both modes refuse a body that is
+/// not one JSON document, with the same error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplyBody {
+    /// Parse it into [`HttpReply::body`], for a caller that reads fields.
+    Parse,
+    /// Only validate it ([`Json::validate`], no tree), leaving
+    /// [`HttpReply::body`] `Json::Null`: for a reply relayed as its text.
+    Validate,
 }
 
 impl HttpReply {
@@ -480,12 +520,13 @@ pub(crate) fn exchange(
     path: &str,
     body: Option<(&str, &str)>, // (content type, payload)
     keep_alive: bool,
+    read: ReplyBody,
 ) -> Result<HttpReply, String> {
     let request = request_text(host, method, path, body, keep_alive);
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
-    read_reply(stream)
+    read_reply(stream, read)
 }
 
 /// The request [`exchange`] sends.
@@ -511,9 +552,10 @@ fn request_text(
 
 /// Reads one response, bounded by its `Content-Length` (which this
 /// layer's server always sends) instead of waiting for EOF — the
-/// difference that makes connection reuse possible. A read that times
-/// out is an error: the socket's timeout is the client's patience.
-fn read_reply(reader: &mut impl Read) -> Result<HttpReply, String> {
+/// difference that makes connection reuse possible. A length past
+/// [`MAX_REPLY_BYTES`] is refused before the body is read. A read that
+/// times out is an error: the socket's timeout is the client's patience.
+fn read_reply(reader: &mut impl Read, read: ReplyBody) -> Result<HttpReply, String> {
     let mut fill = |buf: &mut Vec<u8>| match read_chunk(reader, buf)? {
         Chunk::Data => Ok(()),
         Chunk::Eof => Err("connection closed mid-response".to_string()),
@@ -544,13 +586,25 @@ fn read_reply(reader: &mut impl Read) -> Result<HttpReply, String> {
         .find(|(n, _)| n == "content-length")
         .and_then(|(_, v)| v.parse().ok())
         .ok_or_else(|| "response missing content-length".to_string())?;
+    if content_length > MAX_REPLY_BYTES {
+        return Err(format!(
+            "response body of {content_length} bytes is over the limit of {MAX_REPLY_BYTES}"
+        ));
+    }
     let mut payload = buf.split_off(header_end + 4);
     while payload.len() < content_length {
         fill(&mut payload)?;
     }
     payload.truncate(content_length);
     let text = String::from_utf8(payload).map_err(|_| "non-utf8 response".to_string())?;
-    let body = Json::parse(&text).map_err(|e| format!("malformed response body: {e}"))?;
+    let malformed = |e| format!("malformed response body: {e}");
+    let body = match read {
+        ReplyBody::Parse => Json::parse(&text).map_err(malformed)?,
+        ReplyBody::Validate => {
+            Json::validate(&text).map_err(malformed)?;
+            Json::Null
+        }
+    };
     Ok(HttpReply {
         status,
         headers,
@@ -573,7 +627,8 @@ pub fn http_request(
     body: Option<(&str, &str)>, // (content type, payload)
 ) -> Result<HttpReply, String> {
     let mut stream = connect(addr, CONNECT_TIMEOUT, SOCKET_TIMEOUT)?;
-    exchange(&mut stream, addr, method, path, body, false)
+    let read = ReplyBody::Parse;
+    exchange(&mut stream, addr, method, path, body, false, read)
 }
 
 /// [`http_request`] without the headers — the client shape `tenways
@@ -636,15 +691,28 @@ impl HttpClient {
         path: &str,
         body: Option<(&str, &str)>, // (content type, payload)
     ) -> Result<HttpReply, String> {
+        self.request_as(ReplyBody::Parse, method, path, body)
+    }
+
+    /// [`request`](Self::request), reading the reply's body as `read`
+    /// says.
+    pub(crate) fn request_as(
+        &mut self,
+        read: ReplyBody,
+        method: &str,
+        path: &str,
+        body: Option<(&str, &str)>,
+    ) -> Result<HttpReply, String> {
         let pooled = self.conn.is_some();
-        match self.send(method, path, body) {
-            Err(_) if pooled => self.send(method, path, body),
+        match self.send(read, method, path, body) {
+            Err(_) if pooled => self.send(read, method, path, body),
             outcome => outcome,
         }
     }
 
     fn send(
         &mut self,
+        read: ReplyBody,
         method: &str,
         path: &str,
         body: Option<(&str, &str)>,
@@ -653,7 +721,7 @@ impl HttpClient {
             Some(stream) => stream,
             None => connect(&self.addr, CONNECT_TIMEOUT, SOCKET_TIMEOUT)?,
         };
-        let reply = exchange(&mut stream, &self.addr, method, path, body, true)?;
+        let reply = exchange(&mut stream, &self.addr, method, path, body, true, read)?;
         if !matches!(reply.header("connection"), Some(v) if v.eq_ignore_ascii_case("close")) {
             self.conn = Some(stream);
         }
@@ -813,7 +881,7 @@ mod tests {
         // Bytes past the Content-Length are not part of the reply.
         wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
         let chunks: Vec<&[u8]> = wire.chunks(7).collect();
-        let reply = read_reply(&mut Trickle::new(&chunks)).unwrap();
+        let reply = read_reply(&mut Trickle::new(&chunks), ReplyBody::Parse).unwrap();
         assert_eq!(reply.status, 503);
         assert_eq!(reply.header("Retry-After"), Some("1"));
         assert_eq!(reply.header("connection"), Some("close"));
@@ -822,7 +890,7 @@ mod tests {
 
         let short = b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}";
         assert_eq!(
-            read_reply(&mut &short[..]).unwrap_err(),
+            read_reply(&mut &short[..], ReplyBody::Parse).unwrap_err(),
             "connection closed mid-response"
         );
     }
@@ -966,11 +1034,13 @@ mod tests {
     }
 
     /// Mutation fuzzing of [`read_reply`] on DetRng mutants of written
-    /// replies, fed whole and as a trickle of reads. Properties: no
-    /// panic; the same reply or error however the bytes arrive; an
-    /// accepted reply's text is within the cap and parses to its body;
-    /// and an unmutated reply reads back with its text byte-identical to
-    /// the body written.
+    /// replies, fed whole and as a trickle of reads, in both read modes.
+    /// Properties: no panic; the same reply or error however the bytes
+    /// arrive; validate mode accepts exactly the replies parse mode does,
+    /// with the same error otherwise; an accepted reply's text is within
+    /// the bound and parses to its body; a reply announced past the bound
+    /// is refused with nothing past its head read; and an unmutated reply
+    /// reads back with its text byte-identical to the body written.
     #[test]
     fn mutated_replies_never_panic_and_written_ones_read_back_exactly() {
         const CASES: u64 = 10_000;
@@ -978,16 +1048,33 @@ mod tests {
         let mut rng = DetRng::seed(0x4772).split("read-reply");
         for (wire, status, body) in &seeds {
             for mut reader in [Trickle::new(&[wire]), trickle(&mut rng, wire, false)] {
-                let reply = read_reply(&mut reader).unwrap();
+                let reply = read_reply(&mut reader, ReplyBody::Parse).unwrap();
                 assert_eq!(reply.status, *status);
                 assert_eq!(reply.text, *body, "the body as written");
                 assert_eq!(Json::parse(body).as_ref(), Ok(&reply.body));
             }
         }
-        let project = |reply: Result<HttpReply, String>| {
+        let over_bound = format!("Content-Length: {}\r\n", MAX_REPLY_BYTES + 1);
+        let splices: Vec<&str> = WIRE_SPLICES
+            .iter()
+            .copied()
+            .chain([over_bound.as_str()])
+            .collect();
+        // A reader of `bytes` that counts what it handed out; a refused
+        // over-bound reply may have taken its head and one read past it.
+        let read = |bytes: &[u8], reader: &mut dyn Read, mode| {
+            let mut counted = Counted(reader, 0);
+            let reply = read_reply(&mut counted, mode);
+            if reply.as_ref().is_err_and(|e| e.contains("over the limit")) {
+                let head = find_header_end(bytes, 0).expect("a refused reply has a head");
+                assert!(counted.1 <= head + 4 + 4096, "{} bytes read", counted.1);
+            }
             reply.map(|r| {
-                assert!(r.text.len() <= MAX_REQUEST_BYTES, "body over the cap");
-                assert_eq!(Json::parse(&r.text).as_ref(), Ok(&r.body));
+                assert!(r.text.len() <= MAX_REPLY_BYTES, "body over the bound");
+                match mode {
+                    ReplyBody::Parse => assert_eq!(Json::parse(&r.text).as_ref(), Ok(&r.body)),
+                    ReplyBody::Validate => assert_eq!(r.body, Json::Null),
+                }
                 (r.status, r.headers, r.text)
             })
         };
@@ -997,22 +1084,104 @@ mod tests {
             let (seed, _, _) = &seeds[rng.below(seeds.len() as u64) as usize];
             let mut bytes = seed.clone();
             for _ in 0..rng.range(1, 4) {
-                mutate(&mut rng, &mut bytes, WIRE_SPLICES);
+                mutate(&mut rng, &mut bytes, &splices);
             }
             let mut trickled = trickle(&mut rng, &bytes, false);
-            let (whole, split) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                (
-                    project(read_reply(&mut &bytes[..])),
-                    project(read_reply(&mut trickled)),
-                )
-            }))
-            .unwrap_or_else(|_| panic!("case {case}: the reply reader panicked"));
+            let (whole, split, validated) =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    (
+                        read(&bytes, &mut &bytes[..], ReplyBody::Parse),
+                        read(&bytes, &mut trickled, ReplyBody::Parse),
+                        read(&bytes, &mut &bytes[..], ReplyBody::Validate),
+                    )
+                }))
+                .unwrap_or_else(|_| panic!("case {case}: the reply reader panicked"));
             assert_eq!(whole, split, "case {case}");
+            assert_eq!(whole, validated, "case {case}: the read modes disagree");
             accepted += usize::from(whole.is_ok());
         }
         assert!(
             accepted > 0 && accepted < CASES as usize,
             "{accepted} accepted"
         );
+    }
+
+    /// A reader that counts the bytes it hands out.
+    struct Counted<'a>(&'a mut dyn Read, usize);
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(out)?;
+            self.1 += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn replies_past_the_bound_are_refused_before_their_body_is_read() {
+        /// A reply head announcing `len` bytes, then an endless body.
+        struct Endless(Vec<u8>, usize);
+        impl Read for Endless {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = match self.0.get(self.1..) {
+                    Some(head) if !head.is_empty() => {
+                        let n = head.len().min(out.len());
+                        out[..n].copy_from_slice(&head[..n]);
+                        n
+                    }
+                    _ => {
+                        out.fill(b' ');
+                        out.len()
+                    }
+                };
+                self.1 += n;
+                Ok(n)
+            }
+        }
+        for mode in [ReplyBody::Parse, ReplyBody::Validate] {
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
+                MAX_REPLY_BYTES + 1
+            );
+            let mut reader = Endless(head.clone().into_bytes(), 0);
+            let err = read_reply(&mut reader, mode).unwrap_err();
+            assert!(err.contains("over the limit"), "{err}");
+            assert_eq!(reader.1, head.len(), "no body byte was read");
+            // At the bound the body is read, and only the announced bytes.
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {MAX_REPLY_BYTES}\r\n\r\n");
+            let mut reader = Endless(format!("{head}[]").into_bytes(), 0);
+            let reply = read_reply(&mut reader, mode).unwrap();
+            assert_eq!(reply.text.len(), MAX_REPLY_BYTES);
+        }
+    }
+
+    #[test]
+    fn a_worst_case_batch_reply_is_accepted_in_both_modes() {
+        use crate::serve::{BatchItem, BatchReport, BatchStatus, MAX_BATCH_ITEMS};
+        // Every item carries a record of the bound's size and a label
+        // echoing its share of a request at the request bound, in the
+        // escape that renders each request byte as six.
+        let pad = MAX_RECORD_BYTES - r#"{"pad":""}"#.len();
+        let record = crate::Record::from(Json::obj([("pad", Json::from("x".repeat(pad)))]));
+        assert_eq!(record.as_str().len(), MAX_RECORD_BYTES);
+        let label = "\u{1}".repeat(MAX_REQUEST_BYTES / MAX_BATCH_ITEMS);
+        let report = BatchReport {
+            items: (0..MAX_BATCH_ITEMS)
+                .map(|_| BatchItem {
+                    label: label.clone(),
+                    key: "0".repeat(64),
+                    status: BatchStatus::Computed(record.clone()),
+                })
+                .collect(),
+            unique: MAX_BATCH_ITEMS,
+        };
+        let body = report.to_response_json();
+        assert!(body.len() > 5 * MAX_REPLY_BYTES / 6, "{} bytes", body.len());
+        let mut wire = Vec::new();
+        write_response(&mut wire, 200, &[], &body, true);
+        for mode in [ReplyBody::Validate, ReplyBody::Parse] {
+            let reply = read_reply(&mut &wire[..], mode).unwrap();
+            assert_eq!(reply.text, body);
+        }
     }
 }

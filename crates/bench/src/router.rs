@@ -39,9 +39,14 @@
 //!   document (per-backend detail + cluster totals).
 //!
 //! Endpoints: `POST /run` and `GET /jobs/<key>` proxy to the owning
-//! shard, relaying its status, `Retry-After` and body text unchanged (the
-//! body is still parsed on receipt, so a malformed one is a transport
-//! failure that marks the backend down); `POST /batch` splits into
+//! shard, relaying its status, `Retry-After` and body text unchanged. A
+//! routed `/run` builds no JSON tree: the router decodes the config once,
+//! renders its canonical text ([`SimConfig::canonical_text`]), keys it by
+//! that text's SHA-256 and forwards the same text as the backend's body,
+//! and it reads the reply with a validating scan ([`Json::validate`])
+//! instead of a parse, so a malformed body is still a transport failure
+//! that marks the backend down, but no reply is built into a tree only to
+//! be dropped. `POST /batch` splits into
 //! per-backend sub-batches, posts them concurrently, and merges the
 //! parsed per-key statuses back into input order;
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
@@ -56,13 +61,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tenways_sim::json::{Json, ToJson};
-use tenways_sim::Sha256;
+use tenways_sim::json::Json;
+use tenways_sim::{sha256_hex, Sha256};
 use tenways_waste::SimConfig;
 
 use crate::http::{
     self, connect, error_doc, exchange, reply, Handler, HttpClient, HttpCounters, HttpReply,
-    HttpRequest, Response,
+    HttpRequest, ReplyBody, Response,
 };
 use crate::serve::{
     batch_body, batch_reply, first_appearances, parse_batch_body, parse_run_body, ShardedCounter,
@@ -282,7 +287,8 @@ impl Router {
     }
 
     /// Forwards one keyed request to its owner, retrying with backoff on
-    /// 503 and transport failure. The key is ranked once; each attempt
+    /// 503 and transport failure, and returns the reply to relay (its
+    /// body validated, not parsed). The key is ranked once; each attempt
     /// takes the first ranked backend that is up, so a mark-down
     /// re-routes the retry to the key's next-ranked live backend.
     ///
@@ -308,7 +314,8 @@ impl Router {
             let Some(idx) = live else {
                 return Err("no live backend".to_string());
             };
-            match self.backend_request(&self.backends[idx], method, path, body) {
+            let backend = &self.backends[idx];
+            match self.backend_request(backend, ReplyBody::Validate, method, path, body) {
                 Ok(reply) if reply.status == 503 && attempt < self.retries => {
                     // Backend backpressure (full admission queue): back
                     // off and retry; the backend is alive, so the owner
@@ -342,13 +349,14 @@ impl Router {
     fn backend_request(
         &self,
         b: &Backend,
+        read: ReplyBody,
         method: &str,
         path: &str,
         body: Option<(&str, &str)>,
     ) -> Result<HttpReply, String> {
         b.forwarded.incr();
         let mut client = b.client();
-        let outcome = client.request(method, path, body);
+        let outcome = client.request_as(read, method, path, body);
         if outcome.is_ok() {
             b.pool_push(client);
         } else {
@@ -403,6 +411,7 @@ impl Router {
                                 );
                                 let reply = self.backend_request(
                                     &self.backends[idx],
+                                    ReplyBody::Parse,
                                     "POST",
                                     "/batch",
                                     Some(("application/json", &body)),
@@ -509,7 +518,7 @@ impl Router {
             .map(|b| {
                 let up = b.up.load(Ordering::Relaxed);
                 let stats = if up {
-                    self.backend_request(b, "GET", "/stats", None)
+                    self.backend_request(b, ReplyBody::Parse, "GET", "/stats", None)
                         .ok()
                         .filter(|r| r.status == 200)
                         .map(|r| r.body)
@@ -581,10 +590,14 @@ fn hrw_weight(key: &str, addr: &str) -> u64 {
 
 /// One synchronous `/healthz` probe (its own short-timeout, one-shot
 /// `Connection: close` connection — probes never borrow the forwarding
-/// pool, and never park a backend's keep-alive handler).
+/// pool, and never park a backend's keep-alive handler). Only the status
+/// is read, so the body is validated, not parsed.
 fn probe(addr: &str) -> bool {
     connect(addr, PROBE_CONNECT_TIMEOUT, PROBE_SOCKET_TIMEOUT)
-        .and_then(|mut stream| exchange(&mut stream, addr, "GET", "/healthz", None, false))
+        .and_then(|mut stream| {
+            let read = ReplyBody::Validate;
+            exchange(&mut stream, addr, "GET", "/healthz", None, false, read)
+        })
         .is_ok_and(|reply| reply.status == 200)
 }
 
@@ -648,11 +661,12 @@ impl Handler for Router {
                     Ok(cfg) => cfg,
                     Err(e) => return bad_request(400, &e),
                 };
-                // Forward the canonical JSON rendering: the backend derives
-                // the same cache key from it by construction, so router and
-                // shard agree on ownership.
-                let key = cfg.cache_key();
-                let body = cfg.to_json().to_string();
+                // Forward the canonical text: the backend decodes it back to
+                // this config and keys it by the same text, so router and
+                // shard agree on ownership. Its hash is the cache key
+                // (`SimConfig::cache_key`), computed once here.
+                let body = cfg.canonical_text();
+                let key = sha256_hex(body.as_bytes());
                 match self.forward(&key, "POST", "/run", Some(("application/json", &body))) {
                     Ok(reply) => relay(reply),
                     Err(e) => give_up(e),
@@ -709,6 +723,7 @@ mod tests {
     use super::*;
     use crate::serve::{serve_http_shutdown, ServeOptions, SimService};
     use std::path::PathBuf;
+    use tenways_sim::json::ToJson;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tenways-route-{tag}-{}", std::process::id()));

@@ -11,11 +11,11 @@
 //! * [`Sha256`] / [`sha256_hex`] — an in-tree SHA-256 (the build
 //!   environment is offline, so no external digest crate), giving the
 //!   canonical rendering a collision-resistant content address.
-//! * [`canonical_hash`] — the composition: the hex digest of the compact
-//!   canonical rendering.
 //!
 //! The cache-key contract built on top of this lives in
-//! `tenways_waste::SimConfig::cache_key`; see DESIGN.md §12.
+//! `tenways_waste::SimConfig::cache_key`, which renders the canonical
+//! text straight from the struct; `canonical` of the config's tree is
+//! the oracle that text is tested against. See DESIGN.md §12.
 
 use crate::json::Json;
 
@@ -25,7 +25,7 @@ use crate::json::Json;
 ///
 /// Two documents that differ only in key order — or in which duplicate of
 /// a repeated key carries the final value — canonicalize identically, so
-/// their [`canonical_hash`]es collide.
+/// the hashes of their compact renderings collide.
 pub fn canonical(doc: &Json) -> Json {
     match doc {
         Json::Arr(items) => Json::Arr(items.iter().map(canonical).collect()),
@@ -43,11 +43,6 @@ pub fn canonical(doc: &Json) -> Json {
         }
         other => other.clone(),
     }
-}
-
-/// The SHA-256 hex digest of `doc`'s compact canonical rendering.
-pub fn canonical_hash(doc: &Json) -> String {
-    sha256_hex(canonical(doc).to_string().as_bytes())
 }
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
@@ -222,6 +217,11 @@ mod tests {
             let chunked: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(oneshot, chunked, "len {len}");
         }
+    }
+
+    /// The SHA-256 hex digest of `doc`'s compact canonical rendering.
+    fn canonical_hash(doc: &Json) -> String {
+        sha256_hex(canonical(doc).to_string().as_bytes())
     }
 
     #[test]

@@ -11,13 +11,19 @@
 //!   ([`Json::pretty`]), both produced by one recursive writer that
 //!   appends into a single `String`, copies unescaped text a run at a
 //!   time, and allocates nothing per line or key;
-//! * a strict parser ([`Json::parse`]);
+//! * a strict parser ([`Json::parse`]), and the same parser driven
+//!   without building values ([`Json::validate`]), which checks a
+//!   document against the one grammar and allocates nothing;
+//! * the string escaping and float formatting of the writer
+//!   ([`write_escaped`], [`write_f64`]), for callers that render a
+//!   document straight from a struct;
 //! * the [`ToJson`] conversion trait implemented by every reportable type
 //!   in the workspace.
 //!
 //! The parser is on every `tenways serve` and `tenways route` request
-//! path: request bodies, cache entries, and every reply the router and
-//! the clients read. It runs in time linear in its input
+//! path: request bodies, cache entries, and every reply the clients read
+//! (the router only validates the replies it relays). It runs in time
+//! linear in its input
 //! (a string is copied a run at a time between `"` and `\` delimiters),
 //! and it reads hostile input safely: nesting deeper than
 //! [`MAX_DEPTH`] and number literals that overflow to infinity are parse
@@ -188,10 +194,7 @@ impl Json {
             Json::I64(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v:?}");
-            }
-            Json::F64(_) => out.push_str("null"),
+            Json::F64(v) => write_f64(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
@@ -220,18 +223,15 @@ impl Json {
     /// than [`MAX_DEPTH`] and number literals that overflow to infinity
     /// are errors.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != text.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
+        Parser::<true>::document(text)
+    }
+
+    /// Checks that `text` is one JSON document without building it: the
+    /// parser of [`Json::parse`] with every value dropped as it is read,
+    /// so it allocates nothing unless it fails. It accepts exactly what
+    /// `parse` accepts, and fails with the same [`JsonError`].
+    pub fn validate(text: &str) -> Result<(), JsonError> {
+        Parser::<false>::document(text).map(drop)
     }
 }
 
@@ -266,10 +266,11 @@ fn push_indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Appends `s` as a quoted JSON string. Bytes that need no escape are
-/// copied a run at a time; every escaped byte is ASCII, so each run
-/// starts and ends on a char boundary.
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, escaped as the writer escapes
+/// it. Bytes that need no escape are copied a run at a time; every
+/// escaped byte is ASCII, so each run starts and ends on a char
+/// boundary.
+pub fn write_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.reserve(s.len() + 2);
     out.push('"');
@@ -297,6 +298,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `v` as the writer renders a float: with a decimal point or an
+/// exponent (via `{:?}`), and `null` when it is not finite.
+pub fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        use fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
@@ -322,14 +335,35 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
+/// The one JSON grammar. With `BUILD` it returns the values it reads;
+/// without, it reads the same bytes and makes the same decisions but
+/// keeps nothing: strings, arrays and objects come back empty, so no
+/// value allocates.
+struct Parser<'a, const BUILD: bool> {
     text: &'a str,
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
+    /// The document that is the whole of `text`, between optional
+    /// whitespace.
+    fn document(text: &'a str) -> Result<Json, JsonError> {
+        let mut p = Parser::<BUILD> {
+            text,
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             pos: self.pos,
@@ -407,7 +441,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            if BUILD {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -435,7 +472,9 @@ impl<'a> Parser<'a> {
             self.eat(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            pairs.push((key, val));
+            if BUILD {
+                pairs.push((key, val));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -449,9 +488,9 @@ impl<'a> Parser<'a> {
     }
 
     /// A quoted string. Each run up to the next `"` or `\` is copied with
-    /// one `push_str`; both delimiters are ASCII, so every run is a
-    /// char-boundary slice of the (already valid UTF-8) input and the
-    /// whole string costs time linear in its length.
+    /// one `push_str` (when building); both delimiters are ASCII, so
+    /// every run is a char-boundary slice of the (already valid UTF-8)
+    /// input and the whole string costs time linear in its length.
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
@@ -462,7 +501,9 @@ impl<'a> Parser<'a> {
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .unwrap_or(rest.len());
-            out.push_str(&self.text[run..self.pos]);
+            if BUILD {
+                out.push_str(&self.text[run..self.pos]);
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -471,7 +512,10 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    let c = self.escape()?;
+                    if BUILD {
+                        out.push(c);
+                    }
                 }
             }
         }
@@ -1014,6 +1058,35 @@ mod tests {
         assert_eq!(Json::parse("-0").unwrap(), Json::U64(0));
         assert_eq!(Json::parse("-1").unwrap(), Json::I64(-1));
         assert_eq!(Json::parse("-0.0").unwrap().to_string(), "-0.0");
+    }
+
+    #[test]
+    fn validate_gives_the_verdict_of_parse() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let long = format!("\"{}\"", "x\\n".repeat(1000));
+        for text in [
+            "null",
+            " {\"a\": [1, -0, 2.5e-3, \"\\u00e9\", true]} ",
+            &long,
+            &deep(MAX_DEPTH),
+            &deep(MAX_DEPTH + 1),
+            "1e400",
+            "[0, -1e400]",
+            "18446744073709551616",
+            "-",
+            r#""a\x""#,
+            r#""a\ud800""#,
+            r#"{"k" 1}"#,
+            "[1,]",
+            "12 34",
+            "",
+        ] {
+            assert_eq!(
+                Json::validate(text),
+                Json::parse(text).map(drop),
+                "{text:.40}"
+            );
+        }
     }
 
     #[test]

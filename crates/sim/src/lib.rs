@@ -57,7 +57,7 @@ pub const MAX_DEPTH: usize = 128;
 
 pub use config::{AtomicsConfig, AtomicsError, MachineConfig};
 pub use cycle::{Clock, Cycle};
-pub use hash::{canonical, canonical_hash, sha256_hex, Sha256};
+pub use hash::{canonical, sha256_hex, Sha256};
 pub use hist::Histogram;
 pub use ids::{Addr, BlockAddr, BlockGeometry, CoreId, NodeId};
 pub use json::{validate_schema, Json, ToJson};

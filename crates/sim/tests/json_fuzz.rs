@@ -1,14 +1,16 @@
 //! Mutation fuzzing of [`Json::parse`], the parser every serve request
-//! goes through.
+//! goes through, and of [`Json::validate`], the same parser driven
+//! without building values, which the router reads relayed replies with.
 //!
 //! Seed documents are the committed results schemas and `BENCH_*.json`
 //! rows. Each case applies a few byte-level mutations drawn from the
 //! simulator's own deterministic RNG ([`DetRng`]), so every run fuzzes
 //! the exact same case set and a failure names the case index that
 //! reproduces it. Properties: parsing never panics, an error's position
-//! lies within the input, and every accepted document survives both
-//! renderings: `parse(render(v)) == v` for the compact and the pretty
-//! writer.
+//! lies within the input, validating gives exactly parsing's verdict
+//! (`validate(s) == parse(s).map(|_| ())`, error position and message
+//! included), and every accepted document survives both renderings:
+//! `parse(render(v)) == v` for the compact and the pretty writer.
 
 mod common;
 
@@ -79,6 +81,13 @@ fn corpus() -> Vec<(String, String)> {
 fn check(case: &str, text: &str) -> bool {
     let parsed = std::panic::catch_unwind(|| Json::parse(text))
         .unwrap_or_else(|_| panic!("{case}: Json::parse panicked"));
+    let validated = std::panic::catch_unwind(|| Json::validate(text))
+        .unwrap_or_else(|_| panic!("{case}: Json::validate panicked"));
+    assert_eq!(
+        validated,
+        parsed.as_ref().map(drop).map_err(Clone::clone),
+        "{case}: validate and parse disagree"
+    );
     match parsed {
         Err(e) => {
             assert!(

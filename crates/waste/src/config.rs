@@ -43,9 +43,9 @@
 use tenways_coherence::ProtocolConfig;
 use tenways_core::SpecConfig;
 use tenways_cpu::ConsistencyModel;
-use tenways_sim::json::{Json, JsonError, ToJson};
+use tenways_sim::json::{write_escaped, write_f64, Json, JsonError, ToJson};
 use tenways_sim::toml::parse_toml;
-use tenways_sim::{AtomicsConfig, MachineConfig};
+use tenways_sim::{sha256_hex, AtomicsConfig, MachineConfig};
 use tenways_workloads::WorkloadParams;
 
 use crate::energy::EnergyModel;
@@ -222,26 +222,140 @@ impl SimConfig {
         }
     }
 
-    /// The canonical JSON document of this configuration: the full
-    /// serialization (every field explicit, so defaulted and
-    /// explicitly-set-to-default fields render identically) with keys
-    /// sorted recursively.
+    /// The canonical text of this configuration: the compact JSON
+    /// document of the full serialization (every field explicit, so
+    /// defaulted and explicitly-set-to-default fields render identically)
+    /// with keys sorted bytewise at every level, written straight from the
+    /// struct into one `String`. It is byte for byte
+    /// `tenways_sim::hash::canonical(&self.to_json()).to_string()`, the
+    /// tree rendering that defines the form, without building either tree.
     ///
     /// Because loading normalizes every source — TOML vs JSON text, key
     /// order, CLI flag overlays, partial documents overlaid onto defaults
     /// — into this one struct, any two semantically equal configs produce
-    /// a byte-identical canonical document.
-    pub fn canonical_json(&self) -> Json {
-        tenways_sim::hash::canonical(&self.to_json())
+    /// byte-identical canonical text. It is also a complete JSON config:
+    /// [`from_json_str`](Self::from_json_str) reads it back to `self`
+    /// whenever every float is finite, so the router forwards it as the
+    /// body a backend decodes.
+    pub fn canonical_text(&self) -> String {
+        let mut out = String::with_capacity(1024 + self.workload.len());
+        let w = &mut out;
+        // Every object's keys are listed in sorted order.
+        w.push('{');
+        let a = &self.atomics;
+        open(w, "atomics");
+        uint(w, "fence_full", a.fence_full);
+        uint(w, "fence_oneway", a.fence_oneway);
+        uint(w, "rmw_cross_socket", a.rmw_cross_socket);
+        uint(w, "rmw_l1", a.rmw_l1);
+        uint(w, "rmw_same_socket", a.rmw_same_socket);
+        w.push('}');
+        float(w, "conflict", self.conflict);
+        uint(w, "cycle_limit", self.cycle_limit);
+        let e = &self.energy;
+        open(w, "energy");
+        float(w, "core_busy_cycle_nj", e.core_busy_cycle_nj);
+        float(w, "core_static_cycle_nj", e.core_static_cycle_nj);
+        float(w, "dram_access_nj", e.dram_access_nj);
+        float(w, "l1_access_nj", e.l1_access_nj);
+        float(w, "l2_access_nj", e.l2_access_nj);
+        float(w, "noc_msg_nj", e.noc_msg_nj);
+        w.push('}');
+        let m = &self.machine;
+        open(w, "machine");
+        uint(w, "block_bytes", m.block_bytes.into());
+        uint(w, "cores", m.cores as u64);
+        uint(w, "dir_banks", m.dir_banks as u64);
+        uint(w, "dir_latency", m.dir_latency);
+        uint(w, "dram_banks", m.dram_banks as u64);
+        uint(w, "dram_latency", m.dram_latency);
+        uint(w, "dram_occupancy", m.dram_occupancy);
+        uint(w, "l1_hit_latency", m.l1_hit_latency);
+        uint(w, "l1_sets", m.l1_sets as u64);
+        uint(w, "l1_ways", m.l1_ways as u64);
+        uint(w, "mshrs", m.mshrs as u64);
+        uint(w, "noc_accept_bw", m.noc_accept_bw as u64);
+        uint(w, "noc_inject_bw", m.noc_inject_bw as u64);
+        uint(w, "noc_latency", m.noc_latency);
+        boolean(w, "noc_mesh", m.noc_mesh);
+        uint(w, "rob_entries", m.rob_entries as u64);
+        uint(w, "sb_entries", m.sb_entries as u64);
+        uint(w, "width", m.width as u64);
+        w.push('}');
+        // `to_json` lowercases the model's label.
+        key(w, "model");
+        w.push('"');
+        w.extend(self.model.label().chars().map(|c| c.to_ascii_lowercase()));
+        w.push('"');
+        let p = &self.protocol;
+        open(w, "protocol");
+        boolean(w, "grant_exclusive", p.grant_exclusive);
+        boolean(w, "prefetch_next_line", p.prefetch_next_line);
+        w.push('}');
+        uint(w, "scale", self.scale);
+        uint(w, "seed", self.seed);
+        let s = &self.spec;
+        open(w, "spec");
+        boolean(w, "adaptive_backoff", s.adaptive_backoff);
+        uint(w, "commit_interval", s.commit_interval);
+        uint(w, "max_epoch_ops", s.max_epoch_ops);
+        match s.max_spec_stores {
+            Some(n) => uint(w, "max_spec_stores", n),
+            None => {
+                key(w, "max_spec_stores");
+                w.push_str("null");
+            }
+        }
+        key(w, "mode");
+        write_escaped(w, s.mode.label());
+        w.push('}');
+        uint(w, "threads", self.threads as u64);
+        key(w, "workload");
+        write_escaped(w, &self.workload);
+        w.push('}');
+        out
     }
 
     /// The content-address of this configuration: the SHA-256 hex digest
-    /// of [`canonical_json`](Self::canonical_json)'s compact rendering.
-    /// This is the key of the `tenways serve` result cache — equal keys
-    /// mean interchangeable (deterministic, byte-identical) results.
+    /// of [`canonical_text`](Self::canonical_text). This is the key of the
+    /// `tenways serve` result cache — equal keys mean interchangeable
+    /// (deterministic, byte-identical) results.
     pub fn cache_key(&self) -> String {
-        tenways_sim::hash::sha256_hex(self.canonical_json().to_string().as_bytes())
+        sha256_hex(self.canonical_text().as_bytes())
     }
+}
+
+/// Starts an object member of `out`: a comma unless it is the object's
+/// first member, then the key.
+fn key(out: &mut String, name: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    write_escaped(out, name);
+    out.push(':');
+}
+
+/// A member whose value is an object, left open for its own members.
+fn open(out: &mut String, name: &str) {
+    key(out, name);
+    out.push('{');
+}
+
+fn uint(out: &mut String, name: &str, v: u64) {
+    use std::fmt::Write;
+    key(out, name);
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{v}");
+}
+
+fn float(out: &mut String, name: &str, v: f64) {
+    key(out, name);
+    write_f64(out, v);
+}
+
+fn boolean(out: &mut String, name: &str, v: bool) {
+    key(out, name);
+    out.push_str(if v { "true" } else { "false" });
 }
 
 impl ToJson for SimConfig {
