@@ -58,6 +58,18 @@ test "$(grep -c '"status": "failed"' "$SMOKE_DIR/ci-smoke.json")" = 1
 # Completed sweep rows must carry host-side timing.
 test "$(grep -c '"sim_ms":' "$SMOKE_DIR/ci-smoke.json")" = 3
 test "$(grep -c '"sim_cycles_per_sec":' "$SMOKE_DIR/ci-smoke.json")" = 3
+# Rerun into the same --out: the sweep resumes through its result cache
+# (<out>/cache). The three ok rows are cache hits, the failing point runs
+# and fails again, and the output directory holds nothing but the grid,
+# the document and the cache.
+if ./target/release/tenways sweep --config "$SMOKE_DIR/grid.toml" \
+    --out "$SMOKE_DIR" --quiet; then
+    echo "sweep rerun smoke: expected a non-zero exit for the failing point" >&2
+    exit 1
+fi
+test "$(grep -c '"cache": "hit"' "$SMOKE_DIR/ci-smoke.json")" = 3
+test "$(grep -c '"status": "failed"' "$SMOKE_DIR/ci-smoke.json")" = 1
+test "$(ls "$SMOKE_DIR" | tr '\n' ' ')" = "cache ci-smoke.json grid.toml "
 
 # Throughput bench smoke run: times naive stepping and the component-wake
 # scheduler on every configuration (including the mixed 1-busy/15-idle
@@ -363,10 +375,10 @@ kill "$ROUTE_PID" "$B1_PID"
 wait "$ROUTE_PID" || true
 wait "$B1_PID" || true
 
-# Warm-start smoke: --warm pre-populates the cache from a sweep spec
-# before the listener binds, so the very first POST is already a hit.
-# Warming is traffic-counter-neutral: /stats reads the simulation it ran
-# (sim_runs 1) but no misses.
+# Sweep-then-serve smoke: a local sweep fills a cache directory, and a
+# server started over that directory answers the sweep's point as a hit
+# on the very first POST. /stats reads 1 hit, 0 misses and 0 simulations:
+# the sweep ran the point, the server only read it.
 WARM_DIR=target/serve-warm-smoke
 rm -rf "$WARM_DIR"
 mkdir -p "$WARM_DIR"
@@ -380,9 +392,11 @@ id = "ci-warm"
 [grid]
 threads = [2]
 EOF
+./target/release/tenways sweep --config "$WARM_DIR/grid.toml" \
+    --out "$WARM_DIR" --cache "$WARM_DIR/cache" --quiet
 ./target/release/tenways serve --addr 127.0.0.1:0 \
     --port-file "$WARM_DIR/port" --cache-dir "$WARM_DIR/cache" \
-    --warm "$WARM_DIR/grid.toml" --max-requests 2 &
+    --max-requests 2 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     test -f "$WARM_DIR/port" && break
@@ -396,7 +410,7 @@ grep -q '"cached": true' "$WARM_DIR/first.json"
     > "$WARM_DIR/stats.json"
 grep -q '"hits": 1' "$WARM_DIR/stats.json"
 grep -q '"misses": 0' "$WARM_DIR/stats.json"
-grep -q '"sim_runs": 1' "$WARM_DIR/stats.json"
+grep -q '"sim_runs": 0' "$WARM_DIR/stats.json"
 wait "$SERVE_PID"
 
 # Serve bench gate: cold miss vs warm hit on the committed-scale path,

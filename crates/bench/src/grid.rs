@@ -1,6 +1,7 @@
 //! Grid sweeps: expand one TOML file into many [`SimConfig`] points, run
-//! them on the [`SweepRunner`], and checkpoint
-//! completed rows so an interrupted sweep resumes instead of restarting.
+//! them on the [`SweepRunner`], and keep each record in the
+//! content-addressed [`ResultCache`], so an interrupted sweep resumes
+//! instead of restarting.
 //!
 //! # Grid file format
 //!
@@ -27,24 +28,28 @@
 //! Axes expand in document order, first axis outermost. A file with no
 //! `[grid]` section is a single-point sweep of the base config.
 //!
-//! # Checkpoint / resume
+//! # Resume
 //!
-//! While running, completed rows are periodically written to
-//! `<out>/<id>.partial.json`. If that file exists when the sweep starts
-//! (same id, same point count, same labels), its `ok` rows are reused and
-//! only the remaining points run — so a sweep killed mid-run resumes
-//! instead of restarting, and the final document is byte-identical to an
-//! uninterrupted run. The checkpoint is removed once every row is `ok`.
+//! A local sweep remembers what it ran only through the result cache
+//! (`<out>/cache` unless [`SweepParams::cache_dir`] names another). Each
+//! record is stored there as its simulation completes, and a point whose
+//! [`cache key`](SimConfig::cache_key) is stored becomes a row without
+//! simulating. The key covers the whole config and the simulator's
+//! semantics version, so a rerun after a sweep was cut short runs only
+//! what is missing, and a rerun after the base config or the simulator
+//! changed runs what changed. A resumed document equals an uninterrupted
+//! one apart from each row's host timing and its `"cache": "hit"` marker.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tenways_sim::json::{Json, ToJson};
-use tenways_waste::{Experiment, SimConfig};
+use tenways_waste::{Experiment, RunRecord, SimConfig};
 
 use crate::cache::ResultCache;
 use crate::http::http_call;
-use crate::serve::{batch_body, MAX_BATCH_ITEMS};
+use crate::serve::{batch_body, first_appearances, MAX_BATCH_ITEMS};
 use crate::sweep::{JobOutcome, SweepError, SweepJob, SweepOptions, SweepRunner};
 use crate::{record_row, record_row_json, BENCH_ROWS_SCHEMA_VERSION};
 
@@ -176,8 +181,9 @@ impl SweepSpec {
     }
 
     /// Expands the grid's cross product into configured points, first axis
-    /// outermost. A mistyped or unknown axis value is an error here — a
-    /// broken grid should stop the sweep before any cycles are spent.
+    /// outermost. A mistyped or unknown axis value, or a workload no kernel
+    /// answers to, is an error here — a broken grid should stop the sweep
+    /// before any cycles are spent.
     pub fn points(&self) -> Result<Vec<SweepPoint>, String> {
         let mut overlays: Vec<Vec<(String, Json)>> = vec![Vec::new()];
         for (key, values) in &self.grid {
@@ -201,6 +207,8 @@ impl SweepSpec {
                         .apply_json(&nested_overlay(key, value.clone()))
                         .map_err(|e| format!("grid axis `{key}`: {e}"))?;
                 }
+                Experiment::from_config(&config)
+                    .map_err(|e| format!("config field `workload`: {e}"))?;
                 Ok(SweepPoint {
                     index,
                     label: point_label(&overlay),
@@ -245,17 +253,12 @@ fn point_label(overlay: &[(String, Json)]) -> String {
 pub struct SweepParams {
     /// Runner options (workers, fail-fast, job cap).
     pub options: SweepOptions,
-    /// Directory for the final and checkpoint documents.
+    /// Directory for the final document.
     pub out_dir: PathBuf,
-    /// Write the checkpoint after every this-many completed rows
-    /// (0 disables checkpointing).
-    pub checkpoint_every: usize,
-    /// Reuse `ok` rows from an existing checkpoint instead of rerunning.
-    pub resume: bool,
-    /// Consult (and fill) the content-addressed [`ResultCache`] at this
-    /// directory: points whose key is already cached become rows without
-    /// simulating, and freshly simulated records are stored for the next
-    /// overlapping grid. `None` (the default) leaves caching off.
+    /// The content-addressed [`ResultCache`] a local sweep consults and
+    /// fills: points whose key is stored become rows without simulating,
+    /// and each fresh record is stored as it completes. `None` (the
+    /// default) is `<out_dir>/cache`.
     pub cache_dir: Option<PathBuf>,
     /// Emit per-row progress lines on stderr.
     pub verbose: bool,
@@ -266,8 +269,6 @@ impl Default for SweepParams {
         SweepParams {
             options: SweepOptions::default(),
             out_dir: crate::results_dir(),
-            checkpoint_every: 1,
-            resume: true,
             cache_dir: None,
             verbose: false,
         }
@@ -281,17 +282,15 @@ pub struct SweepReport {
     pub path: PathBuf,
     /// The final document.
     pub doc: Json,
-    /// Rows that completed (including reused checkpoint rows).
+    /// Rows that completed (including cached ones).
     pub ok: usize,
     /// Rows that ran and failed.
     pub failed: usize,
     /// Rows skipped by cancellation or a job cap.
     pub skipped: usize,
-    /// How many `ok` rows came from the checkpoint instead of running.
-    pub reused: usize,
-    /// How many `ok` rows came from a result cache (local
-    /// [`SweepParams::cache_dir`] hits, or server-side `cached` answers
-    /// in [`run_sweep_server`]) instead of simulating.
+    /// How many `ok` rows came from a result cache instead of simulating:
+    /// local cache hits and repeated keys in [`run_sweep`], or
+    /// server-side `cached` answers in [`run_sweep_server`].
     pub cached: usize,
 }
 
@@ -302,89 +301,61 @@ impl SweepReport {
     }
 }
 
-/// Version of the checkpoint document layout.
-const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
+/// How [`run_sweep`] answers a distinct key.
+enum Answer {
+    /// The result cache held its record.
+    Hit(Json),
+    /// This job of the batch simulated it.
+    Job(usize),
+}
 
 /// Runs a sweep fail-soft: every point gets a row with status
-/// `ok`/`failed`/`skipped`, completed rows are checkpointed to
-/// `<out>/<id>.partial.json` as the sweep progresses, and the final
-/// `bench_rows.v1`-compatible document lands in `<out>/<id>.json`.
+/// `ok`/`failed`/`skipped`, and the `bench_rows.v1`-compatible document
+/// lands in `<out>/<id>.json`.
 ///
-/// Returns `Err` only for infrastructure problems (unwritable output
-/// directory, malformed grid); per-job failures are reported in the rows.
+/// Each distinct key is answered once, at its first appearance: from the
+/// result cache when it holds the key, otherwise by one simulation whose
+/// record goes into the cache as soon as it completes. A repeated key's
+/// row is rendered from that record, as a cache hit is.
+///
+/// Returns `Err` only for infrastructure problems (unwritable output or
+/// cache directory, malformed grid); per-job failures are reported in the
+/// rows.
 pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, String> {
     let points = spec.points()?;
     std::fs::create_dir_all(&params.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", params.out_dir.display()))?;
     let final_path = params.out_dir.join(format!("{}.json", spec.id));
-    let partial_path = params.out_dir.join(format!("{}.partial.json", spec.id));
+    let cache_dir = params
+        .cache_dir
+        .clone()
+        .unwrap_or_else(|| params.out_dir.join("cache"));
+    // A sweep reads each key once, so a memory tier would only hold copies.
+    let mut cache = ResultCache::open(cache_dir, 0)?;
 
-    // Reuse checkpointed rows where the checkpoint matches this sweep.
-    let mut rows: Vec<Option<Json>> = vec![None; points.len()];
-    let mut reused = 0usize;
-    if params.resume && partial_path.exists() {
-        match load_checkpoint(&partial_path, spec, &points) {
-            Ok(restored) => {
-                for (i, row) in restored {
-                    if rows[i].is_none() {
-                        rows[i] = Some(row);
-                        reused += 1;
-                    }
-                }
-                if params.verbose && reused > 0 {
-                    eprintln!(
-                        "[sweep {}] resuming: {} of {} rows restored from {}",
-                        spec.id,
-                        reused,
-                        points.len(),
-                        partial_path.display()
-                    );
-                }
-            }
-            Err(reason) => eprintln!(
-                "[sweep {}] ignoring checkpoint {}: {reason}",
-                spec.id,
-                partial_path.display()
-            ),
-        }
-    }
-
-    // With a result cache configured, points whose content-address is
-    // already stored become rows without simulating — overlapping grids
-    // (or a grid warmed by `tenways serve`) only pay for the new keys.
-    let cache = match &params.cache_dir {
-        Some(dir) => Some(Mutex::new(ResultCache::open(dir, 64)?)),
-        None => None,
-    };
-    let mut cached = 0usize;
-    if let Some(cache) = &cache {
-        let mut store = cache.lock().unwrap_or_else(|e| e.into_inner());
-        for (i, point) in points.iter().enumerate() {
-            if rows[i].is_some() {
-                continue;
-            }
-            if let Some(record) = store.get(&point.config.cache_key()) {
-                rows[i] = Some(cached_row(point, &record.to_json(), "hit"));
-                cached += 1;
+    let keys: Vec<String> = points.iter().map(|p| p.config.cache_key()).collect();
+    let mut answers: HashMap<&str, Answer> = HashMap::new();
+    let mut todo: Vec<usize> = Vec::new();
+    for i in first_appearances(keys.iter().map(String::as_str)) {
+        let answer = match cache.get(&keys[i]) {
+            Some(record) => {
                 if params.verbose {
-                    eprintln!("[sweep {}] cached {}", spec.id, point.label);
+                    eprintln!("[sweep {}] cached {}", spec.id, points[i].label);
                 }
+                Answer::Hit(record.to_json())
             }
-        }
-        if cached > 0 && params.verbose {
-            eprintln!(
-                "[sweep {}] {cached} of {} rows served from the result cache",
-                spec.id,
-                points.len()
-            );
-        }
+            None => {
+                todo.push(i);
+                Answer::Job(todo.len() - 1)
+            }
+        };
+        answers.insert(&keys[i], answer);
     }
 
-    // Dispatch the points that still need to run. Each job carries its own
-    // wall time (milliseconds) alongside the record so rows can report
-    // simulation throughput; timing inside the closure excludes queueing.
-    let todo: Vec<usize> = (0..points.len()).filter(|&i| rows[i].is_none()).collect();
-    let jobs: Vec<SweepJob<(tenways_waste::RunRecord, f64)>> = todo
+    // Each job carries its own wall time (milliseconds) alongside the
+    // record so rows can report simulation throughput; timing inside the
+    // closure excludes queueing.
+    let jobs: Vec<SweepJob<(RunRecord, f64)>> = todo
         .iter()
         .map(|&i| {
             let config = points[i].config.clone();
@@ -398,81 +369,66 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
             })
         })
         .collect();
-
-    let total = points.len();
-    let state = Mutex::new((rows, 0usize)); // (rows, completions since checkpoint)
+    let cache = Mutex::new(cache);
     let runner = SweepRunner::with_options(params.options.clone());
-    let batch = runner.run_observed(
-        jobs,
-        |j, outcome: &JobOutcome<(tenways_waste::RunRecord, f64)>| {
-            let i = todo[j];
-            if params.verbose {
-                match &outcome.result {
-                    Ok((r, sim_ms)) => eprintln!(
-                        "[sweep {}] {} {} ({} cycles, {sim_ms:.1} ms)",
-                        spec.id,
-                        outcome.status().as_str(),
-                        points[i].label,
-                        r.summary.cycles
-                    ),
-                    Err(e) => eprintln!(
-                        "[sweep {}] {} {}: {e}",
-                        spec.id,
-                        outcome.status().as_str(),
-                        points[i].label
-                    ),
-                }
-            }
-            if let Ok((record, sim_ms)) = &outcome.result {
-                if let Some(cache) = &cache {
-                    let mut store = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Err(e) = store.put(&points[i].config.cache_key(), record.to_json()) {
-                        eprintln!("[sweep {}] cache write failed: {e}", spec.id);
-                    }
-                }
-                let row = ok_row(&points[i], record, *sim_ms);
-                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                st.0[i] = Some(row);
-                st.1 += 1;
-                if params.checkpoint_every > 0 && st.1 >= params.checkpoint_every {
-                    st.1 = 0;
-                    if let Err(e) = write_checkpoint(&partial_path, spec, total, &st.0) {
-                        eprintln!("[sweep {}] checkpoint write failed: {e}", spec.id);
-                    }
-                }
-            }
-        },
-    );
-
-    // Assemble the final rows in point order.
-    let (mut rows, _) = state.into_inner().unwrap_or_else(|e| e.into_inner());
-    for (j, outcome) in batch.outcomes.iter().enumerate() {
+    let batch = runner.run_observed(jobs, |j, outcome: &JobOutcome<(RunRecord, f64)>| {
         let i = todo[j];
-        if rows[i].is_none() {
-            rows[i] = Some(err_row(&points[i], outcome));
+        if params.verbose {
+            match &outcome.result {
+                Ok((r, sim_ms)) => eprintln!(
+                    "[sweep {}] {} {} ({} cycles, {sim_ms:.1} ms)",
+                    spec.id,
+                    outcome.status().as_str(),
+                    points[i].label,
+                    r.summary.cycles
+                ),
+                Err(e) => eprintln!(
+                    "[sweep {}] {} {}: {e}",
+                    spec.id,
+                    outcome.status().as_str(),
+                    points[i].label
+                ),
+            }
         }
-    }
-    let rows: Vec<Json> = rows
-        .into_iter()
-        .map(|r| r.expect("every point has a row"))
-        .collect();
+        if let Ok((record, _)) = &outcome.result {
+            let mut store = cache.lock().unwrap_or_else(|e| e.into_inner());
+            if let Err(e) = store.put(&keys[i], record.to_json()) {
+                eprintln!("[sweep {}] cache write failed: {e}", spec.id);
+            }
+        }
+    });
 
-    let (doc, ok, failed, skipped) = sweep_doc(spec, total, rows);
+    // Assemble the rows in point order.
+    let mut cached = 0usize;
+    let mut rows = Vec::with_capacity(points.len());
+    for (i, point) in points.iter().enumerate() {
+        rows.push(match &answers[keys[i].as_str()] {
+            Answer::Hit(record) => {
+                cached += 1;
+                cached_row(point, record)
+            }
+            Answer::Job(j) => {
+                let outcome = &batch.outcomes[*j];
+                match &outcome.result {
+                    Ok((record, sim_ms)) if todo[*j] == i => ok_row(point, record, *sim_ms),
+                    Ok((record, _)) => {
+                        cached += 1;
+                        cached_row(point, &record.to_json())
+                    }
+                    Err(_) => err_row(point, outcome),
+                }
+            }
+        });
+    }
+
+    let (doc, ok, failed, skipped) = sweep_doc(spec, points.len(), rows);
     crate::write_json_atomic(&final_path, &doc)?;
-
-    // A fully-ok sweep needs no checkpoint; otherwise keep it so a later
-    // run can reuse the completed rows while retrying the rest.
-    if failed == 0 && skipped == 0 {
-        let _ = std::fs::remove_file(&partial_path);
-    }
-
     Ok(SweepReport {
         path: final_path,
         doc,
         ok,
         failed,
         skipped,
-        reused,
         cached,
     })
 }
@@ -517,10 +473,8 @@ fn sweep_doc(spec: &SweepSpec, total: usize, rows: Vec<Json>) -> (Json, usize, u
 /// The row for a completed point: the standard headline metrics, the
 /// host-side cost of producing them (`sim_ms` wall milliseconds and the
 /// implied simulated cycles per wall second), the point's axis
-/// assignments, and its status. This exact JSON is what the checkpoint
-/// stores, so resumed and fresh rows render identically — a resumed row
-/// keeps the wall time of the run that actually produced it.
-fn ok_row(point: &SweepPoint, record: &tenways_waste::RunRecord, sim_ms: f64) -> Json {
+/// assignments, and its status.
+fn ok_row(point: &SweepPoint, record: &RunRecord, sim_ms: f64) -> Json {
     let mut pairs = match record_row(&point.label, record) {
         Json::Obj(pairs) => pairs,
         other => vec![("row".to_string(), other)],
@@ -540,7 +494,7 @@ fn ok_row(point: &SweepPoint, record: &tenways_waste::RunRecord, sim_ms: f64) ->
 }
 
 /// The row for a failed or skipped point.
-fn err_row(point: &SweepPoint, outcome: &JobOutcome<(tenways_waste::RunRecord, f64)>) -> Json {
+fn err_row(point: &SweepPoint, outcome: &JobOutcome<(RunRecord, f64)>) -> Json {
     let mut pairs = vec![("label".to_string(), Json::from(point.label.clone()))];
     if !point.overlay.is_empty() {
         pairs.push(("point".to_string(), Json::Obj(point.overlay.to_vec())));
@@ -575,8 +529,8 @@ fn record_json_row(point: &SweepPoint, record: &Json, origin: (&str, &str)) -> J
 }
 
 /// The row for a local [`ResultCache`] hit.
-fn cached_row(point: &SweepPoint, record: &Json, source: &str) -> Json {
-    record_json_row(point, record, ("cache", source))
+fn cached_row(point: &SweepPoint, record: &Json) -> Json {
+    record_json_row(point, record, ("cache", "hit"))
 }
 
 /// The row for a point a remote server could not answer.
@@ -801,81 +755,8 @@ pub fn run_sweep_server(
         ok,
         failed,
         skipped,
-        reused: 0,
         cached,
     })
-}
-
-/// Atomically writes the checkpoint document (write-then-rename, so a
-/// sweep killed mid-write never leaves a truncated checkpoint).
-fn write_checkpoint(
-    path: &Path,
-    spec: &SweepSpec,
-    total: usize,
-    rows: &[Option<Json>],
-) -> Result<(), String> {
-    let completed: Vec<Json> = rows
-        .iter()
-        .enumerate()
-        .filter_map(|(i, row)| {
-            row.as_ref()
-                .map(|row| Json::obj([("index", Json::from(i)), ("row", row.clone())]))
-        })
-        .collect();
-    let doc = Json::obj([
-        ("schema_version", Json::U64(CHECKPOINT_SCHEMA_VERSION)),
-        ("kind", Json::from("sweep_checkpoint")),
-        ("id", Json::from(spec.id.clone())),
-        ("total", Json::from(total)),
-        ("completed", Json::Arr(completed)),
-    ]);
-    crate::write_json_atomic(path, &doc)
-}
-
-/// Loads and validates a checkpoint against this sweep's points. Returns
-/// `(index, row)` pairs for rows that can be reused.
-fn load_checkpoint(
-    path: &Path,
-    spec: &SweepSpec,
-    points: &[SweepPoint],
-) -> Result<Vec<(usize, Json)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read checkpoint: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("malformed checkpoint: {e}"))?;
-    if doc.get("kind").and_then(Json::as_str) != Some("sweep_checkpoint") {
-        return Err("not a sweep checkpoint".to_string());
-    }
-    if doc.get("id").and_then(Json::as_str) != Some(spec.id.as_str()) {
-        return Err("checkpoint belongs to a different sweep id".to_string());
-    }
-    if doc.get("total").and_then(Json::as_u64) != Some(points.len() as u64) {
-        return Err("grid size changed since the checkpoint was written".to_string());
-    }
-    let completed = doc
-        .get("completed")
-        .and_then(Json::as_array)
-        .ok_or("checkpoint has no completed rows")?;
-    let mut restored = Vec::with_capacity(completed.len());
-    for entry in completed {
-        let index = entry
-            .get("index")
-            .and_then(Json::as_u64)
-            .ok_or("checkpoint row missing index")? as usize;
-        let row = entry.get("row").ok_or("checkpoint row missing body")?;
-        let point = points
-            .get(index)
-            .ok_or("checkpoint row index out of range")?;
-        if row.get("label").and_then(Json::as_str) != Some(point.label.as_str()) {
-            return Err(format!(
-                "checkpoint row {index} labelled `{}` but the grid expands to `{}`",
-                row.get("label").and_then(Json::as_str).unwrap_or("?"),
-                point.label
-            ));
-        }
-        if row.get("status").and_then(Json::as_str) == Some("ok") {
-            restored.push((index, row.clone()));
-        }
-    }
-    Ok(restored)
 }
 
 #[cfg(test)]
@@ -929,10 +810,15 @@ mod tests {
 
     #[test]
     fn bad_axis_types_fail_the_whole_sweep() {
-        let spec = SweepSpec::from_toml_str("[grid]\nthreads = [\"many\"]\n", "bad").unwrap();
-        assert!(spec.points().unwrap_err().contains("threads"));
-        let spec = SweepSpec::from_toml_str("[grid]\nnosuchfield = [1]\n", "bad").unwrap();
-        assert!(spec.points().unwrap_err().contains("nosuchfield"));
+        for (grid, field) in [
+            ("[grid]\nthreads = [\"many\"]\n", "threads"),
+            ("[grid]\nnosuchfield = [1]\n", "nosuchfield"),
+            ("[grid]\nworkload = [\"lu\", \"quake\"]\n", "workload"),
+        ] {
+            let spec = SweepSpec::from_toml_str(grid, "bad").unwrap();
+            let error = spec.points().unwrap_err();
+            assert!(error.contains(&format!("`{field}`")), "{grid:?}: {error}");
+        }
     }
 
     #[test]
@@ -956,8 +842,6 @@ mod tests {
         let params = SweepParams {
             out_dir: root.join("out"),
             cache_dir: Some(root.join("cache")),
-            resume: false,
-            checkpoint_every: 0,
             ..SweepParams::default()
         };
         let cold = run_sweep(&spec, &params).unwrap();
@@ -985,6 +869,29 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_repeated_key_simulates_once() {
+        let root = tmp_dir("repeat");
+        let grid = "workload = \"lu\"\nscale = 1\n\n[grid]\nthreads = [2, 3, 3]\n";
+        let spec = SweepSpec::from_toml_str(grid, "repeat").unwrap();
+        let params = SweepParams {
+            out_dir: root.clone(),
+            ..SweepParams::default()
+        };
+        let report = run_sweep(&spec, &params).unwrap();
+        assert_eq!((report.ok, report.cached), (3, 1));
+        let entries = std::fs::read_dir(root.join("cache")).unwrap().count();
+        assert_eq!(entries, 2, "one cache entry per distinct key");
+        let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
+        assert_eq!(rows[2].get("cache").and_then(Json::as_str), Some("hit"));
+        assert_eq!(rows[2].get("sim_ms").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(
+            rows[1].get("cycles").map(Json::to_string),
+            rows[2].get("cycles").map(Json::to_string)
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -256,7 +256,7 @@ pub fn results_dir() -> PathBuf {
 /// `path` — readers see either the old complete document or the new one.
 ///
 /// Every JSON emitter in the workspace (figure results, sweep finals and
-/// checkpoints, the serve cache store) funnels through this.
+/// the result cache store) funnels through this.
 pub fn write_text_atomic(path: &Path, text: &str) -> Result<(), String> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");

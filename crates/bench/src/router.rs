@@ -62,8 +62,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tenways_sim::json::Json;
-use tenways_sim::{sha256_hex, Sha256};
-use tenways_waste::SimConfig;
+use tenways_sim::Sha256;
+use tenways_waste::{cache_key_of, SimConfig};
 
 use crate::http::{
     self, connect, error_doc, exchange, reply, Handler, HttpClient, HttpCounters, HttpReply,
@@ -663,10 +663,10 @@ impl Handler for Router {
                 };
                 // Forward the canonical text: the backend decodes it back to
                 // this config and keys it by the same text, so router and
-                // shard agree on ownership. Its hash is the cache key
-                // (`SimConfig::cache_key`), computed once here.
+                // shard agree on ownership. Its key (`SimConfig::cache_key`)
+                // is computed once here.
                 let body = cfg.canonical_text();
-                let key = sha256_hex(body.as_bytes());
+                let key = cache_key_of(&body);
                 match self.forward(&key, "POST", "/run", Some(("application/json", &body))) {
                     Ok(reply) => relay(reply),
                     Err(e) => give_up(e),

@@ -889,8 +889,11 @@ impl SimService {
         ])
     }
 
-    /// Pre-populates the result cache with every point of a grid before
-    /// the service takes traffic (`tenways serve --warm`). Duplicate
+    /// Pre-populates the result cache with labelled configs before the
+    /// service takes traffic; the repository's benchmark fills its
+    /// serve keyspace this way. (From the command line,
+    /// `tenways sweep --cache <dir>` fills the directory a later
+    /// `tenways serve --cache-dir <dir>` answers from.) Duplicate
     /// keys collapse first; already-cached keys are skipped. Cold keys
     /// simulate on the sweep runner with up to `workers` threads (at
     /// least one — a cache-only service can still be warmed, that is the
@@ -987,8 +990,8 @@ fn simulate(cfg: &SimConfig) -> Result<Json, String> {
 }
 
 /// The index of each distinct key's first appearance, in input order —
-/// the one dedup of labelled configs by cache key (batches, `warm`, and
-/// the router's cluster-wide split).
+/// the one dedup of labelled configs by cache key (batches, `warm`, local
+/// sweeps and the router's cluster-wide split).
 pub(crate) fn first_appearances<'a>(keys: impl IntoIterator<Item = &'a str>) -> Vec<usize> {
     let mut seen = HashSet::new();
     keys.into_iter()
@@ -2079,6 +2082,43 @@ mod tests {
             }
             let health = client.request("GET", "/healthz", None).unwrap();
             assert_eq!(health.status, 200, "{front:?}: the server must live on");
+
+            drop(client);
+            running.shutdown.store(true, Ordering::Relaxed);
+            running.join();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_grid_naming_an_unknown_workload_is_one_short_400() {
+        // A 20 000-byte workload name over a 64-value axis: answered per
+        // point, every failed item would echo the name back, 64 times.
+        let threads: Vec<String> = (1..=64).map(|t| t.to_string()).collect();
+        let grid = format!(
+            "workload = \"{}\"\nscale = 1\n\n[grid]\nthreads = [{}]\n",
+            "w".repeat(20_000),
+            threads.join(", ")
+        );
+        for front in [Front::Serve, Front::Route] {
+            let dir = tmp_dir(&format!("unknown-workload-{front:?}"));
+            let svc = Arc::new(service(&dir, 1));
+            let running = Running::start(front, Arc::clone(&svc), None);
+            let mut client = HttpClient::new(running.addr.clone());
+            let reply = client
+                .request("POST", "/batch", Some(("application/toml", &grid)))
+                .unwrap();
+            assert_eq!(reply.status, 400, "{front:?}");
+            assert!(
+                reply.text.len() <= grid.len() + 1024,
+                "{front:?}: a {}-byte reply to a {}-byte request",
+                reply.text.len(),
+                grid.len()
+            );
+            let error = reply.body.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("`workload`"), "{front:?}: {error}");
+            assert_eq!(svc.sim_runs(), 0, "{front:?}: nothing may simulate");
+            assert_eq!(svc.stats_json().get("sim_failures"), Some(&Json::U64(0)));
 
             drop(client);
             running.shutdown.store(true, Ordering::Relaxed);

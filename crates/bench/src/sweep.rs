@@ -147,7 +147,7 @@ pub struct SweepOptions {
     /// Cancel the rest of the batch as soon as one job fails.
     pub fail_fast: bool,
     /// Start at most this many jobs; the rest report as skipped. Used for
-    /// incremental sweeps and for exercising checkpoint/resume.
+    /// incremental sweeps and for exercising resume.
     pub max_jobs: Option<usize>,
 }
 
@@ -204,7 +204,7 @@ impl SweepRunner {
 
     /// Runs a batch, invoking `observer` after each job completes (ok or
     /// not). Observer calls are serialized (never concurrent), which makes
-    /// it a safe place to checkpoint completed rows; the job *dispatch*
+    /// it a safe place to store completed results; the job *dispatch*
     /// path stays lock-free.
     pub fn run_observed<T: Send + Sync>(
         &self,

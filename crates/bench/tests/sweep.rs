@@ -1,10 +1,12 @@
 //! End-to-end tests for the grid sweep layer: failure containment,
-//! degenerate grids, oversubscription, and checkpoint/resume determinism.
+//! degenerate grids, oversubscription, and resuming through the result
+//! cache.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tenways_bench::{run_sweep, SweepOptions, SweepParams, SweepSpec};
 use tenways_sim::json::Json;
+use tenways_waste::{Experiment, SimConfig};
 
 /// A fresh directory under the cargo-managed tmp dir for one test.
 fn out_dir(name: &str) -> PathBuf {
@@ -102,21 +104,29 @@ fn a_failing_point_costs_only_its_own_row() {
         assert_eq!(row.get("status").and_then(Json::as_str), Some("ok"));
         assert!(row.get("cycles").and_then(Json::as_u64).is_some());
     }
-    // The checkpoint survives a partial sweep so a rerun can resume.
-    assert!(dir.join("failsoft.partial.json").exists());
+    // A rerun takes the three ok rows from the cache and runs only the
+    // failing point again.
+    let rerun = run_sweep(&spec, &quiet_params(dir)).unwrap();
+    assert_eq!((rerun.ok, rerun.failed, rerun.cached), (3, 1, 3));
+    let rows = rerun.doc.get("rows").and_then(Json::as_array).unwrap();
+    assert!(rows[..3]
+        .iter()
+        .all(|row| row.get("cache").and_then(Json::as_str) == Some("hit")));
+    assert_eq!(rows[3].get("status").and_then(Json::as_str), Some("failed"));
 }
 
-/// Renders a sweep document with its per-row host timing fields zeroed.
-/// `sim_ms` / `sim_cycles_per_sec` measure wall-clock on *this* host during
-/// *this* run, so they legitimately differ between two runs of the same
-/// sweep; everything else must not.
-fn masked_timing(bytes: &[u8]) -> String {
-    let text = std::str::from_utf8(bytes).expect("sweep doc is UTF-8");
-    let mut doc = Json::parse(text).expect("sweep doc parses");
+/// Renders a sweep document with its per-row host timing fields zeroed
+/// and its cache markers removed. `sim_ms` / `sim_cycles_per_sec` measure
+/// wall-clock on *this* host during *this* run, and a row answered from
+/// the cache reads 0 for both and carries `"cache": "hit"`; everything
+/// else must not differ between two runs of the same sweep.
+fn masked(doc: &Json) -> String {
+    let mut doc = doc.clone();
     if let Json::Obj(pairs) = &mut doc {
         if let Some((_, Json::Arr(rows))) = pairs.iter_mut().find(|(k, _)| k == "rows") {
             for row in rows {
                 if let Json::Obj(fields) = row {
+                    fields.retain(|(key, _)| key != "cache");
                     for (key, value) in fields.iter_mut() {
                         if key == "sim_ms" || key == "sim_cycles_per_sec" {
                             *value = Json::F64(0.0);
@@ -129,17 +139,23 @@ fn masked_timing(bytes: &[u8]) -> String {
     doc.pretty()
 }
 
+/// The document a sweep wrote, parsed.
+fn written(dir: &Path, id: &str) -> Json {
+    let text = std::fs::read_to_string(dir.join(format!("{id}.json"))).unwrap();
+    Json::parse(&text).unwrap()
+}
+
 #[test]
-fn resume_from_checkpoint_reproduces_the_uninterrupted_run_byte_for_byte() {
+fn a_cut_sweep_resumes_from_the_cache_to_the_uninterrupted_document() {
     let spec = SweepSpec::from_toml_str(TINY_GRID, "x").unwrap();
 
     // Reference: one uninterrupted run.
     let full_dir = out_dir("resume_full");
     run_sweep(&spec, &quiet_params(full_dir.clone())).unwrap();
-    let reference = std::fs::read(full_dir.join("tiny.json")).unwrap();
+    let reference = written(&full_dir, "tiny");
 
     // Interrupted: a single worker allowed only 5 fresh starts, then a
-    // resume that picks up the other 11 from the checkpoint.
+    // rerun that takes those 5 from the cache and simulates the other 11.
     let cut_dir = out_dir("resume_cut");
     let interrupted = SweepParams {
         options: SweepOptions {
@@ -151,42 +167,56 @@ fn resume_from_checkpoint_reproduces_the_uninterrupted_run_byte_for_byte() {
     };
     let report = run_sweep(&spec, &interrupted).unwrap();
     assert_eq!((report.ok, report.failed, report.skipped), (5, 0, 11));
-    assert!(cut_dir.join("tiny.partial.json").exists());
 
     let report = run_sweep(&spec, &quiet_params(cut_dir.clone())).unwrap();
     assert_eq!((report.ok, report.failed, report.skipped), (16, 0, 0));
-    assert_eq!(report.reused, 5, "checkpointed rows must not rerun");
-    let resumed = std::fs::read(cut_dir.join("tiny.json")).unwrap();
+    assert_eq!(report.cached, 5, "rows that ran before must not rerun");
+    let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
+    let simulated = rows.iter().filter(|row| row.get("cache").is_none());
+    assert_eq!(simulated.count(), 11);
     assert_eq!(
-        masked_timing(&resumed),
-        masked_timing(&reference),
-        "resumed sweep must be byte-identical to the uninterrupted run \
-         (modulo host wall-clock fields)"
-    );
-    assert!(
-        !cut_dir.join("tiny.partial.json").exists(),
-        "a fully-ok sweep removes its checkpoint"
+        masked(&written(&cut_dir, "tiny")),
+        masked(&reference),
+        "a resumed sweep must equal the uninterrupted run apart from host \
+         timing and cache markers"
     );
 }
 
 #[test]
-fn fresh_run_ignores_a_stale_checkpoint() {
-    let spec = SweepSpec::from_toml_str(TINY_GRID, "x").unwrap();
-    let dir = out_dir("fresh");
-    let interrupted = SweepParams {
+fn a_changed_base_config_reruns_instead_of_resuming() {
+    // Cut at scale 1, then rerun the same grid id over a scale-4 base:
+    // the cached scale-1 record must not answer the scale-4 point.
+    let grid = |scale: u64| {
+        format!(
+            "workload = \"lu\"\nscale = {scale}\n\n[sweep]\nid = \"stale\"\n\n\
+             [grid]\nthreads = [2, 4]\n"
+        )
+    };
+    let dir = out_dir("stale_base");
+    let cut = SweepParams {
         options: SweepOptions {
             workers: Some(1),
-            max_jobs: Some(3),
+            max_jobs: Some(1),
             ..SweepOptions::default()
         },
         ..quiet_params(dir.clone())
     };
-    run_sweep(&spec, &interrupted).unwrap();
-    let no_resume = SweepParams {
-        resume: false,
-        ..quiet_params(dir.clone())
-    };
-    let report = run_sweep(&spec, &no_resume).unwrap();
-    assert_eq!(report.reused, 0, "--fresh reruns every point");
-    assert_eq!(report.ok, 16);
+    let small = SweepSpec::from_toml_str(&grid(1), "x").unwrap();
+    let report = run_sweep(&small, &cut).unwrap();
+    assert_eq!((report.ok, report.skipped), (1, 1));
+
+    let large = SweepSpec::from_toml_str(&grid(4), "x").unwrap();
+    let rerun = run_sweep(&large, &quiet_params(dir)).unwrap();
+    assert_eq!((rerun.ok, rerun.cached), (2, 0));
+    let fresh = run_sweep(&large, &quiet_params(out_dir("stale_fresh"))).unwrap();
+    assert_eq!(masked(&rerun.doc), masked(&fresh.doc));
+
+    let cfg = SimConfig::from_toml_str("workload = \"lu\"\nthreads = 2\nscale = 4\n").unwrap();
+    let record = Experiment::from_config(&cfg).unwrap().run().unwrap();
+    let rows = rerun.doc.get("rows").and_then(Json::as_array).unwrap();
+    assert_eq!(
+        rows[0].get("cycles").and_then(Json::as_u64),
+        Some(record.summary.cycles),
+        "the threads=2 row must be the scale-4 run"
+    );
 }

@@ -129,6 +129,16 @@ impl Sha256 {
         out
     }
 
+    /// Finishes the digest as a lowercase hex string.
+    pub fn finalize_hex(self) -> String {
+        let mut out = String::with_capacity(64);
+        for byte in self.finalize() {
+            use std::fmt::Write;
+            let _ = write!(out, "{byte:02x}");
+        }
+        out
+    }
+
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -173,13 +183,7 @@ impl Sha256 {
 pub fn sha256_hex(data: &[u8]) -> String {
     let mut h = Sha256::new();
     h.update(data);
-    let digest = h.finalize();
-    let mut out = String::with_capacity(64);
-    for byte in digest {
-        use std::fmt::Write;
-        let _ = write!(out, "{byte:02x}");
-    }
-    out
+    h.finalize_hex()
 }
 
 #[cfg(test)]

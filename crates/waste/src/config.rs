@@ -45,7 +45,7 @@ use tenways_core::SpecConfig;
 use tenways_cpu::ConsistencyModel;
 use tenways_sim::json::{write_escaped, write_f64, Json, JsonError, ToJson};
 use tenways_sim::toml::parse_toml;
-use tenways_sim::{sha256_hex, AtomicsConfig, MachineConfig};
+use tenways_sim::{AtomicsConfig, MachineConfig, Sha256};
 use tenways_workloads::WorkloadParams;
 
 use crate::energy::EnergyModel;
@@ -316,13 +316,32 @@ impl SimConfig {
         out
     }
 
-    /// The content-address of this configuration: the SHA-256 hex digest
-    /// of [`canonical_text`](Self::canonical_text). This is the key of the
-    /// `tenways serve` result cache — equal keys mean interchangeable
-    /// (deterministic, byte-identical) results.
+    /// The content-address of this configuration:
+    /// [`cache_key_of`] its [`canonical_text`](Self::canonical_text). This
+    /// is the key of every result cache (`tenways serve`, `tenways sweep`)
+    /// — equal keys mean interchangeable (deterministic, byte-identical)
+    /// results.
     pub fn cache_key(&self) -> String {
-        sha256_hex(self.canonical_text().as_bytes())
+        cache_key_of(&self.canonical_text())
     }
+}
+
+/// The version of the simulator's semantics: which record a
+/// configuration produces. Every cache key hashes it, so a change that
+/// alters any record bumps it, and caches filled before the change stop
+/// answering. The golden table in `crates/waste/tests/cache_key.rs`
+/// fails on such a change.
+pub const SEMANTICS_VERSION: u64 = 1;
+
+/// The cache key of a configuration's
+/// [canonical text](SimConfig::canonical_text): the SHA-256 hex digest of
+/// [`SEMANTICS_VERSION`] as 8 big-endian bytes followed by the text. The
+/// one recipe for a key; the router keys the text it forwards with it.
+pub fn cache_key_of(canonical_text: &str) -> String {
+    let mut h = Sha256::new();
+    h.update(&SEMANTICS_VERSION.to_be_bytes());
+    h.update(canonical_text.as_bytes());
+    h.finalize_hex()
 }
 
 /// Starts an object member of `out`: a comma unless it is the object's

@@ -50,7 +50,7 @@ pub mod report;
 mod runner;
 mod taxonomy;
 
-pub use config::{ConfigLoadError, SimConfig};
+pub use config::{cache_key_of, ConfigLoadError, SimConfig, SEMANTICS_VERSION};
 pub use energy::{EnergyModel, EnergyReport};
 pub use runner::{Experiment, ExperimentError, RunRecord, RUN_RECORD_SCHEMA_VERSION};
 pub use taxonomy::{WasteBreakdown, WasteCategory};

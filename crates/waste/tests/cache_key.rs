@@ -10,8 +10,9 @@ use tenways_core::SpecMode;
 use tenways_cpu::ConsistencyModel;
 use tenways_sim::json::{Json, ToJson};
 use tenways_sim::toml::parse_toml;
-use tenways_sim::{canonical, AtomicsConfig, DetRng};
-use tenways_waste::SimConfig;
+use tenways_sim::{canonical, sha256_hex, AtomicsConfig, DetRng};
+use tenways_waste::{Experiment, SimConfig, SEMANTICS_VERSION};
+use tenways_workloads::WorkloadKind;
 
 /// A key is 64 lowercase hex chars (SHA-256).
 fn well_formed(key: &str) -> bool {
@@ -83,18 +84,18 @@ fn keys_are_pinned() {
     let pins = [
         (
             "",
-            "a3fec8a1a60906fe34385fcd12326d5284590ee2f1da8c0a3cab0783f6ff2a78",
+            "efcd19da1cd7b485894c6dc7ecf0626a0eacc3c53df2f931a8c4cbef2969f85b",
         ),
         (
             "workload = \"lu\"\nthreads = 2\nscale = 1\n",
-            "2d4d92c6907b4ca0c6ef47daae4149f0ec706c1731c4db62328479dfdbd7978a",
+            "5741bad07454e3f08c4d7c329f7909aeeaffdd7472ac6ab63ddf07a0584ef57e",
         ),
         (
             "workload = \"contended\"\nthreads = 16\nconflict = 0.25\nmodel = \"sc\"\n\
              spec = \"per-store:12\"\natomics = \"schweizer\"\n\
              [machine]\nnoc_mesh = true\ndram_latency = 200\n\
              [protocol]\ngrant_exclusive = false\n",
-            "075dce15aab7504fb06364ed49d56d2acc0099dbb37cb0233afe8da2f1a5bf45",
+            "92c1495caa5b04f8d83ee9eb5b05427144f4d4de0a5b14c1145dfa55dde23f0a",
         ),
     ];
     for (toml, pinned) in pins {
@@ -103,7 +104,7 @@ fn keys_are_pinned() {
             key, pinned,
             "the cache key of {toml:?} moved. A moved key orphans every \
              results/cache/ entry and every serve disk tier; only a deliberate \
-             semantics bump (ROADMAP item 1) may update these pins"
+             SEMANTICS_VERSION bump may update these pins"
         );
     }
 }
@@ -173,17 +174,20 @@ fn each_semantic_field_moves_the_key() {
 
 #[test]
 fn key_matches_canonical_json_rendering() {
-    // The key is definitionally the SHA-256 of the canonical JSON bytes —
-    // pin that so the disk format of `results/cache` stays stable. The
+    // The key is definitionally the SHA-256 of the semantics version and
+    // the canonical JSON bytes — pin that so the disk format of
+    // `results/cache` stays stable. The
     // tree path defines the form: the config's JSON tree with its keys
     // sorted at every level, rendered compact.
     let cfg = SimConfig::default();
     let doc = canonical(&cfg.to_json());
     assert_eq!(cfg.canonical_text(), doc.to_string());
-    assert_eq!(
-        cfg.cache_key(),
-        tenways_sim::sha256_hex(doc.to_string().as_bytes())
-    );
+    let versioned = [
+        &SEMANTICS_VERSION.to_be_bytes()[..],
+        doc.to_string().as_bytes(),
+    ]
+    .concat();
+    assert_eq!(cfg.cache_key(), sha256_hex(&versioned));
     assert!(doc.get("sched").is_none(), "sched must be excluded");
     assert!(doc.get("workload").is_some());
 }
@@ -393,4 +397,98 @@ fn canonical_text_equals_the_tree_oracle_and_reads_back() {
         }
     }
     assert!(read_back > DRAWN / 3, "only {read_back} configs read back");
+}
+
+/// Every record the simulator gives at seed 7, 2 threads and scale 1:
+/// `(workload, model, cycles, SHA-256 of RunRecord::fingerprint())` for
+/// each kernel and `contended` under SC, TSO and RMO. One row a line,
+/// as the test prints it when a record changes.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str, u64, &str)] = &[
+    ("barnes", "sc", 8271, "3fb2c1efb2bb8b5c298286c8e65da7f48199c15968e2f793434d40e3783974b4"),
+    ("barnes", "tso", 1487, "210bf11e9809e78a004c6b2330ebb547bad7fcec8f633c931234c285fb6bd9ec"),
+    ("barnes", "rmo", 1749, "079620e7a0b5f2dacd7de3739abf46bd0ab2eebc3d56be48184a731fbaaed583"),
+    ("ocean", "sc", 7939, "4b847e2f125b43b564486408c8b9c75fe7c9f4aa75b4135fa1d87044f16991ea"),
+    ("ocean", "tso", 932, "9eaf7806de6e577c1a5c0759312e0a8adb0ed4dbf3bd3675a515f5c135839ed8"),
+    ("ocean", "rmo", 804, "6fc88f5eee4deb9e899eb860c2f480083a8d37e4ca5de86c5d82cb7f2e8d5437"),
+    ("radix", "sc", 3920, "f5567e11be6138f725a975205a240fbaba0398c0975e649fcded0617f0ff7a20"),
+    ("radix", "tso", 2994, "8ca7c225a7821352af91ec6fbc8353e68b283b9c9b3cb4d5d39ada5677731f4c"),
+    ("radix", "rmo", 2943, "9703617ce38672767a7bd54f60ca3d9388bb0ff8ba4b1951bd4f4a040dea5851"),
+    ("lu", "sc", 1869, "042ebeed249d129d560ad0b8bce3470870baafb5814a8bb6bbf8de92b12fc033"),
+    ("lu", "tso", 1619, "4d0ecd7cf7b2c5377d02ac99b1b7540558edf8b197c6e28db7991da28d2953b1"),
+    ("lu", "rmo", 1513, "a66fd765bee79af7dd401f0ffc0957712f77ed99437fcd66d71b3bad67325730"),
+    ("apache", "sc", 964, "81ba4223ac983d2d1e49caa59c9e8ebc0b5bcad4af03b901be65443aef2f7e5a"),
+    ("apache", "tso", 528, "f9e9163b35b2821cb90e755481f194fc17599b9f5079dc8a331fdb9e61c338ee"),
+    ("apache", "rmo", 523, "32d258efe0c56bebc26a5b0c83bf0f16441139f7d4d2daa5a2e771ede26c5794"),
+    ("zeus", "sc", 1254, "2d0181fcfa0e066d985269659c580590446c219fb42d3b8e015983531ef8c1a8"),
+    ("zeus", "tso", 569, "f8d0b47d212318647c78b917715a85a5607f4d3b82dec8f825a8d253f0c76c3b"),
+    ("zeus", "rmo", 566, "2152487eb8782f6abf9610cd64a6eb9a63ac027bfa1e0d39d5eb3e9c11829075"),
+    ("oltp", "sc", 2970, "ab3dd5ce0ce52c9ee9218376335b39c74a5919cc1b2d8e3b38f986dcf1829e44"),
+    ("oltp", "tso", 2144, "83e5d3ef1dd15290fb69e321073b97e3ee627786d74d6d9bc69057f758328130"),
+    ("oltp", "rmo", 1944, "ff5c1f12c91fad498e240ebf34ec0379bf6376534722e1f5d84c7f54ca20d0b1"),
+    ("dss", "sc", 42709, "410bc84d2944e6079410e5115d6ee2df2187e31acae1326deb412613db63a030"),
+    ("dss", "tso", 5601, "f65427382a9981278a5314c1d3cb04daca412a6a70350d9ec8ebea564f86c450"),
+    ("dss", "rmo", 5601, "5fc63ba940d4e1d5f29956ea7bce5694e6bbdc3119a7f60d20e43b38e8b84c96"),
+    ("mcs", "sc", 2276, "27ef18bf96aad0c9064fdf2ce8691cda21e9b8ea6a0b80a9b72cce257adc3d06"),
+    ("mcs", "tso", 2472, "4c6de9433ffac7349911c58138419a7db5d83afe45f05baf363960b39ebf5621"),
+    ("mcs", "rmo", 1648, "1e4dd79300283ff6f69402a682707305e71cbcd93683fa5ba57007a9c930fafa"),
+    ("clh", "sc", 1726, "7842df716ddc0e310079838ed6c2c7a955d408735258bfb827f850bf7a7eb4a8"),
+    ("clh", "tso", 1726, "bbf405101c23cb6e1d0bb00128f460192b3d130cd4f3450bc377bd1bcb1374f6"),
+    ("clh", "rmo", 1726, "21205e163f786197520ca75ae0046bd5f63f57b59e9ee9de06c734784597bc2c"),
+    ("rcu", "sc", 1035, "c50f4cce604709daa9b363b5b26589b4a51deabeff7c29b928c855087ff865ed"),
+    ("rcu", "tso", 885, "fdade17c61b0cb29f064dadce348e122551eecc34c640f162487de065200dc9c"),
+    ("rcu", "rmo", 885, "86c8fbbf599cadd5b3bbd5eeb86dcd5487520d5c937b4fc83b17715b9b8be108"),
+    ("hazard", "sc", 740, "fbf2a3ac09b318ee78690709602bbdfb83931eb767a4cf9b172d6c834d9b4b0a"),
+    ("hazard", "tso", 731, "2b4099f0bc7179427d6e6d217807f13a7a3a368946ef4a904dcc6b66a1a32bbd"),
+    ("hazard", "rmo", 731, "d193efbcee8277fa5a4933bfffa9f4e12c691af3496a2776b5209ea3f9f0a627"),
+    ("flatcomb", "sc", 1158, "8aeec9b5377d55d44f38d6217d8db6b5cdca8bc19b3d45e6bb5f1c1e663de783"),
+    ("flatcomb", "tso", 972, "dd95c5cb9c774f4c1e18c864102d947b3539992a511d8d24743631fb68726b8b"),
+    ("flatcomb", "rmo", 966, "b9ebdfde2a06a54786521516959ffc4df12d5d7274379d19d68cb8a170b7ed4c"),
+    ("wsdeque", "sc", 1443, "88dab40b43947e6a439bccd1fa53118124ae6bbd0577eb5458a52f7751fd421b"),
+    ("wsdeque", "tso", 1482, "7d7c18eebaf8947d3a3a0d7513fa6453aaea1747158b1ea3f73d195d0e198f8f"),
+    ("wsdeque", "rmo", 1287, "2e1afa8ad181a20ab210b7b806d0857f33d11626639bd91e4af0e06047e28cf1"),
+    ("contended", "sc", 9966, "c041db3f1700607d2c2878f98c03cc428fc81fa1b537770ad42fa552594b971e"),
+    ("contended", "tso", 7239, "86099e0f2e63563c4270706d472f107fb93c20f569cc8ff0ca08a636b13734ea"),
+    ("contended", "rmo", 7239, "4473cb9b12994399dbd5bb26f8abf1b247edb8d71e26dc350929100cdda9b801"),
+];
+
+#[test]
+fn records_match_the_golden_table() {
+    // A cache answers a key with the record it stored, so a change to
+    // any record must move every key: bump SEMANTICS_VERSION, which this
+    // table stands guard over.
+    let workloads = WorkloadKind::all()
+        .into_iter()
+        .map(|k| k.name().to_string())
+        .chain(["contended".to_string()]);
+    let mut fresh = Vec::new();
+    for workload in workloads {
+        for model in ConsistencyModel::all() {
+            let cfg = SimConfig {
+                workload: workload.clone(),
+                model,
+                threads: 2,
+                scale: 1,
+                seed: 7,
+                ..SimConfig::default()
+            };
+            let record = Experiment::from_config(&cfg).unwrap().run().unwrap();
+            let model = cfg.model.label().to_ascii_lowercase();
+            fresh.push(format!(
+                "    ({workload:?}, {model:?}, {}, {:?}),",
+                record.summary.cycles,
+                sha256_hex(record.fingerprint().as_bytes())
+            ));
+        }
+    }
+    let golden: Vec<String> = GOLDEN
+        .iter()
+        .map(|(w, m, cycles, digest)| format!("    ({w:?}, {m:?}, {cycles}, {digest:?}),"))
+        .collect();
+    assert!(
+        fresh == golden,
+        "a record changed: bump SEMANTICS_VERSION (crates/waste/src/config.rs) \
+         and the key pins above, then replace GOLDEN with the fresh table:\n{}",
+        fresh.join("\n")
+    );
 }

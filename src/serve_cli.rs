@@ -14,9 +14,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tenways::bench::{
-    http_call, serve_http, write_text_atomic, ServeOptions, SimService, SweepSpec,
-};
+use tenways::bench::{http_call, serve_http, write_text_atomic, ServeOptions, SimService};
 
 fn usage() -> ! {
     eprintln!(
@@ -31,7 +29,9 @@ server options:
   --addr <host:port>    bind address (default 127.0.0.1:7417; port 0
                         picks an ephemeral port — pair with --port-file)
   --cache-dir <path>    result cache directory (default
-                        $TENWAYS_RESULTS_DIR/cache or results/cache)
+                        $TENWAYS_RESULTS_DIR/cache or results/cache);
+                        `tenways sweep --cache <path>` fills the same
+                        store, so a sweep warms a server before it starts
   --workers <n>         simulation worker threads (default: host
                         parallelism; 0 = cache-only, misses get HTTP 503)
   --mem-capacity <n>    in-memory LRU entries (default 128)
@@ -45,9 +45,6 @@ server options:
   --sync-timeout-ms <n> a miss still simulating after this long answers
                         HTTP 202 + key instead of blocking; poll it with
                         GET /jobs/<key> (default: block until done)
-  --warm <grid>         pre-populate the result cache from a sweep spec
-                        (TOML or JSON) before binding the listener;
-                        reports warmed/skipped counts on stderr
   --max-requests <n>    exit cleanly after n connections (for scripts/CI)
   --port-file <path>    write the actual bound address to this file once
                         listening (atomic write; for ephemeral ports)
@@ -95,7 +92,6 @@ pub fn main(argv: &[String]) -> ! {
     let mut addr = "127.0.0.1:7417".to_string();
     let mut options = ServeOptions::default();
     let mut max_requests: Option<u64> = None;
-    let mut warm: Option<PathBuf> = None;
     let mut port_file: Option<PathBuf> = None;
     let mut verbose = false;
     let mut mode = Mode::Server;
@@ -127,7 +123,6 @@ pub fn main(argv: &[String]) -> ! {
             }
             "--queue-depth" => options.queue_depth = number(&mut i) as usize,
             "--sync-timeout-ms" => options.sync_timeout_ms = Some(number(&mut i)),
-            "--warm" => warm = Some(PathBuf::from(value(&mut i))),
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),
             "--verbose" => verbose = true,
@@ -143,7 +138,7 @@ pub fn main(argv: &[String]) -> ! {
     }
 
     match mode {
-        Mode::Server => run_server(&addr, options, warm, max_requests, port_file, verbose),
+        Mode::Server => run_server(&addr, options, max_requests, port_file, verbose),
         Mode::Post(source) => run_client_post(&addr, "/run", &source),
         Mode::Batch(source) => run_client_post(&addr, "/batch", &source),
         Mode::Job(key) => run_get(&addr, &format!("/jobs/{key}")),
@@ -155,7 +150,6 @@ pub fn main(argv: &[String]) -> ! {
 fn run_server(
     addr: &str,
     options: ServeOptions,
-    warm: Option<PathBuf>,
     max_requests: Option<u64>,
     port_file: Option<PathBuf>,
     verbose: bool,
@@ -163,34 +157,6 @@ fn run_server(
     let workers = options.workers;
     let cache_dir = options.cache_dir.clone();
     let service = SimService::new(options).unwrap_or_else(|e| fail(e));
-    // Warm before binding: clients that can connect always see the
-    // cache the spec promised them.
-    if let Some(spec_path) = &warm {
-        let spec = SweepSpec::load(spec_path).unwrap_or_else(|e| fail(e));
-        let points: Vec<_> = spec
-            .points()
-            .unwrap_or_else(|e| fail(e))
-            .into_iter()
-            .map(|p| (p.label, p.config))
-            .collect();
-        eprintln!(
-            "[serve] warming cache from {} ({} point{})",
-            spec_path.display(),
-            points.len(),
-            if points.len() == 1 { "" } else { "s" }
-        );
-        let report = service.warm(&points);
-        for (label, error) in &report.failed {
-            eprintln!("[serve] warm {label} failed: {error}");
-        }
-        eprintln!(
-            "[serve] warm done: {} unique, {} warmed, {} already cached, {} failed",
-            report.unique,
-            report.warmed,
-            report.skipped,
-            report.failed.len()
-        );
-    }
     let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail(format!("bind {addr}: {e}")));
     let bound = listener
         .local_addr()

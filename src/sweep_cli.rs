@@ -25,16 +25,9 @@ fn usage() -> ! {
                          concurrently (default: host parallelism)
   --fail-fast            skip the rest of the grid after the first failure
   --max-jobs <n>         start at most n fresh jobs this invocation
-  --checkpoint-every <n> checkpoint after every n completed rows
-                         (default 1; 0 disables checkpointing)
-  --fresh                ignore an existing checkpoint and start over
-  --cache [<dir>]        consult (and fill) the content-addressed result
-                         cache before simulating: points already cached
-                         become rows without running (marked
-                         \"cache\": \"hit\"). The optional directory
-                         defaults to $TENWAYS_RESULTS_DIR/cache or
-                         results/cache — the same store `tenways serve`
-                         uses, so a warm server warms local sweeps too
+  --cache <dir>          a local sweep's result cache (default
+                         <out>/cache, which without --out is the store
+                         `tenways serve` uses by default)
   --server <host:port>   client mode: POST the whole grid to a running
                          `tenways serve` instance's /batch endpoint (the
                          server canonicalizes, deduplicates, and answers
@@ -46,9 +39,13 @@ fn usage() -> ! {
                          and rejected keys retry with jittered backoff
   --quiet                suppress per-row progress on stderr
 
-Completed rows are checkpointed to <out>/<id>.partial.json; rerunning the
-same sweep resumes from the checkpoint. The final document is
-<out>/<id>.json with per-row status ok / failed / skipped."
+Every local sweep consults and fills the content-addressed result cache:
+a point whose config the cache holds becomes a row without simulating
+(marked \"cache\": \"hit\"), a config repeated in the grid simulates once,
+and each record is stored as it completes, so rerunning a cut sweep
+resumes it. `tenways serve --cache-dir <dir>` answers from a directory a
+sweep filled. The final document is <out>/<id>.json with per-row status
+ok / failed / skipped."
     );
     std::process::exit(2);
 }
@@ -85,20 +82,7 @@ pub fn main(argv: &[String]) -> ! {
             "--workers" => options.workers = Some(number(&mut i).max(1) as usize),
             "--fail-fast" => options.fail_fast = true,
             "--max-jobs" => options.max_jobs = Some(number(&mut i) as usize),
-            "--checkpoint-every" => params.checkpoint_every = number(&mut i) as usize,
-            "--fresh" => params.resume = false,
-            "--cache" => {
-                // Optional directory operand: consume it only when the
-                // next token is not another flag.
-                let dir = match argv.get(i + 1) {
-                    Some(next) if !next.starts_with('-') => {
-                        i += 1;
-                        PathBuf::from(next)
-                    }
-                    _ => tenways::bench::results_dir().join("cache"),
-                };
-                params.cache_dir = Some(dir);
-            }
+            "--cache" => params.cache_dir = Some(PathBuf::from(value(&mut i))),
             "--server" => server = Some(value(&mut i).clone()),
             "--quiet" | "-q" => params.verbose = false,
             "--help" | "-h" => usage(),
@@ -123,8 +107,8 @@ pub fn main(argv: &[String]) -> ! {
     };
     let total = report.ok + report.failed + report.skipped;
     println!(
-        "[sweep {}] {total} point(s): {} ok ({} reused, {} cached), {} failed, {} skipped",
-        spec.id, report.ok, report.reused, report.cached, report.failed, report.skipped
+        "[sweep {}] {total} point(s): {} ok ({} cached), {} failed, {} skipped",
+        spec.id, report.ok, report.cached, report.failed, report.skipped
     );
     println!("[sweep {}] wrote {}", spec.id, report.path.display());
     std::process::exit(if report.all_ok() { 0 } else { 1 });
