@@ -437,20 +437,24 @@ grep -q '"gate_no_lost_requests": true' "$BENCH_DIR/BENCH_serve.json"
 grep -q '"gate_scaleout_capacity": true' "$BENCH_DIR/BENCH_serve.json"
 # Allocation-count gate: serve_bench counts allocations per
 # `SimConfig::cache_key`, per warm in-process submit and per warm
-# `POST /run` (direct and routed) in passes of their own, over a fixed
-# config. Counts are deterministic where timings are not, so a fresh
-# count may exceed its committed row in BENCH_serve.json by at most 1%;
-# a change that raises one recommits the row and says why.
+# `POST /run` (direct and routed), and sim_throughput counts allocations
+# per `Experiment::run` at fixed sizes and the marginal allocations per
+# retired op between two of them, each in a pass of its own over fixed
+# configs. Counts are deterministic where timings are not, so a fresh
+# count may exceed its committed row in BENCH_serve.json or
+# BENCH_sim_throughput.json by at most 1%; a change that raises one
+# recommits the row and says why.
 alloc_rows() {
     awk '/"label": "allocs\// { split($0, q, "\""); label = q[4] }
-         /"allocs_per_op":/ && label != "" {
+         /"allocs_per_(op|run)":/ && label != "" {
              v = $2; sub(/,$/, "", v); print label, v; label = ""
-         }' "$1"
+         }' "$@"
 }
-alloc_rows BENCH_serve.json > "$BENCH_DIR/allocs.committed"
-alloc_rows "$BENCH_DIR/BENCH_serve.json" > "$BENCH_DIR/allocs.fresh"
-test "$(wc -l < "$BENCH_DIR/allocs.committed")" = 4
-test "$(wc -l < "$BENCH_DIR/allocs.fresh")" = 4
+alloc_rows BENCH_serve.json BENCH_sim_throughput.json > "$BENCH_DIR/allocs.committed"
+alloc_rows "$BENCH_DIR/BENCH_serve.json" "$BENCH_DIR/BENCH_sim_throughput.json" \
+    > "$BENCH_DIR/allocs.fresh"
+test "$(wc -l < "$BENCH_DIR/allocs.committed")" = 17
+test "$(wc -l < "$BENCH_DIR/allocs.fresh")" = 17
 awk 'NR == FNR { committed[$1] = $2; next }
      !($1 in committed) || $2 > committed[$1] * 1.01 {
          print "allocation count over its committed row:", $1, $2, "vs", committed[$1]

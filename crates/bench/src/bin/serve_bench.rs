@@ -45,15 +45,15 @@
 //! Results land in `results/serve_bench.json` and are mirrored to
 //! `BENCH_serve.json` at the current directory.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use tenways_bench::{
-    banner, batch_body, route_http, serve_http_shutdown, write_results_json, write_text_atomic,
-    HttpClient, Router, RouterOptions, ServeOptions, SimService, SuiteConfig,
+    allocations, banner, batch_body, route_http, serve_http_shutdown, write_results_json,
+    write_text_atomic, CountingAlloc, HttpClient, Router, RouterOptions, ServeOptions, SimService,
+    SuiteConfig,
 };
 use tenways_sim::json::{Json, ToJson};
 use tenways_waste::SimConfig;
@@ -97,37 +97,7 @@ fn qf_config(seed: u64) -> SimConfig {
     }
 }
 
-/// The system allocator, counting every allocation and reallocation so
-/// section 6 can read allocations per operation.
-struct CountingAlloc;
-
-/// Allocations (and reallocations) since the process started, on every
-/// thread.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counter has no effect on the memory handed out.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
+/// Section 6 reads allocations per operation off this allocator.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -142,11 +112,11 @@ fn allocs_per_op(mut op: impl FnMut()) -> f64 {
     for _ in 0..ALLOC_OPS {
         op();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..ALLOC_OPS {
         op();
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ALLOC_OPS as f64
+    (allocations() - before) as f64 / ALLOC_OPS as f64
 }
 
 fn percentile_us(sorted: &[f64], p: f64) -> f64 {

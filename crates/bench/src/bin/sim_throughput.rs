@@ -18,11 +18,20 @@
 //! `speedup_vs_component_wake >= 1.0` at 4 workers (`gate_speedup_ok`).
 //! One worker is not timed: it runs the wake scheduler itself.
 //!
+//! A last pass, after the timed ones, counts allocations with this
+//! binary's global allocator: per `Experiment::run` of `lu/tso` at 2
+//! threads and scale 1, and per run at scales 8 and 32 (8 threads) of four
+//! kernels, with the marginal allocations per retired op between the two.
+//! The sizes and seed are fixed, so smoke and full runs count the same
+//! runs, and `ci.sh` holds each count to its committed row within 1%.
+//!
 //! Every row records `host_threads`, the host's available parallelism.
 
 use std::time::Instant;
 
-use tenways_bench::{banner, write_results_json, write_text_atomic, SuiteConfig};
+use tenways_bench::{
+    allocations, banner, write_results_json, write_text_atomic, CountingAlloc, SuiteConfig,
+};
 use tenways_cpu::{
     ConsistencyModel, Machine, MachineSpec, Op, ScriptProgram, SpecConfig, ThreadProgram,
 };
@@ -33,6 +42,68 @@ use tenways_workloads::{WorkloadKind, WorkloadParams};
 
 const ID: &str = "sim_throughput";
 const TITLE: &str = "simulator throughput: wake scheduling vs naive";
+
+/// The allocation pass reads its counts off this allocator.
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations one run of `exp` makes, and the ops it retires, counted
+/// after an uncounted warm-up run so one-time set-up stays out.
+fn allocs_per_run(exp: &Experiment) -> (u64, u64) {
+    exp.run().expect("warm-up run");
+    let before = allocations();
+    let record = exp.run().expect("counted run");
+    let allocs = allocations() - before;
+    (allocs, record.summary.retired_ops)
+}
+
+/// The allocation-count rows: fixed sizes, seed 7.
+fn alloc_rows() -> Vec<Json> {
+    let run_row = |label: String, (allocs, ops): (u64, u64)| {
+        println!("allocs    : {label:<26} {allocs:>8} per run ({ops} ops)");
+        Json::obj([
+            ("label", Json::from(label)),
+            ("retired_ops", Json::U64(ops)),
+            ("allocs_per_run", Json::U64(allocs)),
+            ("host_threads", Json::from(host_threads())),
+        ])
+    };
+    let sized = |kind, model, threads, scale| {
+        Experiment::new(kind)
+            .params(WorkloadParams {
+                threads,
+                scale,
+                seed: 7,
+            })
+            .model(model)
+    };
+    let mut rows = vec![run_row(
+        "allocs/lu/tso/2t/s1".into(),
+        allocs_per_run(&sized(WorkloadKind::LuLike, ConsistencyModel::Tso, 2, 1)),
+    )];
+    for (name, kind, model) in [
+        ("dss/tso", WorkloadKind::DssLike, ConsistencyModel::Tso),
+        ("ocean/tso", WorkloadKind::OceanLike, ConsistencyModel::Tso),
+        ("lu/tso", WorkloadKind::LuLike, ConsistencyModel::Tso),
+        ("zeus/sc", WorkloadKind::ZeusLike, ConsistencyModel::Sc),
+    ] {
+        let small = allocs_per_run(&sized(kind, model, 8, 8));
+        let large = allocs_per_run(&sized(kind, model, 8, 32));
+        rows.push(run_row(format!("allocs/{name}/8t/s8"), small));
+        rows.push(run_row(format!("allocs/{name}/8t/s32"), large));
+        // Set-up costs the same at both sizes, so the difference is what
+        // the extra simulated work allocates.
+        let per_op = (large.0 as f64 - small.0 as f64) / (large.1 - small.1) as f64;
+        let label = format!("allocs/{name}/8t/per_op");
+        println!("allocs    : {label:<26} {per_op:>8.3} per retired op");
+        rows.push(Json::obj([
+            ("label", Json::from(label)),
+            ("allocs_per_op", Json::F64(per_op)),
+            ("host_threads", Json::from(host_threads())),
+        ]));
+    }
+    rows
+}
 
 struct Timed {
     cycles: u64,
@@ -361,6 +432,9 @@ fn main() {
         }
         rows.push(Json::obj(fields));
     }
+
+    // A pass of its own after every timed one: its runs perturb no timing.
+    rows.extend(alloc_rows());
 
     let path = write_results_json(ID, TITLE, &cfg, rows);
     let text = std::fs::read_to_string(&path).expect("re-read results JSON");

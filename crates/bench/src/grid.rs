@@ -207,8 +207,7 @@ impl SweepSpec {
                         .apply_json(&nested_overlay(key, value.clone()))
                         .map_err(|e| format!("grid axis `{key}`: {e}"))?;
                 }
-                Experiment::from_config(&config)
-                    .map_err(|e| format!("config field `workload`: {e}"))?;
+                known_workload(&config)?;
                 Ok(SweepPoint {
                     index,
                     label: point_label(&overlay),
@@ -218,6 +217,15 @@ impl SweepSpec {
             })
             .collect()
     }
+}
+
+/// Refuses a config whose workload names no kernel. Every decoder of
+/// outside configs (grid points, `POST /run`, a `POST /batch` config list)
+/// checks this, so a bad name is refused before it reaches a worker.
+pub(crate) fn known_workload(config: &SimConfig) -> Result<(), String> {
+    Experiment::from_config(config)
+        .map(drop)
+        .map_err(|e| format!("config field `workload`: {e}"))
 }
 
 /// Wraps `value` into nested objects along a dotted `path`

@@ -28,6 +28,7 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, RunRecord, SimConfig};
 use tenways_workloads::WorkloadParams;
 
+mod alloc_count;
 pub mod cache;
 pub mod grid;
 pub mod http;
@@ -42,6 +43,7 @@ pub mod sweep;
 #[path = "../../sim/tests/common/mod.rs"]
 mod mutator;
 
+pub use alloc_count::{allocations, CountingAlloc};
 pub use cache::{CacheCounters, CacheStats, Record, ResultCache, CACHE_ENTRY_SCHEMA_VERSION};
 pub use grid::{run_sweep, run_sweep_server, SweepParams, SweepPoint, SweepReport, SweepSpec};
 pub use http::{http_call, http_request, HttpClient, HttpReply};

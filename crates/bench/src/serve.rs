@@ -64,7 +64,7 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, SimConfig};
 
 use crate::cache::{render_with_last, CacheCounters, Record, ResultCache};
-use crate::grid::SweepSpec;
+use crate::grid::{known_workload, SweepSpec};
 use crate::http::{self, error_doc, reply, Handler, HttpCounters, HttpRequest, Response};
 use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
 
@@ -1091,6 +1091,7 @@ pub(crate) fn parse_batch_body(
             };
             let mut cfg = SimConfig::default();
             cfg.apply_json(cfg_doc)
+                .and_then(|()| known_workload(&cfg))
                 .map_err(|e| format!("configs[{i}]: {e}"))?;
             Ok((label, cfg))
         })
@@ -1111,14 +1112,16 @@ fn within_batch_limit(items: Option<usize>) -> Result<(), String> {
 }
 
 /// Decodes a `POST /run` body: TOML under a `toml` content type, JSON
-/// otherwise.
+/// otherwise. A workload that names no kernel is refused here.
 pub(crate) fn parse_run_body(content_type: &str, body: &str) -> Result<SimConfig, String> {
     let parsed = if content_type.contains("toml") {
         SimConfig::from_toml_str(body)
     } else {
         SimConfig::from_json_str(body)
     };
-    parsed.map_err(|e| e.to_string())
+    let cfg = parsed.map_err(|e| e.to_string())?;
+    known_workload(&cfg)?;
+    Ok(cfg)
 }
 
 impl Handler for SimService {
@@ -2119,6 +2122,50 @@ mod tests {
             assert!(error.contains("`workload`"), "{front:?}: {error}");
             assert_eq!(svc.sim_runs(), 0, "{front:?}: nothing may simulate");
             assert_eq!(svc.stats_json().get("sim_failures"), Some(&Json::U64(0)));
+
+            drop(client);
+            running.shutdown.store(true, Ordering::Relaxed);
+            running.join();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_run_or_config_list_naming_an_unknown_workload_is_refused_at_decode() {
+        let quake = SimConfig {
+            workload: "quake".to_string(),
+            ..small_cfg()
+        };
+        let run = quake.to_json().to_string();
+        let list = batch_body([("ok", &small_cfg()), ("bad", &quake)]);
+        for front in [Front::Serve, Front::Route] {
+            let dir = tmp_dir(&format!("unknown-run-{front:?}"));
+            let svc = Arc::new(service(&dir, 1));
+            let running = Running::start(front, Arc::clone(&svc), None);
+            let mut client = HttpClient::new(running.addr.clone());
+            for (path, body, field) in [
+                ("/run", &run, "`workload`"),
+                ("/batch", &list, "configs[1]"),
+            ] {
+                let reply = client
+                    .request("POST", path, Some(("application/json", body)))
+                    .unwrap();
+                assert_eq!(reply.status, 400, "{front:?} {path}: {}", reply.text);
+                let error = reply.body.get("error").and_then(Json::as_str).unwrap();
+                assert!(error.contains(field), "{front:?} {path}: {error}");
+                assert!(
+                    error.contains("unknown workload `quake`"),
+                    "{front:?} {path}: {error}"
+                );
+            }
+            let stats = svc.stats_json();
+            for counter in ["misses", "sim_runs", "sim_failures"] {
+                assert_eq!(
+                    stats.get(counter),
+                    Some(&Json::U64(0)),
+                    "{front:?}: {counter}"
+                );
+            }
 
             drop(client);
             running.shutdown.store(true, Ordering::Relaxed);

@@ -6,23 +6,109 @@
 //! banks, and enforces the protocol's single-transaction-per-block rule by
 //! FIFO-deferring requests to busy blocks.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use tenways_mem::{CacheArray, CacheParams, DramBanks, DramParams, Replacement};
 use tenways_noc::Fabric;
 use tenways_sim::trace::{TraceCategory, Tracer, DIR_TID_BASE};
-use tenways_sim::{BlockAddr, CoreId, Cycle, MachineConfig, NodeId, StatSet};
+use tenways_sim::{BlockAddr, BlockMap, BlockSet, CoreId, Cycle, MachineConfig, NodeId, StatSet};
 
 use crate::l1::ProtocolConfig;
 use crate::msg::{FillClass, Msg};
 
 /// Stable directory state for one block (absent = uncached).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DirState {
-    /// Read-only copies at these cores.
-    Shared(BTreeSet<u16>),
+    /// Read-only copies at the cores of this [`SharerSets`] slot.
+    Shared(u32),
     /// Sole (possibly dirty) copy at this core.
     Exclusive(u16),
+}
+
+/// The sharer bitsets of a bank's `Shared` blocks: one slot of
+/// `⌈cores / 64⌉` words per block, all in one slab. A slot freed when its
+/// block leaves `Shared` is cleared and reused, so sharing changes allocate
+/// nothing once the slab has grown to the bank's peak, at any core count.
+/// Bits are read low word first, low bit first: ascending core order.
+#[derive(Debug)]
+struct SharerSets {
+    /// Words per slot.
+    width: usize,
+    words: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl SharerSets {
+    fn new(cores: usize) -> Self {
+        SharerSets {
+            width: cores.div_ceil(64),
+            words: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// A new set holding only `core`.
+    fn single(&mut self, core: u16) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.words.len() / self.width;
+            self.words.resize(self.words.len() + self.width, 0);
+            u32::try_from(slot).expect("fewer than 2^32 shared blocks per bank")
+        });
+        self.insert(slot, core);
+        slot
+    }
+
+    /// Empties `slot` and returns it to the free list.
+    fn release(&mut self, slot: u32) {
+        self.slot_mut(slot).fill(0);
+        self.free.push(slot);
+    }
+
+    fn slot(&self, slot: u32) -> &[u64] {
+        let at = slot as usize * self.width;
+        &self.words[at..at + self.width]
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut [u64] {
+        let at = slot as usize * self.width;
+        &mut self.words[at..at + self.width]
+    }
+
+    fn insert(&mut self, slot: u32, core: u16) {
+        self.slot_mut(slot)[usize::from(core / 64)] |= 1 << (core % 64);
+    }
+
+    /// Removes `core`; returns whether the set is now empty.
+    fn remove(&mut self, slot: u32, core: u16) -> bool {
+        let words = self.slot_mut(slot);
+        words[usize::from(core / 64)] &= !(1 << (core % 64));
+        words.iter().all(|&w| w == 0)
+    }
+
+    fn contains(&self, slot: u32, core: u16) -> bool {
+        self.slot(slot)[usize::from(core / 64)] & (1 << (core % 64)) != 0
+    }
+
+    fn len(&self, slot: u32) -> usize {
+        self.slot(slot)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// The cores in `slot`, ascending.
+    fn iter(&self, slot: u32) -> impl Iterator<Item = u16> + '_ {
+        self.slot(slot).iter().enumerate().flat_map(|(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    (i * 64 + bit) as u16
+                })
+            })
+        })
+    }
 }
 
 /// The in-flight transaction on a block.
@@ -50,15 +136,18 @@ pub struct DirectoryBank {
     node: NodeId,
     latency: u64,
     protocol: ProtocolConfig,
-    entries: BTreeMap<u64, DirState>,
-    busy: BTreeMap<u64, Txn>,
-    deferred: BTreeMap<u64, VecDeque<(CoreId, Msg)>>,
+    entries: BlockMap<DirState>,
+    sharers: SharerSets,
+    busy: BlockMap<Txn>,
+    deferred: BlockMap<VecDeque<(CoreId, Msg)>>,
     /// Messages awaiting their directory-latency processing slot.
     pending: VecDeque<(Cycle, CoreId, Msg)>,
     sends: Vec<Scheduled>,
+    /// Blocks whose transaction ended this tick, kept to reuse the buffer.
+    fired: Vec<BlockAddr>,
     l2: CacheArray<()>,
     /// Blocks ever fetched from DRAM (cold/capacity classification).
-    seen: BTreeSet<u64>,
+    seen: BlockSet,
     dram: DramBanks,
     stats: StatSet,
     tracer: Tracer,
@@ -85,16 +174,18 @@ impl DirectoryBank {
             node,
             latency: cfg.dir_latency,
             protocol,
-            entries: BTreeMap::new(),
-            busy: BTreeMap::new(),
-            deferred: BTreeMap::new(),
+            entries: BlockMap::default(),
+            sharers: SharerSets::new(cfg.cores),
+            busy: BlockMap::default(),
+            deferred: BlockMap::default(),
             pending: VecDeque::new(),
             sends: Vec::new(),
+            fired: Vec::new(),
             l2: CacheArray::with_seed(
                 CacheParams::new(L2_SETS, L2_WAYS, Replacement::Lru).expect("static geometry"),
                 0xd1e5 + index as u64,
             ),
-            seen: BTreeSet::new(),
+            seen: BlockSet::default(),
             dram: DramBanks::new(
                 DramParams::new(cfg.dram_banks, cfg.dram_latency, cfg.dram_occupancy)
                     .expect("MachineConfig validated DRAM geometry"),
@@ -142,7 +233,9 @@ impl DirectoryBank {
         }
 
         // Fire matured sends; a completing send unblocks its block's queue.
-        let mut fired_blocks: Vec<BlockAddr> = Vec::new();
+        // Queues are pumped only after every matured send has fired, so the
+        // sends they schedule wait for a later tick.
+        let mut fired = std::mem::take(&mut self.fired);
         let mut i = 0;
         while i < self.sends.len() {
             if self.sends[i].at <= now {
@@ -152,15 +245,17 @@ impl DirectoryBank {
                 if s.completes_txn {
                     let block = s.msg.block();
                     self.busy.remove(&block.as_u64());
-                    fired_blocks.push(block);
+                    fired.push(block);
                 }
             } else {
                 i += 1;
             }
         }
-        for block in fired_blocks {
+        for &block in &fired {
             self.pump_deferred(now, block);
         }
+        fired.clear();
+        self.fired = fired;
         progress
     }
 
@@ -283,18 +378,16 @@ impl DirectoryBank {
 
     fn handle_get_s(&mut self, now: Cycle, core: CoreId, block: BlockAddr) {
         let key = block.as_u64();
-        match self.entries.get_mut(&key) {
+        match self.entries.get(&key).copied() {
             None => {
                 let (ready, class) = self.fetch_data(now, block);
                 // Sole cacher: grant E in MESI mode, plain S in MSI mode
                 // (the directory's view must match what the L1 will hold).
                 let exclusive = self.protocol.grant_exclusive;
                 if exclusive {
-                    self.entries.insert(key, DirState::Exclusive(core.0));
+                    self.set_exclusive(key, core.0);
                 } else {
-                    let mut s = BTreeSet::new();
-                    s.insert(core.0);
-                    self.entries.insert(key, DirState::Shared(s));
+                    self.add_sharer(key, core.0);
                 }
                 self.busy.insert(
                     key,
@@ -315,8 +408,8 @@ impl DirectoryBank {
                     true,
                 );
             }
-            Some(DirState::Shared(sharers)) => {
-                sharers.insert(core.0);
+            Some(DirState::Shared(slot)) => {
+                self.sharers.insert(slot, core.0);
                 let (ready, class) = self.fetch_data(now, block);
                 self.busy.insert(
                     key,
@@ -338,7 +431,6 @@ impl DirectoryBank {
                 );
             }
             Some(DirState::Exclusive(owner)) => {
-                let owner = *owner;
                 if owner == core.0 {
                     // Stale refetch (owner lost the line to its own rollback
                     // writeback that we have not yet processed; defensive).
@@ -392,10 +484,10 @@ impl DirectoryBank {
 
     fn handle_get_m(&mut self, now: Cycle, core: CoreId, block: BlockAddr) {
         let key = block.as_u64();
-        match self.entries.get(&key).cloned() {
+        match self.entries.get(&key).copied() {
             None => {
                 let (ready, class) = self.fetch_data(now, block);
-                self.entries.insert(key, DirState::Exclusive(core.0));
+                self.set_exclusive(key, core.0);
                 self.busy.insert(
                     key,
                     Txn {
@@ -411,13 +503,13 @@ impl DirectoryBank {
                     true,
                 );
             }
-            Some(DirState::Shared(sharers)) => {
-                let upgrade = sharers.contains(&core.0);
-                let invs: Vec<u16> = sharers.iter().copied().filter(|&s| s != core.0).collect();
-                if invs.is_empty() {
+            Some(DirState::Shared(slot)) => {
+                let upgrade = self.sharers.contains(slot, core.0);
+                let invs = self.sharers.len(slot) - usize::from(upgrade);
+                if invs == 0 {
                     // Requester is the only sharer (or set somehow empty):
                     // grant immediately.
-                    self.entries.insert(key, DirState::Exclusive(core.0));
+                    self.set_exclusive(key, core.0);
                     let (ready, class) = if upgrade {
                         (now, FillClass::L2Hit)
                     } else {
@@ -438,24 +530,29 @@ impl DirectoryBank {
                         true,
                     );
                 } else {
-                    self.stats.bump_by("dir.invs_sent", invs.len() as u64);
+                    self.stats.bump_by("dir.invs_sent", invs as u64);
                     self.tracer.instant(
                         now,
                         self.tid,
                         TraceCategory::Coherence,
                         "dir.inv",
-                        invs.len() as u64,
+                        invs as u64,
                     );
                     self.busy.insert(
                         key,
                         Txn {
                             requester: core,
                             want_m: true,
-                            pending_acks: invs.len(),
+                            pending_acks: invs,
                         },
                     );
-                    for s in invs {
-                        self.schedule(now, Self::core_node(CoreId(s)), Msg::Inv(block), false);
+                    for s in self.sharers.iter(slot).filter(|&s| s != core.0) {
+                        self.sends.push(Scheduled {
+                            at: now,
+                            dst: Self::core_node(CoreId(s)),
+                            msg: Msg::Inv(block),
+                            completes_txn: false,
+                        });
                     }
                 }
             }
@@ -509,13 +606,8 @@ impl DirectoryBank {
 
     fn handle_put_s(&mut self, now: Cycle, core: CoreId, block: BlockAddr) {
         let key = block.as_u64();
-        match self.entries.get_mut(&key) {
-            Some(DirState::Shared(sharers)) => {
-                sharers.remove(&core.0);
-                if sharers.is_empty() {
-                    self.entries.remove(&key);
-                }
-            }
+        match self.entries.get(&key).copied() {
+            Some(DirState::Shared(slot)) => self.drop_sharer(key, slot, core.0),
             // Stale PutS from a core the protocol already moved past
             // (e.g. it upgraded to M while the PutS was queued): ignore.
             Some(DirState::Exclusive(_)) | None => {
@@ -537,21 +629,18 @@ impl DirectoryBank {
 
     fn handle_put_m(&mut self, now: Cycle, core: CoreId, block: BlockAddr, dirty: bool) {
         let key = block.as_u64();
-        match self.entries.get_mut(&key) {
-            Some(DirState::Exclusive(owner)) if *owner == core.0 => {
+        match self.entries.get(&key).copied() {
+            Some(DirState::Exclusive(owner)) if owner == core.0 => {
                 if dirty {
                     self.l2.insert(block, ());
                     self.stats.bump("dir.writebacks");
                 }
                 self.entries.remove(&key);
             }
-            Some(DirState::Shared(sharers)) if sharers.contains(&core.0) => {
+            Some(DirState::Shared(slot)) if self.sharers.contains(slot, core.0) => {
                 // The owner was downgraded while its PutM was queued: the
                 // data already arrived with the DowngradeAck; treat as PutS.
-                sharers.remove(&core.0);
-                if sharers.is_empty() {
-                    self.entries.remove(&key);
-                }
+                self.drop_sharer(key, slot, core.0);
                 self.stats.bump("dir.putm_as_puts");
             }
             _ => {
@@ -607,10 +696,8 @@ impl DirectoryBank {
                     self.stats.bump("dir.writebacks");
                 }
                 // The old owner stays on as a sharer.
-                if let Some(DirState::Exclusive(owner)) = self.entries.get(&key).cloned() {
-                    let mut sharers = BTreeSet::new();
-                    sharers.insert(owner);
-                    self.entries.insert(key, DirState::Shared(sharers));
+                if let Some(DirState::Exclusive(owner)) = self.entries.get(&key).copied() {
+                    self.add_sharer(key, owner);
                 }
             }
             _ => unreachable!("is_txn_reply() gated"),
@@ -624,7 +711,7 @@ impl DirectoryBank {
             // it is available now (it travelled with the ack).
             let class = FillClass::Coherence;
             if want_m {
-                self.entries.insert(key, DirState::Exclusive(requester.0));
+                self.set_exclusive(key, requester.0);
                 self.schedule(
                     now,
                     Self::core_node(requester),
@@ -632,16 +719,7 @@ impl DirectoryBank {
                     true,
                 );
             } else {
-                match self.entries.get_mut(&key) {
-                    Some(DirState::Shared(sharers)) => {
-                        sharers.insert(requester.0);
-                    }
-                    _ => {
-                        let mut s = BTreeSet::new();
-                        s.insert(requester.0);
-                        self.entries.insert(key, DirState::Shared(s));
-                    }
-                }
+                self.add_sharer(key, requester.0);
                 self.schedule(
                     now,
                     Self::core_node(requester),
@@ -653,6 +731,35 @@ impl DirectoryBank {
                     true,
                 );
             }
+        }
+    }
+
+    /// Makes `core` the block's sole owner, freeing the block's sharer slot
+    /// if it had one.
+    fn set_exclusive(&mut self, key: u64, core: u16) {
+        if let Some(DirState::Shared(slot)) = self.entries.insert(key, DirState::Exclusive(core)) {
+            self.sharers.release(slot);
+        }
+    }
+
+    /// Adds `core` to the block's sharers; a block not yet `Shared` becomes
+    /// shared by `core` alone.
+    fn add_sharer(&mut self, key: u64, core: u16) {
+        match self.entries.get(&key).copied() {
+            Some(DirState::Shared(slot)) => self.sharers.insert(slot, core),
+            _ => {
+                let slot = self.sharers.single(core);
+                self.entries.insert(key, DirState::Shared(slot));
+            }
+        }
+    }
+
+    /// Removes `core` from the sharers in `slot`, untracking the block when
+    /// none remain.
+    fn drop_sharer(&mut self, key: u64, slot: u32, core: u16) {
+        if self.sharers.remove(slot, core) {
+            self.sharers.release(slot);
+            self.entries.remove(&key);
         }
     }
 
@@ -683,8 +790,8 @@ impl DirectoryBank {
     pub fn sharers_of(&self, block: BlockAddr) -> Vec<CoreId> {
         match self.entries.get(&block.as_u64()) {
             None => Vec::new(),
-            Some(DirState::Shared(s)) => s.iter().map(|&c| CoreId(c)).collect(),
-            Some(DirState::Exclusive(o)) => vec![CoreId(*o)],
+            Some(&DirState::Shared(slot)) => self.sharers.iter(slot).map(CoreId).collect(),
+            Some(&DirState::Exclusive(o)) => vec![CoreId(o)],
         }
     }
 

@@ -6,11 +6,11 @@
 //! array, the MSHRs, a writeback buffer for in-flight evictions, and the
 //! speculation mark bits the fence-speculation engine uses.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use tenways_mem::{CacheArray, CacheParams, MshrFile, Replacement};
 use tenways_noc::Fabric;
-use tenways_sim::{BlockAddr, CoreId, Cycle, MachineConfig, NodeId, StatSet};
+use tenways_sim::{BlockAddr, BlockMap, CoreId, Cycle, MachineConfig, NodeId, StatSet};
 
 use crate::line::{L1Line, L1State, SpecMark};
 use crate::msg::{FillClass, Msg};
@@ -180,8 +180,8 @@ pub struct L1Controller {
     cache: CacheArray<L1Line>,
     mshrs: MshrFile<Waiter>,
     /// For each outstanding miss: did we ask for M?
-    want_m: BTreeMap<u64, bool>,
-    wb: BTreeMap<u64, WbState>,
+    want_m: BlockMap<bool>,
+    wb: BlockMap<WbState>,
     /// Hit completions maturing after the hit latency (FIFO by time).
     hit_q: VecDeque<(Cycle, ReqId)>,
     /// Write waiters displaced by an S fill, to be re-requested.
@@ -216,8 +216,8 @@ impl L1Controller {
             config: protocol,
             cache: CacheArray::with_seed(params, u64::from(core.0)),
             mshrs: MshrFile::new(cfg.mshrs),
-            want_m: BTreeMap::new(),
-            wb: BTreeMap::new(),
+            want_m: BlockMap::default(),
+            wb: BlockMap::default(),
             hit_q: VecDeque::new(),
             retry_q: VecDeque::new(),
             completions: Vec::new(),
@@ -562,7 +562,7 @@ impl L1Controller {
             self.maybe_prefetch(now, BlockAddr(block.as_u64().wrapping_add(1)), fabric);
         }
 
-        let Some(entry) = entry else {
+        let Some(mut entry) = entry else {
             // A fill with no MSHR entry should not happen under the blocking
             // directory; count it defensively.
             self.stats.bump("l1.orphan_fills");
@@ -571,7 +571,7 @@ impl L1Controller {
 
         let grants_write = state.writable();
         let mut wrote = false;
-        for waiter in entry.waiters {
+        for waiter in entry.waiters.drain(..) {
             match waiter.kind {
                 AccessKind::Read => {
                     self.completions.push(Completion {
@@ -595,6 +595,7 @@ impl L1Controller {
                 }
             }
         }
+        self.mshrs.recycle(entry);
         if wrote {
             if let Some(line) = self.cache.peek_mut(block) {
                 if line.state == L1State::Exclusive {

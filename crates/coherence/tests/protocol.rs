@@ -100,6 +100,34 @@ fn write_invalidates_sharers() {
 }
 
 #[test]
+fn sharers_past_one_word_and_256_cores_are_tracked_in_core_order() {
+    let readers = [0u16, 63, 64, 255, 256, 299].map(CoreId);
+    for mut sb in [msi_sandbox(300), mesi_sandbox(300)] {
+        let block = sb.block(A);
+        for &core in &readers {
+            sb.access_and_wait(core, AccessKind::Read, A);
+        }
+        sb.settle(10_000);
+        assert_eq!(sb.home_of(block).sharers_of(block), readers);
+        sb.assert_coherent(block);
+
+        let invs_before = sb.home_of(block).stats().get("dir.invs_sent");
+        sb.access_and_wait(CoreId(5), AccessKind::Write, A);
+        sb.settle(10_000);
+        assert_eq!(
+            sb.home_of(block).stats().get("dir.invs_sent") - invs_before,
+            6
+        );
+        for &core in &readers {
+            assert!(!sb.l1(core).holds(block), "{core} not invalidated");
+        }
+        assert!(sb.l1(CoreId(5)).holds_modified(block));
+        assert_eq!(sb.home_of(block).sharers_of(block), [CoreId(5)]);
+        sb.assert_coherent(block);
+    }
+}
+
+#[test]
 fn write_recalls_modified_owner() {
     let mut sb = msi_sandbox(2);
     sb.access_and_wait(CoreId(0), AccessKind::Write, A);

@@ -8,9 +8,9 @@
 //! is flushed on commit and discarded on rollback; coherence-conflict
 //! detection guarantees at most one speculative writer survives per block.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use tenways_sim::Addr;
+use tenways_sim::{Addr, BlockMap};
 
 /// Words per [`ArchMem`] page: 512 × 8 B = 4 KiB of payload.
 const PAGE_WORDS: u64 = 512;
@@ -45,7 +45,7 @@ impl Page {
 /// Reads of unmapped pages return 0 without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ArchMem {
-    pages: HashMap<u64, Box<Page>>,
+    pages: BlockMap<Box<Page>>,
     footprint: usize,
 }
 

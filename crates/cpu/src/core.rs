@@ -703,7 +703,16 @@ impl Core {
                     self.push_slot(seq, op, Some(now), speculating, None);
                     return true;
                 }
-                let conds = self.fence_conditions(kind, seq);
+                let conds: &[DrainCond] = match kind {
+                    FenceKind::Full => &[
+                        DrainCond::NoLoadsBefore(seq),
+                        DrainCond::NoStoresBefore(seq),
+                    ],
+                    // Acquire and (simplified) Release both wait on older
+                    // loads; stores are already ordered by the in-order
+                    // store buffer.
+                    FenceKind::Acquire | FenceKind::Release => &[DrainCond::NoLoadsBefore(seq)],
+                };
                 if conds.iter().all(|c| self.cond_holds(now, c)) {
                     // An honored fence pays its configured execution
                     // latency (serialization cost over and above waiting
@@ -713,7 +722,7 @@ impl Core {
                     self.push_slot(seq, op, done, speculating, None);
                     return true;
                 }
-                if self.request_spec(now, seq, op, &conds) {
+                if self.request_spec(now, seq, op, conds) {
                     self.push_slot(seq, op, Some(now), true, None);
                     return true;
                 }
@@ -731,20 +740,18 @@ impl Core {
                 };
                 let mut spec = speculating;
                 if !ordering_ok {
-                    let conds = match self.model {
-                        ConsistencyModel::Sc => vec![
+                    let conds: &[DrainCond] = match self.model {
+                        ConsistencyModel::Sc => &[
                             DrainCond::NoLoadsBefore(seq),
                             DrainCond::NoStoresBefore(seq),
                         ],
-                        ConsistencyModel::Tso => {
-                            vec![DrainCond::OpDone(
-                                self.older_incomplete_rmw(now, seq)
-                                    .expect("rule failed on rmw"),
-                            )]
-                        }
+                        ConsistencyModel::Tso => &[DrainCond::OpDone(
+                            self.older_incomplete_rmw(now, seq)
+                                .expect("rule failed on rmw"),
+                        )],
                         ConsistencyModel::Rmo => unreachable!("RMO loads never stall on ordering"),
                     };
-                    if !self.request_spec(now, seq, op, &conds) {
+                    if !self.request_spec(now, seq, op, conds) {
                         let kind = if self.model == ConsistencyModel::Sc {
                             StallKind::ScOrder
                         } else {
@@ -814,7 +821,7 @@ impl Core {
                 };
                 let mut spec = speculating;
                 if !ordering_ok {
-                    let conds = vec![
+                    let conds = [
                         DrainCond::NoLoadsBefore(seq),
                         DrainCond::NoStoresBefore(seq),
                     ];
@@ -851,20 +858,6 @@ impl Core {
                     }
                 }
             }
-        }
-    }
-
-    fn fence_conditions(&self, kind: FenceKind, seq: u64) -> Vec<DrainCond> {
-        match kind {
-            FenceKind::Full => {
-                vec![
-                    DrainCond::NoLoadsBefore(seq),
-                    DrainCond::NoStoresBefore(seq),
-                ]
-            }
-            // Acquire and (simplified) Release both wait on older loads;
-            // stores are already ordered by the in-order store buffer.
-            FenceKind::Acquire | FenceKind::Release => vec![DrainCond::NoLoadsBefore(seq)],
         }
     }
 

@@ -74,13 +74,6 @@ struct Way<T> {
     stamp: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Set<T> {
-    ways: Vec<Option<Way<T>>>,
-    /// Tree-PLRU direction bits (ways-1 internal nodes, index 0 = root).
-    plru: Vec<bool>,
-}
-
 /// A set-associative array mapping [`BlockAddr`]s to payloads `T`.
 ///
 /// The array is purely structural: hits, insertions and evictions; it never
@@ -90,10 +83,19 @@ struct Set<T> {
 /// Replacement prefers invalid ways; otherwise the victim is chosen by the
 /// configured [`Replacement`] policy. Random replacement is deterministic,
 /// seeded from the array's construction seed.
+///
+/// Storage is flat: every way of every set in one set-major `Vec`, and,
+/// under [`Replacement::TreePlru`] only, every set's PLRU bits in a second
+/// one, so building an array costs at most two allocations whatever its
+/// set count.
 #[derive(Debug, Clone)]
 pub struct CacheArray<T> {
     params: CacheParams,
-    sets: Vec<Set<T>>,
+    /// Set `s` owns `ways[s * W .. (s + 1) * W]`, `W` the associativity.
+    ways: Vec<Option<Way<T>>>,
+    /// Tree-PLRU direction bits, `W - 1` per set (index 0 = root), set
+    /// major; empty under the other policies.
+    plru: Vec<bool>,
     tick: u64,
     rng: DetRng,
     occupied: usize,
@@ -108,15 +110,15 @@ impl<T> CacheArray<T> {
     /// Creates an empty array whose random-replacement stream is seeded by
     /// `seed` (distinct caches should get distinct seeds).
     pub fn with_seed(params: CacheParams, seed: u64) -> Self {
-        let sets = (0..params.sets)
-            .map(|_| Set {
-                ways: (0..params.ways).map(|_| None).collect(),
-                plru: vec![false; params.ways.saturating_sub(1)],
-            })
-            .collect();
+        let plru = if params.policy == Replacement::TreePlru {
+            vec![false; params.sets * (params.ways - 1)]
+        } else {
+            Vec::new()
+        };
         CacheArray {
             params,
-            sets,
+            ways: (0..params.blocks()).map(|_| None).collect(),
+            plru,
             tick: 0,
             rng: DetRng::seed(seed).split("cache-array"),
             occupied: 0,
@@ -138,47 +140,51 @@ impl<T> CacheArray<T> {
         self.occupied == 0
     }
 
+    /// The set `block` maps to.
     fn set_index(&self, block: BlockAddr) -> usize {
         (block.as_u64() as usize) & (self.params.sets - 1)
     }
 
+    /// Index into `ways` of set `set`'s first way.
+    fn base(&self, set: usize) -> usize {
+        set * self.params.ways
+    }
+
+    /// The ways of set `set`.
+    fn set(&self, set: usize) -> &[Option<Way<T>>] {
+        let base = self.base(set);
+        &self.ways[base..base + self.params.ways]
+    }
+
+    /// Index into `ways` where `block` is resident, if it is.
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let set = self.set_index(block);
+        let way = self
+            .set(set)
+            .iter()
+            .position(|w| w.as_ref().is_some_and(|w| w.block == block))?;
+        Some(self.base(set) + way)
+    }
+
     /// Looks up a block without touching replacement state (a *probe*).
     pub fn peek(&self, block: BlockAddr) -> Option<&T> {
-        let set = &self.sets[self.set_index(block)];
-        set.ways
-            .iter()
-            .flatten()
-            .find(|w| w.block == block)
-            .map(|w| &w.payload)
+        let i = self.find(block)?;
+        self.ways[i].as_ref().map(|w| &w.payload)
     }
 
     /// Looks up a block, promoting it in the replacement order on hit.
     pub fn get(&mut self, block: BlockAddr) -> Option<&mut T> {
         self.tick += 1;
-        let tick = self.tick;
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
-        let way_idx = set
-            .ways
-            .iter()
-            .position(|w| w.as_ref().is_some_and(|w| w.block == block))?;
-        if let Some(w) = set.ways[way_idx].as_mut() {
-            w.stamp = tick;
-        }
-        Self::touch_plru(&mut set.plru, way_idx, self.params.ways);
-        set.ways[way_idx].as_mut().map(|w| &mut w.payload)
+        let i = self.find(block)?;
+        self.touch(i);
+        self.ways[i].as_mut().map(|w| &mut w.payload)
     }
 
     /// Mutable access without promoting (for protocol-side state updates that
     /// should not look like a use, e.g. handling a remote invalidation).
     pub fn peek_mut(&mut self, block: BlockAddr) -> Option<&mut T> {
-        let si = self.set_index(block);
-        self.sets[si]
-            .ways
-            .iter_mut()
-            .flatten()
-            .find(|w| w.block == block)
-            .map(|w| &mut w.payload)
+        let i = self.find(block)?;
+        self.ways[i].as_mut().map(|w| &mut w.payload)
     }
 
     /// Inserts a block, returning the victim if a valid block had to be
@@ -186,63 +192,43 @@ impl<T> CacheArray<T> {
     /// (and no eviction occurs).
     pub fn insert(&mut self, block: BlockAddr, payload: T) -> Option<Evicted<T>> {
         self.tick += 1;
-        let tick = self.tick;
-        let si = self.set_index(block);
-        let ways = self.params.ways;
-        let policy = self.params.policy;
+        let way = Way {
+            block,
+            payload,
+            stamp: self.tick,
+        };
 
         // Already resident: replace payload in place.
-        let set = &mut self.sets[si];
-        if let Some(idx) = set
-            .ways
-            .iter()
-            .position(|w| w.as_ref().is_some_and(|w| w.block == block))
-        {
-            set.ways[idx] = Some(Way {
-                block,
-                payload,
-                stamp: tick,
-            });
-            Self::touch_plru(&mut set.plru, idx, ways);
+        if let Some(i) = self.find(block) {
+            self.ways[i] = Some(way);
+            self.touch(i);
             return None;
         }
 
         // Free way available.
-        if let Some(idx) = set.ways.iter().position(Option::is_none) {
-            set.ways[idx] = Some(Way {
-                block,
-                payload,
-                stamp: tick,
-            });
-            Self::touch_plru(&mut set.plru, idx, ways);
+        let set = self.set_index(block);
+        let base = self.base(set);
+        if let Some(free) = self.set(set).iter().position(Option::is_none) {
+            self.ways[base + free] = Some(way);
+            self.touch(base + free);
             self.occupied += 1;
             return None;
         }
 
         // Choose a victim.
-        let victim_idx = match policy {
-            Replacement::Lru => set
-                .ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.as_ref().map_or(0, |w| w.stamp))
-                .map(|(i, _)| i)
-                .expect("ways > 0"),
-            Replacement::TreePlru => Self::plru_victim(&set.plru, ways),
-            Replacement::Random => self.rng.below(ways as u64) as usize,
-        };
-        let set = &mut self.sets[si];
-        let victim = set.ways[victim_idx]
-            .replace(Way {
-                block,
-                payload,
-                stamp: tick,
-            })
+        let victim = base
+            + match self.params.policy {
+                Replacement::Lru => Self::lru_victim(self.set(set)),
+                Replacement::TreePlru => self.plru_victim(set),
+                Replacement::Random => self.rng.below(self.params.ways as u64) as usize,
+            };
+        let old = self.ways[victim]
+            .replace(way)
             .expect("victim way was occupied");
-        Self::touch_plru(&mut set.plru, victim_idx, ways);
+        self.touch(victim);
         Some(Evicted {
-            block: victim.block,
-            payload: victim.payload,
+            block: old.block,
+            payload: old.payload,
         })
     }
 
@@ -250,67 +236,58 @@ impl<T> CacheArray<T> {
     /// into a full set would evict, without modifying anything. Returns
     /// `None` if the set still has a free way or the block is resident.
     pub fn victim_preview(&self, block: BlockAddr) -> Option<BlockAddr> {
-        let set = &self.sets[self.set_index(block)];
-        if set
-            .ways
+        let set = self.set_index(block);
+        let ways = self.set(set);
+        if ways
             .iter()
-            .any(|w| w.as_ref().is_some_and(|w| w.block == block))
+            .any(|w| w.as_ref().is_none_or(|w| w.block == block))
         {
             return None;
         }
-        if set.ways.iter().any(Option::is_none) {
-            return None;
-        }
         let idx = match self.params.policy {
-            Replacement::Lru => set
-                .ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.as_ref().map_or(0, |w| w.stamp))
-                .map(|(i, _)| i)?,
-            Replacement::TreePlru => Self::plru_victim(&set.plru, self.params.ways),
+            Replacement::Lru => Self::lru_victim(ways),
+            Replacement::TreePlru => self.plru_victim(set),
             // Random preview is not representative; report the way the RNG
             // would *not* necessarily pick — callers needing exact victims
             // should use LRU/PLRU. We return way 0 deterministically.
             Replacement::Random => 0,
         };
-        set.ways[idx].as_ref().map(|w| w.block)
+        ways[idx].as_ref().map(|w| w.block)
     }
 
     /// Removes a block, returning its payload.
     pub fn remove(&mut self, block: BlockAddr) -> Option<T> {
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
-        let idx = set
-            .ways
-            .iter()
-            .position(|w| w.as_ref().is_some_and(|w| w.block == block))?;
-        let way = set.ways[idx].take()?;
+        let i = self.find(block)?;
+        let way = self.ways[i].take()?;
         self.occupied -= 1;
         Some(way.payload)
     }
 
     /// Iterates `(block, &payload)` over all resident blocks (set order).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &T)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ways.iter().flatten())
-            .map(|w| (w.block, &w.payload))
+        self.ways.iter().flatten().map(|w| (w.block, &w.payload))
     }
 
     /// Iterates `(block, &mut payload)` over all resident blocks.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockAddr, &mut T)> + '_ {
-        self.sets
+        self.ways
             .iter_mut()
-            .flat_map(|s| s.ways.iter_mut().flatten())
+            .flatten()
             .map(|w| (w.block, &mut w.payload))
     }
 
-    /// Walks the PLRU tree away from `way` so it becomes "recently used".
-    fn touch_plru(plru: &mut [bool], way: usize, ways: usize) {
-        if plru.is_empty() {
+    /// Marks way `i` (an index into `ways`) as just used: stamps it for
+    /// LRU and, under tree-PLRU, walks its set's bits away from it.
+    fn touch(&mut self, i: usize) {
+        if let Some(w) = self.ways[i].as_mut() {
+            w.stamp = self.tick;
+        }
+        if self.params.policy != Replacement::TreePlru || self.params.ways == 1 {
             return;
         }
+        let ways = self.params.ways;
+        let (set, way) = (i / ways, i % ways);
+        let bits = &mut self.plru[set * (ways - 1)..(set + 1) * (ways - 1)];
         // Conceptual complete binary tree over the next power of two ≥ ways;
         // node i has children 2i+1, 2i+2; leaves map to ways left-to-right.
         let leaves = ways.next_power_of_two();
@@ -320,9 +297,9 @@ impl<T> CacheArray<T> {
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             let go_right = way >= mid;
-            if node < plru.len() {
+            if node < bits.len() {
                 // Point the bit AWAY from the touched way.
-                plru[node] = !go_right;
+                bits[node] = !go_right;
             }
             node = 2 * node + 1 + usize::from(go_right);
             if go_right {
@@ -333,18 +310,29 @@ impl<T> CacheArray<T> {
         }
     }
 
-    /// Follows the PLRU bits to the victim way.
-    fn plru_victim(plru: &[bool], ways: usize) -> usize {
-        if plru.is_empty() {
+    /// The least recently stamped way of a full set.
+    fn lru_victim(ways: &[Option<Way<T>>]) -> usize {
+        ways.iter()
+            .enumerate()
+            .min_by_key(|(_, w)| w.as_ref().map_or(0, |w| w.stamp))
+            .map(|(i, _)| i)
+            .expect("ways > 0")
+    }
+
+    /// Follows set `set`'s PLRU bits to the victim way.
+    fn plru_victim(&self, set: usize) -> usize {
+        let ways = self.params.ways;
+        if ways == 1 {
             return 0;
         }
+        let bits = &self.plru[set * (ways - 1)..(set + 1) * (ways - 1)];
         let leaves = ways.next_power_of_two();
         let mut node = 0usize;
         let mut lo = 0usize;
         let mut hi = leaves;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            let go_right = node < plru.len() && plru[node];
+            let go_right = node < bits.len() && bits[node];
             node = 2 * node + 1 + usize::from(go_right);
             if go_right {
                 lo = mid;
@@ -600,6 +588,207 @@ mod randomized_tests {
                 c.insert(BlockAddr(b), b);
             }
             assert_eq!(c.peek(BlockAddr(3)), Some(&333), "seed {seed}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference_tests {
+    use super::*;
+
+    /// A reference model of the array kept one set at a time: each set owns
+    /// its ways and, whatever the policy, its PLRU tree. The flat array
+    /// must agree with it on every answer and every eviction.
+    struct RefCache {
+        policy: Replacement,
+        /// Per set, per way: `(block, payload, stamp)`.
+        sets: Vec<Vec<Option<(u64, u64, u64)>>>,
+        /// Per set: `ways - 1` tree nodes, node `n`'s children at `2n+1`
+        /// and `2n+2`; `true` points the victim search right.
+        plru: Vec<Vec<bool>>,
+        tick: u64,
+        rng: DetRng,
+    }
+
+    impl RefCache {
+        fn new(sets: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
+            RefCache {
+                policy,
+                sets: vec![vec![None; ways]; sets],
+                plru: vec![vec![false; ways - 1]; sets],
+                tick: 0,
+                rng: DetRng::seed(seed).split("cache-array"),
+            }
+        }
+
+        fn locate(&self, block: u64) -> (usize, Option<usize>) {
+            let set = block as usize % self.sets.len();
+            let way = self.sets[set]
+                .iter()
+                .position(|w| w.is_some_and(|(b, _, _)| b == block));
+            (set, way)
+        }
+
+        /// Recursively descends the tree over leaves `lo..hi` towards
+        /// `way`, pointing each node on the path away from it.
+        fn point_away(bits: &mut [bool], node: usize, lo: usize, hi: usize, way: usize) {
+            if hi - lo <= 1 {
+                return;
+            }
+            let mid = (lo + hi) / 2;
+            let right = way >= mid;
+            if let Some(bit) = bits.get_mut(node) {
+                *bit = !right;
+            }
+            let (lo, hi) = if right { (mid, hi) } else { (lo, mid) };
+            Self::point_away(bits, 2 * node + 1 + usize::from(right), lo, hi, way);
+        }
+
+        fn follow(bits: &[bool], node: usize, lo: usize, hi: usize) -> usize {
+            if hi - lo <= 1 {
+                return lo;
+            }
+            let mid = (lo + hi) / 2;
+            let right = bits.get(node).copied().unwrap_or(false);
+            let (lo, hi) = if right { (mid, hi) } else { (lo, mid) };
+            Self::follow(bits, 2 * node + 1 + usize::from(right), lo, hi)
+        }
+
+        fn touch(&mut self, set: usize, way: usize) {
+            if let Some(w) = self.sets[set][way].as_mut() {
+                w.2 = self.tick;
+            }
+            let leaves = self.sets[set].len().next_power_of_two();
+            Self::point_away(&mut self.plru[set], 0, 0, leaves, way);
+        }
+
+        fn victim(&self, set: usize) -> usize {
+            let ways = &self.sets[set];
+            match self.policy {
+                Replacement::Lru => (0..ways.len())
+                    .min_by_key(|&w| ways[w].map_or(0, |(_, _, stamp)| stamp))
+                    .unwrap(),
+                Replacement::TreePlru => {
+                    let leaves = ways.len().next_power_of_two();
+                    Self::follow(&self.plru[set], 0, 0, leaves).min(ways.len() - 1)
+                }
+                Replacement::Random => 0,
+            }
+        }
+
+        fn get(&mut self, block: u64) -> Option<u64> {
+            self.tick += 1;
+            let (set, way) = self.locate(block);
+            let way = way?;
+            self.touch(set, way);
+            self.sets[set][way].map(|(_, p, _)| p)
+        }
+
+        fn peek(&self, block: u64) -> Option<u64> {
+            let (set, way) = self.locate(block);
+            self.sets[set][way?].map(|(_, p, _)| p)
+        }
+
+        fn add(&mut self, block: u64, delta: u64) -> Option<u64> {
+            let (set, way) = self.locate(block);
+            let w = self.sets[set][way?].as_mut()?;
+            w.1 += delta;
+            Some(w.1)
+        }
+
+        fn insert(&mut self, block: u64, payload: u64) -> Option<(u64, u64)> {
+            self.tick += 1;
+            let (set, way) = self.locate(block);
+            let (way, evicted) = match way {
+                Some(way) => (way, None),
+                None => match self.sets[set].iter().position(Option::is_none) {
+                    Some(free) => (free, None),
+                    None => {
+                        let victim = if self.policy == Replacement::Random {
+                            self.rng.below(self.sets[set].len() as u64) as usize
+                        } else {
+                            self.victim(set)
+                        };
+                        let (b, p, _) = self.sets[set][victim].unwrap();
+                        (victim, Some((b, p)))
+                    }
+                },
+            };
+            self.sets[set][way] = Some((block, payload, self.tick));
+            self.touch(set, way);
+            evicted
+        }
+
+        fn remove(&mut self, block: u64) -> Option<u64> {
+            let (set, way) = self.locate(block);
+            self.sets[set][way?].take().map(|(_, p, _)| p)
+        }
+
+        fn victim_preview(&self, block: u64) -> Option<u64> {
+            let (set, way) = self.locate(block);
+            if way.is_some() || self.sets[set].iter().any(Option::is_none) {
+                return None;
+            }
+            self.sets[set][self.victim(set)].map(|(b, _, _)| b)
+        }
+
+        fn contents(&self) -> Vec<(u64, u64)> {
+            self.sets
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|&(b, p, _)| (b, p))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn flat_array_matches_the_per_set_reference() {
+        let policies = [Replacement::Lru, Replacement::TreePlru, Replacement::Random];
+        let shapes = [(1, 1), (1, 4), (2, 3), (4, 2), (4, 5), (8, 8)];
+        for (case, (policy, (sets, ways))) in policies
+            .iter()
+            .flat_map(|&p| shapes.iter().map(move |&s| (p, s)))
+            .enumerate()
+        {
+            let seed = case as u64;
+            let mut rng = DetRng::seed(0xF1A7).split_index(seed);
+            let params = CacheParams::new(sets, ways, policy).unwrap();
+            let mut flat: CacheArray<u64> = CacheArray::with_seed(params, seed);
+            let mut model = RefCache::new(sets, ways, policy, seed);
+            // Three blocks per way of every set keep sets full and churning.
+            let span = (3 * sets * ways) as u64;
+            for step in 0..2_000 {
+                let b = rng.below(span);
+                let block = BlockAddr(b);
+                let at = format!("{policy:?} {sets}x{ways} step {step} block {b}");
+                match rng.below(6) {
+                    0 => assert_eq!(flat.get(block).map(|p| *p), model.get(b), "get {at}"),
+                    1 => assert_eq!(flat.peek(block).copied(), model.peek(b), "peek {at}"),
+                    2 => {
+                        let got = flat.peek_mut(block).map(|p| {
+                            *p += 1000;
+                            *p
+                        });
+                        assert_eq!(got, model.add(b, 1000), "peek_mut {at}");
+                    }
+                    3 => assert_eq!(flat.remove(block), model.remove(b), "remove {at}"),
+                    _ => {
+                        let payload = rng.below(1 << 20);
+                        let evicted = flat.insert(block, payload).map(|e| (e.block.0, e.payload));
+                        assert_eq!(evicted, model.insert(b, payload), "insert {at}");
+                    }
+                }
+                let probe = rng.below(span);
+                assert_eq!(
+                    flat.victim_preview(BlockAddr(probe)).map(|b| b.0),
+                    model.victim_preview(probe),
+                    "victim_preview {at} probe {probe}"
+                );
+                let contents: Vec<(u64, u64)> = flat.iter().map(|(b, &p)| (b.0, p)).collect();
+                assert_eq!(contents, model.contents(), "iter order {at}");
+                assert_eq!(flat.len(), contents.len(), "len {at}");
+            }
         }
     }
 }

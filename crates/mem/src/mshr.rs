@@ -6,8 +6,6 @@
 //! possible. Capacity is bounded; when the file is full the requester must
 //! stall (a structural hazard the core accounts separately).
 
-use std::collections::BTreeMap;
-
 use tenways_sim::BlockAddr;
 
 /// Why an MSHR allocation could not proceed.
@@ -38,6 +36,11 @@ pub struct MshrEntry<W> {
 
 /// A bounded file of [`MshrEntry`]s, keyed by block.
 ///
+/// The entries sit in one `Vec` kept in block order (at most `capacity` of
+/// them, so a binary search finds a block), and the waiter buffers of
+/// completed entries handed back through [`MshrFile::recycle`] are reused
+/// by later misses: a steady stream of misses allocates nothing.
+///
 /// # Example
 ///
 /// ```rust
@@ -49,11 +52,15 @@ pub struct MshrEntry<W> {
 /// assert!(!mshrs.allocate(BlockAddr(1), "load B").unwrap()); // merged
 /// let entry = mshrs.complete(BlockAddr(1)).unwrap();
 /// assert_eq!(entry.waiters, vec!["load A", "load B"]);
+/// mshrs.recycle(entry); // the next miss reuses its waiter buffer
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile<W> {
     capacity: usize,
-    entries: BTreeMap<u64, MshrEntry<W>>,
+    /// Outstanding misses, ordered by block.
+    entries: Vec<MshrEntry<W>>,
+    /// Emptied waiter buffers of recycled entries.
+    spare: Vec<Vec<W>>,
 }
 
 impl<W> MshrFile<W> {
@@ -66,8 +73,25 @@ impl<W> MshrFile<W> {
         assert!(capacity > 0, "MSHR file needs at least one entry");
         MshrFile {
             capacity,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Where `block`'s entry is, or where it would go.
+    fn find(&self, block: BlockAddr) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&block, |e| e.block)
+    }
+
+    /// Opens an entry for `block` at position `at`, on a spare buffer if
+    /// there is one.
+    fn open(&mut self, at: usize, block: BlockAddr) -> Result<&mut Vec<W>, MshrError> {
+        if self.entries.len() >= self.capacity {
+            return Err(MshrError::Full);
+        }
+        let waiters = self.spare.pop().unwrap_or_default();
+        self.entries.insert(at, MshrEntry { block, waiters });
+        Ok(&mut self.entries[at].waiters)
     }
 
     /// Registers a request for `block`.
@@ -79,21 +103,16 @@ impl<W> MshrFile<W> {
     ///
     /// [`MshrError::Full`] if a new entry is needed but none is free.
     pub fn allocate(&mut self, block: BlockAddr, waiter: W) -> Result<bool, MshrError> {
-        if let Some(entry) = self.entries.get_mut(&block.as_u64()) {
-            entry.waiters.push(waiter);
-            return Ok(false);
+        match self.find(block) {
+            Ok(i) => {
+                self.entries[i].waiters.push(waiter);
+                Ok(false)
+            }
+            Err(at) => {
+                self.open(at, block)?.push(waiter);
+                Ok(true)
+            }
         }
-        if self.entries.len() >= self.capacity {
-            return Err(MshrError::Full);
-        }
-        self.entries.insert(
-            block.as_u64(),
-            MshrEntry {
-                block,
-                waiters: vec![waiter],
-            },
-        );
-        Ok(true)
     }
 
     /// Registers a *prefetch* for `block`: an entry with no waiters.
@@ -105,31 +124,31 @@ impl<W> MshrFile<W> {
     ///
     /// [`MshrError::Full`] if no entry is free.
     pub fn allocate_prefetch(&mut self, block: BlockAddr) -> Result<bool, MshrError> {
-        if self.entries.contains_key(&block.as_u64()) {
-            return Ok(false);
+        match self.find(block) {
+            Ok(_) => Ok(false),
+            Err(at) => self.open(at, block).map(|_| true),
         }
-        if self.entries.len() >= self.capacity {
-            return Err(MshrError::Full);
-        }
-        self.entries.insert(
-            block.as_u64(),
-            MshrEntry {
-                block,
-                waiters: Vec::new(),
-            },
-        );
-        Ok(true)
     }
 
     /// Completes the miss for `block`, returning its entry (with all merged
-    /// waiters) or `None` if no miss was outstanding.
+    /// waiters) or `None` if no miss was outstanding. Hand the entry back
+    /// through [`MshrFile::recycle`] once its waiters are served.
     pub fn complete(&mut self, block: BlockAddr) -> Option<MshrEntry<W>> {
-        self.entries.remove(&block.as_u64())
+        let i = self.find(block).ok()?;
+        Some(self.entries.remove(i))
+    }
+
+    /// Takes back a completed entry's waiter buffer, emptied, for a later
+    /// miss to reuse.
+    pub fn recycle(&mut self, entry: MshrEntry<W>) {
+        let mut waiters = entry.waiters;
+        waiters.clear();
+        self.spare.push(waiters);
     }
 
     /// Whether a miss to `block` is outstanding.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.entries.contains_key(&block.as_u64())
+        self.find(block).is_ok()
     }
 
     /// Entries currently in use.
@@ -149,7 +168,7 @@ impl<W> MshrFile<W> {
 
     /// Iterates outstanding entries in block order.
     pub fn iter(&self) -> impl Iterator<Item = &MshrEntry<W>> + '_ {
-        self.entries.values()
+        self.entries.iter()
     }
 }
 
@@ -209,6 +228,29 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_capacity_panics() {
         let _: MshrFile<u32> = MshrFile::new(0);
+    }
+
+    #[test]
+    fn a_recycled_buffer_serves_the_next_miss_alone() {
+        let mut m: MshrFile<u32> = MshrFile::new(2);
+        m.allocate(BlockAddr(4), 1).unwrap();
+        m.allocate(BlockAddr(4), 2).unwrap();
+        m.allocate(BlockAddr(4), 3).unwrap();
+        let first = m.complete(BlockAddr(4)).unwrap();
+        assert_eq!(first.waiters, vec![1, 2, 3]);
+        let buffer = first.waiters.as_ptr();
+        m.recycle(first);
+
+        assert_eq!(m.allocate(BlockAddr(9), 7), Ok(true));
+        assert_eq!(m.allocate(BlockAddr(9), 8), Ok(false));
+        let second = m.complete(BlockAddr(9)).unwrap();
+        assert_eq!(second.block, BlockAddr(9));
+        assert_eq!(second.waiters, vec![7, 8], "only the new miss's waiters");
+        assert_eq!(
+            second.waiters.as_ptr(),
+            buffer,
+            "the freed buffer was reused"
+        );
     }
 
     #[test]

@@ -116,11 +116,12 @@ impl Sha256 {
     /// Finishes the digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_bytes.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 56 mod 64, then the bit length: one update.
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        let len = 1 + (55 + 64 - self.buf_len) % 64;
+        pad[len..len + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..len + 8]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -131,10 +132,11 @@ impl Sha256 {
 
     /// Finishes the digest as a lowercase hex string.
     pub fn finalize_hex(self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut out = String::with_capacity(64);
         for byte in self.finalize() {
-            use std::fmt::Write;
-            let _ = write!(out, "{byte:02x}");
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
         }
         out
     }
@@ -220,6 +222,18 @@ mod tests {
             let digest = h.finalize();
             let chunked: String = digest.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(oneshot, chunked, "len {len}");
+        }
+    }
+
+    #[test]
+    fn one_update_equals_one_byte_per_update() {
+        for len in 0..=200usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+            let mut bytewise = Sha256::new();
+            for b in &data {
+                bytewise.update(std::slice::from_ref(b));
+            }
+            assert_eq!(sha256_hex(&data), bytewise.finalize_hex(), "len {len}");
         }
     }
 

@@ -18,6 +18,8 @@
 //!   a simulation is bit-for-bit reproducible from a single seed.
 //! * [`hash`] — canonical-form JSON rendering and an in-tree SHA-256, the
 //!   content-address layer under the `tenways serve` result cache.
+//! * [`blockmap`] — [`BlockMap`] and [`BlockSet`], hash tables keyed by
+//!   block or page number under a fixed multiplicative hash.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blockmap;
 pub mod config;
 pub mod hash;
 pub mod hist;
@@ -55,6 +58,7 @@ mod cycle;
 /// levels.
 pub const MAX_DEPTH: usize = 128;
 
+pub use blockmap::{BlockHasher, BlockMap, BlockSet};
 pub use config::{AtomicsConfig, AtomicsError, MachineConfig};
 pub use cycle::{Clock, Cycle};
 pub use hash::{canonical, sha256_hex, Sha256};
