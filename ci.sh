@@ -237,6 +237,9 @@ grep -q '"deduplicated": 3' "$BATCH_DIR/batch_out.json"
 # Status counts are per submitted item: all four answer `computed`, but
 # the dedup means they cost one simulation (asserted via /stats below).
 grep -q '"computed": 4' "$BATCH_DIR/batch_out.json"
+# A batch waits for every key it admitted: no item is left unfinished,
+# so the reply has no "queued" status or count.
+test "$(grep -c '"queued"' "$BATCH_DIR/batch_out.json")" = 0
 ./target/release/tenways serve --addr "$SERVE_ADDR" --stats \
     > "$BATCH_DIR/stats.json"
 grep -q '"sim_runs": 1' "$BATCH_DIR/stats.json"
@@ -334,6 +337,7 @@ test "$(grep -c '"sim_runs": 1' "$ROUTE_DIR/stats.json")" = 2
 test "$(grep -c '"status": "ok"' "$ROUTE_DIR/ci-route.json")" = 3
 test "$(grep -c '"served": ' "$ROUTE_DIR/ci-route.json")" = 3
 grep -q '"served": "cached"' "$ROUTE_DIR/ci-route.json"
+test "$(grep -c '"queued"' "$ROUTE_DIR/ci-route.json")" = 0
 ./target/release/tenways serve --addr "$ROUTE_ADDR" --stats \
     > "$ROUTE_DIR/stats_sweep.json"
 sed -n '/"cluster":/,$p' "$ROUTE_DIR/stats_sweep.json" | grep -q '"sim_runs": 2'

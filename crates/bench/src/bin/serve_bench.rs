@@ -506,7 +506,7 @@ fn main() {
     };
     let batch: Vec<(String, SimConfig)> =
         (0..4).map(|i| (format!("dup{i}"), dup.clone())).collect();
-    let report = bd_service.submit_batch(&batch, None);
+    let report = bd_service.submit_batch(&batch);
     let gate_batch_dedup = bd_service.sim_runs() == 1
         && report.unique == 1
         && report

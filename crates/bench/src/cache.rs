@@ -49,7 +49,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
@@ -244,16 +244,6 @@ impl ResultCache {
         Ok(cache)
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured disk budget in bytes (`None` = unbounded).
-    pub fn disk_budget(&self) -> Option<u64> {
-        self.disk_budget
-    }
-
     /// Entries currently held in the memory tier.
     pub fn len_mem(&self) -> usize {
         self.mem.len()
@@ -315,9 +305,9 @@ impl ResultCache {
     }
 
     /// Looks up `key` without counting a hit or a miss and without
-    /// promoting or touching anything — the read-only probe behind
-    /// `GET /jobs/<key>`, whose polls must not skew the hit/miss
-    /// counters or the LRU orders.
+    /// promoting or touching anything — the read-only probe behind the
+    /// service's admission re-check and its cache warming, which must not
+    /// skew the hit/miss counters or the LRU orders.
     pub fn peek(&mut self, key: &str) -> Option<Record> {
         if let Some(record) = self.mem.get(key) {
             return Some(record.clone());
@@ -490,6 +480,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use std::sync::Mutex;
 
     fn record(n: u64) -> Record {

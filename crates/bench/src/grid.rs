@@ -552,13 +552,6 @@ fn server_err_row(point: &SweepPoint, status: &str, error: &str) -> Json {
     Json::Obj(pairs)
 }
 
-/// How often server mode polls `GET /jobs/<key>` for a queued point.
-const JOB_POLL_INTERVAL: std::time::Duration = std::time::Duration::from_millis(200);
-
-/// How long server mode waits for one queued point before failing its
-/// row.
-const SERVER_ROW_BUDGET: std::time::Duration = std::time::Duration::from_secs(600);
-
 /// How many times server mode re-submits points the server's admission
 /// queue rejected, and the envelope of the jittered exponential backoff
 /// between rounds (see [`rejection_backoff`]).
@@ -600,16 +593,15 @@ fn rejection_salt(addr: &str) -> u64 {
 
 /// [`run_sweep`] as a thin client of a running `tenways serve` instance
 /// (or a `tenways route` router fronting several — the router answers
-/// the identical `/batch`, `/jobs/<key>`, and `/stats` documents, so the
-/// address is interchangeable):
+/// the identical `/batch` and `/stats` documents, so the address is
+/// interchangeable):
 /// the grid expands locally and goes to `POST /batch` in requests of at
 /// most [`MAX_BATCH_ITEMS`] points (the server canonicalizes,
-/// deduplicates, and answers warm keys from its cache; dedup holds within
-/// a request), points the server left `queued` are polled via
-/// `GET /jobs/<key>`, and points its admission queue `rejected` are
-/// re-submitted with backoff. The final document is the same
-/// `bench_rows.v1` layout `run_sweep` writes, with each ok row marked
-/// `"served": "cached"` or `"served": "computed"`.
+/// deduplicates, answers warm keys from its cache and waits for the
+/// rest to simulate; dedup holds within a request), and points its
+/// admission queue `rejected` are re-submitted with backoff. The final
+/// document is the same `bench_rows.v1` layout `run_sweep` writes, with
+/// each ok row marked `"served": "cached"` or `"served": "computed"`.
 ///
 /// # Errors
 ///
@@ -629,7 +621,6 @@ pub fn run_sweep_server(
 
     let mut rows: Vec<Option<Json>> = vec![None; points.len()];
     let mut cached = 0usize;
-    let mut queued: Vec<(usize, String)> = Vec::new();
     let mut todo: Vec<usize> = (0..points.len()).collect();
     let mut rounds = 0usize;
     while !todo.is_empty() {
@@ -653,7 +644,6 @@ pub fn run_sweep_server(
                 ));
             }
             for (&i, item) in chunk.iter().zip(results) {
-                let key = item.get("key").and_then(Json::as_str).unwrap_or("");
                 let verdict = item.get("status").and_then(Json::as_str).unwrap_or("?");
                 if params.verbose {
                     eprintln!("[sweep {}] server {verdict} {}", spec.id, points[i].label);
@@ -666,7 +656,6 @@ pub fn run_sweep_server(
                     ("computed", Some(record)) => {
                         rows[i] = Some(record_json_row(&points[i], record, ("served", "computed")));
                     }
-                    ("queued", _) => queued.push((i, key.to_string())),
                     ("rejected", _) => rejected.push(i),
                     ("failed", _) => {
                         let error = item
@@ -701,53 +690,6 @@ pub fn run_sweep_server(
         }
         std::thread::sleep(rejection_backoff(rejection_salt(addr), rounds));
         todo = rejected;
-    }
-
-    // Poll the points the server accepted but had not finished by its
-    // sync timeout.
-    for (i, key) in queued {
-        let deadline = std::time::Instant::now() + SERVER_ROW_BUDGET;
-        loop {
-            let (status, doc) = http_call(addr, "GET", &format!("/jobs/{key}"), None)?;
-            match doc.get("status").and_then(Json::as_str) {
-                Some("done") => {
-                    let record = doc
-                        .get("record")
-                        .ok_or_else(|| format!("server {addr} sent done without a record"))?;
-                    rows[i] = Some(record_json_row(&points[i], record, ("served", "computed")));
-                    break;
-                }
-                Some("failed") => {
-                    let error = doc
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("server reported failure");
-                    rows[i] = Some(server_err_row(&points[i], "failed", error));
-                    break;
-                }
-                Some("pending" | "running") => {}
-                other => {
-                    rows[i] = Some(server_err_row(
-                        &points[i],
-                        "failed",
-                        &format!("server answered {status} / {other:?} while polling {key}"),
-                    ));
-                    break;
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                rows[i] = Some(server_err_row(
-                    &points[i],
-                    "failed",
-                    &format!(
-                        "job {key} still unfinished after {}s",
-                        SERVER_ROW_BUDGET.as_secs()
-                    ),
-                ));
-                break;
-            }
-            std::thread::sleep(JOB_POLL_INTERVAL);
-        }
     }
 
     let total = points.len();

@@ -413,7 +413,6 @@ fn read_request(
 fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
-        202 => "Accepted",
         400 => "Bad Request",
         404 => "Not Found",
         503 => "Service Unavailable",
@@ -632,7 +631,7 @@ pub fn http_request(
 }
 
 /// [`http_request`] without the headers — the client shape `tenways
-/// serve --post/--batch/--job/--stats/--health` and `tenways sweep
+/// serve --post/--batch/--stats/--health` and `tenways sweep
 /// --server` use.
 ///
 /// # Errors
@@ -937,7 +936,7 @@ mod tests {
                 true,
             ),
             request_text("h", "GET", "/stats", None, false),
-            request_text("h", "GET", "/jobs/0123abcd", None, true),
+            request_text("h", "GET", "/healthz", None, true),
         ]
         .into_iter()
         .map(String::into_bytes)
@@ -953,9 +952,9 @@ mod tests {
         [
             reply(200, Vec::new(), Json::obj([("record", record)]).to_string()),
             reply(
-                202,
+                500,
                 Vec::new(),
-                Json::obj([("status", Json::from("pending"))]).to_string(),
+                error_doc("simulation failed: failed: invalid machine"),
             ),
             reply(
                 503,

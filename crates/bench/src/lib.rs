@@ -51,12 +51,12 @@ pub use router::{
     route_http, Router, RouterOptions, CLUSTER_STATS_SCHEMA_VERSION, SERVE_CLUSTER_STATS_SCHEMA,
 };
 pub use serve::{
-    batch_body, serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus, JobView,
-    ServeError, ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS,
+    batch_body, serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus, ServeError,
+    ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS,
     SERVE_RESPONSE_SCHEMA_VERSION,
 };
 pub use sweep::{
-    CancelToken, JobOutcome, JobStatus, SweepBatch, SweepError, SweepJob, SweepOptions, SweepRunner,
+    JobOutcome, JobStatus, SweepBatch, SweepError, SweepJob, SweepOptions, SweepRunner,
 };
 
 /// Version of the serialized bench-rows JSON layout written by

@@ -38,10 +38,10 @@
 //!   with each live backend's `/stats` into a `serve_cluster_stats.v1`
 //!   document (per-backend detail + cluster totals).
 //!
-//! Endpoints: `POST /run` and `GET /jobs/<key>` proxy to the owning
-//! shard, relaying its status, `Retry-After` and body text unchanged. A
-//! routed `/run` builds no JSON tree: the router decodes the config once,
-//! renders its canonical text ([`SimConfig::canonical_text`]), keys it by
+//! Endpoints: `POST /run` proxies to the owning shard, relaying its
+//! status, `Retry-After` and body text unchanged. A routed `/run` builds
+//! no JSON tree: the router decodes the config once, renders its
+//! canonical text ([`SimConfig::canonical_text`]), keys it by
 //! that text's SHA-256 and forwards the same text as the backend's body,
 //! and it reads the reply with a validating scan ([`Json::validate`])
 //! instead of a parse, so a malformed body is still a transport failure
@@ -51,7 +51,7 @@
 //! parsed per-key statuses back into input order;
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
 //! backend census. Clients need no changes: the router speaks the same
-//! `serve_response.v2`/`serve_batch.v1` documents as a single backend
+//! `serve_response.v3`/`serve_batch.v1` documents as a single backend
 //! over the same HTTP layer ([`crate::http`]), so `tenways sweep
 //! --server` points at a router transparently.
 
@@ -205,10 +205,16 @@ impl Router {
     ///
     /// Returns a message when `options.backends` is empty or contains a
     /// duplicate address (duplicates would corrupt the rendezvous
-    /// ranking).
+    /// ranking), or when `options.health_interval` is zero (the monitor
+    /// would probe every backend back to back).
     pub fn new(options: RouterOptions) -> Result<Router, String> {
         if options.backends.is_empty() {
             return Err("router needs at least one backend".to_string());
+        }
+        if options.health_interval.is_zero() {
+            return Err(
+                "the health interval (--health-interval-ms) must be above zero".to_string(),
+            );
         }
         for (i, addr) in options.backends.iter().enumerate() {
             if options.backends[..i].contains(addr) {
@@ -286,23 +292,18 @@ impl Router {
         }
     }
 
-    /// Forwards one keyed request to its owner, retrying with backoff on
-    /// 503 and transport failure, and returns the reply to relay (its
-    /// body validated, not parsed). The key is ranked once; each attempt
-    /// takes the first ranked backend that is up, so a mark-down
-    /// re-routes the retry to the key's next-ranked live backend.
+    /// Forwards one `POST /run` body, the canonical text keyed `key`, to
+    /// its owner, retrying with backoff on 503 and transport failure, and
+    /// returns the reply to relay (its body validated, not parsed). The
+    /// key is ranked once; each attempt takes the first ranked backend
+    /// that is up, so a mark-down re-routes the retry to the key's
+    /// next-ranked live backend.
     ///
     /// # Errors
     ///
     /// Returns a message when no backend is live or the retry budget is
     /// exhausted on transport failures (a relayed 503 is an `Ok` reply).
-    fn forward(
-        &self,
-        key: &str,
-        method: &str,
-        path: &str,
-        body: Option<(&str, &str)>,
-    ) -> Result<HttpReply, String> {
+    fn forward(&self, key: &str, body: &str) -> Result<HttpReply, String> {
         let ranked = self.rank(key);
         let mut backoff = self.backoff;
         let mut attempt = 0u32;
@@ -315,7 +316,8 @@ impl Router {
                 return Err("no live backend".to_string());
             };
             let backend = &self.backends[idx];
-            match self.backend_request(backend, ReplyBody::Validate, method, path, body) {
+            let run = Some(("application/json", body));
+            match self.backend_request(backend, ReplyBody::Validate, "POST", "/run", run) {
                 Ok(reply) if reply.status == 503 && attempt < self.retries => {
                     // Backend backpressure (full admission queue): back
                     // off and retry; the backend is alive, so the owner
@@ -667,7 +669,7 @@ impl Handler for Router {
                 // is computed once here.
                 let body = cfg.canonical_text();
                 let key = cache_key_of(&body);
-                match self.forward(&key, "POST", "/run", Some(("application/json", &body))) {
+                match self.forward(&key, &body) {
                     Ok(reply) => relay(reply),
                     Err(e) => give_up(e),
                 }
@@ -688,13 +690,6 @@ impl Handler for Router {
                     ])
                     .to_string(),
                 )
-            }
-            ("GET", path) if path.starts_with("/jobs/") => {
-                let key = &path["/jobs/".len()..];
-                match self.forward(key, "GET", path, None) {
-                    Ok(reply) => relay(reply),
-                    Err(e) => give_up(e),
-                }
             }
             (method, path) => bad_request(404, &format!("no such endpoint: {method} {path}")),
         }
@@ -927,14 +922,15 @@ mod tests {
         );
         assert_eq!(cluster.total_sim_runs(), 1, "exactly one backend simulated");
 
-        // The key's owner is stable and the job is pollable through the
-        // router on the owning shard.
+        // A request waits for its record, so there is no job handle to
+        // proxy: the router knows no `/jobs` endpoint, even for a cached key.
         let key = first.body.get("key").and_then(Json::as_str).unwrap();
         let job = client
             .request("GET", &format!("/jobs/{key}"), None)
             .unwrap();
-        assert_eq!(job.status, 200);
-        assert_eq!(job.body.get("status").and_then(Json::as_str), Some("done"));
+        assert_eq!(job.status, 404);
+        let error = job.body.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with("no such endpoint"), "{error}");
     }
 
     #[test]
@@ -1062,15 +1058,20 @@ mod tests {
             );
             let status = item.get("status").and_then(Json::as_str).unwrap();
             assert!(status == "computed" || status == "cached", "got {status}");
-            let key = cfg.cache_key();
-            let owner = cluster.router.owner(&key).unwrap();
+            let owner = cluster.router.owner(&cfg.cache_key()).unwrap();
+            let body = cfg.to_json().to_string();
             let direct = crate::http::http_request(
                 &cluster.backends[owner].addr,
-                "GET",
-                &format!("/jobs/{key}"),
-                None,
+                "POST",
+                "/run",
+                Some(("application/json", &body)),
             )
             .unwrap();
+            assert_eq!(
+                direct.body.get("cached").and_then(Json::as_bool),
+                Some(true),
+                "the owner answers from its cache"
+            );
             assert_eq!(
                 item.get("record").unwrap().to_string(),
                 direct.body.get("record").unwrap().to_string(),
@@ -1179,18 +1180,11 @@ mod tests {
             assert_eq!(reply.status, 200);
             reply
         };
-        let cold = post(&mut routed);
-        let key = cold.body.get("key").and_then(Json::as_str).unwrap();
+        post(&mut routed);
         // Both answers are now hits of the same key.
         let (via_router, from_owner) = (post(&mut routed), post(&mut direct));
         assert_eq!(via_router.text, from_owner.text);
         assert!(via_router.text.ends_with("}\n"), "one trailing newline");
-        let path = format!("/jobs/{key}");
-        let job_routed = routed.request("GET", &path, None).unwrap();
-        let job_direct = direct.request("GET", &path, None).unwrap();
-        assert_eq!(job_routed.status, 200);
-        assert_eq!(job_routed.text, job_direct.text);
-        assert!(job_routed.text.ends_with("}\n"), "one trailing newline");
     }
 
     /// A backend whose health probe answers JSON and whose every other

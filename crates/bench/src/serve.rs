@@ -24,12 +24,8 @@
 //! * **batch submission** ([`SimService::submit_batch`], `POST /batch`):
 //!   a grid or config list is canonicalized to keys, deduplicated within
 //!   the batch *and* against in-flight singles, and answered with per-key
-//!   `cached`/`computed`/`queued` status — K duplicate configs cost one
-//!   simulation.
-//! * **async job handles**: a miss outlasting
-//!   [`ServeOptions::sync_timeout_ms`] answers `202 Accepted` with its
-//!   key; `GET /jobs/<key>` polls `pending`/`running`/`done`/`failed`
-//!   without pinning a connection thread on a long simulation.
+//!   `cached`/`computed`/`rejected`/`failed` status — K duplicate configs
+//!   cost one simulation.
 //! * counters on the hot path are **atomic and sharded** (perfbook-style
 //!   partitioned counting: writers stripe across padded cache lines,
 //!   readers sum) and `GET /stats` reads cache gauges from
@@ -42,14 +38,15 @@
 //!
 //! | method & path     | body            | response                           |
 //! |-------------------|-----------------|------------------------------------|
-//! | `POST /run`       | `SimConfig` JSON (or TOML with a `toml` content type) | `200 {schema_version, key, cached, record}`, `202 {key, status}` past the sync timeout, or `503` + `Retry-After` when the queue is full |
+//! | `POST /run`       | `SimConfig` JSON (or TOML with a `toml` content type) | `200 {schema_version, key, cached, record}` once the record exists, or `503` + `Retry-After` when the queue is full |
 //! | `POST /batch`     | `{configs: [...]}`, a bare JSON array, or a sweep-grid document, of at most [`MAX_BATCH_ITEMS`] items | `{schema_version, total, unique, results: [{label, key, status, ...}]}`, or `400` past the limit |
-//! | `GET /jobs/<key>` | —               | `{schema_version, key, status: pending\|running\|done\|failed, ...}` |
 //! | `GET /stats`      | —               | counters: hits/misses, queue depth, rejections, cache tiers |
 //! | `GET /healthz`    | —               | `{"ok": true}`                     |
 //!
-//! A hit serves the byte-identical `run_record.v1` document of the
-//! original run without simulating anything; with `workers = 0` the
+//! A request waits for its record: a miss holds its connection until the
+//! simulation it leads or joins lands. A hit serves the byte-identical
+//! `run_record.v1` document of the original run without simulating
+//! anything; with `workers = 0` the
 //! service is cache-only and a miss is refused with HTTP 503 (this is how
 //! the tests prove hits never simulate).
 
@@ -58,7 +55,6 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, SimConfig};
@@ -69,10 +65,10 @@ use crate::http::{self, error_doc, reply, Handler, HttpCounters, HttpRequest, Re
 use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
 
 /// Version of the serve response document layouts (`/run`, `/batch`,
-/// `/jobs`, `/stats`); bumped on any breaking change. Mirrored in
-/// `results/schema/serve_response.v2.json` (plus `serve_batch.v1.json`
-/// and `serve_job.v1.json` for the batch and job-poll bodies).
-pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 2;
+/// `/stats`); bumped on any breaking change. Mirrored in
+/// `results/schema/serve_response.v3.json` (plus `serve_batch.v1.json`
+/// for the batch body).
+pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 3;
 
 /// The most items one `POST /batch` may carry, as a config list or as
 /// the points of a grid. Past it the body is refused with a 400 before
@@ -80,9 +76,6 @@ pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 2;
 /// and record copy in the reply, so an unbounded batch let a 4 MiB body
 /// claim gigabytes.
 pub const MAX_BATCH_ITEMS: usize = 1024;
-
-/// How many recent job failures `GET /jobs/<key>` can still report.
-const FAILURE_MEMORY: usize = 64;
 
 /// The `Retry-After` seconds a queue-full rejection advertises.
 const RETRY_AFTER_S: u64 = 1;
@@ -151,10 +144,6 @@ pub struct ServeOptions {
     /// (HTTP 503 + `Retry-After`) instead of queueing unboundedly.
     /// Joining an already-in-flight key never consumes a slot.
     pub queue_depth: usize,
-    /// How long a synchronous `submit` waits for a fresh simulation
-    /// before answering `202`/`queued` (`None` = wait forever, the
-    /// pre-queue behaviour).
-    pub sync_timeout_ms: Option<u64>,
 }
 
 impl Default for ServeOptions {
@@ -165,7 +154,6 @@ impl Default for ServeOptions {
             cache_dir: crate::results_dir().join("cache"),
             disk_budget: None,
             queue_depth: 256,
-            sync_timeout_ms: None,
         }
     }
 }
@@ -232,61 +220,13 @@ impl Answer {
     }
 }
 
-/// One `GET /jobs/<key>` verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobView {
-    /// Admitted, waiting for a worker.
-    Pending,
-    /// A worker is simulating it right now.
-    Running,
-    /// The record is in the cache.
-    Done(Record),
-    /// The simulation failed; the service remembers recent failures.
-    Failed(String),
-    /// The service has never seen this key (or has forgotten a failure).
-    Unknown,
-}
-
-impl JobView {
-    /// The schema string for this state.
-    pub fn status(&self) -> &'static str {
-        match self {
-            JobView::Pending => "pending",
-            JobView::Running => "running",
-            JobView::Done(_) => "done",
-            JobView::Failed(_) => "failed",
-            JobView::Unknown => "unknown",
-        }
-    }
-
-    /// The `GET /jobs/<key>` response document, rendered.
-    pub fn to_response_json(&self, key: &str) -> String {
-        let mut pairs = vec![
-            (
-                "schema_version".to_string(),
-                Json::U64(SERVE_RESPONSE_SCHEMA_VERSION),
-            ),
-            ("key".to_string(), Json::from(key)),
-            ("status".to_string(), Json::from(self.status())),
-        ];
-        match self {
-            JobView::Done(record) => return record.render_in(pairs),
-            JobView::Failed(e) => pairs.push(("error".to_string(), Json::from(e.as_str()))),
-            _ => {}
-        }
-        Json::Obj(pairs).to_string()
-    }
-}
-
 /// Per-key status of one batch item.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchStatus {
     /// Served from the cache without simulating.
     Cached(Record),
-    /// Simulated (or joined) within the batch deadline.
+    /// Simulated by this batch, or by a flight it joined.
     Computed(Record),
-    /// Admitted but not finished by the deadline; poll `/jobs/<key>`.
-    Queued,
     /// The admission queue was full; the key was not admitted.
     Rejected,
     /// The simulation failed (or the service is cache-only).
@@ -299,7 +239,6 @@ impl BatchStatus {
         match self {
             BatchStatus::Cached(_) => "cached",
             BatchStatus::Computed(_) => "computed",
-            BatchStatus::Queued => "queued",
             BatchStatus::Rejected => "rejected",
             BatchStatus::Failed(_) => "failed",
         }
@@ -348,7 +287,7 @@ impl BatchItem {
                 return record.render_in(pairs)
             }
             BatchStatus::Failed(e) => pairs.push(("error".to_string(), Json::from(e.as_str()))),
-            BatchStatus::Queued | BatchStatus::Rejected => {}
+            BatchStatus::Rejected => {}
         }
         Json::Obj(pairs).to_string()
     }
@@ -390,31 +329,17 @@ struct Counters {
 struct Flight {
     slot: Mutex<Option<Result<Record, String>>>,
     done: Condvar,
-    /// False while queued, true once a worker picked the job up.
-    running: AtomicBool,
 }
 
 impl Flight {
-    /// Waits until the flight lands, or until `deadline` passes (`None`
-    /// waits forever); `None` on timeout (the flight keeps going — the
-    /// caller polls later).
-    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<Record, String>> {
+    /// Waits until the flight lands and returns its result.
+    fn wait(&self) -> Result<Record, String> {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = &*slot {
-                return Some(result.clone());
+                return result.clone();
             }
-            slot = match deadline {
-                None => self.done.wait(slot).unwrap_or_else(|e| e.into_inner()),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let waited = self.done.wait_timeout(slot, deadline - now);
-                    waited.unwrap_or_else(|e| e.into_inner()).0
-                }
-            };
+            slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -485,14 +410,11 @@ pub struct SimService {
     cache_counters: Arc<CacheCounters>,
     disk_budget: Option<u64>,
     inflight: Arc<Mutex<HashMap<String, Arc<Flight>>>>,
-    /// Recent failures, newest last, capped at [`FAILURE_MEMORY`].
-    failures: Arc<Mutex<Vec<(String, String)>>>,
     counters: Arc<Counters>,
     runner: Arc<SweepRunner>,
     pool: Option<WorkerPool>,
     workers: usize,
     queue_depth: usize,
-    sync_timeout: Option<Duration>,
 }
 
 impl SimService {
@@ -517,24 +439,17 @@ impl SimService {
             cache_counters,
             disk_budget: options.disk_budget,
             inflight: Arc::new(Mutex::new(HashMap::new())),
-            failures: Arc::new(Mutex::new(Vec::new())),
             counters: Arc::new(Counters::default()),
             runner: Arc::new(runner),
             pool: (options.workers > 0).then(|| WorkerPool::new(options.workers)),
             workers: options.workers,
             queue_depth: options.queue_depth,
-            sync_timeout: options.sync_timeout_ms.map(Duration::from_millis),
         })
-    }
-
-    /// The configured synchronous wait bound (`None` = wait forever).
-    pub fn sync_timeout(&self) -> Option<Duration> {
-        self.sync_timeout
     }
 
     /// Answers one job: cache hit, join of an identical in-flight
     /// simulation, or a fresh simulation on the worker pool. Blocks until
-    /// the record is available, whatever the configured sync timeout.
+    /// the record is available.
     ///
     /// # Errors
     ///
@@ -542,35 +457,27 @@ impl SimService {
     /// [`ServeError::Rejected`] when the admission queue is full,
     /// [`ServeError::Sim`] when the simulation itself fails.
     pub fn submit(&self, cfg: &SimConfig) -> Result<Answer, ServeError> {
-        self.resolve_one(&cfg.cache_key(), cfg, None)
-            .map(|answer| answer.expect("no deadline, never queued"))
+        let mut resolved = self.resolve(&[(cfg.cache_key(), cfg)]);
+        resolved.pop().expect("one key, one outcome").1
     }
 
     /// Resolves a whole batch: every config is canonicalized, duplicate
     /// keys collapse onto one flight (within the batch and against any
     /// already-in-flight singles), cache hits answer immediately, and the
-    /// admitted remainder is awaited until `timeout` (falling back to the
-    /// service's sync timeout; `None` waits forever). Items not finished
-    /// by the deadline report `queued` and stay pollable via
-    /// [`SimService::job_status`].
-    pub fn submit_batch(
-        &self,
-        configs: &[(String, SimConfig)],
-        timeout: Option<Duration>,
-    ) -> BatchReport {
+    /// admitted remainder is awaited until every flight has landed.
+    pub fn submit_batch(&self, configs: &[(String, SimConfig)]) -> BatchReport {
         let keyed: Vec<(String, &SimConfig)> = configs
             .iter()
             .map(|(_, cfg)| (cfg.cache_key(), cfg))
             .collect();
-        let resolved = self.resolve(&keyed, timeout.or(self.sync_timeout));
+        let resolved = self.resolve(&keyed);
         let unique = resolved.len();
         let statuses: HashMap<&str, BatchStatus> = resolved
             .into_iter()
             .map(|(i, outcome)| {
                 let status = match outcome {
-                    Ok(Some(answer)) if answer.cached => BatchStatus::Cached(answer.record),
-                    Ok(Some(answer)) => BatchStatus::Computed(answer.record),
-                    Ok(None) => BatchStatus::Queued,
+                    Ok(answer) if answer.cached => BatchStatus::Cached(answer.record),
+                    Ok(answer) => BatchStatus::Computed(answer.record),
                     Err(ServeError::Rejected { .. }) => BatchStatus::Rejected,
                     // A failed simulation reports the runner's message
                     // bare; other errors read as they display.
@@ -592,37 +499,18 @@ impl SimService {
         BatchReport { items, unique }
     }
 
-    /// [`SimService::resolve`] for one config under its cache `key`:
-    /// `Ok(None)` when it is still queued or running at the deadline.
-    fn resolve_one(
-        &self,
-        key: &str,
-        cfg: &SimConfig,
-        timeout: Option<Duration>,
-    ) -> Result<Option<Answer>, ServeError> {
-        let mut resolved = self.resolve(&[(key.to_string(), cfg)], timeout);
-        resolved.pop().expect("one key, one outcome").1
-    }
-
     /// The one resolve routine behind [`SimService::submit`], `POST /run`
     /// and [`SimService::submit_batch`]. `keyed` pairs each config with
     /// its cache key. Every distinct key, in first-appearance order, is
     /// answered from the cache or joins or leads a flight; the flights
-    /// are then awaited until `timeout` after admission (`None` waits
-    /// forever). Returns one outcome per distinct key, beside the index
-    /// of its first appearance: `Ok(None)` for a key still queued or
-    /// running at the deadline.
-    fn resolve(
-        &self,
-        keyed: &[(String, &SimConfig)],
-        timeout: Option<Duration>,
-    ) -> Vec<(usize, Result<Option<Answer>, ServeError>)> {
+    /// are then awaited until they land. Returns one outcome per distinct
+    /// key, beside the index of its first appearance.
+    fn resolve(&self, keyed: &[(String, &SimConfig)]) -> Vec<(usize, Result<Answer, ServeError>)> {
         let admitted: Vec<(usize, Result<Admitted, ServeError>)> =
             first_appearances(keyed.iter().map(|(key, _)| key.as_str()))
                 .into_iter()
                 .map(|i| (i, self.admit(&keyed[i].0, keyed[i].1)))
                 .collect();
-        let deadline = timeout.map(|t| Instant::now() + t);
         admitted
             .into_iter()
             .map(|(i, admitted)| {
@@ -632,48 +520,15 @@ impl SimService {
                     record,
                 };
                 let outcome = admitted.and_then(|admitted| match admitted {
-                    Admitted::Hit(record) => Ok(Some(answer(true, record))),
-                    Admitted::Flight(flight) => match flight.wait_until(deadline) {
-                        Some(Ok(record)) => Ok(Some(answer(false, record))),
-                        Some(Err(e)) => Err(ServeError::Sim(e)),
-                        None => Ok(None),
+                    Admitted::Hit(record) => Ok(answer(true, record)),
+                    Admitted::Flight(flight) => match flight.wait() {
+                        Ok(record) => Ok(answer(false, record)),
+                        Err(e) => Err(ServeError::Sim(e)),
                     },
                 });
                 (i, outcome)
             })
             .collect()
-    }
-
-    /// Where a key stands: queued, running, done (with the record),
-    /// recently failed (with the error), or unknown. Reads are
-    /// counter-neutral — polling a job does not skew hit/miss stats.
-    pub fn job_status(&self, key: &str) -> JobView {
-        // In-flight first: if present, it is pending or running. A flight
-        // that lands between this check and the cache peek still answers
-        // correctly (the cache peek below finds it).
-        let flight = {
-            let map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            map.get(key).cloned()
-        };
-        if let Some(flight) = flight {
-            return if flight.running.load(Ordering::Relaxed) {
-                JobView::Running
-            } else {
-                JobView::Pending
-            };
-        }
-        let peeked = {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.peek(key)
-        };
-        if let Some(record) = peeked {
-            return JobView::Done(record);
-        }
-        let failures = self.failures.lock().unwrap_or_else(|e| e.into_inner());
-        match failures.iter().rev().find(|(k, _)| k == key) {
-            Some((_, e)) => JobView::Failed(e.clone()),
-            None => JobView::Unknown,
-        }
     }
 
     /// Admission: answer a cache hit, else join an existing flight for
@@ -775,7 +630,6 @@ impl SimService {
         let counters = Arc::clone(&self.counters);
         let runner = Arc::clone(&self.runner);
         let inflight = Arc::clone(&self.inflight);
-        let failures = Arc::clone(&self.failures);
         Box::new(move || {
             // The job left the admission queue and entered execution.
             counters.queued.fetch_sub(1, Ordering::Relaxed);
@@ -783,7 +637,6 @@ impl SimService {
             counters
                 .peak_in_flight
                 .fetch_max(running, Ordering::Relaxed);
-            flight.running.store(true, Ordering::Relaxed);
 
             let job = SweepJob::new(key.clone(), move || simulate(&cfg));
             counters.sim_runs.fetch_add(1, Ordering::Relaxed);
@@ -804,13 +657,7 @@ impl SimService {
                 }
                 Err(e) => {
                     counters.sim_failures.fetch_add(1, Ordering::Relaxed);
-                    let message = e.to_string();
-                    let mut recent = failures.lock().unwrap_or_else(|e| e.into_inner());
-                    recent.retain(|(k, _)| k != &key);
-                    recent.push((key.clone(), message.clone()));
-                    let overflow = recent.len().saturating_sub(FAILURE_MEMORY);
-                    recent.drain(..overflow);
-                    Err(message)
+                    Err(e.to_string())
                 }
             };
             {
@@ -1034,7 +881,6 @@ pub(crate) fn batch_reply(unique: usize, results: &[(&str, String)]) -> String {
         ("deduplicated", Json::from(total - unique)),
         ("cached", count("cached")),
         ("computed", count("computed")),
-        ("queued", count("queued")),
         ("rejected", count("rejected")),
         ("failed", count("failed")),
     ]);
@@ -1140,18 +986,8 @@ impl Handler for SimService {
                     Ok(cfg) => cfg,
                     Err(e) => return bad_request(400, &e),
                 };
-                let key = cfg.cache_key();
-                match self.resolve_one(&key, &cfg, self.sync_timeout()) {
-                    Ok(Some(answer)) => plain(200, answer.to_response_json()),
-                    Ok(None) => plain(
-                        202,
-                        Json::obj([
-                            ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-                            ("key", Json::from(key)),
-                            ("status", Json::from("pending")),
-                        ])
-                        .to_string(),
-                    ),
+                match self.submit(&cfg) {
+                    Ok(answer) => plain(200, answer.to_response_json()),
                     Err(ServeError::Rejected { key, queue_depth }) => reply(
                         503,
                         vec![("Retry-After", RETRY_AFTER_S.to_string())],
@@ -1163,19 +999,13 @@ impl Handler for SimService {
             }
             ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
                 Ok(configs) => {
-                    let report = self.submit_batch(&configs, self.sync_timeout());
+                    let report = self.submit_batch(&configs);
                     plain(200, report.to_response_json())
                 }
                 Err(e) => bad_request(400, &e),
             },
             ("GET", "/stats") => plain(200, self.stats_json().to_string()),
             ("GET", "/healthz") => plain(200, Json::obj([("ok", Json::Bool(true))]).to_string()),
-            ("GET", path) if path.starts_with("/jobs/") => {
-                let key = &path["/jobs/".len()..];
-                let view = self.job_status(key);
-                let status = if view == JobView::Unknown { 404 } else { 200 };
-                plain(status, view.to_response_json(key))
-            }
             (method, path) => bad_request(404, &format!("no such endpoint: {method} {path}")),
         }
     }
@@ -1221,6 +1051,7 @@ mod tests {
     use super::*;
     use crate::http::{http_call, http_request, HttpClient};
     use crate::router::{route_http, Router, RouterOptions};
+    use std::time::{Duration, Instant};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tenways-serve-{tag}-{}", std::process::id()));
@@ -1283,21 +1114,10 @@ mod tests {
             ("record", tree.clone()),
         ]);
         assert_eq!(answer.to_response_json(), expected.to_string());
-        let expected = Json::obj([
-            version(),
-            ("key", Json::from("k1")),
-            ("status", Json::from("done")),
-            ("record", tree.clone()),
-        ]);
-        assert_eq!(
-            JobView::Done(record.clone()).to_response_json("k1"),
-            expected.to_string()
-        );
 
         let statuses = [
             BatchStatus::Cached(record.clone()),
             BatchStatus::Computed(record.clone()),
-            BatchStatus::Queued,
             BatchStatus::Rejected,
             BatchStatus::Failed("boom".to_string()),
             BatchStatus::Cached(record),
@@ -1307,7 +1127,7 @@ mod tests {
             .enumerate()
             .map(|(i, status)| BatchItem {
                 label: format!("item {i}"),
-                key: format!("k{}", i % 5),
+                key: format!("k{}", i % 4),
                 status,
             })
             .collect();
@@ -1334,17 +1154,16 @@ mod tests {
         }
         let expected = Json::obj([
             version(),
-            ("total", Json::U64(6)),
-            ("unique", Json::U64(5)),
+            ("total", Json::U64(5)),
+            ("unique", Json::U64(4)),
             ("deduplicated", Json::U64(1)),
             ("cached", Json::U64(2)),
             ("computed", Json::U64(1)),
-            ("queued", Json::U64(1)),
             ("rejected", Json::U64(1)),
             ("failed", Json::U64(1)),
             ("results", Json::Arr(item_trees)),
         ]);
-        let report = BatchReport { items, unique: 5 };
+        let report = BatchReport { items, unique: 4 };
         assert_eq!(report.to_response_json(), expected.to_string());
     }
 
@@ -1511,67 +1330,13 @@ mod tests {
     }
 
     #[test]
-    fn job_lifecycle_pending_running_done_and_failed() {
-        let dir = tmp_dir("jobs");
-        let svc = service(&dir, 1);
-        assert_eq!(svc.job_status("no-such-key"), JobView::Unknown);
-
-        // A fast sync timeout turns a slow miss into a pending handle.
-        let cfg = slow_cfg(7);
-        let key = cfg.cache_key();
-        let report = svc.submit_batch(
-            &[("slow".to_string(), cfg.clone())],
-            Some(Duration::from_millis(1)),
-        );
-        match &report.items[0].status {
-            BatchStatus::Queued => assert_eq!(report.items[0].key, key),
-            BatchStatus::Computed(_) => {
-                // The host was fast enough to finish inside 1 ms; the
-                // remaining lifecycle still holds.
-            }
-            other => panic!("expected queued or computed, got {other:?}"),
-        }
-        // Poll until done; in between the status must be one of the
-        // in-flight states, never unknown.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let record = loop {
-            match svc.job_status(&key) {
-                JobView::Done(record) => break record,
-                JobView::Pending | JobView::Running => {
-                    assert!(Instant::now() < deadline, "job never completed");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                other => panic!("unexpected job state {other:?}"),
-            }
-        };
-        // Done answers the byte-identical record and a repeat submit hits.
-        let warm = svc.submit(&cfg).unwrap();
-        assert!(warm.cached);
-        assert_eq!(warm.record.to_string(), record.to_string());
-        assert_eq!(svc.sim_runs(), 1);
-
-        // A failing config lands in the failure memory.
-        let bad = SimConfig {
-            workload: "no-such-kernel".to_string(),
-            ..small_cfg()
-        };
-        let bad_key = bad.cache_key();
-        assert!(svc.submit(&bad).is_err());
-        match svc.job_status(&bad_key) {
-            JobView::Failed(msg) => assert!(msg.contains("unknown workload"), "{msg}"),
-            other => panic!("expected Failed, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn batch_with_duplicate_keys_runs_exactly_one_simulation() {
         let dir = tmp_dir("batch-dedup");
         let svc = service(&dir, 2);
         let cfg = small_cfg();
         let configs: Vec<(String, SimConfig)> =
             (0..4).map(|i| (format!("dup{i}"), cfg.clone())).collect();
-        let report = svc.submit_batch(&configs, None);
+        let report = svc.submit_batch(&configs);
         assert_eq!(report.items.len(), 4);
         assert_eq!(report.unique, 1);
         assert_eq!(svc.sim_runs(), 1, "duplicates share one simulation");
@@ -1582,7 +1347,7 @@ mod tests {
             assert_eq!(item.key, report.items[0].key);
         }
         // Resubmitting the same batch is all cached, still one sim total.
-        let again = svc.submit_batch(&configs, None);
+        let again = svc.submit_batch(&configs);
         assert!(again.items.iter().all(|i| i.status.status() == "cached"));
         assert_eq!(svc.sim_runs(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1602,14 +1367,11 @@ mod tests {
             workload: "no-such-kernel".to_string(),
             ..small_cfg()
         };
-        let report = svc.submit_batch(
-            &[
-                ("warm".to_string(), warm),
-                ("cold".to_string(), cold),
-                ("bad".to_string(), bad),
-            ],
-            None,
-        );
+        let report = svc.submit_batch(&[
+            ("warm".to_string(), warm),
+            ("cold".to_string(), cold),
+            ("bad".to_string(), bad),
+        ]);
         let statuses: Vec<&str> = report.items.iter().map(|i| i.status.status()).collect();
         assert_eq!(statuses, ["cached", "computed", "failed"]);
         assert_eq!(report.unique, 3);
@@ -1633,10 +1395,10 @@ mod tests {
         // slow config outlasts this by a wide margin).
         let key = cfg.cache_key();
         let deadline = Instant::now() + Duration::from_secs(30);
-        while svc.job_status(&key) == JobView::Unknown && Instant::now() < deadline {
+        while !svc.inflight.lock().unwrap().contains_key(&key) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let report = svc.submit_batch(&[("joined".to_string(), cfg.clone())], None);
+        let report = svc.submit_batch(&[("joined".to_string(), cfg.clone())]);
         single.join().unwrap();
         assert_eq!(svc.sim_runs(), 1, "batch joined the in-flight single");
         let status = report.items[0].status.status();
@@ -1655,7 +1417,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = {
             let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(6), false))
+            std::thread::spawn(move || serve_http(svc, listener, Some(5), false))
         };
 
         let body = r#"{"workload":"lu","threads":2,"scale":1}"#;
@@ -1683,15 +1445,13 @@ mod tests {
             first.get("record").unwrap().to_string()
         );
 
-        // The completed job is pollable by key.
+        // A request waits for its record: there is no job handle to poll,
+        // not even for a cached key.
         let key = first.get("key").and_then(Json::as_str).unwrap();
         let (status, job) = http_call(&addr, "GET", &format!("/jobs/{key}"), None).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
-        assert_eq!(
-            job.get("record").unwrap().to_string(),
-            first.get("record").unwrap().to_string()
-        );
+        assert_eq!(status, 404);
+        let error = job.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with("no such endpoint"), "{error}");
 
         let (status, stats) = http_call(&addr, "GET", "/stats", None).unwrap();
         assert_eq!(status, 200);
@@ -1714,9 +1474,6 @@ mod tests {
         .unwrap();
         assert_eq!(status, 400);
         assert!(err.get("error").is_some());
-
-        let (status, _) = http_call(&addr, "GET", "/jobs/no-such-key", None).unwrap();
-        assert_eq!(status, 404);
 
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

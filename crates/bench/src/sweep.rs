@@ -15,10 +15,9 @@
 //!   simulations: a retry would re-run an identical failure, and a
 //!   wall-clock budget would throw a correct result away. A run's bound
 //!   is its config's `cycle_limit`, which ends it as `finished: false`;
-//! * **cancellation** is cooperative: once a [`CancelToken`] fires (or
-//!   [`SweepOptions::fail_fast`] trips it on the first failure), jobs that
-//!   have not started yet complete immediately as
-//!   [`SweepError::Cancelled`] and report as skipped.
+//! * **cancellation** is cooperative: once [`SweepOptions::fail_fast`]
+//!   trips on the first failure, jobs that have not started yet complete
+//!   immediately as [`SweepError::Cancelled`] and report as skipped.
 //!
 //! Results come back in input order as a [`SweepBatch`], which knows how to
 //! render per-row status JSON (`ok` / `failed` / `skipped`) for the
@@ -26,7 +25,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use tenways_sim::json::Json;
 use tenways_waste::{Experiment, RunRecord};
@@ -74,30 +73,6 @@ impl JobStatus {
             JobStatus::Failed => "failed",
             JobStatus::Skipped => "skipped",
         }
-    }
-}
-
-/// A cooperative cancellation flag shared between a sweep and its owner.
-///
-/// Cancelling never interrupts a job mid-run; jobs that have not started
-/// yet finish immediately as [`SweepError::Cancelled`].
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-fired token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Fires the token: jobs not yet started will be skipped.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -175,7 +150,9 @@ impl<T> JobOutcome<T> {
 #[derive(Debug, Default)]
 pub struct SweepRunner {
     options: SweepOptions,
-    cancel: CancelToken,
+    /// Set by [`SweepOptions::fail_fast`] on the first failure: jobs that
+    /// have not started yet are skipped.
+    cancelled: AtomicBool,
 }
 
 impl SweepRunner {
@@ -188,13 +165,8 @@ impl SweepRunner {
     pub fn with_options(options: SweepOptions) -> Self {
         SweepRunner {
             options,
-            cancel: CancelToken::new(),
+            cancelled: AtomicBool::new(false),
         }
-    }
-
-    /// The runner's cancellation token (clone it to cancel from outside).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Runs a batch, returning outcomes in input order.
@@ -252,7 +224,7 @@ impl SweepRunner {
                     };
                     let outcome = self.start(job, claimed);
                     if self.options.fail_fast && outcome.status() == JobStatus::Failed {
-                        self.cancel.cancel();
+                        self.cancelled.store(true, Ordering::Release);
                     }
                     {
                         let guard = observe.lock().unwrap_or_else(|e| e.into_inner());
@@ -283,7 +255,7 @@ impl SweepRunner {
     /// holds no start slot under `max_jobs` (`claimed` is false) or the
     /// batch was cancelled.
     fn start<T>(&self, job: &SweepJob<T>, claimed: bool) -> JobOutcome<T> {
-        let result = if !claimed || self.cancel.is_cancelled() {
+        let result = if !claimed || self.cancelled.load(Ordering::Acquire) {
             Err(SweepError::Cancelled)
         } else {
             match catch_unwind(AssertUnwindSafe(|| (job.run)())) {
@@ -407,6 +379,7 @@ impl<T> SweepBatch<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     fn ok_job(label: &str, v: u32) -> SweepJob<u32> {
         SweepJob::new(label, move || Ok(v))
@@ -507,25 +480,6 @@ mod tests {
         assert_eq!(batch.counts(), (0, 1, 2));
         assert_eq!(batch.outcomes[1].result, Err(SweepError::Cancelled));
         assert_eq!(batch.outcomes[1].status(), JobStatus::Skipped);
-    }
-
-    #[test]
-    fn cancel_token_skips_unstarted_jobs() {
-        let runner = SweepRunner::with_options(SweepOptions {
-            workers: Some(1),
-            ..SweepOptions::default()
-        });
-        let token = runner.cancel_token();
-        let jobs = vec![
-            SweepJob::new("first", move || {
-                token.cancel();
-                Ok(1u32)
-            }),
-            ok_job("second", 2),
-        ];
-        let batch = runner.run(jobs);
-        assert_eq!(batch.outcomes[0].result, Ok(1));
-        assert_eq!(batch.outcomes[1].result, Err(SweepError::Cancelled));
     }
 
     #[test]

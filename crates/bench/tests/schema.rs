@@ -46,7 +46,7 @@ fn serve_response_matches_published_schema() {
         scale: 1,
         ..SimConfig::default()
     };
-    let schema = repo_schema("serve_response.v2.json");
+    let schema = repo_schema("serve_response.v3.json");
     let record_schema = repo_schema("run_record.v1.json");
     for _ in 0..2 {
         // Both the miss and the hit response must conform, and the
@@ -83,15 +83,12 @@ fn batch_response_matches_published_schema() {
         workload: "no-such-kernel".to_string(),
         ..ok.clone()
     };
-    let report = service.submit_batch(
-        &[
-            ("a".to_string(), ok),
-            ("a-again".to_string(), dup),
-            ("b".to_string(), other),
-            ("broken".to_string(), bad),
-        ],
-        None,
-    );
+    let report = service.submit_batch(&[
+        ("a".to_string(), ok),
+        ("a-again".to_string(), dup),
+        ("b".to_string(), other),
+        ("broken".to_string(), bad),
+    ]);
     let doc = Json::parse(&report.to_response_json()).unwrap();
     validate_schema(&doc, &repo_schema("serve_batch.v1.json")).unwrap();
     // Duplicate keys collapse, the bad config reports failed, and every
@@ -106,50 +103,6 @@ fn batch_response_matches_published_schema() {
             validate_schema(record, &record_schema).unwrap();
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn job_response_matches_published_schema() {
-    let dir = std::env::temp_dir().join(format!("tenways-job-schema-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let service = tenways_bench::SimService::new(tenways_bench::ServeOptions {
-        workers: 1,
-        cache_dir: dir.clone(),
-        ..tenways_bench::ServeOptions::default()
-    })
-    .unwrap();
-    let cfg = SimConfig {
-        threads: 2,
-        scale: 1,
-        ..SimConfig::default()
-    };
-    let schema = repo_schema("serve_job.v1.json");
-    let record_schema = repo_schema("run_record.v1.json");
-
-    // A finished job answers `done` with the embedded record.
-    let answer = service.submit(&cfg).unwrap();
-    let doc = Json::parse(
-        &service
-            .job_status(&answer.key)
-            .to_response_json(&answer.key),
-    )
-    .unwrap();
-    validate_schema(&doc, &schema).unwrap();
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
-    validate_schema(doc.get("record").unwrap(), &record_schema).unwrap();
-
-    // A failed job answers `failed` with the containment error.
-    let bad = SimConfig {
-        workload: "no-such-kernel".to_string(),
-        ..cfg
-    };
-    let bad_key = bad.cache_key();
-    assert!(service.submit(&bad).is_err());
-    let doc = Json::parse(&service.job_status(&bad_key).to_response_json(&bad_key)).unwrap();
-    validate_schema(&doc, &schema).unwrap();
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
-    assert!(doc.get("error").is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,8 +2,8 @@
 //! goes through, and of [`Json::validate`], the same parser driven
 //! without building values, which the router reads relayed replies with.
 //!
-//! Seed documents are the committed results schemas and `BENCH_*.json`
-//! rows. Each case applies a few byte-level mutations drawn from the
+//! Seed documents are the committed results schemas, `BENCH_*.json`
+//! rows and `BENCHMARK.json`. Each case applies a few byte-level mutations drawn from the
 //! simulator's own deterministic RNG ([`DetRng`]), so every run fuzzes
 //! the exact same case set and a failure names the case index that
 //! reproduces it. Properties: parsing never panics, an error's position
@@ -59,12 +59,12 @@ fn json_files(dir: &Path, prefix: &str) -> Vec<PathBuf> {
         .collect()
 }
 
-/// The committed results schemas and `BENCH_*.json` rows, in a fixed
-/// order.
+/// The committed results schemas, `BENCH_*.json` rows and
+/// `BENCHMARK.json`, in a fixed order.
 fn corpus() -> Vec<(String, String)> {
     let root = repo_root();
     let mut paths = json_files(&root.join("results/schema"), "");
-    paths.extend(json_files(&root, "BENCH_"));
+    paths.extend(json_files(&root, "BENCH"));
     paths.sort();
     assert!(paths.len() >= 8, "corpus too small: {paths:?}");
     paths

@@ -2,7 +2,7 @@
 //! `tenways serve` backends (see [`tenways::bench::Router`]).
 //!
 //! The router speaks the same HTTP protocol as a single serve node —
-//! `POST /run`, `POST /batch`, `GET /jobs/<key>`, `GET /healthz` — so
+//! `POST /run`, `POST /batch`, `GET /healthz` — so
 //! every serve client (including `tenways sweep --server`) points at it
 //! unchanged. Requests shard by the canonical cache key via rendezvous
 //! hashing; `GET /stats` answers the aggregated `serve_cluster_stats.v1`
@@ -34,7 +34,7 @@ options:
   --addr <host:port>        bind address (default 127.0.0.1:7418; port 0
                             picks an ephemeral port — pair with --port-file)
   --health-interval-ms <n>  how often to probe each backend's /healthz
-                            (default 500)
+                            (default 500; must be above zero)
   --retries <n>             extra forward attempts on 503/connect failure,
                             re-resolving the owner each time (default 3)
   --backoff-ms <n>          base backoff between attempts, doubled each
@@ -45,9 +45,9 @@ options:
                             once listening (atomic write)
   --verbose                 log each routed request to stderr
 
-endpoints: POST /run, POST /batch (split per owner, merged), GET
-/jobs/<key> (owner shard), GET /stats (serve_cluster_stats.v1 aggregate),
-GET /healthz (backend census)."
+endpoints: POST /run (owner shard), POST /batch (split per owner,
+merged), GET /stats (serve_cluster_stats.v1 aggregate), GET /healthz
+(backend census)."
     );
     std::process::exit(2);
 }

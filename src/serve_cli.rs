@@ -21,7 +21,6 @@ fn usage() -> ! {
         "usage: tenways serve [options]                      start the server
        tenways serve --post <cfg> [--addr <a>]      submit one job
        tenways serve --batch <cfg> [--addr <a>]     submit a config list/grid
-       tenways serve --job <key> [--addr <a>]       poll an async job
        tenways serve --stats [--addr <a>]           print server counters
        tenways serve --health [--addr <a>]          probe liveness
 
@@ -42,9 +41,6 @@ server options:
                         beyond this are refused with HTTP 503 +
                         Retry-After (default 256; joining an in-flight
                         key never consumes a slot)
-  --sync-timeout-ms <n> a miss still simulating after this long answers
-                        HTTP 202 + key instead of blocking; poll it with
-                        GET /jobs/<key> (default: block until done)
   --max-requests <n>    exit cleanly after n connections (for scripts/CI)
   --port-file <path>    write the actual bound address to this file once
                         listening (atomic write; for ephemeral ports)
@@ -58,16 +54,15 @@ client options:
   --batch <path|->      read a config list ({{configs: [...]}} or a bare
                         array) or a sweep grid document and POST it to
                         /batch — duplicate keys cost one simulation
-  --job <key>           GET /jobs/<key> ({{pending|running|done|failed}})
   --stats               GET /stats
   --health              GET /healthz
 
 POST /run answers {{schema_version, key, cached, record}} where `key` is
 the canonical content-address of the config and `record` the run_record.v1
-document — byte-identical on a hit, freshly simulated on a miss. A full
-admission queue answers 503 + Retry-After; a miss past --sync-timeout-ms
-answers 202 + key for later polling. Each miss simulates once. A config
-with an unknown field, such as a [sched] section, answers 400."
+document — byte-identical on a hit, freshly simulated on a miss; the
+request waits until its record exists. A full admission queue answers
+503 + Retry-After. Each miss simulates once. A config with an unknown
+field, such as a [sched] section, answers 400."
     );
     std::process::exit(2);
 }
@@ -82,7 +77,6 @@ enum Mode {
     Server,
     Post(String),
     Batch(String),
-    Job(String),
     Stats,
     Health,
 }
@@ -122,13 +116,11 @@ pub fn main(argv: &[String]) -> ! {
                 options.disk_budget = Some(bytes);
             }
             "--queue-depth" => options.queue_depth = number(&mut i) as usize,
-            "--sync-timeout-ms" => options.sync_timeout_ms = Some(number(&mut i)),
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),
             "--verbose" => verbose = true,
             "--post" => mode = Mode::Post(value(&mut i)),
             "--batch" => mode = Mode::Batch(value(&mut i)),
-            "--job" => mode = Mode::Job(value(&mut i)),
             "--stats" => mode = Mode::Stats,
             "--health" => mode = Mode::Health,
             "--help" | "-h" => usage(),
@@ -141,7 +133,6 @@ pub fn main(argv: &[String]) -> ! {
         Mode::Server => run_server(&addr, options, max_requests, port_file, verbose),
         Mode::Post(source) => run_client_post(&addr, "/run", &source),
         Mode::Batch(source) => run_client_post(&addr, "/batch", &source),
-        Mode::Job(key) => run_get(&addr, &format!("/jobs/{key}")),
         Mode::Stats => run_get(&addr, "/stats"),
         Mode::Health => run_get(&addr, "/healthz"),
     }
@@ -179,8 +170,7 @@ fn run_server(
 }
 
 /// POSTs one document (a config for `/run`, a config list or grid for
-/// `/batch`) and prints the response. Exit 0 covers both immediate
-/// answers (200) and accepted-for-later (202).
+/// `/batch`) and prints the response. Exit 0 on a 200 answer.
 fn run_client_post(addr: &str, path: &str, source: &str) -> ! {
     let text = if source == "-" {
         std::io::read_to_string(std::io::stdin())
@@ -200,7 +190,7 @@ fn run_client_post(addr: &str, path: &str, source: &str) -> ! {
     let (status, doc) =
         http_call(addr, "POST", path, Some((content_type, &text))).unwrap_or_else(|e| fail(e));
     println!("{}", doc.pretty());
-    std::process::exit(if status == 200 || status == 202 { 0 } else { 1 });
+    std::process::exit(if status == 200 { 0 } else { 1 });
 }
 
 /// GETs a diagnostic endpoint and prints the response document.

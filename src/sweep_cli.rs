@@ -30,10 +30,11 @@ fn usage() -> ! {
                          `tenways serve` uses by default)
   --server <host:port>   client mode: POST the whole grid to a running
                          `tenways serve` instance's /batch endpoint (the
-                         server canonicalizes, deduplicates, and answers
-                         warm keys from its cache), poll queued keys via
-                         GET /jobs/<key>, and write the same document
-                         with rows marked \"served\": cached|computed;
+                         server canonicalizes, deduplicates, answers
+                         warm keys from its cache and simulates the
+                         rest before it replies), and write the same
+                         document with rows marked
+                         \"served\": cached|computed;
                          a `tenways route` router address works here
                          unchanged (same protocol, sharded backends),
                          and rejected keys retry with jittered backoff

@@ -405,12 +405,49 @@ fn oversized_numeric_flags_exit_2_before_binding() {
                 "4294967296",
             ],
         ),
+        // A zero interval would probe every backend back to back.
+        (
+            "--health-interval-ms",
+            vec![
+                "route",
+                "--backend",
+                "127.0.0.1:9",
+                "--health-interval-ms",
+                "0",
+            ],
+        ),
     ] {
         let args = [args.as_slice(), &common].concat();
         let (code, stderr) = run_tenways(&args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(!port.exists(), "{args:?} bound a listener before refusing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_has_no_async_job_flags() {
+    // A request waits for its record, so there is no sync timeout to set
+    // and no job handle to poll: both flags are refused before anything
+    // binds or connects.
+    let dir = cli_dir("jobs");
+    let port = dir.join("port");
+    for flag in [["--sync-timeout-ms", "5"], ["--job", "0123abcd"]] {
+        let args = [
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--port-file",
+            port.to_str().unwrap(),
+            flag[0],
+            flag[1],
+        ];
+        let (code, stderr) = run_tenways(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let refusal = format!("unknown argument: {}", flag[0]);
+        assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+        assert!(!port.exists(), "{args:?} bound a listener");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
