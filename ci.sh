@@ -344,7 +344,7 @@ sed -n '/"cluster":/,$p' "$ROUTE_DIR/stats_sweep.json" | grep -q '"sim_runs": 2'
 # Hostile-body smoke: bodies nested far past the parsers' depth bound
 # (40 KB of JSON arrays, 10 KB of TOML arrays) must each answer 400
 # (client exit 1) from the router and from a backend, instead of
-# overflowing a connection thread's stack; afterwards the router still
+# overflowing a connection thread's stack. Afterwards the router still
 # sees both backends up.
 { head -c 20000 /dev/zero | tr '\0' '['; head -c 20000 /dev/zero | tr '\0' ']'; } \
     > "$ROUTE_DIR/deep.json"
@@ -357,6 +357,22 @@ for target in "$ROUTE_ADDR" "$B1_ADDR"; do
             --post "$ROUTE_DIR/$body" > "$ROUTE_DIR/hostile.json" || status=$?
         test "$status" = 1
         grep -q 'nesting deeper than' "$ROUTE_DIR/hostile.json"
+    done
+done
+# Configs that would overflow or abort a backend are refused by name: a
+# scale past the decoder's bound answers 400, and an L1 too large to
+# allocate fails its run with a 500 (client exit 1 for both).
+printf '{"workload": "contended", "scale": 18446744073709551615}\n' \
+    > "$ROUTE_DIR/scale.json"
+printf '{"workload": "lu", "threads": 2, "machine": {"l1_sets": 1073741824}}\n' \
+    > "$ROUTE_DIR/l1_sets.json"
+for target in "$ROUTE_ADDR" "$B1_ADDR"; do
+    for field in scale l1_sets; do
+        status=0
+        ./target/release/tenways serve --addr "$target" \
+            --post "$ROUTE_DIR/$field.json" > "$ROUTE_DIR/hostile.json" || status=$?
+        test "$status" = 1
+        grep -q "$field" "$ROUTE_DIR/hostile.json"
     done
 done
 sleep 0.3

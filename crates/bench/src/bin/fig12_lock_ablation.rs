@@ -13,7 +13,7 @@
 //! coherence cycles prying data lines loose, and fence cycles from the
 //! priced full-fence drains.
 
-use tenways_bench::{banner, write_results_json, SuiteConfig, SweepJob, SweepRunner};
+use tenways_bench::{banner, write_results_json, SuiteConfig, SweepBatch};
 use tenways_cpu::{ConsistencyModel, Machine, MachineSpec};
 use tenways_sim::json::Json;
 use tenways_sim::{AtomicsConfig, MachineConfig};
@@ -53,6 +53,61 @@ fn lock_row_json(label: &str, r: &LockRow) -> Json {
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
+/// One lock-bench run: `threads` cores contending on a `kind` lock under
+/// `model`, checked for mutual exclusion on the protected counter.
+fn lock_run(
+    model: ConsistencyModel,
+    threads: usize,
+    kind: LockKind,
+    scale: u64,
+) -> Result<LockRow, String> {
+    let params = LockBenchParams {
+        threads,
+        rounds: 20 * scale,
+        cs_compute: 8,
+        think_compute: 4,
+        kind,
+    };
+    let (programs, layout) = lock_bench_programs(&params);
+    let machine_cfg = MachineConfig::builder()
+        .cores(threads)
+        .build()
+        .map_err(|e| e.to_string())?;
+    let spec = MachineSpec::baseline(model)
+        .with_machine(machine_cfg)
+        .with_atomics(AtomicsConfig::schweizer());
+    let mut m = Machine::new(&spec, programs);
+    let s = m.run(100_000_000);
+    if !s.finished {
+        return Err(format!("{kind:?} hung"));
+    }
+    let expect = threads as u64 * params.rounds;
+    let got = m.mem().read(layout.counter);
+    if got != expect {
+        return Err(format!(
+            "mutual exclusion broken: counter {got}, expected {expect}"
+        ));
+    }
+    let stats = m.merged_stats();
+    let breakdown = WasteBreakdown::from_stats(&stats);
+    // Fairness: earliest finisher / latest finisher (1.0 = all cores
+    // finish together; small = some core starved).
+    let done: Vec<u64> = s.core_done_at.iter().map(|d| d.unwrap_or(0)).collect();
+    let min = *done.iter().min().unwrap_or(&0) as f64;
+    let max = *done.iter().max().unwrap_or(&1) as f64;
+    Ok(LockRow {
+        cycles: s.cycles,
+        finished: s.finished,
+        retired_ops: s.retired_ops,
+        throughput: s.throughput(),
+        invalidations: stats.get("l1.invalidations") + stats.get("l1.recalls"),
+        fairness: if max == 0.0 { 1.0 } else { min / max },
+        spin_frac: breakdown.fraction(WasteCategory::LockSpin),
+        coherence_frac: breakdown.fraction(WasteCategory::CoherenceMiss),
+        fence_frac: breakdown.fraction(WasteCategory::FenceStall),
+    })
+}
+
 fn main() {
     let cfg = SuiteConfig::from_env();
     banner(
@@ -62,64 +117,19 @@ fn main() {
     );
 
     let scale = cfg.scale();
-    let mut jobs: Vec<SweepJob<LockRow>> = Vec::new();
+    let mut jobs = Vec::new();
     for model in ConsistencyModel::all() {
         for threads in THREAD_COUNTS {
             for kind in LockKind::all() {
                 let label = format!("{}/{}t/{}", model.label(), threads, kind.name());
-                jobs.push(SweepJob::new(label, move || {
-                    let params = LockBenchParams {
-                        threads,
-                        rounds: 20 * scale,
-                        cs_compute: 8,
-                        think_compute: 4,
-                        kind,
-                    };
-                    let (programs, layout) = lock_bench_programs(&params);
-                    let machine_cfg = MachineConfig::builder()
-                        .cores(threads)
-                        .build()
-                        .map_err(|e| e.to_string())?;
-                    let spec = MachineSpec::baseline(model)
-                        .with_machine(machine_cfg)
-                        .with_atomics(AtomicsConfig::schweizer());
-                    let mut m = Machine::new(&spec, programs);
-                    let s = m.run(100_000_000);
-                    if !s.finished {
-                        return Err(format!("{kind:?} hung"));
-                    }
-                    let expect = threads as u64 * params.rounds;
-                    let got = m.mem().read(layout.counter);
-                    if got != expect {
-                        return Err(format!(
-                            "mutual exclusion broken: counter {got}, expected {expect}"
-                        ));
-                    }
-                    let stats = m.merged_stats();
-                    let breakdown = WasteBreakdown::from_stats(&stats);
-                    // Fairness: earliest finisher / latest finisher (1.0 =
-                    // all cores finish together; small = some core
-                    // starved).
-                    let done: Vec<u64> = s.core_done_at.iter().map(|d| d.unwrap_or(0)).collect();
-                    let min = *done.iter().min().unwrap_or(&0) as f64;
-                    let max = *done.iter().max().unwrap_or(&1) as f64;
-                    Ok(LockRow {
-                        cycles: s.cycles,
-                        finished: s.finished,
-                        retired_ops: s.retired_ops,
-                        throughput: s.throughput(),
-                        invalidations: stats.get("l1.invalidations") + stats.get("l1.recalls"),
-                        fairness: if max == 0.0 { 1.0 } else { min / max },
-                        spin_frac: breakdown.fraction(WasteCategory::LockSpin),
-                        coherence_frac: breakdown.fraction(WasteCategory::CoherenceMiss),
-                        fence_frac: breakdown.fraction(WasteCategory::FenceStall),
-                    })
-                }));
+                jobs.push((label, (model, threads, kind)));
             }
         }
     }
-
-    let results = SweepRunner::new().run(jobs).require_all_with(
+    let batch = SweepBatch::map(jobs, |&(model, threads, kind)| {
+        lock_run(model, threads, kind, scale)
+    });
+    let results = batch.require_all_with(
         "fig12_lock_ablation",
         "lock ablation: TTAS vs ticket vs MCS vs CLH (priced atomics)",
         &cfg,

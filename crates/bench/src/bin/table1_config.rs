@@ -1,6 +1,6 @@
 //! Table 1 — the simulated system configuration.
 
-use tenways_bench::{write_results_json, SuiteConfig, SweepJob, SweepRunner};
+use tenways_bench::{write_results_json, SuiteConfig};
 use tenways_sim::json::Json;
 use tenways_sim::MachineConfig;
 
@@ -56,31 +56,15 @@ fn main() {
             "2 bits/L1 line + 1 register checkpoint (~1 KB per core)".to_string(),
         ),
     ];
-    // Even this static table rides the fail-soft runner so every emitter
-    // in the suite shares one code path (and one failure story).
-    let jobs: Vec<SweepJob<String>> = rows
-        .into_iter()
-        .map(|(k, v)| SweepJob::new(k, move || Ok(v.clone())))
-        .collect();
-    let row_json = |label: &str, v: &String| {
-        Json::obj([
-            ("label", Json::from(label)),
-            ("value", Json::from(v.as_str())),
-        ])
-    };
-    let results = SweepRunner::new().run(jobs).require_all_with(
-        "table1_config",
-        "simulated system configuration",
-        &suite,
-        row_json,
-    );
-
     println!("Table 1: simulated system configuration");
     println!("----------------------------------------");
-    for (k, v) in &results {
+    for (k, v) in &rows {
         println!("{k:<22} {v}");
     }
-    let json_rows = results.iter().map(|(k, v)| row_json(k, v)).collect();
+    let json_rows = rows
+        .iter()
+        .map(|(k, v)| Json::obj([("label", Json::from(*k)), ("value", Json::from(v.as_str()))]))
+        .collect();
     write_results_json(
         "table1_config",
         "simulated system configuration",

@@ -1,5 +1,5 @@
 //! Grid sweeps: expand one TOML file into many [`SimConfig`] points, run
-//! them on the [`SweepRunner`], and keep each record in the
+//! them on the fail-soft [`parallel_map`], and keep each record in the
 //! content-addressed [`ResultCache`], so an interrupted sweep resumes
 //! instead of restarting.
 //!
@@ -42,15 +42,14 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use tenways_sim::json::{Json, ToJson};
-use tenways_waste::{Experiment, RunRecord, SimConfig};
+use tenways_waste::{Experiment, ExperimentError, RunRecord, SimConfig};
 
 use crate::cache::ResultCache;
-use crate::http::http_call;
+use crate::http::http_request;
 use crate::serve::{batch_body, first_appearances, MAX_BATCH_ITEMS};
-use crate::sweep::{JobOutcome, SweepError, SweepJob, SweepOptions, SweepRunner};
+use crate::sweep::parallel_map;
 use crate::{record_row, record_row_json, BENCH_ROWS_SCHEMA_VERSION};
 
 /// A parsed sweep specification: base config plus grid axes.
@@ -207,7 +206,7 @@ impl SweepSpec {
                         .apply_json(&nested_overlay(key, value.clone()))
                         .map_err(|e| format!("grid axis `{key}`: {e}"))?;
                 }
-                known_workload(&config)?;
+                check_experiment(&config)?;
                 Ok(SweepPoint {
                     index,
                     label: point_label(&overlay),
@@ -219,13 +218,19 @@ impl SweepSpec {
     }
 }
 
-/// Refuses a config whose workload names no kernel. Every decoder of
+/// Refuses a config [`Experiment::from_config`] refuses: a workload that
+/// names no kernel, or a `scale` over
+/// [`MAX_SCALE`](tenways_waste::MAX_SCALE). Every decoder of
 /// outside configs (grid points, `POST /run`, a `POST /batch` config list)
-/// checks this, so a bad name is refused before it reaches a worker.
-pub(crate) fn known_workload(config: &SimConfig) -> Result<(), String> {
-    Experiment::from_config(config)
-        .map(drop)
-        .map_err(|e| format!("config field `workload`: {e}"))
+/// checks this, so such a config is refused before it reaches a worker.
+pub(crate) fn check_experiment(config: &SimConfig) -> Result<(), String> {
+    match Experiment::from_config(config) {
+        Ok(_) => Ok(()),
+        Err(e @ ExperimentError::UnknownWorkload(_)) => {
+            Err(format!("config field `workload`: {e}"))
+        }
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 /// Wraps `value` into nested objects along a dotted `path`
@@ -259,8 +264,9 @@ fn point_label(overlay: &[(String, Json)]) -> String {
 /// How [`run_sweep`] executes and persists a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepParams {
-    /// Runner options (workers, fail-fast, job cap).
-    pub options: SweepOptions,
+    /// How many points simulate at once; `None` is the host's
+    /// parallelism.
+    pub workers: Option<usize>,
     /// Directory for the final document.
     pub out_dir: PathBuf,
     /// The content-addressed [`ResultCache`] a local sweep consults and
@@ -275,7 +281,7 @@ pub struct SweepParams {
 impl Default for SweepParams {
     fn default() -> Self {
         SweepParams {
-            options: SweepOptions::default(),
+            workers: None,
             out_dir: crate::results_dir(),
             cache_dir: None,
             verbose: false,
@@ -294,8 +300,6 @@ pub struct SweepReport {
     pub ok: usize,
     /// Rows that ran and failed.
     pub failed: usize,
-    /// Rows skipped by cancellation or a job cap.
-    pub skipped: usize,
     /// How many `ok` rows came from a result cache instead of simulating:
     /// local cache hits and repeated keys in [`run_sweep`], or
     /// server-side `cached` answers in [`run_sweep_server`].
@@ -305,7 +309,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// Whether every row completed.
     pub fn all_ok(&self) -> bool {
-        self.failed == 0 && self.skipped == 0
+        self.failed == 0
     }
 }
 
@@ -318,7 +322,7 @@ enum Answer {
 }
 
 /// Runs a sweep fail-soft: every point gets a row with status
-/// `ok`/`failed`/`skipped`, and the `bench_rows.v1`-compatible document
+/// `ok`/`failed`, and the `bench_rows.v1`-compatible document
 /// lands in `<out>/<id>.json`.
 ///
 /// Each distinct key is answered once, at its first appearance: from the
@@ -362,49 +366,36 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
 
     // Each job carries its own wall time (milliseconds) alongside the
     // record so rows can report simulation throughput; timing inside the
-    // closure excludes queueing.
-    let jobs: Vec<SweepJob<(RunRecord, f64)>> = todo
-        .iter()
-        .map(|&i| {
-            let config = points[i].config.clone();
-            SweepJob::new(points[i].label.clone(), move || {
-                let t0 = std::time::Instant::now();
-                let record = Experiment::from_config(&config)
-                    .map_err(|e| e.to_string())?
-                    .run()
-                    .map_err(|e| e.to_string())?;
-                Ok((record, t0.elapsed().as_secs_f64() * 1e3))
-            })
-        })
-        .collect();
-    let cache = Mutex::new(cache);
-    let runner = SweepRunner::with_options(params.options.clone());
-    let batch = runner.run_observed(jobs, |j, outcome: &JobOutcome<(RunRecord, f64)>| {
+    // job excludes queueing.
+    let simulate = |&i: &usize| -> Result<(RunRecord, f64), String> {
+        let t0 = std::time::Instant::now();
+        let record = Experiment::from_config(&points[i].config)
+            .map_err(|e| e.to_string())?
+            .run()
+            .map_err(|e| e.to_string())?;
+        Ok((record, t0.elapsed().as_secs_f64() * 1e3))
+    };
+    let store = |j: usize, result: &Result<(RunRecord, f64), String>| {
         let i = todo[j];
-        if params.verbose {
-            match &outcome.result {
-                Ok((r, sim_ms)) => eprintln!(
-                    "[sweep {}] {} {} ({} cycles, {sim_ms:.1} ms)",
-                    spec.id,
-                    outcome.status().as_str(),
-                    points[i].label,
-                    r.summary.cycles
-                ),
-                Err(e) => eprintln!(
-                    "[sweep {}] {} {}: {e}",
-                    spec.id,
-                    outcome.status().as_str(),
-                    points[i].label
-                ),
+        match result {
+            Ok((record, sim_ms)) => {
+                if params.verbose {
+                    eprintln!(
+                        "[sweep {}] ok {} ({} cycles, {sim_ms:.1} ms)",
+                        spec.id, points[i].label, record.summary.cycles
+                    );
+                }
+                if let Err(e) = cache.put(&keys[i], record.to_json()) {
+                    eprintln!("[sweep {}] cache write failed: {e}", spec.id);
+                }
             }
-        }
-        if let Ok((record, _)) = &outcome.result {
-            let mut store = cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = store.put(&keys[i], record.to_json()) {
-                eprintln!("[sweep {}] cache write failed: {e}", spec.id);
+            Err(e) if params.verbose => {
+                eprintln!("[sweep {}] failed {}: {e}", spec.id, points[i].label)
             }
+            Err(_) => {}
         }
-    });
+    };
+    let results = parallel_map(&todo, params.workers, simulate, store);
 
     // Assemble the rows in point order.
     let mut cached = 0usize;
@@ -415,42 +406,36 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
                 cached += 1;
                 cached_row(point, record)
             }
-            Answer::Job(j) => {
-                let outcome = &batch.outcomes[*j];
-                match &outcome.result {
-                    Ok((record, sim_ms)) if todo[*j] == i => ok_row(point, record, *sim_ms),
-                    Ok((record, _)) => {
-                        cached += 1;
-                        cached_row(point, &record.to_json())
-                    }
-                    Err(_) => err_row(point, outcome),
+            Answer::Job(j) => match &results[*j] {
+                Ok((record, sim_ms)) if todo[*j] == i => ok_row(point, record, *sim_ms),
+                Ok((record, _)) => {
+                    cached += 1;
+                    cached_row(point, &record.to_json())
                 }
-            }
+                Err(e) => err_row(point, e),
+            },
         });
     }
 
-    let (doc, ok, failed, skipped) = sweep_doc(spec, points.len(), rows);
+    let (doc, ok, failed) = sweep_doc(spec, points.len(), rows);
     crate::write_json_atomic(&final_path, &doc)?;
     Ok(SweepReport {
         path: final_path,
         doc,
         ok,
         failed,
-        skipped,
         cached,
     })
 }
 
-/// Assembles the final `bench_rows.v1` document and tallies row statuses.
-fn sweep_doc(spec: &SweepSpec, total: usize, rows: Vec<Json>) -> (Json, usize, usize, usize) {
-    let (mut ok, mut failed, mut skipped) = (0usize, 0usize, 0usize);
-    for row in &rows {
-        match row.get("status").and_then(Json::as_str) {
-            Some("ok") => ok += 1,
-            Some("failed") => failed += 1,
-            _ => skipped += 1,
-        }
-    }
+/// Assembles the final `bench_rows.v1` document and tallies `(ok,
+/// failed)` rows.
+fn sweep_doc(spec: &SweepSpec, total: usize, rows: Vec<Json>) -> (Json, usize, usize) {
+    let ok = rows
+        .iter()
+        .filter(|row| row.get("status").and_then(Json::as_str) == Some("ok"))
+        .count();
+    let failed = rows.len() - ok;
     let doc = Json::obj([
         ("schema_version", Json::U64(BENCH_ROWS_SCHEMA_VERSION)),
         ("id", Json::from(spec.id.clone())),
@@ -470,12 +455,11 @@ fn sweep_doc(spec: &SweepSpec, total: usize, rows: Vec<Json>) -> (Json, usize, u
                 ("total", Json::from(total)),
                 ("ok", Json::from(ok)),
                 ("failed", Json::from(failed)),
-                ("skipped", Json::from(skipped)),
             ]),
         ),
         ("rows", Json::Arr(rows)),
     ]);
-    (doc, ok, failed, skipped)
+    (doc, ok, failed)
 }
 
 /// The row for a completed point: the standard headline metrics, the
@@ -498,21 +482,6 @@ fn ok_row(point: &SweepPoint, record: &RunRecord, sim_ms: f64) -> Json {
         pairs.push(("point".to_string(), Json::Obj(point.overlay.to_vec())));
     }
     pairs.push(("status".to_string(), Json::from("ok")));
-    Json::Obj(pairs)
-}
-
-/// The row for a failed or skipped point.
-fn err_row(point: &SweepPoint, outcome: &JobOutcome<(RunRecord, f64)>) -> Json {
-    let mut pairs = vec![("label".to_string(), Json::from(point.label.clone()))];
-    if !point.overlay.is_empty() {
-        pairs.push(("point".to_string(), Json::Obj(point.overlay.to_vec())));
-    }
-    pairs.push(("status".to_string(), Json::from(outcome.status().as_str())));
-    if let Err(e) = &outcome.result {
-        if !matches!(e, SweepError::Cancelled) {
-            pairs.push(("error".to_string(), Json::from(e.to_string())));
-        }
-    }
     Json::Obj(pairs)
 }
 
@@ -541,13 +510,14 @@ fn cached_row(point: &SweepPoint, record: &Json) -> Json {
     record_json_row(point, record, ("cache", "hit"))
 }
 
-/// The row for a point a remote server could not answer.
-fn server_err_row(point: &SweepPoint, status: &str, error: &str) -> Json {
+/// The row for a point that has no record: it failed locally, or a
+/// remote server could not answer it.
+fn err_row(point: &SweepPoint, error: &str) -> Json {
     let mut pairs = vec![("label".to_string(), Json::from(point.label.clone()))];
     if !point.overlay.is_empty() {
         pairs.push(("point".to_string(), Json::Obj(point.overlay.to_vec())));
     }
-    pairs.push(("status".to_string(), Json::from(status)));
+    pairs.push(("status".to_string(), Json::from("failed")));
     pairs.push(("error".to_string(), Json::from(error)));
     Json::Obj(pairs)
 }
@@ -627,12 +597,15 @@ pub fn run_sweep_server(
         let mut rejected: Vec<usize> = Vec::new();
         for chunk in todo.chunks(MAX_BATCH_ITEMS) {
             let body = batch_body(chunk.iter().map(|&i| (&points[i].label, &points[i].config)));
-            let (status, doc) =
-                http_call(addr, "POST", "/batch", Some(("application/json", &body)))?;
-            if status != 200 {
-                return Err(format!("server {addr} answered {status} to /batch: {doc}"));
+            let reply = http_request(addr, "POST", "/batch", Some(("application/json", &body)))?;
+            if reply.status != 200 {
+                return Err(format!(
+                    "server {addr} answered {} to /batch: {}",
+                    reply.status, reply.body
+                ));
             }
-            let results = doc
+            let results = reply
+                .body
                 .get("results")
                 .and_then(Json::as_array)
                 .ok_or_else(|| format!("server {addr} sent a /batch body without results"))?;
@@ -662,12 +635,11 @@ pub fn run_sweep_server(
                             .get("error")
                             .and_then(Json::as_str)
                             .unwrap_or("server reported failure");
-                        rows[i] = Some(server_err_row(&points[i], "failed", error));
+                        rows[i] = Some(err_row(&points[i], error));
                     }
                     (other, _) => {
-                        rows[i] = Some(server_err_row(
+                        rows[i] = Some(err_row(
                             &points[i],
-                            "failed",
                             &format!("unrecognized server batch status `{other}`"),
                         ));
                     }
@@ -680,9 +652,8 @@ pub fn run_sweep_server(
         rounds += 1;
         if rounds > REJECTION_ROUNDS {
             for i in rejected {
-                rows[i] = Some(server_err_row(
+                rows[i] = Some(err_row(
                     &points[i],
-                    "failed",
                     "server admission queue stayed full through every retry",
                 ));
             }
@@ -697,14 +668,13 @@ pub fn run_sweep_server(
         .into_iter()
         .map(|r| r.expect("every point has a row"))
         .collect();
-    let (doc, ok, failed, skipped) = sweep_doc(spec, total, rows);
+    let (doc, ok, failed) = sweep_doc(spec, total, rows);
     crate::write_json_atomic(&final_path, &doc)?;
     Ok(SweepReport {
         path: final_path,
         doc,
         ok,
         failed,
-        skipped,
         cached,
     })
 }
@@ -908,7 +878,7 @@ mod tests {
         use std::sync::Arc;
 
         // A cache-only server refuses every point without simulating, and
-        // retires after two connections: one per post, as `http_call`
+        // retires after two connections: one per post, as `http_request`
         // opens a connection per request.
         let root = tmp_dir("chunks");
         let svc = Arc::new(

@@ -614,7 +614,8 @@ fn read_reply(reader: &mut impl Read, read: ReplyBody) -> Result<HttpReply, Stri
 
 /// Minimal HTTP client for the servers above: one request on its own
 /// connection (`Connection: close`), one JSON response with headers.
-/// Used by [`http_call`], the tests, and CI.
+/// Used by `tenways serve --post/--batch/--stats/--health`, `tenways
+/// sweep --server`, the tests, and CI.
 ///
 /// # Errors
 ///
@@ -628,23 +629,6 @@ pub fn http_request(
     let mut stream = connect(addr, CONNECT_TIMEOUT, SOCKET_TIMEOUT)?;
     let read = ReplyBody::Parse;
     exchange(&mut stream, addr, method, path, body, false, read)
-}
-
-/// [`http_request`] without the headers — the client shape `tenways
-/// serve --post/--batch/--stats/--health` and `tenways sweep
-/// --server` use.
-///
-/// # Errors
-///
-/// Same as [`http_request`].
-pub fn http_call(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<(&str, &str)>, // (content type, payload)
-) -> Result<(u16, Json), String> {
-    let reply = http_request(addr, method, path, body)?;
-    Ok((reply.status, reply.body))
 }
 
 /// A pooled keep-alive HTTP client: one client owns (at most) one
@@ -665,11 +649,6 @@ impl HttpClient {
             addr: addr.into(),
             conn: None,
         }
-    }
-
-    /// The server address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 
     /// Whether a pooled connection is currently held open.

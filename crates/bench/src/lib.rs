@@ -4,7 +4,7 @@
 //! `src/bin/` (see DESIGN.md §3 for the index). This library holds what
 //! they share: canonical sizing built on the unified
 //! [`SimConfig`], environment overrides, the
-//! fail-soft parallel [`SweepRunner`] (runs are independent simulations, so
+//! fail-soft [`parallel_map`] (runs are independent simulations, so
 //! they scale across host cores; one failing or panicking job costs only
 //! its own row), the grid-sweep layer behind `tenways sweep`
 //! ([`grid`]), and the machine-readable results emitter every binary uses
@@ -46,7 +46,7 @@ mod mutator;
 pub use alloc_count::{allocations, CountingAlloc};
 pub use cache::{CacheCounters, CacheStats, Record, ResultCache, CACHE_ENTRY_SCHEMA_VERSION};
 pub use grid::{run_sweep, run_sweep_server, SweepParams, SweepPoint, SweepReport, SweepSpec};
-pub use http::{http_call, http_request, HttpClient, HttpReply};
+pub use http::{http_request, HttpClient, HttpReply};
 pub use router::{
     route_http, Router, RouterOptions, CLUSTER_STATS_SCHEMA_VERSION, SERVE_CLUSTER_STATS_SCHEMA,
 };
@@ -55,9 +55,7 @@ pub use serve::{
     ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS,
     SERVE_RESPONSE_SCHEMA_VERSION,
 };
-pub use sweep::{
-    JobOutcome, JobStatus, SweepBatch, SweepError, SweepJob, SweepOptions, SweepRunner,
-};
+pub use sweep::parallel_map;
 
 /// Version of the serialized bench-rows JSON layout written by
 /// [`write_results_json`]; bumped on any breaking change. Mirrored in
@@ -127,28 +125,45 @@ impl SuiteConfig {
     }
 }
 
-/// Runs a batch of labelled experiments in parallel across host threads on
-/// the fail-soft [`SweepRunner`], returning outcomes in input order.
+/// Runs a batch of labelled experiments in parallel across host threads
+/// on the fail-soft [`parallel_map`], returning results in input order.
 ///
 /// A job that fails (or panics) costs only its own row: siblings keep
 /// running and their results stay in the batch. Binaries that need every
 /// row chain [`SweepBatch::require_all`], which preserves the completed
 /// rows in the results JSON before exiting non-zero.
 pub fn run_parallel(jobs: Vec<(String, Experiment)>) -> SweepBatch<RunRecord> {
-    SweepRunner::new().run(
-        jobs.into_iter()
-            .map(|(label, exp)| SweepJob::experiment(label, exp))
-            .collect(),
-    )
+    SweepBatch::map(jobs, |exp| exp.run().map_err(|e| e.to_string()))
+}
+
+/// A batch's labelled results in input order, as [`run_parallel`]
+/// returns them.
+#[derive(Debug)]
+pub struct SweepBatch<T = RunRecord> {
+    /// `(label, result)` per job; an error reads `failed: …` or
+    /// `panicked: …`.
+    pub results: Vec<(String, Result<T, String>)>,
+}
+
+impl<T: Send + Sync> SweepBatch<T> {
+    /// Runs `job` on every labelled item through [`parallel_map`] (host
+    /// parallelism) and pairs each result with its label, in input order.
+    pub fn map<I: Sync>(
+        jobs: Vec<(String, I)>,
+        job: impl Fn(&I) -> Result<T, String> + Sync,
+    ) -> Self {
+        let results = parallel_map(&jobs, None, |(_, item)| job(item), |_, _| {});
+        SweepBatch {
+            results: jobs
+                .into_iter()
+                .map(|(label, _)| label)
+                .zip(results)
+                .collect(),
+        }
+    }
 }
 
 impl SweepBatch<RunRecord> {
-    /// Per-row status JSON using the canonical [`record_row`] layout for
-    /// completed jobs.
-    pub fn status_rows(&self) -> Vec<Json> {
-        self.status_rows_with(record_row)
-    }
-
     /// Unwraps a batch the figure binaries need complete: on success
     /// returns the `(label, record)` pairs in input order; on any failure
     /// prints every failure, writes the per-row status document (so the
@@ -159,6 +174,34 @@ impl SweepBatch<RunRecord> {
 }
 
 impl<T> SweepBatch<T> {
+    /// Per-row status JSON: `row(label, value)` renders completed jobs
+    /// (the `status` key is appended); failed jobs become
+    /// `{label, status, error}` rows, so no completed sibling work is
+    /// ever dropped from the results document.
+    pub fn status_rows_with(&self, row: impl Fn(&str, &T) -> Json) -> Vec<Json> {
+        self.results
+            .iter()
+            .map(|(label, result)| {
+                let mut pairs = match result.as_ref().map(|value| row(label, value)) {
+                    Ok(Json::Obj(pairs)) => pairs,
+                    Ok(other) => vec![
+                        ("label".to_string(), Json::from(label.clone())),
+                        ("value".to_string(), other),
+                    ],
+                    Err(_) => vec![("label".to_string(), Json::from(label.clone()))],
+                };
+                match result {
+                    Ok(_) => pairs.push(("status".to_string(), Json::from("ok"))),
+                    Err(e) => {
+                        pairs.push(("status".to_string(), Json::from("failed")));
+                        pairs.push(("error".to_string(), Json::from(e.clone())));
+                    }
+                }
+                Json::Obj(pairs)
+            })
+            .collect()
+    }
+
     /// [`SweepBatch::require_all`] for batches of custom row types:
     /// `row(label, value)` renders a completed job for the failure-path
     /// results document.
@@ -169,19 +212,23 @@ impl<T> SweepBatch<T> {
         cfg: &SuiteConfig,
         row: impl Fn(&str, &T) -> Json,
     ) -> Vec<(String, T)> {
-        if self.all_ok() {
+        let failed = self.results.iter().filter(|(_, r)| r.is_err()).count();
+        if failed == 0 {
             return self
-                .into_results()
-                .expect("all_ok batch converts to results");
+                .results
+                .into_iter()
+                .filter_map(|(label, r)| r.ok().map(|value| (label, value)))
+                .collect();
         }
-        for (label, err) in self.failures() {
-            eprintln!("[{id}] job `{label}` {err}");
+        for (label, result) in &self.results {
+            if let Err(e) = result {
+                eprintln!("[{id}] job `{label}` {e}");
+            }
         }
-        let (ok, failed, skipped) = self.counts();
         write_results_json(id, title, cfg, self.status_rows_with(row));
         eprintln!(
-            "[{id}] {failed} job(s) failed, {skipped} skipped; \
-             {ok} completed row(s) preserved in the results JSON"
+            "[{id}] {failed} job(s) failed; {} completed row(s) preserved in the results JSON",
+            self.results.len() - failed
         );
         std::process::exit(1);
     }
@@ -326,17 +373,20 @@ mod tests {
                 )
             })
             .collect();
-        let results = run_parallel(jobs)
-            .into_results()
-            .expect("all jobs complete");
+        let results = run_parallel(jobs).results;
+        assert!(
+            results.iter().all(|(_, r)| r.is_ok()),
+            "all jobs complete: {results:?}"
+        );
         let labels: Vec<&str> = results.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, ["t2s1", "t3s1", "t2s2"]);
-        assert_eq!(results[1].1.summary.core_done_at.len(), 3);
+        let record = results[1].1.as_ref().unwrap();
+        assert_eq!(record.summary.core_done_at.len(), 3);
     }
 
     #[test]
     fn run_parallel_handles_empty_batch() {
-        assert!(run_parallel(Vec::new()).is_empty());
+        assert!(run_parallel(Vec::new()).results.is_empty());
     }
 
     #[test]
@@ -363,14 +413,12 @@ mod tests {
             }),
         );
         let batch = run_parallel(vec![good("a"), bad, good("c")]);
-        assert_eq!(batch.counts(), (2, 1, 0));
-        assert!(batch.outcomes[0].result.is_ok());
-        assert!(matches!(
-            batch.outcomes[1].result,
-            Err(SweepError::Failed(_))
-        ));
-        assert!(batch.outcomes[2].result.is_ok(), "sibling job must finish");
-        let rows = batch.status_rows();
+        let failed = batch.results.iter().filter(|(_, r)| r.is_err()).count();
+        assert_eq!(failed, 1);
+        assert!(batch.results[0].1.is_ok());
+        assert!(matches!(&batch.results[1].1, Err(e) if e.starts_with("failed: ")));
+        assert!(batch.results[2].1.is_ok(), "sibling job must finish");
+        let rows = batch.status_rows_with(record_row);
         assert_eq!(rows[1].get("status").and_then(Json::as_str), Some("failed"));
         assert_eq!(rows[2].get("status").and_then(Json::as_str), Some("ok"));
     }

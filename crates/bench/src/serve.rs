@@ -9,10 +9,10 @@
 //! * [`SimService`] — accepts [`SimConfig`] jobs, answers repeats from the
 //!   two-tier content-addressed [`ResultCache`] (keyed on
 //!   [`SimConfig::cache_key`]), and dispatches misses onto a persistent
-//!   worker pool whose jobs run once each under the [`SweepRunner`]'s
-//!   fail-soft containment (`catch_unwind`). A request is a config and
-//!   nothing more: one that carries a `[sched]` section is refused with
-//!   HTTP 400 like any other unknown field.
+//!   worker pool whose jobs run once each under the fail-soft
+//!   containment of [`parallel_map`] (`catch_unwind`). A request is a
+//!   config and nothing more: one that carries a `[sched]` section is
+//!   refused with HTTP 400 like any other unknown field.
 //!   Concurrent requests for the same key are **single-flighted**: one
 //!   simulation runs, every waiter shares its result.
 //! * a **bounded admission queue** in front of the pool
@@ -60,9 +60,9 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, SimConfig};
 
 use crate::cache::{render_with_last, CacheCounters, Record, ResultCache};
-use crate::grid::{known_workload, SweepSpec};
+use crate::grid::{check_experiment, SweepSpec};
 use crate::http::{self, error_doc, reply, Handler, HttpCounters, HttpRequest, Response};
-use crate::sweep::{SweepJob, SweepOptions, SweepRunner};
+use crate::sweep::{contain, parallel_map};
 
 /// Version of the serve response document layouts (`/run`, `/batch`,
 /// `/stats`); bumped on any breaking change. Mirrored in
@@ -411,7 +411,6 @@ pub struct SimService {
     disk_budget: Option<u64>,
     inflight: Arc<Mutex<HashMap<String, Arc<Flight>>>>,
     counters: Arc<Counters>,
-    runner: Arc<SweepRunner>,
     pool: Option<WorkerPool>,
     workers: usize,
     queue_depth: usize,
@@ -430,17 +429,12 @@ impl SimService {
             options.disk_budget,
         )?;
         let cache_counters = cache.counters();
-        let runner = SweepRunner::with_options(SweepOptions {
-            workers: Some(options.workers.max(1)),
-            ..SweepOptions::default()
-        });
         Ok(SimService {
             cache: Arc::new(Mutex::new(cache)),
             cache_counters,
             disk_budget: options.disk_budget,
             inflight: Arc::new(Mutex::new(HashMap::new())),
             counters: Arc::new(Counters::default()),
-            runner: Arc::new(runner),
             pool: (options.workers > 0).then(|| WorkerPool::new(options.workers)),
             workers: options.workers,
             queue_depth: options.queue_depth,
@@ -479,7 +473,7 @@ impl SimService {
                     Ok(answer) if answer.cached => BatchStatus::Cached(answer.record),
                     Ok(answer) => BatchStatus::Computed(answer.record),
                     Err(ServeError::Rejected { .. }) => BatchStatus::Rejected,
-                    // A failed simulation reports the runner's message
+                    // A failed simulation reports its contained message
                     // bare; other errors read as they display.
                     Err(ServeError::Sim(e)) => BatchStatus::Failed(e),
                     Err(e) => BatchStatus::Failed(e.to_string()),
@@ -615,8 +609,8 @@ impl SimService {
         self.counters.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// The closure a cache miss enqueues: simulate under the runner's
-    /// containment, publish to the cache, then release the flight. The
+    /// The closure a cache miss enqueues: simulate under `contain`,
+    /// publish to the cache, then release the flight. The
     /// cache `put` happens *before* the in-flight entry is removed, so a
     /// late requester either joins the flight or hits the cache — never
     /// re-simulates.
@@ -628,7 +622,6 @@ impl SimService {
     ) -> Box<dyn FnOnce() + Send> {
         let cache = Arc::clone(&self.cache);
         let counters = Arc::clone(&self.counters);
-        let runner = Arc::clone(&self.runner);
         let inflight = Arc::clone(&self.inflight);
         Box::new(move || {
             // The job left the admission queue and entered execution.
@@ -638,10 +631,8 @@ impl SimService {
                 .peak_in_flight
                 .fetch_max(running, Ordering::Relaxed);
 
-            let job = SweepJob::new(key.clone(), move || simulate(&cfg));
             counters.sim_runs.fetch_add(1, Ordering::Relaxed);
-            let outcome = runner.run_one(&job);
-            let result = match outcome.result {
+            let result = match contain(|| simulate(&cfg)) {
                 Ok(record) => {
                     let record = Record::from(record);
                     let put = {
@@ -657,7 +648,7 @@ impl SimService {
                 }
                 Err(e) => {
                     counters.sim_failures.fetch_add(1, Ordering::Relaxed);
-                    Err(e.to_string())
+                    Err(e)
                 }
             };
             {
@@ -742,11 +733,11 @@ impl SimService {
     /// `tenways sweep --cache <dir>` fills the directory a later
     /// `tenways serve --cache-dir <dir>` answers from.) Duplicate
     /// keys collapse first; already-cached keys are skipped. Cold keys
-    /// simulate on the sweep runner with up to `workers` threads (at
-    /// least one — a cache-only service can still be warmed, that is the
-    /// point of it) under the usual fail-soft containment; each job
-    /// writes its record to the cache and keeps nothing. Bypasses the
-    /// admission bound, and is traffic-counter-neutral by design:
+    /// simulate on the fail-soft [`parallel_map`] with up to `workers`
+    /// threads (at least one — a cache-only service can still be warmed,
+    /// that is the point of it); each job writes its record to the cache
+    /// and keeps nothing. Bypasses the admission bound, and is
+    /// traffic-counter-neutral by design:
     /// warming uses `peek`/`put` directly, so the request and hit/miss
     /// counters still read zero when the listener opens — only
     /// `sim_runs`/`sim_failures` count, because those simulations really
@@ -758,7 +749,7 @@ impl SimService {
             unique: distinct.len(),
             ..WarmReport::default()
         };
-        let jobs: Vec<SweepJob<()>> = distinct
+        let cold: Vec<usize> = distinct
             .into_iter()
             .filter(|&i| {
                 let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -766,27 +757,24 @@ impl SimService {
                 report.skipped += usize::from(cached);
                 !cached
             })
-            .map(|i| {
-                let (label, cfg) = (points[i].0.clone(), points[i].1.clone());
-                let (key, cache) = (keys[i].clone(), Arc::clone(&self.cache));
-                SweepJob::new(label, move || {
-                    let record = simulate(&cfg)?;
-                    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    cache.put(&key, record)
-                })
-            })
             .collect();
+        let warm_one = |&i: &usize| {
+            let record = simulate(&points[i].1)?;
+            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+            cache.put(&keys[i], record)
+        };
         let counters = &self.counters;
-        let batch = self.runner.run_observed(jobs, |_, outcome| {
+        let count = |_: usize, result: &Result<(), String>| {
             counters.sim_runs.fetch_add(1, Ordering::Relaxed);
-            if outcome.result.is_err() {
+            if result.is_err() {
                 counters.sim_failures.fetch_add(1, Ordering::Relaxed);
             }
-        });
-        for outcome in batch.outcomes {
-            match outcome.result {
+        };
+        let results = parallel_map(&cold, Some(self.workers.max(1)), warm_one, count);
+        for (&i, result) in cold.iter().zip(results) {
+            match result {
                 Ok(()) => report.warmed += 1,
-                Err(e) => report.failed.push((outcome.label, e.to_string())),
+                Err(e) => report.failed.push((points[i].0.clone(), e)),
             }
         }
         report
@@ -937,7 +925,7 @@ pub(crate) fn parse_batch_body(
             };
             let mut cfg = SimConfig::default();
             cfg.apply_json(cfg_doc)
-                .and_then(|()| known_workload(&cfg))
+                .and_then(|()| check_experiment(&cfg))
                 .map_err(|e| format!("configs[{i}]: {e}"))?;
             Ok((label, cfg))
         })
@@ -958,7 +946,8 @@ fn within_batch_limit(items: Option<usize>) -> Result<(), String> {
 }
 
 /// Decodes a `POST /run` body: TOML under a `toml` content type, JSON
-/// otherwise. A workload that names no kernel is refused here.
+/// otherwise. A workload that names no kernel, or a `scale` over
+/// [`MAX_SCALE`](tenways_waste::MAX_SCALE), is refused here.
 pub(crate) fn parse_run_body(content_type: &str, body: &str) -> Result<SimConfig, String> {
     let parsed = if content_type.contains("toml") {
         SimConfig::from_toml_str(body)
@@ -966,7 +955,7 @@ pub(crate) fn parse_run_body(content_type: &str, body: &str) -> Result<SimConfig
         SimConfig::from_json_str(body)
     };
     let cfg = parsed.map_err(|e| e.to_string())?;
-    known_workload(&cfg)?;
+    check_experiment(&cfg)?;
     Ok(cfg)
 }
 
@@ -1049,7 +1038,7 @@ pub fn serve_http_shutdown(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{http_call, http_request, HttpClient};
+    use crate::http::{http_request, HttpClient};
     use crate::router::{route_http, Router, RouterOptions};
     use std::time::{Duration, Instant};
 
@@ -1421,9 +1410,9 @@ mod tests {
         };
 
         let body = r#"{"workload":"lu","threads":2,"scale":1}"#;
-        let (status, first) =
-            http_call(&addr, "POST", "/run", Some(("application/json", body))).unwrap();
-        assert_eq!(status, 200);
+        let first = http_request(&addr, "POST", "/run", Some(("application/json", body))).unwrap();
+        assert_eq!(first.status, 200);
+        let first = first.body;
         assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
         assert_eq!(
             first.get("schema_version").and_then(Json::as_u64),
@@ -1432,9 +1421,9 @@ mod tests {
 
         // Same config as TOML: canonicalization makes it the same key.
         let toml = "workload = \"lu\"\nthreads = 2\nscale = 1\n";
-        let (status, second) =
-            http_call(&addr, "POST", "/run", Some(("application/toml", toml))).unwrap();
-        assert_eq!(status, 200);
+        let second = http_request(&addr, "POST", "/run", Some(("application/toml", toml))).unwrap();
+        assert_eq!(second.status, 200);
+        let second = second.body;
         assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
         assert_eq!(
             second.get("key").and_then(Json::as_str),
@@ -1448,13 +1437,14 @@ mod tests {
         // A request waits for its record: there is no job handle to poll,
         // not even for a cached key.
         let key = first.get("key").and_then(Json::as_str).unwrap();
-        let (status, job) = http_call(&addr, "GET", &format!("/jobs/{key}"), None).unwrap();
-        assert_eq!(status, 404);
-        let error = job.get("error").and_then(Json::as_str).unwrap();
+        let job = http_request(&addr, "GET", &format!("/jobs/{key}"), None).unwrap();
+        assert_eq!(job.status, 404);
+        let error = job.body.get("error").and_then(Json::as_str).unwrap();
         assert!(error.starts_with("no such endpoint"), "{error}");
 
-        let (status, stats) = http_call(&addr, "GET", "/stats", None).unwrap();
-        assert_eq!(status, 200);
+        let stats = http_request(&addr, "GET", "/stats", None).unwrap();
+        assert_eq!(stats.status, 200);
+        let stats = stats.body;
         assert_eq!(stats.get("hits").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("misses").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("sim_runs").and_then(Json::as_u64), Some(1));
@@ -1465,15 +1455,15 @@ mod tests {
         assert!(cache.get("disk_bytes").and_then(Json::as_u64).unwrap() > 0);
         assert_eq!(cache.get("evicted").and_then(Json::as_u64), Some(0));
 
-        let (status, err) = http_call(
+        let err = http_request(
             &addr,
             "POST",
             "/run",
             Some(("application/json", r#"{"wrkload":"oops"}"#)),
         )
         .unwrap();
-        assert_eq!(status, 400);
-        assert!(err.get("error").is_some());
+        assert_eq!(err.status, 400);
+        assert!(err.body.get("error").is_some());
 
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1513,9 +1503,9 @@ mod tests {
                 "workload = \"lu\"\n[sched]\nmode = \"naive\"\n[grid]\nthreads = [2, 3]\n",
             ),
         ] {
-            let (status, doc) = http_call(&addr, "POST", path, Some((content_type, body))).unwrap();
-            assert_eq!(status, 400, "{path} {content_type}: {doc}");
-            let error = doc.get("error").and_then(Json::as_str).unwrap_or("");
+            let reply = http_request(&addr, "POST", path, Some((content_type, body))).unwrap();
+            assert_eq!(reply.status, 400, "{path} {content_type}: {}", reply.text);
+            let error = reply.body.get("error").and_then(Json::as_str).unwrap_or("");
             assert!(
                 error.contains("unknown config field `sched`"),
                 "{path} {content_type}: {error}"
@@ -1523,7 +1513,7 @@ mod tests {
         }
         assert_eq!(svc.sim_runs(), 0, "a refused body simulates nothing");
 
-        let (status, plain) = http_call(
+        let plain = http_request(
             &addr,
             "POST",
             "/run",
@@ -1533,10 +1523,11 @@ mod tests {
             )),
         )
         .unwrap();
-        assert_eq!(status, 200, "{plain}");
+        assert_eq!(plain.status, 200, "{}", plain.text);
         assert_eq!(svc.sim_runs(), 1);
         assert_eq!(
             plain
+                .body
                 .get("record")
                 .and_then(|r| r.get("sched"))
                 .and_then(Json::as_str),
@@ -1928,6 +1919,77 @@ mod tests {
             running.shutdown.store(true, Ordering::Relaxed);
             running.join();
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_scale_over_the_bound_is_refused_at_decode_by_name() {
+        // 200 × scale would overflow sizing the contended kernel's work.
+        let run = r#"{"workload":"contended","scale":18446744073709551615}"#;
+        let list = format!("[{run}]");
+        for front in [Front::Serve, Front::Route] {
+            let dir = tmp_dir(&format!("scale-{front:?}"));
+            let svc = Arc::new(service(&dir, 1));
+            let running = Running::start(front, Arc::clone(&svc), None);
+            let mut client = HttpClient::new(running.addr.clone());
+            for (path, body) in [("/run", run), ("/batch", list.as_str())] {
+                let reply = client
+                    .request("POST", path, Some(("application/json", body)))
+                    .unwrap();
+                assert_eq!(reply.status, 400, "{front:?} {path}: {}", reply.text);
+                let error = reply.body.get("error").and_then(Json::as_str).unwrap();
+                assert!(error.contains("scale"), "{front:?} {path}: {error}");
+                assert!(!error.contains("`workload`"), "{front:?} {path}: {error}");
+            }
+            assert_eq!(svc.stats_json().get("sim_runs"), Some(&Json::U64(0)));
+
+            drop(client);
+            running.shutdown.store(true, Ordering::Relaxed);
+            running.join();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_machine_validate_refuses_fails_alone_and_the_service_keeps_answering() {
+        // Each would panic or abort while the machine is built, were
+        // `validate` to let it through.
+        let bodies = [
+            ("dram_occupancy", r#"{"machine":{"dram_occupancy":0}}"#),
+            ("l1_sets", r#"{"machine":{"l1_sets":1073741824}}"#),
+        ];
+        for front in [Front::Serve, Front::Route] {
+            for (field, machine) in bodies {
+                let dir = tmp_dir(&format!("refused-{field}-{front:?}"));
+                let svc = Arc::new(service(&dir, 1));
+                let running = Running::start(front, Arc::clone(&svc), None);
+                let mut client = HttpClient::new(running.addr.clone());
+                let mut cfg = small_cfg();
+                cfg.apply_json(&Json::parse(machine).unwrap()).unwrap();
+                let body = cfg.to_json().to_string();
+                let reply = client
+                    .request("POST", "/run", Some(("application/json", &body)))
+                    .unwrap();
+                assert_eq!(reply.status, 500, "{front:?} {field}: {}", reply.text);
+                let error = reply.body.get("error").and_then(Json::as_str).unwrap();
+                assert!(
+                    error.contains("failed: invalid machine"),
+                    "{front:?}: {error}"
+                );
+                assert!(error.contains(field), "{front:?}: {error}");
+                assert_eq!(svc.stats_json().get("sim_failures"), Some(&Json::U64(1)));
+
+                let plain = small_cfg().to_json().to_string();
+                let reply = client
+                    .request("POST", "/run", Some(("application/json", &plain)))
+                    .unwrap();
+                assert_eq!(reply.status, 200, "{front:?} {field}: {}", reply.text);
+
+                drop(client);
+                running.shutdown.store(true, Ordering::Relaxed);
+                running.join();
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tenways_bench::{run_sweep, SweepOptions, SweepParams, SweepSpec};
+use tenways_bench::{run_sweep, SweepParams, SweepSpec};
 use tenways_sim::json::Json;
 use tenways_waste::{Experiment, SimConfig};
 
@@ -30,7 +30,7 @@ fn gridless_spec_runs_the_base_config_once() {
     let spec =
         SweepSpec::from_toml_str("workload = \"lu\"\nscale = 1\nthreads = 2\n", "solo").unwrap();
     let report = run_sweep(&spec, &quiet_params(out_dir("solo"))).unwrap();
-    assert_eq!((report.ok, report.failed, report.skipped), (1, 0, 0));
+    assert_eq!((report.ok, report.failed), (1, 0));
     let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].get("label").and_then(Json::as_str), Some("base"));
@@ -41,7 +41,7 @@ fn empty_axis_writes_an_empty_document() {
     let spec =
         SweepSpec::from_toml_str("workload = \"lu\"\n\n[grid]\nthreads = []\n", "none").unwrap();
     let report = run_sweep(&spec, &quiet_params(out_dir("none"))).unwrap();
-    assert_eq!((report.ok, report.failed, report.skipped), (0, 0, 0));
+    assert_eq!((report.ok, report.failed), (0, 0));
     assert!(report.all_ok(), "an empty sweep has nothing to fail");
     let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
     assert!(rows.is_empty());
@@ -56,14 +56,11 @@ fn grid_larger_than_parallelism_completes_every_row() {
     let points = spec.points().unwrap();
     assert_eq!(points.len(), 16);
     let params = SweepParams {
-        options: SweepOptions {
-            workers: Some(2),
-            ..SweepOptions::default()
-        },
+        workers: Some(2),
         ..quiet_params(out_dir("oversub"))
     };
     let report = run_sweep(&spec, &params).unwrap();
-    assert_eq!((report.ok, report.failed, report.skipped), (16, 0, 0));
+    assert_eq!((report.ok, report.failed), (16, 0));
     let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
     for (row, point) in rows.iter().zip(&points) {
         assert_eq!(
@@ -93,7 +90,7 @@ fn a_failing_point_costs_only_its_own_row() {
     let spec = SweepSpec::from_toml_str(grid, "x").unwrap();
     let dir = out_dir("failsoft");
     let report = run_sweep(&spec, &quiet_params(dir.clone())).unwrap();
-    assert_eq!((report.ok, report.failed, report.skipped), (3, 1, 0));
+    assert_eq!((report.ok, report.failed), (3, 1));
     let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), 4, "failed points still get a row");
     let failed = &rows[3];
@@ -154,26 +151,22 @@ fn a_cut_sweep_resumes_from_the_cache_to_the_uninterrupted_document() {
     run_sweep(&spec, &quiet_params(full_dir.clone())).unwrap();
     let reference = written(&full_dir, "tiny");
 
-    // Interrupted: a single worker allowed only 5 fresh starts, then a
-    // rerun that takes those 5 from the cache and simulates the other 11.
+    // Interrupted: a run of 6 of the 16 points under the same id and
+    // cache, then the whole grid, which takes those 6 from the cache and
+    // simulates the other 10.
     let cut_dir = out_dir("resume_cut");
-    let interrupted = SweepParams {
-        options: SweepOptions {
-            workers: Some(1),
-            max_jobs: Some(5),
-            ..SweepOptions::default()
-        },
-        ..quiet_params(cut_dir.clone())
-    };
-    let report = run_sweep(&spec, &interrupted).unwrap();
-    assert_eq!((report.ok, report.failed, report.skipped), (5, 0, 11));
+    let part = TINY_GRID.replace("seed = [1, 2, 3, 4]", "seed = [1, 2, 3]");
+    let part = part.replace("model = [\"sc\", \"tso\"]", "model = [\"tso\"]");
+    let part = SweepSpec::from_toml_str(&part, "x").unwrap();
+    let report = run_sweep(&part, &quiet_params(cut_dir.clone())).unwrap();
+    assert_eq!((report.ok, report.failed), (6, 0));
 
     let report = run_sweep(&spec, &quiet_params(cut_dir.clone())).unwrap();
-    assert_eq!((report.ok, report.failed, report.skipped), (16, 0, 0));
-    assert_eq!(report.cached, 5, "rows that ran before must not rerun");
+    assert_eq!((report.ok, report.failed), (16, 0));
+    assert_eq!(report.cached, 6, "rows that ran before must not rerun");
     let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
     let simulated = rows.iter().filter(|row| row.get("cache").is_none());
-    assert_eq!(simulated.count(), 11);
+    assert_eq!(simulated.count(), 10);
     assert_eq!(
         masked(&written(&cut_dir, "tiny")),
         masked(&reference),
@@ -184,28 +177,21 @@ fn a_cut_sweep_resumes_from_the_cache_to_the_uninterrupted_document() {
 
 #[test]
 fn a_changed_base_config_reruns_instead_of_resuming() {
-    // Cut at scale 1, then rerun the same grid id over a scale-4 base:
-    // the cached scale-1 record must not answer the scale-4 point.
-    let grid = |scale: u64| {
+    // Cut at scale 1 (only its threads = 2 point ran), then rerun the
+    // same grid id over a scale-4 base: the cached scale-1 record must not
+    // answer the scale-4 point.
+    let grid = |scale: u64, threads: &str| {
         format!(
             "workload = \"lu\"\nscale = {scale}\n\n[sweep]\nid = \"stale\"\n\n\
-             [grid]\nthreads = [2, 4]\n"
+             [grid]\nthreads = {threads}\n"
         )
     };
     let dir = out_dir("stale_base");
-    let cut = SweepParams {
-        options: SweepOptions {
-            workers: Some(1),
-            max_jobs: Some(1),
-            ..SweepOptions::default()
-        },
-        ..quiet_params(dir.clone())
-    };
-    let small = SweepSpec::from_toml_str(&grid(1), "x").unwrap();
-    let report = run_sweep(&small, &cut).unwrap();
-    assert_eq!((report.ok, report.skipped), (1, 1));
+    let small = SweepSpec::from_toml_str(&grid(1, "[2]"), "x").unwrap();
+    let report = run_sweep(&small, &quiet_params(dir.clone())).unwrap();
+    assert_eq!((report.ok, report.failed), (1, 0));
 
-    let large = SweepSpec::from_toml_str(&grid(4), "x").unwrap();
+    let large = SweepSpec::from_toml_str(&grid(4, "[2, 4]"), "x").unwrap();
     let rerun = run_sweep(&large, &quiet_params(dir)).unwrap();
     assert_eq!((rerun.ok, rerun.cached), (2, 0));
     let fresh = run_sweep(&large, &quiet_params(out_dir("stale_fresh"))).unwrap();

@@ -17,9 +17,8 @@
 //! speculation, not to sampling different timings.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use tenways_bench::{SweepJob, SweepOptions, SweepRunner};
+use tenways_bench::parallel_map;
 use tenways_core::{SpecConfig, SpecMode};
 use tenways_cpu::{ConsistencyModel, Machine, MachineSpec, SchedMode};
 use tenways_sim::json::{Json, ToJson};
@@ -241,7 +240,7 @@ pub fn run_point(
 }
 
 /// Explores `test` across `models` × [`SPEC_MODES`] × the grid, fanning
-/// runs out on a [`SweepRunner`] (fail-soft: a hung or panicked run is
+/// runs out on the fail-soft [`parallel_map`] (a hung or panicked run is
 /// recorded as that cell's failure, siblings keep going).
 pub fn explore(
     test: &LitmusTest,
@@ -249,50 +248,36 @@ pub fn explore(
     opts: &ExploreOptions,
 ) -> Exploration {
     let grid = build_grid(test, opts.seed, opts.points);
-    let shared = Arc::new(test.clone());
-    let mut jobs = Vec::new();
-    let mut coords = Vec::new();
     let mut cells = Vec::new();
     for &model in models {
         for spec in SPEC_MODES {
-            let cell = cells.len();
             cells.push(ExploreCell {
                 model,
                 spec,
                 states: BTreeMap::new(),
                 failures: Vec::new(),
             });
-            for point in &grid {
-                let test = Arc::clone(&shared);
-                let point = point.clone();
-                let limit = opts.cycle_limit;
-                let sched = opts.sched;
-                let label = format!(
-                    "{}/{}/{}/p{}",
-                    test.name,
-                    model.label(),
-                    spec.label(),
-                    point.index
-                );
-                coords.push((cell, point.index));
-                jobs.push(SweepJob::new(label, move || {
-                    run_point(&test, &point, model, spec, limit, sched)
-                }));
-            }
         }
     }
+    let jobs: Vec<(usize, &GridPoint)> = (0..cells.len())
+        .flat_map(|cell| grid.iter().map(move |point| (cell, point)))
+        .collect();
+    let results = parallel_map(
+        &jobs,
+        opts.workers,
+        |&(cell, point)| {
+            let (model, spec) = (cells[cell].model, cells[cell].spec);
+            run_point(test, point, model, spec, opts.cycle_limit, opts.sched)
+        },
+        |_, _| {},
+    );
     let runs = jobs.len();
-    let runner = SweepRunner::with_options(SweepOptions {
-        workers: opts.workers,
-        ..SweepOptions::default()
-    });
-    let batch = runner.run(jobs);
-    for ((cell, point), outcome) in coords.into_iter().zip(batch.outcomes) {
-        match outcome.result {
+    for (&(cell, point), result) in jobs.iter().zip(results) {
+        match result {
             Ok(state) => {
-                cells[cell].states.entry(state).or_insert(point);
+                cells[cell].states.entry(state).or_insert(point.index);
             }
-            Err(err) => cells[cell].failures.push((point, err.to_string())),
+            Err(err) => cells[cell].failures.push((point.index, err)),
         }
     }
     Exploration { grid, cells, runs }

@@ -19,7 +19,7 @@
 //!   perturbations (per-thread skews, DRAM/NoC/directory latencies,
 //!   store-buffer depth, width, topology) for every
 //!   `(model, speculation mode)` cell, fanning out on the fail-soft
-//!   [`SweepRunner`](tenways_bench::SweepRunner);
+//!   [`parallel_map`](tenways_bench::parallel_map);
 //! * [`verdict`] — flags any observed `forbidden` state and any
 //!   difference between the speculation-on and speculation-off
 //!   observable-state sets, each with a replayable

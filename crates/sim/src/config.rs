@@ -16,6 +16,14 @@ pub enum ConfigError {
     NotPowerOfTwo(&'static str),
     /// Core count exceeds what a `u16` node id can address.
     TooManyCores(usize),
+    /// A table `Machine::new` allocates up front would exceed its bound
+    /// ([`MAX_L1_SLOTS`], [`MAX_DIR_BANKS`], [`MAX_DRAM_BANKS`]).
+    TooLarge {
+        /// The field, or product of fields, over its bound.
+        field: &'static str,
+        /// The bound.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -24,11 +32,27 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Zero(field) => write!(f, "{field} must be non-zero"),
             ConfigError::NotPowerOfTwo(field) => write!(f, "{field} must be a power of two"),
             ConfigError::TooManyCores(n) => write!(f, "core count {n} exceeds addressable limit"),
+            ConfigError::TooLarge { field, limit } => write!(f, "{field} exceeds {limit}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
+
+/// The most L1 block slots a machine may hold over all its cores
+/// (`cores × l1_sets × l1_ways`). `Machine::new` allocates every slot up
+/// front, and a failed allocation aborts the process where no
+/// `catch_unwind` can contain it. 2^22 is 32 times the largest machine
+/// the repository builds (256 cores × 128 sets × 4 ways).
+pub const MAX_L1_SLOTS: usize = 1 << 22;
+
+/// The most directory banks a machine may have: each one allocates a
+/// 4 096 × 8 L2 slice up front. 16 times the default 4.
+pub const MAX_DIR_BANKS: usize = 64;
+
+/// The most DRAM banks behind one directory bank: each directory bank
+/// allocates a table of them up front.
+pub const MAX_DRAM_BANKS: usize = 1 << 12;
 
 /// Complete description of the simulated machine.
 ///
@@ -132,8 +156,9 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the first offending field if any
-    /// count is zero, any power-of-two field isn't, or the machine is too
-    /// large to address.
+    /// count is zero, any power-of-two field isn't, the machine is too
+    /// large to address, or a table it allocates up front is over its
+    /// bound.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let c = self;
         for (v, name) in [
@@ -153,6 +178,9 @@ impl MachineConfig {
                 return Err(ConfigError::Zero(name));
             }
         }
+        if c.dram_occupancy == 0 {
+            return Err(ConfigError::Zero("dram_occupancy"));
+        }
         if c.block_bytes == 0 || !c.block_bytes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo("block_bytes"));
         }
@@ -165,8 +193,28 @@ impl MachineConfig {
         if !c.dram_banks.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo("dram_banks"));
         }
-        if c.cores + c.dir_banks > u16::MAX as usize {
+        if c.cores
+            .checked_add(c.dir_banks)
+            .is_none_or(|n| n > u16::MAX as usize)
+        {
             return Err(ConfigError::TooManyCores(c.cores));
+        }
+        let l1_slots = c
+            .cores
+            .checked_mul(c.l1_sets)
+            .and_then(|n| n.checked_mul(c.l1_ways));
+        for (within, field, limit) in [
+            (
+                l1_slots.is_some_and(|n| n <= MAX_L1_SLOTS),
+                "cores × l1_sets × l1_ways",
+                MAX_L1_SLOTS,
+            ),
+            (c.dir_banks <= MAX_DIR_BANKS, "dir_banks", MAX_DIR_BANKS),
+            (c.dram_banks <= MAX_DRAM_BANKS, "dram_banks", MAX_DRAM_BANKS),
+        ] {
+            if !within {
+                return Err(ConfigError::TooLarge { field, limit });
+            }
         }
         Ok(())
     }
@@ -693,6 +741,38 @@ mod tests {
     fn config_clone_eq() {
         let cfg = MachineConfig::default();
         assert_eq!(cfg.clone(), cfg);
+    }
+
+    #[test]
+    fn validate_refuses_each_field_it_bounds_by_name() {
+        type Edit = fn(&mut MachineConfig);
+        let refused = |edit: Edit| {
+            let mut cfg = MachineConfig::default();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err().to_string()
+        };
+        // (what the message names, the edit) — nothing here is built.
+        let cases: [(&str, Edit); 7] = [
+            ("dram_occupancy", |c| c.dram_occupancy = 0),
+            ("core count", |c| c.cores = usize::MAX),
+            ("core count", |c| c.cores = 1 << 16),
+            ("l1_sets", |c| c.l1_sets = 1 << 30),
+            ("l1_sets", |c| c.l1_sets = 1 << 62),
+            ("dir_banks", |c| c.dir_banks = 2 * MAX_DIR_BANKS),
+            ("dram_banks", |c| c.dram_banks = 2 * MAX_DRAM_BANKS),
+        ];
+        for (field, edit) in cases {
+            let message = refused(edit);
+            assert!(message.contains(field), "{field}: {message}");
+        }
+        // Each bound admits its own limit (the default is 8 cores × 4 ways).
+        let at_limits = MachineConfig {
+            l1_sets: MAX_L1_SLOTS / (8 * 4),
+            dir_banks: MAX_DIR_BANKS,
+            dram_banks: MAX_DRAM_BANKS,
+            ..MachineConfig::default()
+        };
+        assert_eq!(at_limits.validate(), Ok(()));
     }
 
     #[test]

@@ -59,7 +59,9 @@ mod cycle;
 pub const MAX_DEPTH: usize = 128;
 
 pub use blockmap::{BlockHasher, BlockMap, BlockSet};
-pub use config::{AtomicsConfig, AtomicsError, MachineConfig};
+pub use config::{
+    AtomicsConfig, AtomicsError, MachineConfig, MAX_DIR_BANKS, MAX_DRAM_BANKS, MAX_L1_SLOTS,
+};
 pub use cycle::{Clock, Cycle};
 pub use hash::{canonical, sha256_hex, Sha256};
 pub use hist::Histogram;

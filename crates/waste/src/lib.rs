@@ -52,6 +52,6 @@ mod taxonomy;
 
 pub use config::{cache_key_of, ConfigLoadError, SimConfig, SEMANTICS_VERSION};
 pub use energy::{EnergyModel, EnergyReport};
-pub use runner::{Experiment, ExperimentError, RunRecord, RUN_RECORD_SCHEMA_VERSION};
+pub use runner::{Experiment, ExperimentError, RunRecord, MAX_SCALE, RUN_RECORD_SCHEMA_VERSION};
 pub use taxonomy::{WasteBreakdown, WasteCategory};
 pub use tenways_cpu::SchedMode;

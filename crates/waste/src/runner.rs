@@ -17,6 +17,13 @@ use crate::taxonomy::WasteBreakdown;
 /// breaking change. Mirrored in `results/schema/run_record.v1.json`.
 pub const RUN_RECORD_SCHEMA_VERSION: u64 = 1;
 
+/// The largest `scale` [`Experiment::from_config`] accepts. The kernels
+/// size their work by multiplying `scale` by small constants (`200` for
+/// `contended`, `256` in `dss`) and by the thread count, which
+/// [`MachineConfig::validate`] keeps under 2^16; under this bound every
+/// such product fits in a `u64`.
+pub const MAX_SCALE: u64 = 1 << 32;
+
 /// Why an [`Experiment`] could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExperimentError {
@@ -103,8 +110,16 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::UnknownWorkload`] if the name matches nothing.
+    /// [`ExperimentError::Config`] naming `scale` if it is over
+    /// [`MAX_SCALE`], [`ExperimentError::UnknownWorkload`] if the name
+    /// matches nothing.
     pub fn from_config(cfg: &SimConfig) -> Result<Experiment, ExperimentError> {
+        if cfg.scale > MAX_SCALE {
+            return Err(ExperimentError::Config(format!(
+                "scale {} exceeds {MAX_SCALE}",
+                cfg.scale
+            )));
+        }
         let base = if cfg.workload == "contended" {
             Experiment::contended(ContendedParams {
                 threads: cfg.threads,
@@ -467,6 +482,21 @@ mod tests {
             Experiment::from_config(&cfg).unwrap_err(),
             ExperimentError::UnknownWorkload("quake".to_string())
         );
+    }
+
+    #[test]
+    fn from_config_refuses_a_scale_over_the_bound_by_name() {
+        let cfg = |scale| SimConfig {
+            workload: "contended".to_string(),
+            scale,
+            ..SimConfig::default()
+        };
+        assert!(Experiment::from_config(&cfg(MAX_SCALE)).is_ok());
+        for scale in [MAX_SCALE + 1, u64::MAX] {
+            let err = Experiment::from_config(&cfg(scale)).unwrap_err();
+            assert!(matches!(err, ExperimentError::Config(_)), "{err:?}");
+            assert!(err.to_string().contains("scale"), "{err}");
+        }
     }
 
     #[test]

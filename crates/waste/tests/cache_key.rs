@@ -8,9 +8,11 @@
 
 use tenways_core::SpecMode;
 use tenways_cpu::ConsistencyModel;
+use tenways_mem::{CacheParams, DramParams, Replacement};
 use tenways_sim::json::{Json, ToJson};
 use tenways_sim::toml::parse_toml;
-use tenways_sim::{canonical, sha256_hex, AtomicsConfig, DetRng};
+use tenways_sim::{canonical, sha256_hex, AtomicsConfig, DetRng, MachineConfig};
+use tenways_sim::{MAX_DIR_BANKS, MAX_DRAM_BANKS, MAX_L1_SLOTS};
 use tenways_waste::{Experiment, SimConfig, SEMANTICS_VERSION};
 use tenways_workloads::WorkloadKind;
 
@@ -397,6 +399,58 @@ fn canonical_text_equals_the_tree_oracle_and_reads_back() {
         }
     }
     assert!(read_back > DRAWN / 3, "only {read_back} configs read back");
+}
+
+#[test]
+fn drawn_configs_decode_and_validate_without_panicking() {
+    // Decoding a body into an experiment and validating its machine read
+    // outside input: neither may panic on any drawn config. A machine
+    // `validate` accepts must yield the cache and DRAM parameters
+    // `Machine::new` builds from, inside the bounds on what it allocates
+    // up front. Nothing is built or run here.
+    let grid = grid_points(include_str!("../../../examples/sweep_grid.toml"));
+    let drawn = (0..2_000).map(|i| draw_config(&mut DetRng::seed(0xdec0de).split_index(i)));
+    let mut accepted = 0;
+    for (i, cfg) in grid.into_iter().chain(drawn).enumerate() {
+        for workload in [&cfg.workload, "lu", "oltp", "contended"] {
+            let named = SimConfig {
+                workload: workload.to_string(),
+                ..cfg.clone()
+            };
+            let _ = Experiment::from_config(&named);
+        }
+        // The drawn machine as `Experiment::run` sizes it, then the
+        // default machine with each drawn field alone, so a field that
+        // only breaks a machine that is otherwise valid is reached too.
+        let mut machines = vec![MachineConfig {
+            cores: cfg.threads,
+            ..cfg.machine.clone()
+        }];
+        for (field, value) in cfg.machine.to_json().as_object().unwrap() {
+            let mut machine = MachineConfig::default();
+            machine
+                .apply_json(&Json::obj([(field.as_str(), value.clone())]))
+                .unwrap();
+            machines.push(machine);
+        }
+        for m in machines.iter().filter(|m| m.validate().is_ok()) {
+            accepted += 1;
+            let l1 = CacheParams::new(m.l1_sets, m.l1_ways, Replacement::Lru);
+            let dram = DramParams::new(m.dram_banks, m.dram_latency, m.dram_occupancy);
+            assert!(l1.is_some() && dram.is_some(), "config {i}: {m:?}");
+            let l1_slots = m
+                .cores
+                .checked_mul(m.l1_sets)
+                .and_then(|n| n.checked_mul(m.l1_ways));
+            assert!(
+                l1_slots.is_some_and(|n| n <= MAX_L1_SLOTS),
+                "config {i}: {m:?}"
+            );
+            assert!(m.dir_banks <= MAX_DIR_BANKS, "config {i}: {m:?}");
+            assert!(m.dram_banks <= MAX_DRAM_BANKS, "config {i}: {m:?}");
+        }
+    }
+    assert!(accepted > 2_000, "only {accepted} machines passed validate");
 }
 
 /// Every record the simulator gives at seed 7, 2 threads and scale 1:

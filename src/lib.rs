@@ -23,7 +23,7 @@
 //!   microbenchmark.
 //! * [`waste`] — the taxonomy, energy accounting, and the
 //!   [`Experiment`](waste::Experiment) runner.
-//! * [`mod@bench`] — the fail-soft parallel [`SweepRunner`](bench::SweepRunner),
+//! * [`mod@bench`] — the fail-soft [`parallel_map`](bench::parallel_map),
 //!   the grid-sweep layer behind `tenways sweep`, and the
 //!   content-addressed result cache + [`SimService`](bench::SimService)
 //!   behind `tenways serve`.

@@ -14,7 +14,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tenways::bench::{http_call, serve_http, write_text_atomic, ServeOptions, SimService};
+use tenways::bench::{http_request, serve_http, write_text_atomic, ServeOptions, SimService};
 
 fn usage() -> ! {
     eprintln!(
@@ -187,15 +187,15 @@ fn run_client_post(addr: &str, path: &str, source: &str) -> ! {
     } else {
         "application/toml"
     };
-    let (status, doc) =
-        http_call(addr, "POST", path, Some((content_type, &text))).unwrap_or_else(|e| fail(e));
-    println!("{}", doc.pretty());
-    std::process::exit(if status == 200 { 0 } else { 1 });
+    let reply =
+        http_request(addr, "POST", path, Some((content_type, &text))).unwrap_or_else(|e| fail(e));
+    println!("{}", reply.body.pretty());
+    std::process::exit(if reply.status == 200 { 0 } else { 1 });
 }
 
 /// GETs a diagnostic endpoint and prints the response document.
 fn run_get(addr: &str, path: &str) -> ! {
-    let (status, doc) = http_call(addr, "GET", path, None).unwrap_or_else(|e| fail(e));
-    println!("{}", doc.pretty());
-    std::process::exit(if status == 200 { 0 } else { 1 });
+    let reply = http_request(addr, "GET", path, None).unwrap_or_else(|e| fail(e));
+    println!("{}", reply.body.pretty());
+    std::process::exit(if reply.status == 200 { 0 } else { 1 });
 }

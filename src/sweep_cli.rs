@@ -1,15 +1,14 @@
 //! The `tenways sweep` subcommand: expand a grid file into many
 //! [`SimConfig`](tenways::waste::SimConfig) points, run them fail-soft on
-//! the [`SweepRunner`](tenways::bench::SweepRunner), and write a
+//! the [`parallel_map`](tenways::bench::parallel_map), and write a
 //! `bench_rows.v1`-compatible document with per-row status.
 //!
-//! Exit code 0 when every row is `ok`, 1 when any row failed or was
-//! skipped (completed rows are still on disk), 2 for usage or
-//! configuration errors.
+//! Exit code 0 when every row is `ok`, 1 when any row failed (completed
+//! rows are still on disk), 2 for usage or configuration errors.
 
 use std::path::PathBuf;
 
-use tenways::bench::{run_sweep, run_sweep_server, SweepOptions, SweepParams, SweepSpec};
+use tenways::bench::{run_sweep, run_sweep_server, SweepParams, SweepSpec};
 
 fn usage() -> ! {
     eprintln!(
@@ -23,8 +22,6 @@ fn usage() -> ! {
                          or results/)
   --workers <n>          worker threads: how many grid points run
                          concurrently (default: host parallelism)
-  --fail-fast            skip the rest of the grid after the first failure
-  --max-jobs <n>         start at most n fresh jobs this invocation
   --cache <dir>          a local sweep's result cache (default
                          <out>/cache, which without --out is the store
                          `tenways serve` uses by default)
@@ -46,7 +43,7 @@ a point whose config the cache holds becomes a row without simulating
 and each record is stored as it completes, so rerunning a cut sweep
 resumes it. `tenways serve --cache-dir <dir>` answers from a directory a
 sweep filled. The final document is <out>/<id>.json with per-row status
-ok / failed / skipped."
+ok / failed."
     );
     std::process::exit(2);
 }
@@ -61,9 +58,10 @@ pub fn main(argv: &[String]) -> ! {
     let mut config: Option<PathBuf> = None;
     let mut id: Option<String> = None;
     let mut server: Option<String> = None;
-    let mut params = SweepParams::default();
-    let mut options = SweepOptions::default();
-    params.verbose = true;
+    let mut params = SweepParams {
+        verbose: true,
+        ..SweepParams::default()
+    };
 
     let mut i = 0;
     let value = |i: &mut usize| -> &String {
@@ -80,9 +78,7 @@ pub fn main(argv: &[String]) -> ! {
             "--config" | "-c" => config = Some(PathBuf::from(value(&mut i))),
             "--id" => id = Some(value(&mut i).clone()),
             "--out" => params.out_dir = PathBuf::from(value(&mut i)),
-            "--workers" => options.workers = Some(number(&mut i).max(1) as usize),
-            "--fail-fast" => options.fail_fast = true,
-            "--max-jobs" => options.max_jobs = Some(number(&mut i) as usize),
+            "--workers" => params.workers = Some(number(&mut i).max(1) as usize),
             "--cache" => params.cache_dir = Some(PathBuf::from(value(&mut i))),
             "--server" => server = Some(value(&mut i).clone()),
             "--quiet" | "-q" => params.verbose = false,
@@ -91,7 +87,6 @@ pub fn main(argv: &[String]) -> ! {
         }
         i += 1;
     }
-    params.options = options;
 
     let Some(config) = config else {
         eprintln!("tenways sweep: --config is required\n");
@@ -106,10 +101,13 @@ pub fn main(argv: &[String]) -> ! {
         Some(addr) => run_sweep_server(&spec, addr, &params).unwrap_or_else(|e| fail(e)),
         None => run_sweep(&spec, &params).unwrap_or_else(|e| fail(e)),
     };
-    let total = report.ok + report.failed + report.skipped;
     println!(
-        "[sweep {}] {total} point(s): {} ok ({} cached), {} failed, {} skipped",
-        spec.id, report.ok, report.cached, report.failed, report.skipped
+        "[sweep {}] {} point(s): {} ok ({} cached), {} failed",
+        spec.id,
+        report.ok + report.failed,
+        report.ok,
+        report.cached,
+        report.failed
     );
     println!("[sweep {}] wrote {}", spec.id, report.path.display());
     std::process::exit(if report.all_ok() { 0 } else { 1 });

@@ -453,6 +453,64 @@ fn serve_has_no_async_job_flags() {
 }
 
 #[test]
+fn sweep_has_no_fail_fast_or_job_cap_flags() {
+    // Every point of a sweep runs once; a rerun into the same --out
+    // resumes through the result cache. Both flags are refused before
+    // anything runs or is written.
+    let dir = cli_dir("sweep-flags");
+    let grid = dir.join("grid.toml");
+    std::fs::write(
+        &grid,
+        "workload = \"lu\"\nscale = 1\n[sweep]\nid = \"flags\"\n[grid]\nthreads = [2]\n",
+    )
+    .unwrap();
+    let out = dir.join("out");
+    for flag in [&["--fail-fast"][..], &["--max-jobs", "3"]] {
+        let mut args = vec![
+            "sweep",
+            "--config",
+            grid.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+            "--quiet",
+        ];
+        args.extend(flag);
+        let (code, stderr) = run_tenways(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let refusal = format!("unknown argument: {}", flag[0]);
+        assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+        assert!(
+            !out.join("flags.json").exists(),
+            "{args:?} wrote a document"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn configs_that_would_overflow_or_panic_exit_2_naming_the_field() {
+    let dir = cli_dir("refused");
+    let cfg = dir.join("cfg.toml");
+    std::fs::write(
+        &cfg,
+        "threads = 2\nscale = 1\n[machine]\ndram_occupancy = 0\n",
+    )
+    .unwrap();
+    for (args, field) in [
+        (
+            vec!["--workload", "contended", "--scale", "18446744073709551615"],
+            "scale",
+        ),
+        (vec!["--config", cfg.to_str().unwrap()], "dram_occupancy"),
+    ] {
+        let (code, stderr) = run_tenways(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(field), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn the_run_loop_is_not_a_cli_or_config_setting() {
     let dir = cli_dir("sched");
     let cfg = dir.join("cfg.toml");
