@@ -933,7 +933,7 @@ mod tests {
             reply(
                 500,
                 Vec::new(),
-                error_doc("simulation failed: failed: invalid machine"),
+                error_doc("simulation failed: invalid machine: dram_occupancy must be non-zero"),
             ),
             reply(
                 503,

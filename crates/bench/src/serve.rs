@@ -189,6 +189,11 @@ impl std::fmt::Display for ServeError {
                 f,
                 "admission queue full ({queue_depth} waiting); {key} rejected — retry later"
             ),
+            // `contain` leads a simulation's message with `failed: ` or
+            // `panicked: `; a pool that refused the job adds neither.
+            ServeError::Sim(e) if e.starts_with("failed: ") || e.starts_with("panicked: ") => {
+                write!(f, "simulation {e}")
+            }
             ServeError::Sim(e) => write!(f, "simulation failed: {e}"),
         }
     }
@@ -1229,6 +1234,20 @@ mod tests {
     }
 
     #[test]
+    fn a_sim_error_names_its_failure_once() {
+        let shown = |e: &str| ServeError::Sim(e.to_string()).to_string();
+        assert_eq!(
+            shown("failed: invalid machine: dram_occupancy must be non-zero"),
+            "simulation failed: invalid machine: dram_occupancy must be non-zero"
+        );
+        assert_eq!(shown("panicked: boom"), "simulation panicked: boom");
+        assert_eq!(
+            shown("worker pool is shut down"),
+            "simulation failed: worker pool is shut down"
+        );
+    }
+
+    #[test]
     fn failing_config_reports_sim_error_and_does_not_cache() {
         let dir = tmp_dir("fail");
         let svc = service(&dir, 1);
@@ -1973,7 +1992,7 @@ mod tests {
                 assert_eq!(reply.status, 500, "{front:?} {field}: {}", reply.text);
                 let error = reply.body.get("error").and_then(Json::as_str).unwrap();
                 assert!(
-                    error.contains("failed: invalid machine"),
+                    error.starts_with("simulation failed: invalid machine: "),
                     "{front:?}: {error}"
                 );
                 assert!(error.contains(field), "{front:?}: {error}");

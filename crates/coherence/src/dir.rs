@@ -140,6 +140,8 @@ pub struct DirectoryBank {
     sharers: SharerSets,
     busy: BlockMap<Txn>,
     deferred: BlockMap<VecDeque<(CoreId, Msg)>>,
+    /// Emptied `deferred` queues, kept to reuse their buffers.
+    spare_deferred: Vec<VecDeque<(CoreId, Msg)>>,
     /// Messages awaiting their directory-latency processing slot.
     pending: VecDeque<(Cycle, CoreId, Msg)>,
     sends: Vec<Scheduled>,
@@ -178,6 +180,7 @@ impl DirectoryBank {
             sharers: SharerSets::new(cfg.cores),
             busy: BlockMap::default(),
             deferred: BlockMap::default(),
+            spare_deferred: Vec::new(),
             pending: VecDeque::new(),
             sends: Vec::new(),
             fired: Vec::new(),
@@ -289,7 +292,8 @@ impl DirectoryBank {
                 return;
             };
             let Some((core, msg)) = q.pop_front() else {
-                self.deferred.remove(&block.as_u64());
+                let empty = self.deferred.remove(&block.as_u64());
+                self.spare_deferred.extend(empty);
                 return;
             };
             self.handle_request(now, core, msg);
@@ -306,7 +310,7 @@ impl DirectoryBank {
             self.stats.bump("dir.deferred");
             self.deferred
                 .entry(block)
-                .or_default()
+                .or_insert_with(|| self.spare_deferred.pop().unwrap_or_default())
                 .push_back((core, msg));
             return;
         }

@@ -27,10 +27,12 @@ impl CacheParams {
     ///
     /// # Errors
     ///
-    /// Returns `None` if `sets` is zero or not a power of two, or if `ways`
-    /// is zero.
+    /// Returns `None` if `sets` is zero or not a power of two, if `ways`
+    /// is zero, or if `sets × ways` is past `u32::MAX` (a [`CacheArray`]
+    /// indexes its ways in `u32`s).
     pub fn new(sets: usize, ways: usize, policy: Replacement) -> Option<Self> {
-        if sets == 0 || !sets.is_power_of_two() || ways == 0 {
+        let blocks = sets.checked_mul(ways)?;
+        if sets == 0 || !sets.is_power_of_two() || ways == 0 || u32::try_from(blocks).is_err() {
             return None;
         }
         Some(CacheParams { sets, ways, policy })
@@ -84,17 +86,26 @@ struct Way<T> {
 /// configured [`Replacement`] policy. Random replacement is deterministic,
 /// seeded from the array's construction seed.
 ///
-/// Storage is flat: every way of every set in one set-major `Vec`, and,
-/// under [`Replacement::TreePlru`] only, every set's PLRU bits in a second
-/// one, so building an array costs at most two allocations whatever its
-/// set count.
+/// Storage is lazy: a new array holds one `u32` per set and no ways. A
+/// set's `W` ways (and, under [`Replacement::TreePlru`], its `W - 1` PLRU
+/// bits) are appended to a pool on the set's first insert; lookups and
+/// removals on a set never filled miss without writing anything. The
+/// pool's room for every set is reserved up front, one allocation that
+/// writes nothing, so building an array costs O(sets) and three
+/// allocations at most whatever its size, and a run pays only for the sets
+/// it fills.
 #[derive(Debug, Clone)]
 pub struct CacheArray<T> {
     params: CacheParams,
-    /// Set `s` owns `ways[s * W .. (s + 1) * W]`, `W` the associativity.
+    /// Per set: 0 until the set's first insert, then 1 + the index in
+    /// `ways` of the set's first way. (Storing the index itself, not a slot
+    /// number, keeps a multiply off every lookup.)
+    index: Vec<u32>,
+    /// The pool: slot `k` owns `ways[k * W .. (k + 1) * W]`, `W` the
+    /// associativity; slots are numbered in first-fill order.
     ways: Vec<Option<Way<T>>>,
-    /// Tree-PLRU direction bits, `W - 1` per set (index 0 = root), set
-    /// major; empty under the other policies.
+    /// Tree-PLRU direction bits, `W - 1` per pool slot (index 0 = root),
+    /// in slot order; empty under the other policies.
     plru: Vec<bool>,
     tick: u64,
     rng: DetRng,
@@ -110,15 +121,16 @@ impl<T> CacheArray<T> {
     /// Creates an empty array whose random-replacement stream is seeded by
     /// `seed` (distinct caches should get distinct seeds).
     pub fn with_seed(params: CacheParams, seed: u64) -> Self {
-        let plru = if params.policy == Replacement::TreePlru {
-            vec![false; params.sets * (params.ways - 1)]
+        let plru_bits = if params.policy == Replacement::TreePlru {
+            params.sets * (params.ways - 1)
         } else {
-            Vec::new()
+            0
         };
         CacheArray {
             params,
-            ways: (0..params.blocks()).map(|_| None).collect(),
-            plru,
+            index: vec![0; params.sets],
+            ways: Vec::with_capacity(params.blocks()),
+            plru: Vec::with_capacity(plru_bits),
             tick: 0,
             rng: DetRng::seed(seed).split("cache-array"),
             occupied: 0,
@@ -145,25 +157,38 @@ impl<T> CacheArray<T> {
         (block.as_u64() as usize) & (self.params.sets - 1)
     }
 
-    /// Index into `ways` of set `set`'s first way.
-    fn base(&self, set: usize) -> usize {
-        set * self.params.ways
+    /// Index into `ways` of set `set`'s first way, if the set was ever
+    /// filled.
+    fn base(&self, set: usize) -> Option<usize> {
+        match self.index[set] {
+            0 => None,
+            first => Some(first as usize - 1),
+        }
     }
 
-    /// The ways of set `set`.
-    fn set(&self, set: usize) -> &[Option<Way<T>>] {
-        let base = self.base(set);
-        &self.ways[base..base + self.params.ways]
+    /// Index into `ways` of set `set`'s first way, appending the set's
+    /// ways (and PLRU bits) to the pool on its first fill.
+    fn fill(&mut self, set: usize) -> usize {
+        if let Some(base) = self.base(set) {
+            return base;
+        }
+        let ways = self.params.ways;
+        let base = self.ways.len();
+        self.index[set] = u32::try_from(base + 1).expect("CacheParams bounds the ways by u32");
+        self.ways.resize_with(base + ways, || None);
+        if self.params.policy == Replacement::TreePlru {
+            self.plru.resize(self.plru.len() + ways - 1, false);
+        }
+        base
     }
 
     /// Index into `ways` where `block` is resident, if it is.
     fn find(&self, block: BlockAddr) -> Option<usize> {
-        let set = self.set_index(block);
-        let way = self
-            .set(set)
+        let base = self.base(self.set_index(block))?;
+        let way = self.ways[base..base + self.params.ways]
             .iter()
             .position(|w| w.as_ref().is_some_and(|w| w.block == block))?;
-        Some(self.base(set) + way)
+        Some(base + way)
     }
 
     /// Looks up a block without touching replacement state (a *probe*).
@@ -206,9 +231,9 @@ impl<T> CacheArray<T> {
         }
 
         // Free way available.
-        let set = self.set_index(block);
-        let base = self.base(set);
-        if let Some(free) = self.set(set).iter().position(Option::is_none) {
+        let base = self.fill(self.set_index(block));
+        let set_ways = base..base + self.params.ways;
+        if let Some(free) = self.ways[set_ways.clone()].iter().position(Option::is_none) {
             self.ways[base + free] = Some(way);
             self.touch(base + free);
             self.occupied += 1;
@@ -218,8 +243,8 @@ impl<T> CacheArray<T> {
         // Choose a victim.
         let victim = base
             + match self.params.policy {
-                Replacement::Lru => Self::lru_victim(self.set(set)),
-                Replacement::TreePlru => self.plru_victim(set),
+                Replacement::Lru => Self::lru_victim(&self.ways[set_ways]),
+                Replacement::TreePlru => self.plru_victim(base),
                 Replacement::Random => self.rng.below(self.params.ways as u64) as usize,
             };
         let old = self.ways[victim]
@@ -236,8 +261,9 @@ impl<T> CacheArray<T> {
     /// into a full set would evict, without modifying anything. Returns
     /// `None` if the set still has a free way or the block is resident.
     pub fn victim_preview(&self, block: BlockAddr) -> Option<BlockAddr> {
-        let set = self.set_index(block);
-        let ways = self.set(set);
+        // A set never filled has only free ways.
+        let base = self.base(self.set_index(block))?;
+        let ways = &self.ways[base..base + self.params.ways];
         if ways
             .iter()
             .any(|w| w.as_ref().is_none_or(|w| w.block == block))
@@ -246,7 +272,7 @@ impl<T> CacheArray<T> {
         }
         let idx = match self.params.policy {
             Replacement::Lru => Self::lru_victim(ways),
-            Replacement::TreePlru => self.plru_victim(set),
+            Replacement::TreePlru => self.plru_victim(base),
             // Random preview is not representative; report the way the RNG
             // would *not* necessarily pick — callers needing exact victims
             // should use LRU/PLRU. We return way 0 deterministically.
@@ -263,16 +289,32 @@ impl<T> CacheArray<T> {
         Some(way.payload)
     }
 
-    /// Iterates `(block, &payload)` over all resident blocks (set order).
+    /// Iterates `(block, &payload)` over all resident blocks in set order,
+    /// then way order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &T)> + '_ {
-        self.ways.iter().flatten().map(|w| (w.block, &w.payload))
+        let ways = self.params.ways;
+        (0..self.params.sets)
+            .filter_map(|set| self.base(set))
+            .flat_map(move |base| self.ways[base..base + ways].iter().flatten())
+            .map(|w| (w.block, &w.payload))
     }
 
-    /// Iterates `(block, &mut payload)` over all resident blocks.
+    /// Iterates `(block, &mut payload)` over all resident blocks in the
+    /// order of [`CacheArray::iter`]. Reordering the pool's slots into set
+    /// order collects one pointer per filled set.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockAddr, &mut T)> + '_ {
-        self.ways
-            .iter_mut()
-            .flatten()
+        let ways = self.params.ways;
+        let mut by_slot: Vec<_> = self.ways.chunks_mut(ways).map(Some).collect();
+        self.index
+            .iter()
+            .filter(|&&first| first != 0)
+            .flat_map(move |&first| {
+                by_slot[(first as usize - 1) / ways]
+                    .take()
+                    .expect("each pool slot belongs to one set")
+                    .iter_mut()
+                    .flatten()
+            })
             .map(|w| (w.block, &mut w.payload))
     }
 
@@ -286,8 +328,9 @@ impl<T> CacheArray<T> {
             return;
         }
         let ways = self.params.ways;
-        let (set, way) = (i / ways, i % ways);
-        let bits = &mut self.plru[set * (ways - 1)..(set + 1) * (ways - 1)];
+        let way = i % ways;
+        let range = self.plru_bits(i);
+        let bits = &mut self.plru[range];
         // Conceptual complete binary tree over the next power of two ≥ ways;
         // node i has children 2i+1, 2i+2; leaves map to ways left-to-right.
         let leaves = ways.next_power_of_two();
@@ -310,6 +353,13 @@ impl<T> CacheArray<T> {
         }
     }
 
+    /// The range of `plru` holding the bits of the set that owns `ways[i]`.
+    fn plru_bits(&self, i: usize) -> std::ops::Range<usize> {
+        let ways = self.params.ways;
+        let slot = i / ways;
+        slot * (ways - 1)..(slot + 1) * (ways - 1)
+    }
+
     /// The least recently stamped way of a full set.
     fn lru_victim(ways: &[Option<Way<T>>]) -> usize {
         ways.iter()
@@ -319,13 +369,14 @@ impl<T> CacheArray<T> {
             .expect("ways > 0")
     }
 
-    /// Follows set `set`'s PLRU bits to the victim way.
-    fn plru_victim(&self, set: usize) -> usize {
+    /// Follows the PLRU bits of the set whose first way is `ways[base]` to
+    /// the victim way.
+    fn plru_victim(&self, base: usize) -> usize {
         let ways = self.params.ways;
         if ways == 1 {
             return 0;
         }
-        let bits = &self.plru[set * (ways - 1)..(set + 1) * (ways - 1)];
+        let bits = &self.plru[self.plru_bits(base)];
         let leaves = ways.next_power_of_two();
         let mut node = 0usize;
         let mut lo = 0usize;
@@ -357,6 +408,9 @@ mod tests {
         assert!(CacheParams::new(0, 4, Replacement::Lru).is_none());
         assert!(CacheParams::new(3, 4, Replacement::Lru).is_none());
         assert!(CacheParams::new(4, 0, Replacement::Lru).is_none());
+        // A `CacheArray` indexes its ways in `u32`s.
+        assert!(CacheParams::new(1 << 29, 8, Replacement::Lru).is_none());
+        assert!(CacheParams::new(1 << 28, 8, Replacement::Lru).is_some());
         let p = params(8, 2, Replacement::Lru);
         assert_eq!(p.blocks(), 16);
     }
@@ -520,6 +574,85 @@ mod tests {
         let e2 = c.insert(BlockAddr(4), 0).unwrap();
         assert_eq!(e1.block, BlockAddr(0));
         assert_eq!(e2.block, BlockAddr(1));
+    }
+
+    const POLICIES: [Replacement; 3] =
+        [Replacement::Lru, Replacement::TreePlru, Replacement::Random];
+
+    /// The sets whose ways the array holds, in set order.
+    fn filled_sets<T>(c: &CacheArray<T>) -> Vec<usize> {
+        (0..c.params.sets).filter(|&s| c.index[s] != 0).collect()
+    }
+
+    #[test]
+    fn a_new_array_holds_no_ways() {
+        for policy in POLICIES {
+            let c: CacheArray<u32> = CacheArray::new(params(4096, 8, policy));
+            assert!(c.ways.is_empty(), "{policy:?}");
+            assert!(c.plru.is_empty(), "{policy:?}");
+            assert!(filled_sets(&c).is_empty(), "{policy:?}");
+            // The pool's room is reserved once, up front.
+            assert!(c.ways.capacity() >= 4096 * 8, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn lookups_and_removals_on_an_untouched_set_create_nothing() {
+        for policy in POLICIES {
+            let mut c: CacheArray<u32> = CacheArray::new(params(4096, 8, policy));
+            c.insert(BlockAddr(0), 1);
+            for b in [1, 2, 4095, 4096 + 7] {
+                let block = BlockAddr(b);
+                assert_eq!(c.peek(block), None);
+                assert_eq!(c.get(block), None);
+                assert_eq!(c.peek_mut(block), None);
+                assert_eq!(c.remove(block), None);
+                assert_eq!(c.victim_preview(block), None);
+            }
+            assert_eq!(filled_sets(&c), [0], "{policy:?}");
+            assert_eq!(c.ways.len(), 8, "{policy:?}");
+            assert_eq!(c.len(), 1);
+        }
+    }
+
+    #[test]
+    fn one_insert_creates_exactly_its_own_set() {
+        for policy in POLICIES {
+            let mut c: CacheArray<u32> = CacheArray::new(params(4096, 8, policy));
+            assert!(c.insert(BlockAddr(3 * 4096 + 5), 9).is_none());
+            assert_eq!(filled_sets(&c), [5], "{policy:?}");
+            assert_eq!(c.ways.len(), 8, "{policy:?}");
+            let bits = if policy == Replacement::TreePlru {
+                7
+            } else {
+                0
+            };
+            assert_eq!(c.plru.len(), bits, "{policy:?}");
+            assert_eq!(c.peek(BlockAddr(3 * 4096 + 5)), Some(&9));
+        }
+    }
+
+    #[test]
+    fn iter_and_iter_mut_walk_in_set_order_whatever_the_fill_order() {
+        let mut c: CacheArray<u64> = CacheArray::new(params(8, 2, Replacement::Lru));
+        // First fills in the order 6, 1, 7, 0, 3; two ways each in sets 1
+        // and 7.
+        for b in [6, 1, 7, 9, 15, 0, 3] {
+            c.insert(BlockAddr(b), b * 10);
+        }
+        let want = [
+            (0, 0),
+            (1, 10),
+            (9, 90),
+            (3, 30),
+            (6, 60),
+            (7, 70),
+            (15, 150),
+        ];
+        let got: Vec<(u64, u64)> = c.iter().map(|(b, &p)| (b.0, p)).collect();
+        assert_eq!(got, want);
+        let got_mut: Vec<(u64, u64)> = c.iter_mut().map(|(b, p)| (b.0, *p)).collect();
+        assert_eq!(got_mut, want);
     }
 }
 
@@ -789,6 +922,45 @@ mod reference_tests {
                 assert_eq!(contents, model.contents(), "iter order {at}");
                 assert_eq!(flat.len(), contents.len(), "len {at}");
             }
+        }
+    }
+    #[test]
+    fn tree_plru_victims_match_the_reference_when_sets_fill_out_of_order() {
+        for (sets, ways) in [(4, 2), (8, 4), (16, 8), (8, 5)] {
+            let params = CacheParams::new(sets, ways, Replacement::TreePlru).unwrap();
+            let mut flat: CacheArray<u64> = CacheArray::new(params);
+            let mut model = RefCache::new(sets, ways, Replacement::TreePlru, 0);
+            let mut rng = DetRng::seed(0x0DD).split_index((sets * 16 + ways) as u64);
+            // Sets take their first fills in a scattered order, so pool
+            // slots and set numbers disagree.
+            let sets = sets as u64;
+            let order: Vec<u64> = (0..sets).rev().map(|k| (k * 5 + 3) % sets).collect();
+            for round in 0..400 {
+                for &set in &order {
+                    let block = set + sets * rng.below(3 * ways as u64);
+                    let at = format!("{sets}x{ways} round {round} block {block}");
+                    if rng.chance(0.3) {
+                        assert_eq!(
+                            flat.get(BlockAddr(block)).map(|p| *p),
+                            model.get(block),
+                            "get {at}"
+                        );
+                    } else {
+                        let evicted = flat
+                            .insert(BlockAddr(block), round)
+                            .map(|e| (e.block.0, e.payload));
+                        assert_eq!(evicted, model.insert(block, round), "insert {at}");
+                    }
+                    let probe = set + sets * rng.below(3 * ways as u64);
+                    assert_eq!(
+                        flat.victim_preview(BlockAddr(probe)).map(|b| b.0),
+                        model.victim_preview(probe),
+                        "victim_preview {at} probe {probe}"
+                    );
+                }
+            }
+            let contents: Vec<(u64, u64)> = flat.iter().map(|(b, &p)| (b.0, p)).collect();
+            assert_eq!(contents, model.contents(), "{sets}x{ways}");
         }
     }
 }
