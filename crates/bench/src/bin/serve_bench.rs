@@ -1,6 +1,6 @@
 //! Serve-path benchmark — cache economics plus saturation behaviour.
 //!
-//! Four sections, each with gated properties (exit 1 on violation):
+//! Five sections, each with gated properties (exit 1 on violation):
 //!
 //! 1. **Cold vs warm** (in-process): one configuration submitted cold (a
 //!    miss running the full simulation) and then hot in a loop (pure
@@ -15,14 +15,9 @@
 //!    cores (CI containers often expose one) pass vacuously and say so
 //!    via `gate_host_capable: false`, the same convention as the
 //!    `sim_throughput` speedup gate.
-//! 3. **Queue-full behaviour** (HTTP loopback): a deliberately tiny
-//!    server (1 worker, queue depth 1) against a barrier-synchronized
-//!    burst of distinct cold keys. Gates: every request is answered
-//!    (rejection is immediate backpressure, never a blocked connection —
-//!    zero deadlocks) and at least one request actually got the 503.
-//! 4. **Batch dedup** (in-process): `submit_batch` with K identical
+//! 3. **Batch dedup** (in-process): `submit_batch` with K identical
 //!    configs. Gate: exactly one simulation.
-//! 5. **Scale-out** (router + 2 local backends): a `tenways route`
+//! 4. **Scale-out** (router + 2 local backends): a `tenways route`
 //!    rendezvous router fronts two single-worker serve nodes. Gates:
 //!    a duplicate-heavy batch costs exactly one simulation per distinct
 //!    key **cluster-wide**; killing a backend mid-burst loses zero
@@ -30,7 +25,7 @@
 //!    with the cores to express it — a cold batch completes faster on
 //!    the 2-node cluster than on one node (`gate_host_capable: false`
 //!    passes vacuously on small hosts, as in section 2).
-//! 6. **Allocation counts** (in-process and loopback): allocations per
+//! 5. **Allocation counts** (in-process and loopback): allocations per
 //!    `SimConfig::cache_key`, per warm in-process `submit`, and per warm
 //!    `POST /run` direct to a node and through a router (client and
 //!    servers counted together), each counted by this binary's global
@@ -59,7 +54,7 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_waste::SimConfig;
 
 const ID: &str = "serve_bench";
-const TITLE: &str = "serve: cache economics, hot-key saturation, queue backpressure";
+const TITLE: &str = "serve: cache economics, hot-key saturation, scale-out";
 
 /// The gate: a warm hit (hash + memory lookup) must beat a cold miss
 /// (full simulation) by at least this factor. Conservative — measured
@@ -76,17 +71,14 @@ const HOT_CLIENTS: [usize; 3] = [1, 2, 4];
 /// expressible; below it the gate passes vacuously.
 const HOT_SCALING_MIN_CORES: usize = 4;
 
-/// Queue-full phase: clients × posts-per-client distinct cold keys
-/// against a 1-worker, 1-slot server. Seeds are pinned (never scaled by
-/// `TENWAYS_FAST`) so the rejection window is deterministic; this list
-/// is empirically vetted — simulation runtime at this scale is strongly
-/// seed-sensitive and these all land near 130 ms in release builds.
-const QF_CLIENTS: usize = 4;
-const QF_POSTS_PER_CLIENT: usize = 2;
+/// Seeds of the scale-out section's slow cold keys. Pinned (never scaled
+/// by `TENWAYS_FAST`) and empirically vetted: simulation runtime at this
+/// scale is strongly seed-sensitive, and these all land near 130 ms in
+/// release builds.
 const QF_SEEDS: [u64; 8] = [1, 2, 4, 6, 7, 8, 9, 10];
 
-/// A config slow enough (~130 ms simulated in release) to hold the
-/// queue-full server's single worker while the burst arrives.
+/// A config slow enough (~130 ms simulated in release) that a batch of
+/// them keeps a single-worker node busy.
 fn qf_config(seed: u64) -> SimConfig {
     SimConfig {
         workload: "oltp".to_string(),
@@ -97,7 +89,7 @@ fn qf_config(seed: u64) -> SimConfig {
     }
 }
 
-/// Section 6 reads allocations per operation off this allocator.
+/// Section 5 reads allocations per operation off this allocator.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -134,22 +126,18 @@ struct PhaseResult {
     req_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
-    /// Transport errors or unexpected statuses (0 on a healthy run).
+    /// Transport errors or statuses other than 200 (0 on a healthy run).
     failures: usize,
-    /// HTTP statuses seen, as (status, count).
-    statuses: Vec<(u16, usize)>,
 }
 
-/// Drives `clients` threads × `per_client` POSTs of `bodies` (round-robin
-/// per client) against a fresh listener on `service`. Every client
-/// starts at a barrier so the burst actually overlaps. `expect` is the
-/// set of statuses that count as success.
+/// Drives `clients` threads × `per_client` POSTs of `body` against a
+/// fresh listener on `service`. Every client starts at a barrier so the
+/// burst actually overlaps.
 fn run_phase(
     service: &Arc<SimService>,
-    bodies: &[String],
+    body: &str,
     clients: usize,
     per_client: usize,
-    expect: &[u16],
 ) -> PhaseResult {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
@@ -166,7 +154,7 @@ fn run_phase(
     // router (and any sane client) talks to the service.
     let barrier = Arc::new(Barrier::new(clients));
     let start = Instant::now();
-    let per_thread: Vec<(Vec<f64>, Vec<u16>, usize)> = std::thread::scope(|scope| {
+    let per_thread: Vec<(Vec<f64>, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let addr = addr.clone();
@@ -174,19 +162,14 @@ fn run_phase(
                 scope.spawn(move || {
                     let mut client = HttpClient::new(addr);
                     let mut latencies = Vec::with_capacity(per_client);
-                    let mut statuses = Vec::with_capacity(per_client);
                     let mut failures = 0usize;
                     barrier.wait();
-                    for i in 0..per_client {
-                        let body = &bodies[(c * per_client + i) % bodies.len()];
+                    for _ in 0..per_client {
                         let t0 = Instant::now();
                         match client.request("POST", "/run", Some(("application/json", body))) {
                             Ok(reply) => {
                                 latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-                                statuses.push(reply.status);
-                                if !expect.contains(&reply.status) {
-                                    failures += 1;
-                                }
+                                failures += usize::from(reply.status != 200);
                             }
                             Err(e) => {
                                 eprintln!("[{ID}] client {c} request failed: {e}");
@@ -194,7 +177,7 @@ fn run_phase(
                             }
                         }
                     }
-                    (latencies, statuses, failures)
+                    (latencies, failures)
                 })
             })
             .collect();
@@ -206,19 +189,11 @@ fn run_phase(
 
     let mut latencies: Vec<f64> = Vec::with_capacity(total);
     let mut failures = 0usize;
-    let mut status_counts: Vec<(u16, usize)> = Vec::new();
-    for (lats, statuses, fails) in per_thread {
+    for (lats, fails) in per_thread {
         latencies.extend(lats);
         failures += fails;
-        for status in statuses {
-            match status_counts.iter_mut().find(|(s, _)| *s == status) {
-                Some((_, n)) => *n += 1,
-                None => status_counts.push((status, 1)),
-            }
-        }
     }
     latencies.sort_by(|a, b| a.total_cmp(b));
-    status_counts.sort();
     PhaseResult {
         requests: total,
         wall_s,
@@ -230,7 +205,6 @@ fn run_phase(
         p50_us: percentile_us(&latencies, 0.50),
         p99_us: percentile_us(&latencies, 0.99),
         failures,
-        statuses: status_counts,
     }
 }
 
@@ -376,13 +350,7 @@ fn main() {
     let mut hot_rates: Vec<(usize, f64)> = Vec::new();
     let mut hot_failures = 0usize;
     for &clients in &HOT_CLIENTS {
-        let phase = run_phase(
-            &service,
-            std::slice::from_ref(&hot_body),
-            clients,
-            hot_per_client,
-            &[200],
-        );
+        let phase = run_phase(&service, &hot_body, clients, hot_per_client);
         println!(
             "hot-key   : {clients} client(s)  {:>8.0} req/s  p50 {:>7.0} us  p99 {:>7.0} us  ({} requests, {} failures)",
             phase.req_per_sec, phase.p50_us, phase.p99_us, phase.requests, phase.failures
@@ -427,71 +395,7 @@ fn main() {
         ("gate_hot_scaling", Json::Bool(gate_hot_scaling)),
     ]));
 
-    // ---- Section 3: queue-full burst against a tiny server ------------
-    // 1 worker, queue depth 1, and a barrier-aligned burst of distinct
-    // cold keys: at most one running + one queued at any moment, so the
-    // burst MUST see rejections — and every request must still get an
-    // immediate answer (backpressure, not blocked connections).
-    let qf_service = Arc::new(
-        SimService::new(ServeOptions {
-            workers: 1,
-            queue_depth: 1,
-            cache_dir: dir.join("queue-full"),
-            ..ServeOptions::default()
-        })
-        .expect("open queue-full cache"),
-    );
-    let qf_bodies: Vec<String> = QF_SEEDS
-        .iter()
-        .take(QF_CLIENTS * QF_POSTS_PER_CLIENT)
-        .map(|&seed| qf_config(seed).to_json().to_string())
-        .collect();
-    let qf = run_phase(
-        &qf_service,
-        &qf_bodies,
-        QF_CLIENTS,
-        QF_POSTS_PER_CLIENT,
-        &[200, 503],
-    );
-    let qf_rejected: usize = qf
-        .statuses
-        .iter()
-        .filter(|(s, _)| *s == 503)
-        .map(|(_, n)| n)
-        .sum();
-    let qf_ok: usize = qf
-        .statuses
-        .iter()
-        .filter(|(s, _)| *s == 200)
-        .map(|(_, n)| n)
-        .sum();
-    let answered: usize = qf.statuses.iter().map(|(_, n)| n).sum();
-    let gate_no_deadlock = answered == qf.requests && qf.failures == 0;
-    let gate_rejections_seen = qf_rejected >= 1;
-    println!(
-        "queue-full: {} requests -> {qf_ok} ok, {qf_rejected} rejected (rejected rate {:.0}%), all answered: {}",
-        qf.requests,
-        100.0 * qf_rejected as f64 / qf.requests as f64,
-        gate_no_deadlock
-    );
-    rows.push(Json::obj([
-        ("label", Json::from("loadgen/queue_full")),
-        ("clients", Json::from(QF_CLIENTS)),
-        ("requests", Json::from(qf.requests)),
-        ("wall_s", Json::from(qf.wall_s)),
-        ("ok", Json::from(qf_ok)),
-        ("rejected", Json::from(qf_rejected)),
-        (
-            "rejection_rate",
-            Json::from(qf_rejected as f64 / qf.requests as f64),
-        ),
-        ("p99_us", Json::from(qf.p99_us)),
-        ("server_rejected_counter", Json::U64(qf_service.rejected())),
-        ("gate_no_deadlock", Json::Bool(gate_no_deadlock)),
-        ("gate_rejections_seen", Json::Bool(gate_rejections_seen)),
-    ]));
-
-    // ---- Section 4: batch dedup (in-process) ---------------------------
+    // ---- Section 3: batch dedup (in-process) ---------------------------
     let bd_service = SimService::new(ServeOptions {
         workers: 2,
         cache_dir: dir.join("batch"),
@@ -528,7 +432,7 @@ fn main() {
         ("gate_batch_dedup", Json::Bool(gate_batch_dedup)),
     ]));
 
-    // ---- Section 5: scale-out (router + 2 local backends) --------------
+    // ---- Section 4: scale-out (router + 2 local backends) --------------
     // A rendezvous router fronts two single-worker serve nodes; the three
     // gates are the cluster-layer invariants: dedup stays global, a
     // backend kill loses nothing, and capacity grows out, not up.
@@ -537,9 +441,7 @@ fn main() {
     let router = Arc::new(
         Router::new(RouterOptions {
             backends: vec![b0.addr.clone(), b1.addr.clone()],
-            health_interval: Duration::from_millis(100),
-            retries: 4,
-            backoff: Duration::from_millis(25),
+            ..RouterOptions::default()
         })
         .expect("router starts"),
     );
@@ -556,7 +458,7 @@ fn main() {
     };
     let mut router_client = HttpClient::new(router_addr.clone());
 
-    // 5a: duplicate-heavy batch through the router — 8 distinct lu keys,
+    // 4a: duplicate-heavy batch through the router — 8 distinct lu keys,
     // 3 labelled submissions each. Dedup must hold *cluster-wide*: one
     // simulation per distinct key, however the keys shard.
     let dup_unique = 8usize;
@@ -602,7 +504,7 @@ fn main() {
         ("gate_cluster_dedup", Json::Bool(gate_cluster_dedup)),
     ]));
 
-    // 5b: capacity scales out — the same cold batch of slow oltp keys on
+    // 4b: capacity scales out — the same cold batch of slow oltp keys on
     // one node vs the 2-node cluster. Only expressible when the host has
     // cores for both backends to actually simulate concurrently AND the
     // rendezvous split gave each backend work; otherwise vacuous (and
@@ -663,7 +565,7 @@ fn main() {
     ]));
     single.stop();
 
-    // 5c: kill-and-reroute — re-post every capacity key as /run rounds,
+    // 4c: kill-and-reroute — re-post every capacity key as /run rounds,
     // killing backend 0 after the first round. The router must answer
     // every request with 200: backend 0's keyspace re-routes to the
     // survivor (which re-simulates what it never cached), and nothing is
@@ -728,7 +630,7 @@ fn main() {
     drop(router);
     b1.stop();
 
-    // ---- Section 6: allocation counts ---------------------------------
+    // ---- Section 5: allocation counts ---------------------------------
     // A fixed small config, so the counts do not move with TENWAYS_FAST:
     // its warm reply carries a ~2 KB record.
     let alloc_cfg = SimConfig {
@@ -747,7 +649,6 @@ fn main() {
         Router::new(RouterOptions {
             backends: vec![node.addr.clone()],
             health_interval: Duration::from_secs(3600),
-            ..RouterOptions::default()
         })
         .expect("router starts"),
     );
@@ -814,11 +715,6 @@ fn main() {
         (gate_zero_sims, "warm hits ran simulations"),
         (gate_speedup, "warm speedup below the floor"),
         (gate_hot_scaling, "hot-key load phase failed"),
-        (
-            gate_no_deadlock,
-            "queue-full burst left requests unanswered",
-        ),
-        (gate_rejections_seen, "queue-full burst saw no rejections"),
         (gate_batch_dedup, "batch dedup ran extra simulations"),
         (
             gate_cluster_dedup,

@@ -522,63 +522,23 @@ fn err_row(point: &SweepPoint, error: &str) -> Json {
     Json::Obj(pairs)
 }
 
-/// How many times server mode re-submits points the server's admission
-/// queue rejected, and the envelope of the jittered exponential backoff
-/// between rounds (see [`rejection_backoff`]).
-const REJECTION_ROUNDS: usize = 40;
-const REJECTION_BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(250);
-const REJECTION_BACKOFF_CAP: std::time::Duration = std::time::Duration::from_secs(5);
-
-/// The sleep before rejection-retry round `round` (1-based): exponential
-/// from [`REJECTION_BACKOFF_BASE`] capped at [`REJECTION_BACKOFF_CAP`],
-/// scaled by a deterministic per-client jitter factor in `[0.5, 1.5)`.
-/// The jitter matters more than the curve: a fixed interval would march
-/// every client rejected by the same saturated server (or router) back
-/// in lockstep, re-saturating the queue each round — the thundering
-/// herd this module exists to measure, not to cause. Hashing
-/// `salt ^ round` (splitmix64) decorrelates clients without pulling in
-/// a clock or an RNG dependency.
-fn rejection_backoff(salt: u64, round: usize) -> std::time::Duration {
-    let doublings = u32::try_from(round.saturating_sub(1))
-        .unwrap_or(u32::MAX)
-        .min(16);
-    let base = REJECTION_BACKOFF_BASE
-        .saturating_mul(1u32 << doublings.min(5))
-        .min(REJECTION_BACKOFF_CAP);
-    let mut z = salt ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-    base.mul_f64(0.5 + unit)
-}
-
-/// A per-client jitter seed: the process id folded with the server
-/// address, so concurrent sweep clients (and re-runs) spread out.
-fn rejection_salt(addr: &str) -> u64 {
-    addr.bytes().fold(u64::from(std::process::id()), |acc, b| {
-        acc.wrapping_mul(31).wrapping_add(u64::from(b))
-    })
-}
-
 /// [`run_sweep`] as a thin client of a running `tenways serve` instance
 /// (or a `tenways route` router fronting several — the router answers
 /// the identical `/batch` and `/stats` documents, so the address is
 /// interchangeable):
-/// the grid expands locally and goes to `POST /batch` in requests of at
-/// most [`MAX_BATCH_ITEMS`] points (the server canonicalizes,
+/// the grid expands locally and goes to `POST /batch` once, in requests
+/// of at most [`MAX_BATCH_ITEMS`] points (the server canonicalizes,
 /// deduplicates, answers warm keys from its cache and waits for the
-/// rest to simulate; dedup holds within a request), and points its
-/// admission queue `rejected` are re-submitted with backoff. The final
-/// document is the same `bench_rows.v1` layout `run_sweep` writes, with
-/// each ok row marked `"served": "cached"` or `"served": "computed"`.
+/// rest to simulate; dedup holds within a request). The final document
+/// is the same `bench_rows.v1` layout `run_sweep` writes, with each ok
+/// row marked `"served": "cached"` or `"served": "computed"`.
 ///
 /// # Errors
 ///
 /// Returns a message for infrastructure problems: a malformed grid, an
 /// unreachable server, a non-200 `/batch` answer, or an unwritable
-/// output directory. Per-point failures (including rejection retries
-/// running out) are reported in the rows, like every other sweep.
+/// output directory. Per-point failures (including a status this client
+/// does not know) are reported in the rows, like every other sweep.
 pub fn run_sweep_server(
     spec: &SweepSpec,
     addr: &str,
@@ -589,86 +549,58 @@ pub fn run_sweep_server(
         .map_err(|e| format!("cannot create {}: {e}", params.out_dir.display()))?;
     let final_path = params.out_dir.join(format!("{}.json", spec.id));
 
-    let mut rows: Vec<Option<Json>> = vec![None; points.len()];
+    let mut rows: Vec<Json> = Vec::with_capacity(points.len());
     let mut cached = 0usize;
-    let mut todo: Vec<usize> = (0..points.len()).collect();
-    let mut rounds = 0usize;
-    while !todo.is_empty() {
-        let mut rejected: Vec<usize> = Vec::new();
-        for chunk in todo.chunks(MAX_BATCH_ITEMS) {
-            let body = batch_body(chunk.iter().map(|&i| (&points[i].label, &points[i].config)));
-            let reply = http_request(addr, "POST", "/batch", Some(("application/json", &body)))?;
-            if reply.status != 200 {
-                return Err(format!(
-                    "server {addr} answered {} to /batch: {}",
-                    reply.status, reply.body
-                ));
+    for chunk in points.chunks(MAX_BATCH_ITEMS) {
+        let body = batch_body(chunk.iter().map(|p| (&p.label, &p.config)));
+        let reply = http_request(addr, "POST", "/batch", Some(("application/json", &body)))?;
+        if reply.status != 200 {
+            return Err(format!(
+                "server {addr} answered {} to /batch: {}",
+                reply.status, reply.body
+            ));
+        }
+        let results = reply
+            .body
+            .get("results")
+            .and_then(Json::as_array)
+            .ok_or_else(|| format!("server {addr} sent a /batch body without results"))?;
+        if results.len() != chunk.len() {
+            return Err(format!(
+                "server {addr} answered {} results for {} configs",
+                results.len(),
+                chunk.len()
+            ));
+        }
+        for (point, item) in chunk.iter().zip(results) {
+            let verdict = item.get("status").and_then(Json::as_str).unwrap_or("?");
+            if params.verbose {
+                eprintln!("[sweep {}] server {verdict} {}", spec.id, point.label);
             }
-            let results = reply
-                .body
-                .get("results")
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("server {addr} sent a /batch body without results"))?;
-            if results.len() != chunk.len() {
-                return Err(format!(
-                    "server {addr} answered {} results for {} configs",
-                    results.len(),
-                    chunk.len()
-                ));
-            }
-            for (&i, item) in chunk.iter().zip(results) {
-                let verdict = item.get("status").and_then(Json::as_str).unwrap_or("?");
-                if params.verbose {
-                    eprintln!("[sweep {}] server {verdict} {}", spec.id, points[i].label);
+            rows.push(match (verdict, item.get("record")) {
+                ("cached", Some(record)) => {
+                    cached += 1;
+                    record_json_row(point, record, ("served", "cached"))
                 }
-                match (verdict, item.get("record")) {
-                    ("cached", Some(record)) => {
-                        rows[i] = Some(record_json_row(&points[i], record, ("served", "cached")));
-                        cached += 1;
-                    }
-                    ("computed", Some(record)) => {
-                        rows[i] = Some(record_json_row(&points[i], record, ("served", "computed")));
-                    }
-                    ("rejected", _) => rejected.push(i),
-                    ("failed", _) => {
-                        let error = item
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("server reported failure");
-                        rows[i] = Some(err_row(&points[i], error));
-                    }
-                    (other, _) => {
-                        rows[i] = Some(err_row(
-                            &points[i],
-                            &format!("unrecognized server batch status `{other}`"),
-                        ));
-                    }
+                ("computed", Some(record)) => {
+                    record_json_row(point, record, ("served", "computed"))
                 }
-            }
+                ("failed", _) => {
+                    let error = item
+                        .get("error")
+                        .and_then(Json::as_str)
+                        .unwrap_or("server reported failure");
+                    err_row(point, error)
+                }
+                (other, _) => err_row(
+                    point,
+                    &format!("unrecognized server batch status `{other}`"),
+                ),
+            });
         }
-        if rejected.is_empty() {
-            break;
-        }
-        rounds += 1;
-        if rounds > REJECTION_ROUNDS {
-            for i in rejected {
-                rows[i] = Some(err_row(
-                    &points[i],
-                    "server admission queue stayed full through every retry",
-                ));
-            }
-            break;
-        }
-        std::thread::sleep(rejection_backoff(rejection_salt(addr), rounds));
-        todo = rejected;
     }
 
-    let total = points.len();
-    let rows: Vec<Json> = rows
-        .into_iter()
-        .map(|r| r.expect("every point has a row"))
-        .collect();
-    let (doc, ok, failed) = sweep_doc(spec, total, rows);
+    let (doc, ok, failed) = sweep_doc(spec, points.len(), rows);
     crate::write_json_atomic(&final_path, &doc)?;
     Ok(SweepReport {
         path: final_path,
@@ -873,6 +805,54 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_batch_waits_its_turn_in_one_request() {
+        use crate::serve::{serve_http, ServeOptions, SimService};
+        use std::sync::Arc;
+
+        // 320 distinct cold keys on one worker: every miss queues for the
+        // worker, and the one post waits until all 320 records land.
+        let root = tmp_dir("one-post");
+        let svc = Arc::new(
+            SimService::new(ServeOptions {
+                workers: 1,
+                cache_dir: root.join("srv-cache"),
+                ..ServeOptions::default()
+            })
+            .unwrap(),
+        );
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || serve_http(svc, listener, Some(1), false))
+        };
+
+        let seeds: Vec<String> = (1..=320).map(|s| s.to_string()).collect();
+        let grid = format!(
+            "workload = \"lu\"\nthreads = 2\nscale = 1\n\n[grid]\nseed = [{}]\n",
+            seeds.join(", ")
+        );
+        let spec = SweepSpec::from_toml_str(&grid, "one-post").unwrap();
+        let params = SweepParams {
+            out_dir: root.join("out"),
+            ..SweepParams::default()
+        };
+        let report = run_sweep_server(&spec, &addr, &params).unwrap();
+        server.join().unwrap().unwrap();
+        assert_eq!((report.ok, report.failed), (320, 0));
+        let rows = report.doc.get("rows").and_then(Json::as_array).unwrap();
+        assert!(rows
+            .iter()
+            .all(|r| r.get("served").and_then(Json::as_str) == Some("computed")));
+        let stats = svc.stats_json();
+        for (counter, value) in [("requests", 1), ("sim_runs", 320), ("queue_depth", 0)] {
+            assert_eq!(stats.get(counter), Some(&Json::U64(value)), "{counter}");
+        }
+        assert!(stats.get("rejected").is_none(), "{stats}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn server_mode_posts_an_over_limit_grid_in_chunks() {
         use crate::serve::{serve_http, ServeOptions, SimService};
         use std::sync::Arc;
@@ -915,26 +895,5 @@ mod tests {
         let requests = svc.stats_json().get("requests").and_then(Json::as_u64);
         assert_eq!(requests, Some(2), "1 025 points go out in two posts");
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn rejection_backoff_is_jittered_within_its_envelope() {
-        // Every round stays inside [0.5, 1.5) of its exponential base,
-        // the base caps, and distinct clients genuinely decorrelate.
-        let base_ms = [250u64, 500, 1000, 2000, 4000, 5000, 5000, 5000];
-        for (round, &base) in (1..=8).zip(&base_ms) {
-            for salt in [rejection_salt("127.0.0.1:7417"), rejection_salt("router:9")] {
-                let ms = rejection_backoff(salt, round).as_millis() as u64;
-                assert!(
-                    ms >= base / 2 && ms < base + base / 2,
-                    "round {round}: {ms}ms outside [{}, {})",
-                    base / 2,
-                    base + base / 2
-                );
-            }
-        }
-        let a: Vec<_> = (1..=8).map(|r| rejection_backoff(1, r)).collect();
-        let b: Vec<_> = (1..=8).map(|r| rejection_backoff(2, r)).collect();
-        assert_ne!(a, b, "two clients must not sleep in lockstep");
     }
 }

@@ -17,7 +17,9 @@
 //! connection per call), the pooled [`HttpClient`] (the router forwards
 //! through a per-backend pool of them), and the router's health probes.
 //!
-//! **Bodies.** A response body is rendered text, sent as it is: a compact
+//! **Bodies.** A response is a status and a body (`Response`); the
+//! writer adds only `Content-Type`, `Content-Length` and `Connection`.
+//! The body is rendered text, sent as it is: a compact
 //! JSON document and a newline. A client keeps the text it received
 //! beside the parsed document ([`HttpReply::text`]), so the router relays
 //! a backend's reply without rendering it again. A reader either parses
@@ -101,18 +103,14 @@ pub(crate) struct HttpRequest {
     pub(crate) keep_alive: bool,
 }
 
-/// One response: status, extra headers, and the body as sent.
-pub(crate) type Response = (u16, Vec<(&'static str, String)>, String);
+/// One response: status and the body as sent.
+pub(crate) type Response = (u16, String);
 
 /// A response whose body is the rendered JSON document `text` and a
 /// newline.
-pub(crate) fn reply(
-    status: u16,
-    headers: Vec<(&'static str, String)>,
-    mut text: String,
-) -> Response {
+pub(crate) fn reply(status: u16, mut text: String) -> Response {
     text.push('\n');
-    (status, headers, text)
+    (status, text)
 }
 
 /// Wire counters of one front end (monotonic since start). The two that
@@ -133,7 +131,7 @@ impl HttpCounters {
     /// Counts one malformed request and answers it with an error document.
     pub(crate) fn bad_request(&self, status: u16, message: &str) -> Response {
         self.bad_requests.fetch_add(1, Ordering::Relaxed);
-        reply(status, Vec::new(), error_doc(message))
+        reply(status, error_doc(message))
     }
 }
 
@@ -231,13 +229,13 @@ fn connection_loop<H: Handler>(
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(e) => {
-                let (status, headers, body) = counters.bad_request(400, &e);
-                write_response(&mut stream, status, &headers, &body, false);
+                let (status, body) = counters.bad_request(400, &e);
+                write_response(&mut stream, status, &body, false);
                 return;
             }
         };
         counters.requests.incr();
-        let (status, headers, body) = handler.handle(&request);
+        let (status, body) = handler.handle(&request);
         if verbose {
             eprintln!(
                 "[{}] {} {} -> {status}",
@@ -247,7 +245,7 @@ fn connection_loop<H: Handler>(
             );
         }
         let keep = request.keep_alive && !shutdown.load(Ordering::Relaxed);
-        write_response(&mut stream, status, &headers, &body, keep);
+        write_response(&mut stream, status, &body, keep);
         if !keep {
             return;
         }
@@ -420,26 +418,16 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response with a JSON body (plus any extra headers). The
-/// `Connection` header tells the client whether the server will read
-/// another request from this socket.
-fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &str,
-    keep_alive: bool,
-) {
+/// Writes one response with a JSON body. The `Connection` header tells
+/// the client whether the server will read another request from this
+/// socket.
+fn write_response(writer: &mut impl Write, status: u16, body: &str, keep_alive: bool) {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         status_reason(status),
         body.len()
     );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
     // One write for head + body: a split write would let Nagle hold the
     // body back until the head's delayed ACK (~40 ms per response on a
     // persistent connection).
@@ -849,19 +837,30 @@ mod tests {
         assert_eq!(read.unwrap().unwrap().path, "/");
     }
 
+    /// `wire` with `header` (a whole line) after its status line, as a
+    /// server that sends one more header writes it.
+    fn with_header(wire: &[u8], header: &str) -> Vec<u8> {
+        let status_end = wire
+            .windows(2)
+            .position(|w| w == b"\r\n")
+            .expect("a status line")
+            + 2;
+        [&wire[..status_end], header.as_bytes(), &wire[status_end..]].concat()
+    }
+
     #[test]
     fn written_response_reads_back_through_the_reply_reader() {
         let doc = Json::obj([("ok", Json::Bool(true))]);
-        let (status, headers, body) =
-            reply(503, vec![("Retry-After", "1".to_string())], doc.to_string());
+        let (status, body) = reply(503, doc.to_string());
         let mut wire = Vec::new();
-        write_response(&mut wire, status, &headers, &body, false);
+        write_response(&mut wire, status, &body, false);
+        let mut wire = with_header(&wire, "X-Request-Id: 7\r\n");
         // Bytes past the Content-Length are not part of the reply.
         wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
         let chunks: Vec<&[u8]> = wire.chunks(7).collect();
         let reply = read_reply(&mut Trickle::new(&chunks), ReplyBody::Parse).unwrap();
         assert_eq!(reply.status, 503);
-        assert_eq!(reply.header("Retry-After"), Some("1"));
+        assert_eq!(reply.header("x-request-id"), Some("7"));
         assert_eq!(reply.header("connection"), Some("close"));
         assert_eq!(reply.body.to_string(), doc.to_string());
         assert_eq!(reply.text, format!("{doc}\n"), "the body as written");
@@ -924,29 +923,29 @@ mod tests {
         seeds
     }
 
-    /// Replies as [`write_response`] writes them, with their statuses and
-    /// bodies.
+    /// Replies as [`write_response`] writes them, one with a header more,
+    /// with their statuses and bodies.
     fn reply_seeds() -> Vec<(Vec<u8>, u16, String)> {
         let record = Json::obj([("label", Json::from("é \" \\ \n")), ("n", Json::U64(1))]);
         [
-            reply(200, Vec::new(), Json::obj([("record", record)]).to_string()),
-            reply(
-                500,
-                Vec::new(),
-                error_doc("simulation failed: invalid machine: dram_occupancy must be non-zero"),
+            (reply(200, Json::obj([("record", record)]).to_string()), ""),
+            (
+                reply(
+                    500,
+                    error_doc(
+                        "simulation failed: invalid machine: dram_occupancy must be non-zero",
+                    ),
+                ),
+                "",
             ),
-            reply(
-                503,
-                vec![("Retry-After", "1".to_string())],
-                error_doc("queue full"),
-            ),
-            reply(404, Vec::new(), error_doc("no such endpoint: GET /x")),
+            (reply(503, error_doc("not cached")), "X-Request-Id: 7\r\n"),
+            (reply(404, error_doc("no such endpoint: GET /x")), ""),
         ]
         .into_iter()
-        .map(|(status, headers, body)| {
+        .map(|((status, body), header)| {
             let mut wire = Vec::new();
-            write_response(&mut wire, status, &headers, &body, status == 200);
-            (wire, status, body)
+            write_response(&mut wire, status, &body, status == 200);
+            (with_header(&wire, header), status, body)
         })
         .collect()
     }
@@ -1156,7 +1155,7 @@ mod tests {
         let body = report.to_response_json();
         assert!(body.len() > 5 * MAX_REPLY_BYTES / 6, "{} bytes", body.len());
         let mut wire = Vec::new();
-        write_response(&mut wire, 200, &[], &body, true);
+        write_response(&mut wire, 200, &body, true);
         for mode in [ReplyBody::Validate, ReplyBody::Parse] {
             let reply = read_reply(&mut &wire[..], mode).unwrap();
             assert_eq!(reply.text, body);

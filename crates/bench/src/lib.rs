@@ -51,8 +51,8 @@ pub use router::{
     route_http, Router, RouterOptions, CLUSTER_STATS_SCHEMA_VERSION, SERVE_CLUSTER_STATS_SCHEMA,
 };
 pub use serve::{
-    batch_body, serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus, ServeError,
-    ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS,
+    batch_body, check_workers, serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus,
+    ServeError, ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS, MAX_WORKERS,
     SERVE_RESPONSE_SCHEMA_VERSION,
 };
 pub use sweep::parallel_map;

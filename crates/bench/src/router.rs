@@ -24,22 +24,23 @@
 //!   Down backends drop out of the rendezvous ranking, so their keyspace
 //!   re-routes to the survivors; requests in flight on a draining
 //!   backend still finish (the serve side answers, then closes).
-//! * **Bounded retry + backoff.** A forward that hits a connect failure
-//!   or a 503 is retried up to [`RouterOptions::retries`] times with
-//!   exponential backoff, re-resolving the owner each attempt so a retry
-//!   after a mark-down lands on a survivor. Past the bound the router
-//!   answers 503 — backpressure propagates, it does not amplify.
+//! * **Each backend at most once.** A `/run` forward tries the key's
+//!   ranked live backends in order and relays the first reply it gets,
+//!   whatever its status: a backend's 503 is as deterministic as its
+//!   200, so asking again would only add latency. A transport failure
+//!   marks that backend down and moves on to the next; with none left
+//!   the router answers 503 itself. Nothing sleeps.
 //! * **Pooled keep-alive connections.** Forwards go through a small
 //!   per-backend pool of [`HttpClient`]s; a send failure on a pooled
 //!   socket (the backend may have idle-closed it) is retried once on a
 //!   fresh connection before counting as a backend failure.
 //! * **Lock-free counters.** The router's own request counters are
 //!   sharded/atomic ([`ShardedCounter`]); `GET /stats` aggregates them
-//!   with each live backend's `/stats` into a `serve_cluster_stats.v1`
+//!   with each live backend's `/stats` into a `serve_cluster_stats.v2`
 //!   document (per-backend detail + cluster totals).
 //!
 //! Endpoints: `POST /run` proxies to the owning shard, relaying its
-//! status, `Retry-After` and body text unchanged. A routed `/run` builds
+//! status and body text unchanged. A routed `/run` builds
 //! no JSON tree: the router decodes the config once, renders its
 //! canonical text ([`SimConfig::canonical_text`]), keys it by
 //! that text's SHA-256 and forwards the same text as the backend's body,
@@ -48,10 +49,11 @@
 //! that marks the backend down, but no reply is built into a tree only to
 //! be dropped. `POST /batch` splits into
 //! per-backend sub-batches, posts them concurrently, and merges the
-//! parsed per-key statuses back into input order;
+//! parsed per-key statuses back into input order (a sub-batch that fails
+//! marks its backend down and only its keys regroup over the rest);
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
 //! backend census. Clients need no changes: the router speaks the same
-//! `serve_response.v3`/`serve_batch.v1` documents as a single backend
+//! `serve_response.v4`/`serve_batch.v1` documents as a single backend
 //! over the same HTTP layer ([`crate::http`]), so `tenways sweep
 //! --server` points at a router transparently.
 
@@ -74,11 +76,11 @@ use crate::serve::{
 };
 
 /// Version of the `GET /stats` aggregation document; bumped on any
-/// breaking change. Mirrored in `results/schema/serve_cluster_stats.v1.json`.
-pub const CLUSTER_STATS_SCHEMA_VERSION: u64 = 1;
+/// breaking change. Mirrored in `results/schema/serve_cluster_stats.v2.json`.
+pub const CLUSTER_STATS_SCHEMA_VERSION: u64 = 2;
 
 /// File name of the published cluster-stats schema under `results/schema/`.
-pub const SERVE_CLUSTER_STATS_SCHEMA: &str = "serve_cluster_stats.v1.json";
+pub const SERVE_CLUSTER_STATS_SCHEMA: &str = "serve_cluster_stats.v2.json";
 
 /// Health-probe connect timeout: a probe is cheap and frequent, so it
 /// gives up fast — the next interval retries anyway.
@@ -94,9 +96,6 @@ const MONITOR_SLICE: Duration = Duration::from_millis(25);
 /// are simply closed (the backend reclaims its handler thread).
 const POOL_CAP: usize = 16;
 
-/// The `Retry-After` seconds a router-level 503 advertises.
-const ROUTE_RETRY_AFTER_S: u64 = 1;
-
 /// Tuning for a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterOptions {
@@ -104,10 +103,6 @@ pub struct RouterOptions {
     pub backends: Vec<String>,
     /// How often the monitor probes each backend's `/healthz`.
     pub health_interval: Duration,
-    /// Extra attempts per forwarded request on 503 / connect failure.
-    pub retries: u32,
-    /// Base backoff between attempts, doubled each retry.
-    pub backoff: Duration,
 }
 
 impl Default for RouterOptions {
@@ -115,8 +110,6 @@ impl Default for RouterOptions {
         RouterOptions {
             backends: Vec::new(),
             health_interval: Duration::from_millis(500),
-            retries: 3,
-            backoff: Duration::from_millis(50),
         }
     }
 }
@@ -176,13 +169,14 @@ struct RouterCounters {
     http: HttpCounters,
     /// Backend responses successfully relayed to a client.
     proxied: ShardedCounter,
-    /// Extra forward attempts taken (503 or transport failure).
+    /// Re-forwards after a mark-down: a `/run` moving on to its next
+    /// live backend, or a batch round regrouping a failed sub-batch's keys.
     retries: AtomicU64,
     /// Requests answered by a backend other than their full-membership
     /// rendezvous owner (i.e. served by a survivor during an outage).
     rerouted: AtomicU64,
-    /// Requests the router gave up on (no live backend / retry budget
-    /// exhausted) and answered 503 itself.
+    /// Requests the router answered 503 itself: no live backend was left
+    /// to try.
     rejected: AtomicU64,
 }
 
@@ -190,8 +184,6 @@ struct RouterCounters {
 #[derive(Debug)]
 pub struct Router {
     backends: Vec<Arc<Backend>>,
-    retries: u32,
-    backoff: Duration,
     counters: RouterCounters,
     shutdown: Arc<AtomicBool>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -243,8 +235,6 @@ impl Router {
         };
         Ok(Router {
             backends,
-            retries: options.retries,
-            backoff: options.backoff,
             counters: RouterCounters::default(),
             shutdown,
             monitor: Mutex::new(Some(monitor)),
@@ -292,37 +282,29 @@ impl Router {
         }
     }
 
-    /// Forwards one `POST /run` body, the canonical text keyed `key`, to
-    /// its owner, retrying with backoff on 503 and transport failure, and
+    /// Forwards one `POST /run` body, the canonical text keyed `key`, and
     /// returns the reply to relay (its body validated, not parsed). The
-    /// key is ranked once; each attempt takes the first ranked backend
-    /// that is up, so a mark-down re-routes the retry to the key's
-    /// next-ranked live backend.
+    /// key's ranked backends that are up are tried in order, each at most
+    /// once: the first reply, whatever its status, is relayed, and a
+    /// transport failure marks that backend down and moves on to the next.
     ///
     /// # Errors
     ///
-    /// Returns a message when no backend is live or the retry budget is
-    /// exhausted on transport failures (a relayed 503 is an `Ok` reply).
+    /// Returns a message when no live backend is left to try: the last
+    /// transport failure, or `no live backend` when none was up.
     fn forward(&self, key: &str, body: &str) -> Result<HttpReply, String> {
         let ranked = self.rank(key);
-        let mut backoff = self.backoff;
-        let mut attempt = 0u32;
-        loop {
-            let live = ranked
-                .iter()
-                .copied()
-                .find(|&i| self.backends[i].up.load(Ordering::Relaxed));
-            let Some(idx) = live else {
-                return Err("no live backend".to_string());
-            };
+        let mut failure = None;
+        for &idx in &ranked {
             let backend = &self.backends[idx];
+            if !backend.up.load(Ordering::Relaxed) {
+                continue;
+            }
+            if failure.is_some() {
+                self.counters.retries.fetch_add(1, Ordering::Relaxed);
+            }
             let run = Some(("application/json", body));
             match self.backend_request(backend, ReplyBody::Validate, "POST", "/run", run) {
-                Ok(reply) if reply.status == 503 && attempt < self.retries => {
-                    // Backend backpressure (full admission queue): back
-                    // off and retry; the backend is alive, so the owner
-                    // stays the same unless the monitor says otherwise.
-                }
                 Ok(reply) => {
                     if idx != ranked[0] {
                         self.counters.rerouted.fetch_add(1, Ordering::Relaxed);
@@ -332,16 +314,11 @@ impl Router {
                 }
                 Err(e) => {
                     self.mark_down(idx);
-                    if attempt >= self.retries {
-                        return Err(format!("backend {}: {e}", self.backends[idx].addr));
-                    }
+                    failure = Some(format!("backend {}: {e}", backend.addr));
                 }
             }
-            attempt += 1;
-            self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(backoff);
-            backoff = backoff.saturating_mul(2);
         }
+        Err(failure.unwrap_or_else(|| "no live backend".to_string()))
     }
 
     /// One request to one backend through its client pool. A failure on
@@ -369,10 +346,11 @@ impl Router {
 
     /// Splits a batch into per-owner sub-batches, posts them to their
     /// backends concurrently, and merges the per-key statuses back into
-    /// input order. A sub-batch whose backend fails mid-post is
-    /// re-grouped over the survivors (the failed backend is already
-    /// marked down) for up to `retries` extra rounds; keys that still
-    /// cannot be placed report `rejected`. Returns the rendered reply.
+    /// input order. A sub-batch whose reply is not a 200 answering every
+    /// key it was sent marks its backend down, and only its keys regroup
+    /// over the backends still up, for at most one round per backend;
+    /// keys left with no live backend report `failed`. Returns the
+    /// rendered reply.
     fn forward_batch(&self, configs: &[(String, SimConfig)]) -> String {
         let keys: Vec<String> = configs.iter().map(|(_, cfg)| cfg.cache_key()).collect();
         // Distinct keys, first-appearance order: the cluster-wide dedup
@@ -381,28 +359,28 @@ impl Router {
         let mut todo = first_appearances(keys.iter().map(String::as_str));
         let unique = todo.len();
         let mut statuses: HashMap<&str, Json> = HashMap::new();
-        let mut backoff = self.backoff;
-        for round in 0..=self.retries {
+        // Keys whose ranking holds no live backend.
+        let mut stranded = Vec::new();
+        // Each failed round marks a backend down, so one round per
+        // backend places every key or runs out of backends.
+        for round in 0..self.backends.len() {
             if todo.is_empty() {
                 break;
             }
             if round > 0 {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2);
             }
             // Group the remaining keys by their current live owner.
             let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-            let mut unroutable = Vec::new();
             for i in todo.drain(..) {
                 match self.owner(&keys[i]) {
                     Some(idx) => groups.entry(idx).or_default().push(i),
-                    None => unroutable.push(i),
+                    None => stranded.push(i),
                 }
             }
             // Post the sub-batches concurrently — this fan-out is where
             // the cluster simulates shards in parallel.
-            let outcomes: Vec<(Vec<usize>, Result<HttpReply, String>)> =
+            let outcomes: Vec<(usize, Vec<usize>, Result<HttpReply, String>)> =
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = groups
                         .into_iter()
@@ -418,52 +396,32 @@ impl Router {
                                     "/batch",
                                     Some(("application/json", &body)),
                                 );
-                                if reply.is_err() {
-                                    self.mark_down(idx);
-                                }
-                                (group, reply)
+                                (idx, group, reply)
                             })
                         })
                         .collect();
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 });
-            todo = unroutable;
-            for (group, outcome) in outcomes {
-                match outcome {
-                    Ok(reply) if reply.status == 200 => {
+            for (idx, group, outcome) in outcomes {
+                let sent: Vec<&str> = group.iter().map(|&i| keys[i].as_str()).collect();
+                match outcome.ok().and_then(|reply| batch_items(&reply, &sent)) {
+                    Some(items) => {
                         self.counters.proxied.incr();
-                        let mut by_key: HashMap<String, Json> = HashMap::new();
-                        if let Some(results) = reply.body.get("results").and_then(Json::as_array) {
-                            for item in results {
-                                if let Some(key) = item.get("key").and_then(Json::as_str) {
-                                    by_key.insert(key.to_string(), item.clone());
-                                }
-                            }
-                        }
-                        for i in group {
-                            match by_key.remove(&keys[i]) {
-                                Some(doc) => {
-                                    statuses.insert(&keys[i], doc);
-                                }
-                                // The backend's report is missing the key
-                                // (should not happen): try again.
-                                None => todo.push(i),
-                            }
-                        }
+                        statuses.extend(sent.into_iter().zip(items));
                     }
-                    // A non-200 batch response or a transport failure:
-                    // the whole group re-groups over the survivors.
-                    Ok(_) | Err(_) => todo.extend(group),
+                    None => {
+                        self.mark_down(idx);
+                        todo.extend(group);
+                    }
                 }
             }
         }
-        for i in todo {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        for i in stranded.into_iter().chain(todo) {
             statuses.insert(
                 &keys[i],
                 Json::obj([
                     ("key", Json::from(keys[i].as_str())),
-                    ("status", Json::from("rejected")),
+                    ("status", Json::from("failed")),
                     ("error", Json::from("no live backend")),
                 ]),
             );
@@ -502,12 +460,11 @@ impl Router {
             ("rejected", load(&c.rejected)),
             ("bad_requests", load(&c.http.bad_requests)),
         ]);
-        const SUMMED: [&str; 8] = [
+        const SUMMED: [&str; 7] = [
             "requests",
             "hits",
             "misses",
             "joined",
-            "rejected",
             "sim_runs",
             "sim_failures",
             "connections",
@@ -629,14 +586,28 @@ fn monitor_loop(backends: &[Arc<Backend>], interval: Duration, shutdown: &Atomic
     }
 }
 
-/// Relays a backend reply to the client: its status, `Retry-After`, and
-/// its body text as received.
-fn relay(reply: HttpReply) -> Response {
-    let mut headers = Vec::new();
-    if let Some(v) = reply.header("retry-after") {
-        headers.push(("Retry-After", v.to_string()));
+/// The result items of a backend's `/batch` reply for the keys it was
+/// `sent`, in that order: `None` unless the reply is a 200 answering
+/// every one of them.
+fn batch_items(reply: &HttpReply, sent: &[&str]) -> Option<Vec<Json>> {
+    if reply.status != 200 {
+        return None;
     }
-    (reply.status, headers, reply.text)
+    let mut by_key: HashMap<&str, &Json> = HashMap::new();
+    for item in reply.body.get("results").and_then(Json::as_array)? {
+        if let Some(key) = item.get("key").and_then(Json::as_str) {
+            by_key.insert(key, item);
+        }
+    }
+    sent.iter()
+        .map(|key| by_key.get(key).map(|&item| item.clone()))
+        .collect()
+}
+
+/// Relays a backend reply to the client: its status and its body text
+/// as received.
+fn relay(reply: HttpReply) -> Response {
+    (reply.status, reply.text)
 }
 
 impl Handler for Router {
@@ -647,15 +618,10 @@ impl Handler for Router {
     }
 
     fn handle(&self, request: &HttpRequest) -> Response {
-        let plain = |status: u16, text: String| reply(status, Vec::new(), text);
         let bad_request = |status, message: &str| self.counters.http.bad_request(status, message);
         let give_up = |e: String| {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            reply(
-                503,
-                vec![("Retry-After", ROUTE_RETRY_AFTER_S.to_string())],
-                error_doc(&e),
-            )
+            reply(503, error_doc(&e))
         };
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/run") => {
@@ -675,13 +641,13 @@ impl Handler for Router {
                 }
             }
             ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
-                Ok(configs) => plain(200, self.forward_batch(&configs)),
+                Ok(configs) => reply(200, self.forward_batch(&configs)),
                 Err(e) => bad_request(400, &e),
             },
-            ("GET", "/stats") => plain(200, self.cluster_stats_json().to_string()),
+            ("GET", "/stats") => reply(200, self.cluster_stats_json().to_string()),
             ("GET", "/healthz") => {
                 let up = self.backends_up();
-                plain(
+                reply(
                     200,
                     Json::obj([
                         ("ok", Json::Bool(up > 0)),
@@ -736,7 +702,8 @@ mod tests {
         }
     }
 
-    /// One in-process serve backend on an ephemeral port.
+    /// One in-process serve backend on an ephemeral port, with `workers`
+    /// simulation workers (`0` is cache-only).
     struct TestBackend {
         svc: Arc<SimService>,
         addr: String,
@@ -746,11 +713,11 @@ mod tests {
     }
 
     impl TestBackend {
-        fn start(tag: &str) -> TestBackend {
+        fn start(tag: &str, workers: usize) -> TestBackend {
             let dir = tmp_dir(tag);
             let svc = Arc::new(
                 SimService::new(ServeOptions {
-                    workers: 1,
+                    workers,
                     cache_dir: dir.clone(),
                     ..ServeOptions::default()
                 })
@@ -804,14 +771,12 @@ mod tests {
     impl TestCluster {
         fn start(tag: &str, n: usize) -> TestCluster {
             let backends: Vec<TestBackend> = (0..n)
-                .map(|i| TestBackend::start(&format!("{tag}-b{i}")))
+                .map(|i| TestBackend::start(&format!("{tag}-b{i}"), 1))
                 .collect();
             let router = Arc::new(
                 Router::new(RouterOptions {
                     backends: backends.iter().map(|b| b.addr.clone()).collect(),
                     health_interval: Duration::from_millis(50),
-                    retries: 4,
-                    backoff: Duration::from_millis(10),
                 })
                 .unwrap(),
             );
@@ -1083,7 +1048,7 @@ mod tests {
     #[test]
     fn batch_reply_through_a_router_is_byte_identical_to_a_nodes() {
         let cluster = TestCluster::start("identity", 1);
-        let twin = TestBackend::start("identity-twin");
+        let twin = TestBackend::start("identity-twin", 1);
         let configs = [
             ("a", small_cfg(1)),
             (
@@ -1187,6 +1152,75 @@ mod tests {
         assert!(via_router.text.ends_with("}\n"), "one trailing newline");
     }
 
+    /// A `POST` of `body` to `path`, as the request loop hands it over.
+    fn post(path: &str, body: String) -> HttpRequest {
+        HttpRequest {
+            method: "POST".to_string(),
+            path: path.to_string(),
+            content_type: "application/json".to_string(),
+            body,
+            keep_alive: true,
+        }
+    }
+
+    #[test]
+    fn a_backends_503_is_relayed_after_one_forward() {
+        // A cache-only backend refuses a miss, and would refuse it again:
+        // the router relays the refusal at once instead of asking again.
+        let backend = TestBackend::start("cache-only", 0);
+        let router = Router::new(RouterOptions {
+            backends: vec![backend.addr.clone()],
+            ..RouterOptions::default()
+        })
+        .unwrap();
+        let body = small_cfg(1).to_json().to_string();
+        let direct = crate::http::http_request(
+            &backend.addr,
+            "POST",
+            "/run",
+            Some(("application/json", &body)),
+        )
+        .unwrap();
+        assert_eq!(direct.status, 503, "{}", direct.text);
+        let (status, text) = router.handle(&post("/run", body));
+        assert_eq!(status, 503, "{text}");
+        assert_eq!(text, direct.text, "the backend's body, relayed");
+        assert_eq!(router.counters.retries.load(Ordering::Relaxed), 0);
+        assert_eq!(router.backends[0].forwarded.sum(), 1);
+        assert_eq!(router.counters.rejected.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_batch_with_no_live_backend_fails_at_once() {
+        // Nothing listens on either address: both backends are down from
+        // the start, so no key has an owner and nothing is forwarded.
+        let dead: Vec<String> = (0..2)
+            .map(|_| {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                listener.local_addr().unwrap().to_string()
+            })
+            .collect();
+        let router = Router::new(RouterOptions {
+            backends: dead,
+            health_interval: Duration::from_secs(600),
+        })
+        .unwrap();
+        assert_eq!(router.backends_up(), 0);
+        let body = batch_body([("a", &small_cfg(1)), ("b", &small_cfg(2))]);
+        let (status, text) = router.handle(&post("/batch", body));
+        assert_eq!(status, 200, "{text}");
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("failed").and_then(Json::as_u64), Some(2), "{text}");
+        for item in doc.get("results").and_then(Json::as_array).unwrap() {
+            assert_eq!(
+                item.get("error").and_then(Json::as_str),
+                Some("no live backend")
+            );
+        }
+        assert_eq!(router.counters.retries.load(Ordering::Relaxed), 0);
+        assert!(router.backends.iter().all(|b| b.forwarded.sum() == 0));
+    }
+
     /// A backend whose health probe answers JSON and whose every other
     /// reply is a 200 with a body that is not JSON.
     struct Garbled(HttpCounters);
@@ -1200,9 +1234,9 @@ mod tests {
 
         fn handle(&self, request: &HttpRequest) -> Response {
             if request.path == "/healthz" {
-                return reply(200, Vec::new(), r#"{"ok":true}"#.to_string());
+                return reply(200, r#"{"ok":true}"#.to_string());
             }
-            (200, Vec::new(), "not json from the backend\n".to_string())
+            (200, "not json from the backend\n".to_string())
         }
     }
 
@@ -1216,35 +1250,40 @@ mod tests {
             let garbled = Arc::new(Garbled(HttpCounters::default()));
             std::thread::spawn(move || http::serve(garbled, listener, None, false, stop))
         };
-        let router = Router::new(RouterOptions {
-            backends: vec![addr],
-            health_interval: Duration::from_secs(600),
-            retries: 1,
-            backoff: Duration::from_millis(1),
-        })
-        .unwrap();
-        assert_eq!(router.backends_up(), 1, "its health probe answers JSON");
-        let request = HttpRequest {
-            method: "POST".to_string(),
-            path: "/run".to_string(),
-            content_type: "application/json".to_string(),
-            body: small_cfg(1).to_json().to_string(),
-            keep_alive: true,
-        };
-        let (status, _, body) = router.handle(&request);
-        assert_eq!(status, 503, "{body}");
-        assert!(
-            !body.contains("not json"),
-            "the body reached the client: {body}"
-        );
-        assert!(Json::parse(&body).is_ok(), "{body}");
-        let backend = &router.backends[0];
-        assert!(backend.errors.load(Ordering::Relaxed) >= 1);
-        assert!(
-            backend.transitions.load(Ordering::Relaxed) >= 1,
-            "the backend was marked down"
-        );
-        drop(router);
+        let run = small_cfg(1).to_json().to_string();
+        let batch = batch_body([("a", &small_cfg(1))]);
+        for (path, body) in [("/run", run), ("/batch", batch)] {
+            let router = Router::new(RouterOptions {
+                backends: vec![addr.clone()],
+                health_interval: Duration::from_secs(600),
+            })
+            .unwrap();
+            assert_eq!(router.backends_up(), 1, "its health probe answers JSON");
+            let (status, text) = router.handle(&post(path, body));
+            assert!(
+                !text.contains("not json"),
+                "{path}: the body reached the client: {text}"
+            );
+            let doc = Json::parse(&text).unwrap();
+            if path == "/run" {
+                assert_eq!(status, 503, "{text}");
+            } else {
+                // The failed sub-batch's key has no backend left.
+                assert_eq!(status, 200, "{text}");
+                let item = &doc.get("results").and_then(Json::as_array).unwrap()[0];
+                assert_eq!(item.get("status").and_then(Json::as_str), Some("failed"));
+                assert_eq!(
+                    item.get("error").and_then(Json::as_str),
+                    Some("no live backend")
+                );
+            }
+            let backend = &router.backends[0];
+            assert!(backend.errors.load(Ordering::Relaxed) >= 1, "{path}");
+            assert!(
+                backend.transitions.load(Ordering::Relaxed) >= 1,
+                "{path}: the backend was marked down"
+            );
+        }
         stop.store(true, Ordering::Relaxed);
         server.join().unwrap().unwrap();
     }

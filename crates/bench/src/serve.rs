@@ -15,17 +15,17 @@
 //!   refused with HTTP 400 like any other unknown field.
 //!   Concurrent requests for the same key are **single-flighted**: one
 //!   simulation runs, every waiter shares its result.
-//! * a **bounded admission queue** in front of the pool
-//!   ([`ServeOptions::queue_depth`]): a miss that cannot get a queue slot
-//!   is refused immediately with HTTP 503 + `Retry-After` instead of
-//!   silently pinning a connection thread — backpressure at the front
-//!   door, not serialization behind it. Joining an in-flight key never
-//!   needs a slot, so a hot-key burst is admitted no matter how deep.
+//! * **a miss waits its turn**: its flight's leader queues one job in the
+//!   worker pool's FIFO, and every request for the key waits until the
+//!   record lands. Nothing refuses a miss for load: a refusal adds no
+//!   worker, so it adds no throughput; it only turns a wait into
+//!   repeated requests while a worker sits idle. The `queue_depth` gauge
+//!   counts the misses waiting for a worker.
 //! * **batch submission** ([`SimService::submit_batch`], `POST /batch`):
 //!   a grid or config list is canonicalized to keys, deduplicated within
 //!   the batch *and* against in-flight singles, and answered with per-key
-//!   `cached`/`computed`/`rejected`/`failed` status — K duplicate configs
-//!   cost one simulation.
+//!   `cached`/`computed`/`failed` status — K duplicate configs cost one
+//!   simulation.
 //! * counters on the hot path are **atomic and sharded** (perfbook-style
 //!   partitioned counting: writers stripe across padded cache lines,
 //!   readers sum) and `GET /stats` reads cache gauges from
@@ -38,9 +38,9 @@
 //!
 //! | method & path     | body            | response                           |
 //! |-------------------|-----------------|------------------------------------|
-//! | `POST /run`       | `SimConfig` JSON (or TOML with a `toml` content type) | `200 {schema_version, key, cached, record}` once the record exists, or `503` + `Retry-After` when the queue is full |
+//! | `POST /run`       | `SimConfig` JSON (or TOML with a `toml` content type) | `200 {schema_version, key, cached, record}` once the record exists |
 //! | `POST /batch`     | `{configs: [...]}`, a bare JSON array, or a sweep-grid document, of at most [`MAX_BATCH_ITEMS`] items | `{schema_version, total, unique, results: [{label, key, status, ...}]}`, or `400` past the limit |
-//! | `GET /stats`      | —               | counters: hits/misses, queue depth, rejections, cache tiers |
+//! | `GET /stats`      | —               | counters: hits/misses, queue depth, cache tiers |
 //! | `GET /healthz`    | —               | `{"ok": true}`                     |
 //!
 //! A request waits for its record: a miss holds its connection until the
@@ -66,9 +66,9 @@ use crate::sweep::{contain, parallel_map};
 
 /// Version of the serve response document layouts (`/run`, `/batch`,
 /// `/stats`); bumped on any breaking change. Mirrored in
-/// `results/schema/serve_response.v3.json` (plus `serve_batch.v1.json`
+/// `results/schema/serve_response.v4.json` (plus `serve_batch.v1.json`
 /// for the batch body).
-pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 3;
+pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 4;
 
 /// The most items one `POST /batch` may carry, as a config list or as
 /// the points of a grid. Past it the body is refused with a 400 before
@@ -77,8 +77,26 @@ pub const SERVE_RESPONSE_SCHEMA_VERSION: u64 = 3;
 /// claim gigabytes.
 pub const MAX_BATCH_ITEMS: usize = 1024;
 
-/// The `Retry-After` seconds a queue-full rejection advertises.
-const RETRY_AFTER_S: u64 = 1;
+/// The most worker threads one [`SimService`] starts. The pool starts
+/// every worker before the listener binds, so an unbounded count (a typo
+/// such as `--workers 1000000`) would ask the host for that many threads.
+pub const MAX_WORKERS: usize = 1024;
+
+/// Refuses a worker count over [`MAX_WORKERS`]. Starts nothing:
+/// [`SimService::new`] and `serve --workers` check a count here before
+/// any thread exists.
+///
+/// # Errors
+///
+/// Returns a message naming the count and the bound.
+pub fn check_workers(workers: usize) -> Result<(), String> {
+    if workers > MAX_WORKERS {
+        return Err(format!(
+            "{workers} worker threads is over the limit of {MAX_WORKERS}"
+        ));
+    }
+    Ok(())
+}
 
 /// Shards in a [`ShardedCounter`]. Power of two so the shard pick is a
 /// mask, sized for more cores than this repo's CI hosts have.
@@ -128,32 +146,30 @@ fn shard_index() -> usize {
 /// Tuning for a [`SimService`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads simulating cache misses. `0` makes the service
-    /// **cache-only**: every miss is refused ([`ServeError::CacheOnly`]),
-    /// which is also how tests prove a hit never simulates.
+    /// Worker threads simulating cache misses, at most [`MAX_WORKERS`].
+    /// `0` makes the service **cache-only**: every miss is refused
+    /// ([`ServeError::CacheOnly`]), which is also how tests prove a hit
+    /// never simulates.
     pub workers: usize,
     /// In-memory LRU capacity (entries).
     pub mem_capacity: usize,
-    /// Directory of the disk tier (entry files + index).
+    /// Directory of the disk tier (one entry file per record).
     pub cache_dir: PathBuf,
     /// Disk-tier byte budget (`None` = unbounded): on overflow the cache
     /// evicts least-recently-accessed entries.
     pub disk_budget: Option<u64>,
-    /// Admission bound: how many misses may wait for a worker at once.
-    /// A miss past this bound is refused with [`ServeError::Rejected`]
-    /// (HTTP 503 + `Retry-After`) instead of queueing unboundedly.
-    /// Joining an already-in-flight key never consumes a slot.
-    pub queue_depth: usize,
 }
 
 impl Default for ServeOptions {
+    /// One worker per host thread, up to [`MAX_WORKERS`].
     fn default() -> Self {
         ServeOptions {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(MAX_WORKERS),
             mem_capacity: 128,
             cache_dir: crate::results_dir().join("cache"),
             disk_budget: None,
-            queue_depth: 256,
         }
     }
 }
@@ -166,13 +182,6 @@ pub enum ServeError {
         /// The canonical key that missed.
         key: String,
     },
-    /// The admission queue is full; retry after backing off.
-    Rejected {
-        /// The canonical key that was refused.
-        key: String,
-        /// The configured queue bound.
-        queue_depth: usize,
-    },
     /// The simulation ran and failed (message from the sweep containment:
     /// experiment error or panic).
     Sim(String),
@@ -184,10 +193,6 @@ impl std::fmt::Display for ServeError {
             ServeError::CacheOnly { key } => write!(
                 f,
                 "result {key} is not cached and the worker pool is disabled (workers = 0)"
-            ),
-            ServeError::Rejected { key, queue_depth } => write!(
-                f,
-                "admission queue full ({queue_depth} waiting); {key} rejected — retry later"
             ),
             // `contain` leads a simulation's message with `failed: ` or
             // `panicked: `; a pool that refused the job adds neither.
@@ -232,8 +237,6 @@ pub enum BatchStatus {
     Cached(Record),
     /// Simulated by this batch, or by a flight it joined.
     Computed(Record),
-    /// The admission queue was full; the key was not admitted.
-    Rejected,
     /// The simulation failed (or the service is cache-only).
     Failed(String),
 }
@@ -244,7 +247,6 @@ impl BatchStatus {
         match self {
             BatchStatus::Cached(_) => "cached",
             BatchStatus::Computed(_) => "computed",
-            BatchStatus::Rejected => "rejected",
             BatchStatus::Failed(_) => "failed",
         }
     }
@@ -292,7 +294,6 @@ impl BatchItem {
                 return record.render_in(pairs)
             }
             BatchStatus::Failed(e) => pairs.push(("error".to_string(), Json::from(e.as_str()))),
-            BatchStatus::Rejected => {}
         }
         Json::Obj(pairs).to_string()
     }
@@ -318,10 +319,10 @@ struct Counters {
     hits: ShardedCounter,
     misses: ShardedCounter,
     joined: ShardedCounter,
-    rejected: AtomicU64,
     sim_runs: AtomicU64,
     sim_failures: AtomicU64,
-    /// Gauge: misses admitted to the queue, not yet picked up by a worker.
+    /// Gauge: misses waiting for a worker. A flight's leader bumps it; a
+    /// worker drops it as it starts the job.
     queued: AtomicU64,
     /// Gauge: simulations currently executing.
     in_flight: AtomicU64,
@@ -406,9 +407,8 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The simulation service: content-addressed cache in front of a bounded
-/// admission queue and a persistent, fail-soft worker pool. See the
-/// [module docs](self).
+/// The simulation service: content-addressed cache in front of a
+/// persistent, fail-soft worker pool. See the [module docs](self).
 #[derive(Debug)]
 pub struct SimService {
     cache: Arc<Mutex<ResultCache>>,
@@ -418,7 +418,6 @@ pub struct SimService {
     counters: Arc<Counters>,
     pool: Option<WorkerPool>,
     workers: usize,
-    queue_depth: usize,
 }
 
 impl SimService {
@@ -426,8 +425,11 @@ impl SimService {
     ///
     /// # Errors
     ///
-    /// Returns a message when the cache directory cannot be created.
+    /// Returns a message when `options.workers` is over [`MAX_WORKERS`]
+    /// (checked first, before anything opens or starts) or the cache
+    /// directory cannot be created.
     pub fn new(options: ServeOptions) -> Result<SimService, String> {
+        check_workers(options.workers)?;
         let cache = ResultCache::open_budgeted(
             &options.cache_dir,
             options.mem_capacity,
@@ -442,7 +444,6 @@ impl SimService {
             counters: Arc::new(Counters::default()),
             pool: (options.workers > 0).then(|| WorkerPool::new(options.workers)),
             workers: options.workers,
-            queue_depth: options.queue_depth,
         })
     }
 
@@ -453,7 +454,6 @@ impl SimService {
     /// # Errors
     ///
     /// [`ServeError::CacheOnly`] on a miss with `workers = 0`,
-    /// [`ServeError::Rejected`] when the admission queue is full,
     /// [`ServeError::Sim`] when the simulation itself fails.
     pub fn submit(&self, cfg: &SimConfig) -> Result<Answer, ServeError> {
         let mut resolved = self.resolve(&[(cfg.cache_key(), cfg)]);
@@ -463,7 +463,7 @@ impl SimService {
     /// Resolves a whole batch: every config is canonicalized, duplicate
     /// keys collapse onto one flight (within the batch and against any
     /// already-in-flight singles), cache hits answer immediately, and the
-    /// admitted remainder is awaited until every flight has landed.
+    /// remainder is awaited until every flight has landed.
     pub fn submit_batch(&self, configs: &[(String, SimConfig)]) -> BatchReport {
         let keyed: Vec<(String, &SimConfig)> = configs
             .iter()
@@ -477,7 +477,6 @@ impl SimService {
                 let status = match outcome {
                     Ok(answer) if answer.cached => BatchStatus::Cached(answer.record),
                     Ok(answer) => BatchStatus::Computed(answer.record),
-                    Err(ServeError::Rejected { .. }) => BatchStatus::Rejected,
                     // A failed simulation reports its contained message
                     // bare; other errors read as they display.
                     Err(ServeError::Sim(e)) => BatchStatus::Failed(e),
@@ -531,8 +530,7 @@ impl SimService {
     }
 
     /// Admission: answer a cache hit, else join an existing flight for
-    /// `key`, or lead a new one through the bounded queue. Leading
-    /// requires a queue slot; joining never does.
+    /// `key`, or lead a new one by queueing its job on the worker pool.
     fn admit(&self, key: &str, cfg: &SimConfig) -> Result<Admitted, ServeError> {
         if let Some(record) = self.lookup(key) {
             self.counters.hits.incr();
@@ -559,13 +557,6 @@ impl SimService {
                         self.counters.hits.incr();
                         return Ok(Admitted::Hit(record));
                     }
-                    if !self.try_acquire_queue_slot() {
-                        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(ServeError::Rejected {
-                            key: key.to_string(),
-                            queue_depth: self.queue_depth,
-                        });
-                    }
                     let flight = Arc::new(Flight::default());
                     inflight.insert(key.to_string(), Arc::clone(&flight));
                     (flight, true)
@@ -574,10 +565,11 @@ impl SimService {
         };
         if leader {
             self.counters.misses.incr();
+            self.counters.queued.fetch_add(1, Ordering::Relaxed);
             let task = self.simulation_task(key.to_string(), cfg.clone(), Arc::clone(&flight));
             if let Err(e) = pool.submit(task) {
                 // Unblock any joiners that raced in before the failure.
-                self.release_queue_slot();
+                self.counters.queued.fetch_sub(1, Ordering::Relaxed);
                 self.remove_inflight(key);
                 flight.fill(Err(e.clone()));
                 return Err(ServeError::Sim(e));
@@ -586,32 +578,6 @@ impl SimService {
             self.counters.joined.incr();
         }
         Ok(Admitted::Flight(flight))
-    }
-
-    /// Claims one admission-queue slot; `false` when the queue is full.
-    /// CAS loop rather than blind increment so a refused request never
-    /// transiently inflates the gauge.
-    fn try_acquire_queue_slot(&self) -> bool {
-        let queued = &self.counters.queued;
-        let mut current = queued.load(Ordering::Relaxed);
-        loop {
-            if current >= self.queue_depth as u64 {
-                return false;
-            }
-            match queued.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    fn release_queue_slot(&self) {
-        self.counters.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The closure a cache miss enqueues: simulate under `contain`,
@@ -629,7 +595,7 @@ impl SimService {
         let counters = Arc::clone(&self.counters);
         let inflight = Arc::clone(&self.inflight);
         Box::new(move || {
-            // The job left the admission queue and entered execution.
+            // The job left the queue and entered execution.
             counters.queued.fetch_sub(1, Ordering::Relaxed);
             let running = counters.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             counters
@@ -681,11 +647,6 @@ impl SimService {
         self.counters.sim_runs.load(Ordering::Relaxed)
     }
 
-    /// Misses refused by the admission bound since the service came up.
-    pub fn rejected(&self) -> u64 {
-        self.counters.rejected.load(Ordering::Relaxed)
-    }
-
     /// The `GET /stats` document. Reads only atomics (service counters
     /// and the cache's shared [`CacheCounters`]) — never the cache lock —
     /// so stats traffic cannot contend with the request hot path.
@@ -700,9 +661,7 @@ impl SimService {
             ("hits", Json::U64(c.hits.sum())),
             ("misses", Json::U64(c.misses.sum())),
             ("joined", Json::U64(c.joined.sum())),
-            ("rejected", load(&c.rejected)),
             ("queue_depth", load(&c.queued)),
-            ("queue_capacity", Json::from(self.queue_depth)),
             ("in_flight", load(&c.in_flight)),
             ("peak_in_flight", load(&c.peak_in_flight)),
             ("sim_runs", load(&c.sim_runs)),
@@ -741,8 +700,7 @@ impl SimService {
     /// simulate on the fail-soft [`parallel_map`] with up to `workers`
     /// threads (at least one — a cache-only service can still be warmed,
     /// that is the point of it); each job writes its record to the cache
-    /// and keeps nothing. Bypasses the admission bound, and is
-    /// traffic-counter-neutral by design:
+    /// and keeps nothing. Traffic-counter-neutral by design:
     /// warming uses `peek`/`put` directly, so the request and hit/miss
     /// counters still read zero when the listener opens — only
     /// `sim_runs`/`sim_failures` count, because those simulations really
@@ -808,19 +766,6 @@ enum Admitted {
     Flight(Arc<Flight>),
 }
 
-/// The structured body of a queue-full rejection (paired with the
-/// `Retry-After` header).
-fn rejection_doc(key: &str, queue_depth: usize) -> Json {
-    Json::obj([
-        ("schema_version", Json::U64(SERVE_RESPONSE_SCHEMA_VERSION)),
-        ("error", Json::from("admission queue full")),
-        ("status", Json::from("rejected")),
-        ("key", Json::from(key)),
-        ("queue_depth", Json::from(queue_depth)),
-        ("retry_after_s", Json::U64(RETRY_AFTER_S)),
-    ])
-}
-
 /// Runs one config to its `run_record.v1` document.
 fn simulate(cfg: &SimConfig) -> Result<Json, String> {
     Experiment::from_config(cfg)
@@ -874,7 +819,6 @@ pub(crate) fn batch_reply(unique: usize, results: &[(&str, String)]) -> String {
         ("deduplicated", Json::from(total - unique)),
         ("cached", count("cached")),
         ("computed", count("computed")),
-        ("rejected", count("rejected")),
         ("failed", count("failed")),
     ]);
     let items: Vec<&str> = results.iter().map(|(_, item)| item.as_str()).collect();
@@ -972,7 +916,6 @@ impl Handler for SimService {
     }
 
     fn handle(&self, request: &HttpRequest) -> Response {
-        let plain = |status: u16, text: String| reply(status, Vec::new(), text);
         let bad_request = |status, message: &str| self.counters.http.bad_request(status, message);
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/run") => {
@@ -981,25 +924,20 @@ impl Handler for SimService {
                     Err(e) => return bad_request(400, &e),
                 };
                 match self.submit(&cfg) {
-                    Ok(answer) => plain(200, answer.to_response_json()),
-                    Err(ServeError::Rejected { key, queue_depth }) => reply(
-                        503,
-                        vec![("Retry-After", RETRY_AFTER_S.to_string())],
-                        rejection_doc(&key, queue_depth).to_string(),
-                    ),
-                    Err(e @ ServeError::CacheOnly { .. }) => plain(503, error_doc(&e.to_string())),
-                    Err(e @ ServeError::Sim(_)) => plain(500, error_doc(&e.to_string())),
+                    Ok(answer) => reply(200, answer.to_response_json()),
+                    Err(e @ ServeError::CacheOnly { .. }) => reply(503, error_doc(&e.to_string())),
+                    Err(e @ ServeError::Sim(_)) => reply(500, error_doc(&e.to_string())),
                 }
             }
             ("POST", "/batch") => match parse_batch_body(&request.content_type, &request.body) {
                 Ok(configs) => {
                     let report = self.submit_batch(&configs);
-                    plain(200, report.to_response_json())
+                    reply(200, report.to_response_json())
                 }
                 Err(e) => bad_request(400, &e),
             },
-            ("GET", "/stats") => plain(200, self.stats_json().to_string()),
-            ("GET", "/healthz") => plain(200, Json::obj([("ok", Json::Bool(true))]).to_string()),
+            ("GET", "/stats") => reply(200, self.stats_json().to_string()),
+            ("GET", "/healthz") => reply(200, Json::obj([("ok", Json::Bool(true))]).to_string()),
             (method, path) => bad_request(404, &format!("no such endpoint: {method} {path}")),
         }
     }
@@ -1063,7 +1001,7 @@ mod tests {
     }
 
     /// A config that simulates long enough (~1–2 s in debug builds) to
-    /// observe in-flight states and exercise admission rejection.
+    /// observe in-flight states.
     /// Runtime at this scale is strongly seed-sensitive (some seeds run
     /// 50× longer) — callers pass only empirically-vetted fast seeds
     /// (1, 2, 4, 6, 7, 8).
@@ -1112,7 +1050,6 @@ mod tests {
         let statuses = [
             BatchStatus::Cached(record.clone()),
             BatchStatus::Computed(record.clone()),
-            BatchStatus::Rejected,
             BatchStatus::Failed("boom".to_string()),
             BatchStatus::Cached(record),
         ];
@@ -1121,7 +1058,7 @@ mod tests {
             .enumerate()
             .map(|(i, status)| BatchItem {
                 label: format!("item {i}"),
-                key: format!("k{}", i % 4),
+                key: format!("k{}", i % 3),
                 status,
             })
             .collect();
@@ -1138,7 +1075,6 @@ mod tests {
                         pairs.push(("record", tree.clone()))
                     }
                     BatchStatus::Failed(e) => pairs.push(("error", Json::from(e.as_str()))),
-                    _ => {}
                 }
                 Json::obj(pairs)
             })
@@ -1148,17 +1084,31 @@ mod tests {
         }
         let expected = Json::obj([
             version(),
-            ("total", Json::U64(5)),
-            ("unique", Json::U64(4)),
+            ("total", Json::U64(4)),
+            ("unique", Json::U64(3)),
             ("deduplicated", Json::U64(1)),
             ("cached", Json::U64(2)),
             ("computed", Json::U64(1)),
-            ("rejected", Json::U64(1)),
             ("failed", Json::U64(1)),
             ("results", Json::Arr(item_trees)),
         ]);
-        let report = BatchReport { items, unique: 4 };
+        let report = BatchReport { items, unique: 3 };
         assert_eq!(report.to_response_json(), expected.to_string());
+    }
+
+    #[test]
+    fn the_worker_bound_is_checked_before_anything_starts() {
+        // Only the pure check sees an over-bound count: were it to
+        // regress, a service built with one would start that many threads.
+        assert_eq!(check_workers(0), Ok(()));
+        assert_eq!(check_workers(MAX_WORKERS), Ok(()));
+        for over in [MAX_WORKERS + 1, 1_000_000, usize::MAX] {
+            let error = check_workers(over).unwrap_err();
+            assert!(error.contains(&over.to_string()), "{error}");
+            assert!(error.contains(&MAX_WORKERS.to_string()), "{error}");
+        }
+        // A default service on any host is within the bound.
+        assert_eq!(check_workers(ServeOptions::default().workers), Ok(()));
     }
 
     #[test]
@@ -1263,77 +1213,6 @@ mod tests {
         assert_eq!(svc.sim_runs(), 1);
         assert!(svc.submit(&bad).is_err());
         assert_eq!(svc.sim_runs(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn queue_full_rejects_immediately_without_deadlock() {
-        // 1 worker, queue depth 1, and 2x-oversubscribed distinct cold
-        // keys submitted concurrently: at most 1 running + 1 queued at any
-        // moment, so some submits must be rejected — and every thread must
-        // return (rejection is immediate, not a blocked connection).
-        let dir = tmp_dir("queue-full");
-        let svc = Arc::new(
-            SimService::new(ServeOptions {
-                workers: 1,
-                queue_depth: 1,
-                cache_dir: dir.clone(),
-                ..ServeOptions::default()
-            })
-            .unwrap(),
-        );
-        let outcomes: Vec<Result<Answer, ServeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = [1u64, 2, 4, 6]
-                .into_iter()
-                .map(|seed| {
-                    let svc = Arc::clone(&svc);
-                    scope.spawn(move || svc.submit(&slow_cfg(seed)))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let ok = outcomes.iter().filter(|o| o.is_ok()).count();
-        let rejected = outcomes
-            .iter()
-            .filter(|o| matches!(o, Err(ServeError::Rejected { .. })))
-            .count();
-        assert_eq!(ok + rejected, 4, "every submit resolves: {outcomes:?}");
-        assert!(rejected >= 1, "oversubscription must reject: {outcomes:?}");
-        assert!(ok >= 1, "admitted work still completes");
-        assert_eq!(svc.rejected(), rejected as u64);
-        // The queue drains: a later submit of a fresh key is admitted.
-        assert!(svc.submit(&small_cfg()).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hot_key_joins_never_consume_queue_slots() {
-        // queue_depth 1 with 4 identical concurrent requests: the leader
-        // takes the only slot, the joiners join — nobody is rejected.
-        let dir = tmp_dir("join-slots");
-        let svc = Arc::new(
-            SimService::new(ServeOptions {
-                workers: 1,
-                queue_depth: 1,
-                cache_dir: dir.clone(),
-                ..ServeOptions::default()
-            })
-            .unwrap(),
-        );
-        let cfg = small_cfg();
-        let answers: Vec<Result<Answer, ServeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let svc = Arc::clone(&svc);
-                    let cfg = cfg.clone();
-                    scope.spawn(move || svc.submit(&cfg))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(answers.iter().all(|a| a.is_ok()), "{answers:?}");
-        assert_eq!(svc.rejected(), 0);
-        assert_eq!(svc.sim_runs(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1468,7 +1347,7 @@ mod tests {
         assert_eq!(stats.get("misses").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("sim_runs").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("queue_depth").and_then(Json::as_u64), Some(0));
-        assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(0));
+        assert!(stats.get("rejected").is_none() && stats.get("queue_capacity").is_none());
         let cache = stats.get("cache").unwrap();
         assert_eq!(cache.get("disk_entries").and_then(Json::as_u64), Some(1));
         assert!(cache.get("disk_bytes").and_then(Json::as_u64).unwrap() > 0);
@@ -1558,22 +1437,14 @@ mod tests {
     }
 
     #[test]
-    fn http_batch_dedups_and_rejection_carries_retry_after() {
+    fn http_batch_dedups_and_expands_grids() {
         let dir = tmp_dir("http-batch");
-        let svc = Arc::new(
-            SimService::new(ServeOptions {
-                workers: 1,
-                queue_depth: 1,
-                cache_dir: dir.clone(),
-                ..ServeOptions::default()
-            })
-            .unwrap(),
-        );
+        let svc = Arc::new(service(&dir, 1));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = {
             let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(3), false))
+            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
         };
 
         // A batch of 4 duplicates (mixed bare and labelled forms) runs
@@ -1612,55 +1483,6 @@ mod tests {
             Some("cached")
         );
         assert_eq!(svc.sim_runs(), 1, "grid batch reused the warm key");
-
-        // Queue-full rejection: saturate the 1-deep queue from inside
-        // (occupy the worker, then the slot), then probe over HTTP. The
-        // filler waits for the blocker to reach the worker — submitted
-        // earlier it would race the blocker for the single queue slot and
-        // be rejected itself. The slow configs hold worker and slot for
-        // seconds; the bounds only guard against a pathological scheduler.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let blocker = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                let _ = svc.submit(&slow_cfg(1));
-            })
-        };
-        while svc.counters.in_flight.load(Ordering::Relaxed) < 1 {
-            assert!(
-                Instant::now() < deadline,
-                "blocker never reached the worker"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let filler = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                let _ = svc.submit(&slow_cfg(2));
-            })
-        };
-        while svc.counters.queued.load(Ordering::Relaxed) < 1 {
-            assert!(Instant::now() < deadline, "queue slot never filled");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let probe = SimConfig::default();
-        let probe_body = probe.to_json().to_string();
-        let reply = http_request(
-            &addr,
-            "POST",
-            "/run",
-            Some(("application/json", &probe_body)),
-        )
-        .unwrap();
-        assert_eq!(reply.status, 503);
-        assert_eq!(reply.header("retry-after"), Some("1"));
-        assert_eq!(
-            reply.body.get("status").and_then(Json::as_str),
-            Some("rejected")
-        );
-        assert!(reply.body.get("retry_after_s").is_some());
-        blocker.join().unwrap();
-        filler.join().unwrap();
 
         server.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -46,7 +46,7 @@ fn serve_response_matches_published_schema() {
         scale: 1,
         ..SimConfig::default()
     };
-    let schema = repo_schema("serve_response.v3.json");
+    let schema = repo_schema("serve_response.v4.json");
     let record_schema = repo_schema("run_record.v1.json");
     for _ in 0..2 {
         // Both the miss and the hit response must conform, and the
@@ -113,7 +113,7 @@ fn cluster_stats_match_published_schema() {
     use std::sync::Arc;
 
     // Two live in-process backends behind a Router: the aggregated
-    // /stats document is the serve_cluster_stats.v1 contract.
+    // /stats document is the serve_cluster_stats.v2 contract.
     let mut backends = Vec::new();
     for i in 0..2 {
         let dir =

@@ -5,8 +5,10 @@
 //! `POST /run`, `POST /batch`, `GET /healthz` — so
 //! every serve client (including `tenways sweep --server`) points at it
 //! unchanged. Requests shard by the canonical cache key via rendezvous
-//! hashing; `GET /stats` answers the aggregated `serve_cluster_stats.v1`
-//! document instead of a single node's counters.
+//! hashing; `GET /stats` answers the aggregated `serve_cluster_stats.v2`
+//! document instead of a single node's counters. A forward relays the
+//! first reply a backend gives, whatever its status, and moves on to the
+//! key's next live backend only when one cannot be reached.
 //!
 //! Exit code 0 on clean shutdown, 2 for usage or startup errors.
 
@@ -35,10 +37,6 @@ options:
                             picks an ephemeral port — pair with --port-file)
   --health-interval-ms <n>  how often to probe each backend's /healthz
                             (default 500; must be above zero)
-  --retries <n>             extra forward attempts on 503/connect failure,
-                            re-resolving the owner each time (default 3)
-  --backoff-ms <n>          base backoff between attempts, doubled each
-                            retry (default 50)
   --max-requests <n>        exit cleanly after n connections (for
                             scripts/CI)
   --port-file <path>        write the actual bound address to this file
@@ -46,7 +44,7 @@ options:
   --verbose                 log each routed request to stderr
 
 endpoints: POST /run (owner shard), POST /batch (split per owner,
-merged), GET /stats (serve_cluster_stats.v1 aggregate), GET /healthz
+merged), GET /stats (serve_cluster_stats.v2 aggregate), GET /healthz
 (backend census)."
     );
     std::process::exit(2);
@@ -82,12 +80,6 @@ pub fn main(argv: &[String]) -> ! {
             "--health-interval-ms" => {
                 options.health_interval = Duration::from_millis(number(&mut i));
             }
-            "--retries" => {
-                let n = number(&mut i);
-                options.retries = u32::try_from(n)
-                    .unwrap_or_else(|_| fail(format!("--retries {n} is more than {}", u32::MAX)));
-            }
-            "--backoff-ms" => options.backoff = Duration::from_millis(number(&mut i)),
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),
             "--verbose" => verbose = true,

@@ -3,7 +3,8 @@
 //!
 //! Server mode binds a [`std::net::TcpListener`], answers `POST /run`
 //! jobs from the two-tier cache, and simulates misses on a persistent
-//! worker pool (see [`tenways::bench::SimService`]). Client mode
+//! worker pool (see [`tenways::bench::SimService`]); a miss waits for a
+//! worker, however many are queued before it. Client mode
 //! (`--post`, `--stats`, `--health`) speaks the same protocol from the
 //! same binary, so scripts and CI need no external HTTP client.
 //!
@@ -14,7 +15,9 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tenways::bench::{http_request, serve_http, write_text_atomic, ServeOptions, SimService};
+use tenways::bench::{
+    check_workers, http_request, serve_http, write_text_atomic, ServeOptions, SimService,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -31,16 +34,13 @@ server options:
                         $TENWAYS_RESULTS_DIR/cache or results/cache);
                         `tenways sweep --cache <path>` fills the same
                         store, so a sweep warms a server before it starts
-  --workers <n>         simulation worker threads (default: host
-                        parallelism; 0 = cache-only, misses get HTTP 503)
+  --workers <n>         simulation worker threads, at most 1024 (default:
+                        host parallelism; 0 = cache-only, misses get
+                        HTTP 503)
   --mem-capacity <n>    in-memory LRU entries (default 128)
   --disk-budget-mb <n>  disk-tier byte budget in MiB; on overflow the
                         least-recently-accessed entries are evicted
                         (default: unbounded)
-  --queue-depth <n>     admission bound: misses waiting for a worker
-                        beyond this are refused with HTTP 503 +
-                        Retry-After (default 256; joining an in-flight
-                        key never consumes a slot)
   --max-requests <n>    exit cleanly after n connections (for scripts/CI)
   --port-file <path>    write the actual bound address to this file once
                         listening (atomic write; for ephemeral ports)
@@ -60,9 +60,9 @@ client options:
 POST /run answers {{schema_version, key, cached, record}} where `key` is
 the canonical content-address of the config and `record` the run_record.v1
 document — byte-identical on a hit, freshly simulated on a miss; the
-request waits until its record exists. A full admission queue answers
-503 + Retry-After. Each miss simulates once. A config with an unknown
-field, such as a [sched] section, answers 400."
+request waits until its record exists, queued behind the misses before
+it. Each miss simulates once. A config with an unknown field, such as a
+[sched] section, answers 400."
     );
     std::process::exit(2);
 }
@@ -104,7 +104,10 @@ pub fn main(argv: &[String]) -> ! {
         match argv[i].as_str() {
             "--addr" | "-a" => addr = value(&mut i),
             "--cache-dir" => options.cache_dir = PathBuf::from(value(&mut i)),
-            "--workers" => options.workers = number(&mut i) as usize,
+            "--workers" => {
+                options.workers = number(&mut i) as usize;
+                check_workers(options.workers).unwrap_or_else(|e| fail(format!("--workers: {e}")));
+            }
             "--mem-capacity" => options.mem_capacity = number(&mut i) as usize,
             "--disk-budget-mb" => {
                 let mb = number(&mut i);
@@ -115,7 +118,6 @@ pub fn main(argv: &[String]) -> ! {
                 });
                 options.disk_budget = Some(bytes);
             }
-            "--queue-depth" => options.queue_depth = number(&mut i) as usize,
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),
             "--verbose" => verbose = true,

@@ -33,8 +33,7 @@ fn usage() -> ! {
                          document with rows marked
                          \"served\": cached|computed;
                          a `tenways route` router address works here
-                         unchanged (same protocol, sharded backends),
-                         and rejected keys retry with jittered backoff
+                         unchanged (same protocol, sharded backends)
   --quiet                suppress per-row progress on stderr
 
 Every local sweep consults and fills the content-addressed result cache:

@@ -394,17 +394,6 @@ fn oversized_numeric_flags_exit_2_before_binding() {
                 "17592186044416",
             ],
         ),
-        // One past u32::MAX.
-        (
-            "--retries",
-            vec![
-                "route",
-                "--backend",
-                "127.0.0.1:9",
-                "--retries",
-                "4294967296",
-            ],
-        ),
         // A zero interval would probe every backend back to back.
         (
             "--health-interval-ms",
@@ -422,6 +411,36 @@ fn oversized_numeric_flags_exit_2_before_binding() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(!port.exists(), "{args:?} bound a listener before refusing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_and_route_have_no_rejection_flags() {
+    // A miss waits its turn: serve refuses no miss for load, and the
+    // router relays a backend's answer instead of asking again. Each
+    // flag is refused before anything binds.
+    let dir = cli_dir("rejection");
+    let port = dir.join("port");
+    for flag in [
+        ["serve", "--queue-depth"],
+        ["route", "--retries"],
+        ["route", "--backoff-ms"],
+    ] {
+        let args = [
+            flag[0],
+            "--addr",
+            "127.0.0.1:0",
+            "--port-file",
+            port.to_str().unwrap(),
+            flag[1],
+            "1",
+        ];
+        let (code, stderr) = run_tenways(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let refusal = format!("unknown argument: {}", flag[1]);
+        assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+        assert!(!port.exists(), "{args:?} bound a listener");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
