@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use tenways_coherence::{sandbox::ProtocolSandbox, AccessKind};
 use tenways_cpu::{ConsistencyModel, Machine, MachineSpec, SpecConfig};
-use tenways_mem::{CacheArray, CacheParams, DramBanks, DramParams, Replacement};
+use tenways_mem::{CacheArray, CacheParams, DramBanks, DramParams};
 use tenways_noc::Fabric;
 use tenways_sim::{Addr, BlockAddr, CoreId, Cycle, MachineConfig, NodeId};
 use tenways_workloads::{WorkloadKind, WorkloadParams};
@@ -32,7 +32,7 @@ fn bench(name: &str, warmup: u32, iters: u32, mut f: impl FnMut()) {
 }
 
 fn bench_cache_array() {
-    let params = CacheParams::new(128, 4, Replacement::Lru).unwrap();
+    let params = CacheParams::new(128, 4).unwrap();
     bench("cache_array_insert_get", 3, 200, || {
         let mut cache = CacheArray::<u64>::new(params);
         for i in 0..1024u64 {

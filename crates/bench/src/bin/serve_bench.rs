@@ -43,7 +43,7 @@
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tenways_bench::{
     allocations, banner, batch_body, route_http, serve_http_shutdown, write_results_json,
@@ -441,7 +441,6 @@ fn main() {
     let router = Arc::new(
         Router::new(RouterOptions {
             backends: vec![b0.addr.clone(), b1.addr.clone()],
-            ..RouterOptions::default()
         })
         .expect("router starts"),
     );
@@ -643,12 +642,9 @@ fn main() {
     node.service
         .submit(&alloc_cfg)
         .expect("alloc config simulates");
-    // The router's health monitor probes once at start and then sleeps
-    // through the count.
     let router = Arc::new(
         Router::new(RouterOptions {
             backends: vec![node.addr.clone()],
-            health_interval: Duration::from_secs(3600),
         })
         .expect("router starts"),
     );
@@ -669,10 +665,6 @@ fn main() {
     };
     let mut direct = HttpClient::new(node.addr.clone());
     let mut routed = HttpClient::new(router_addr.to_string());
-    // The loopback passes go first: their warm-ups outlast the monitor's
-    // first probe, which would otherwise land in a count.
-    let run_direct = allocs_per_op(|| warm_run(&mut direct));
-    let run_routed = allocs_per_op(|| warm_run(&mut routed));
     let counts = [
         (
             "cache_key",
@@ -687,8 +679,8 @@ fn main() {
                 assert!(answer.cached, "a warm submit must hit");
             }),
         ),
-        ("run_direct", run_direct),
-        ("run_routed", run_routed),
+        ("run_direct", allocs_per_op(|| warm_run(&mut direct))),
+        ("run_routed", allocs_per_op(|| warm_run(&mut routed))),
     ];
     for (op, allocs) in counts {
         println!("allocs    : {op:<10} {allocs:>8.2} per op  (over {ALLOC_OPS})");

@@ -12,10 +12,10 @@
 //! request already read finish, and answers it with `Connection: close`,
 //! so a draining server drops no request.
 //!
-//! **Client.** Every client connects and exchanges through the same two
+//! **Client.** Both clients connect and exchange through the same two
 //! functions: the one-shot [`http_request`] (`Connection: close`, one
-//! connection per call), the pooled [`HttpClient`] (the router forwards
-//! through a per-backend pool of them), and the router's health probes.
+//! connection per call) and the pooled [`HttpClient`] (the router forwards
+//! through a per-backend pool of them).
 //!
 //! **Bodies.** A response is a status and a body (`Response`); the
 //! writer adds only `Content-Type`, `Content-Length` and `Connection`.
@@ -75,7 +75,7 @@ pub(crate) const MAX_REPLY_BYTES: usize =
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// How long a client waits for a TCP connection to open.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How long a keep-alive connection may sit idle between requests
 /// before the server closes it.
@@ -472,22 +472,19 @@ impl HttpReply {
 }
 
 /// Opens a client connection: tries each address `addr` resolves to in
-/// turn, then sets `io_timeout` on reads and writes and `TCP_NODELAY`
-/// (requests are single writes, so nothing is left to coalesce).
-pub(crate) fn connect(
-    addr: &str,
-    connect_timeout: Duration,
-    io_timeout: Duration,
-) -> Result<TcpStream, String> {
+/// turn, each for at most [`CONNECT_TIMEOUT`], then sets
+/// [`SOCKET_TIMEOUT`] on reads and writes and `TCP_NODELAY` (requests are
+/// single writes, so nothing is left to coalesce).
+fn connect(addr: &str) -> Result<TcpStream, String> {
     let resolved = addr
         .to_socket_addrs()
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let mut failure = format!("cannot connect to {addr}: no address");
     for sa in resolved {
-        match TcpStream::connect_timeout(&sa, connect_timeout) {
+        match TcpStream::connect_timeout(&sa, CONNECT_TIMEOUT) {
             Ok(stream) => {
-                let _ = stream.set_read_timeout(Some(io_timeout));
-                let _ = stream.set_write_timeout(Some(io_timeout));
+                let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
                 let _ = stream.set_nodelay(true);
                 return Ok(stream);
             }
@@ -500,7 +497,7 @@ pub(crate) fn connect(
 /// One request/reply exchange on a connected stream: writes the request
 /// in one write, asking the server to keep the connection open or to
 /// close it, and reads the reply.
-pub(crate) fn exchange(
+fn exchange(
     stream: &mut TcpStream,
     host: &str,
     method: &str,
@@ -614,7 +611,7 @@ pub fn http_request(
     path: &str,
     body: Option<(&str, &str)>, // (content type, payload)
 ) -> Result<HttpReply, String> {
-    let mut stream = connect(addr, CONNECT_TIMEOUT, SOCKET_TIMEOUT)?;
+    let mut stream = connect(addr)?;
     let read = ReplyBody::Parse;
     exchange(&mut stream, addr, method, path, body, false, read)
 }
@@ -685,7 +682,7 @@ impl HttpClient {
     ) -> Result<HttpReply, String> {
         let mut stream = match self.conn.take() {
             Some(stream) => stream,
-            None => connect(&self.addr, CONNECT_TIMEOUT, SOCKET_TIMEOUT)?,
+            None => connect(&self.addr)?,
         };
         let reply = exchange(&mut stream, &self.addr, method, path, body, true, read)?;
         if !matches!(reply.header("connection"), Some(v) if v.eq_ignore_ascii_case("close")) {

@@ -9,7 +9,7 @@
 //!
 //! * **Rendezvous (HRW) sharding.** Every request resolves to the
 //!   canonical SHA-256 cache key ([`tenways_waste::SimConfig::cache_key`]),
-//!   which is uniform by construction. The owner of a key is the live
+//!   which is uniform by construction. The owner of a key is the eligible
 //!   backend with the highest weight `sha256(key "|" addr)` — no ring
 //!   state, no rebalancing table, and removing a backend moves *only*
 //!   that backend's keys (each orphaned key independently falls to its
@@ -17,15 +17,20 @@
 //!   the same key, they land on the same backend, whose single-flight
 //!   admission collapses them: the cluster never simulates a config
 //!   twice while membership is stable.
-//! * **Health + drain.** A monitor thread probes each backend's
-//!   `/healthz` every [`RouterOptions::health_interval`], flipping an
-//!   `up` flag. A transport failure on a live forward marks the backend
-//!   down immediately (the monitor brings it back when it recovers).
-//!   Down backends drop out of the rendezvous ranking, so their keyspace
-//!   re-routes to the survivors; requests in flight on a draining
-//!   backend still finish (the serve side answers, then closes).
+//! * **Liveness from traffic.** Liveness is partitioned like the keys:
+//!   each backend's liveness is kept from the router's own exchanges
+//!   with that backend, with no poller beside it. Every `/run` forward,
+//!   `/batch` sub-batch and `/stats` census call marks the backend up
+//!   when its reply is accepted and down when it fails or is refused. A
+//!   backend no request has reached counts as up. A down backend sits
+//!   out `DOWN_RETRY` (the client's connect timeout); after that it is
+//!   eligible again, and the first request sent to it is its one trial,
+//!   which restarts the wait before it goes out. Backends sitting out
+//!   drop out of the rendezvous ranking, so their keyspace re-routes to
+//!   the survivors; requests in flight on a draining backend still
+//!   finish (the serve side answers, then closes).
 //! * **Each backend at most once.** A `/run` forward tries the key's
-//!   ranked live backends in order and relays the first reply it gets,
+//!   ranked eligible backends in order and relays the first reply it gets,
 //!   whatever its status: a backend's 503 is as deterministic as its
 //!   200, so asking again would only add latency. A transport failure
 //!   marks that backend down and moves on to the next; with none left
@@ -36,7 +41,7 @@
 //!   fresh connection before counting as a backend failure.
 //! * **Lock-free counters.** The router's own request counters are
 //!   sharded/atomic ([`ShardedCounter`]); `GET /stats` aggregates them
-//!   with each live backend's `/stats` into a `serve_cluster_stats.v2`
+//!   with each eligible backend's `/stats` into a `serve_cluster_stats.v2`
 //!   document (per-backend detail + cluster totals).
 //!
 //! Endpoints: `POST /run` proxies to the owning shard, relaying its
@@ -52,7 +57,7 @@
 //! parsed per-key statuses back into input order (a sub-batch that fails
 //! marks its backend down and only its keys regroup over the rest);
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
-//! backend census. Clients need no changes: the router speaks the same
+//! backends' up flags. Clients need no changes: the router speaks the same
 //! `serve_response.v4`/`serve_batch.v1` documents as a single backend
 //! over the same HTTP layer ([`crate::http`]), so `tenways sweep
 //! --server` points at a router transparently.
@@ -68,8 +73,8 @@ use tenways_sim::Sha256;
 use tenways_waste::{cache_key_of, SimConfig};
 
 use crate::http::{
-    self, connect, error_doc, exchange, reply, Handler, HttpClient, HttpCounters, HttpReply,
-    HttpRequest, ReplyBody, Response,
+    self, error_doc, reply, Handler, HttpClient, HttpCounters, HttpReply, HttpRequest, ReplyBody,
+    Response, CONNECT_TIMEOUT,
 };
 use crate::serve::{
     batch_body, batch_reply, first_appearances, parse_batch_body, parse_run_body, ShardedCounter,
@@ -82,50 +87,40 @@ pub const CLUSTER_STATS_SCHEMA_VERSION: u64 = 2;
 /// File name of the published cluster-stats schema under `results/schema/`.
 pub const SERVE_CLUSTER_STATS_SCHEMA: &str = "serve_cluster_stats.v2.json";
 
-/// Health-probe connect timeout: a probe is cheap and frequent, so it
-/// gives up fast — the next interval retries anyway.
-const PROBE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Health-probe socket timeout (read + write).
-const PROBE_SOCKET_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Granularity of the monitor thread's interruptible sleep.
-const MONITOR_SLICE: Duration = Duration::from_millis(25);
+/// How long a backend marked down sits out before a request may try it
+/// again. It equals the client's connect timeout: a trial against a host
+/// that drops connection attempts gives up just as the next wait ends, so
+/// such a host holds at most one request at a time.
+const DOWN_RETRY: Duration = CONNECT_TIMEOUT;
 
 /// Idle keep-alive connections pooled per backend; excess connections
 /// are simply closed (the backend reclaims its handler thread).
 const POOL_CAP: usize = 16;
 
 /// Tuning for a [`Router`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RouterOptions {
     /// The serve backends to shard over (`host:port` each). At least one.
     pub backends: Vec<String>,
-    /// How often the monitor probes each backend's `/healthz`.
-    pub health_interval: Duration,
 }
 
-impl Default for RouterOptions {
-    fn default() -> Self {
-        RouterOptions {
-            backends: Vec::new(),
-            health_interval: Duration::from_millis(500),
-        }
-    }
-}
-
-/// One backend's routing state: liveness flag, per-backend counters,
-/// and the pool of idle keep-alive connections to it.
+/// One backend's routing state: liveness, per-backend counters, and the
+/// pool of idle keep-alive connections to it.
 #[derive(Debug)]
 struct Backend {
     addr: String,
-    up: AtomicBool,
-    /// Requests forwarded to this backend (attempts, not successes).
+    /// 0 while the backend is up: the router's last exchange with it
+    /// succeeded, or there was none yet. While it is down, the end of its
+    /// wait in nanoseconds since the router's `epoch`, which is never 0
+    /// (a wait ends `DOWN_RETRY` after it starts). One word, so every
+    /// liveness change is one atomic operation.
+    down_until: AtomicU64,
+    /// `/run` forwards and `/batch` sub-batches sent to this backend
+    /// (attempts, not successes).
     forwarded: ShardedCounter,
     /// Transport failures observed talking to this backend.
     errors: AtomicU64,
-    /// Up/down flips (initial probe included when it finds the backend
-    /// down).
+    /// Up/down flips.
     transitions: AtomicU64,
     pool: Mutex<Vec<HttpClient>>,
 }
@@ -134,12 +129,18 @@ impl Backend {
     fn new(addr: String) -> Backend {
         Backend {
             addr,
-            up: AtomicBool::new(true),
+            down_until: AtomicU64::new(0),
             forwarded: ShardedCounter::default(),
             errors: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
             pool: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Whether the router's last exchange with this backend succeeded
+    /// (or there was none yet).
+    fn up(&self) -> bool {
+        self.down_until.load(Ordering::Relaxed) == 0
     }
 
     /// A pooled client holding an open connection, else a fresh client.
@@ -170,88 +171,60 @@ struct RouterCounters {
     /// Backend responses successfully relayed to a client.
     proxied: ShardedCounter,
     /// Re-forwards after a mark-down: a `/run` moving on to its next
-    /// live backend, or a batch round regrouping a failed sub-batch's keys.
+    /// eligible backend, or a batch round regrouping a failed sub-batch's
+    /// keys.
     retries: AtomicU64,
     /// Requests answered by a backend other than their full-membership
     /// rendezvous owner (i.e. served by a survivor during an outage).
     rerouted: AtomicU64,
-    /// Requests the router answered 503 itself: no live backend was left
-    /// to try.
+    /// Requests the router answered 503 itself: no eligible backend was
+    /// left to try.
     rejected: AtomicU64,
 }
 
 /// The shard-by-key router. See the [module docs](self).
 #[derive(Debug)]
 pub struct Router {
-    backends: Vec<Arc<Backend>>,
+    backends: Vec<Backend>,
     counters: RouterCounters,
-    shutdown: Arc<AtomicBool>,
-    monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The clock origin of every backend's `down_until`.
+    epoch: Instant,
 }
 
 impl Router {
-    /// Builds the router, probes every backend once (so routing starts
-    /// with an honest liveness picture), and starts the health monitor.
+    /// Builds the router over `options.backends`, every one up. Contacts
+    /// no backend: liveness comes from the requests the router sends.
     ///
     /// # Errors
     ///
     /// Returns a message when `options.backends` is empty or contains a
     /// duplicate address (duplicates would corrupt the rendezvous
-    /// ranking), or when `options.health_interval` is zero (the monitor
-    /// would probe every backend back to back).
+    /// ranking).
     pub fn new(options: RouterOptions) -> Result<Router, String> {
         if options.backends.is_empty() {
             return Err("router needs at least one backend".to_string());
-        }
-        if options.health_interval.is_zero() {
-            return Err(
-                "the health interval (--health-interval-ms) must be above zero".to_string(),
-            );
         }
         for (i, addr) in options.backends.iter().enumerate() {
             if options.backends[..i].contains(addr) {
                 return Err(format!("duplicate backend address {addr}"));
             }
         }
-        let backends: Vec<Arc<Backend>> = options
-            .backends
-            .iter()
-            .map(|addr| Arc::new(Backend::new(addr.clone())))
-            .collect();
-        for b in &backends {
-            let up = probe(&b.addr);
-            b.up.store(up, Ordering::Relaxed);
-            if !up {
-                b.transitions.fetch_add(1, Ordering::Relaxed);
-                eprintln!("[route] backend {} is down at startup", b.addr);
-            }
-        }
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let monitor = {
-            let backends = backends.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let interval = options.health_interval;
-            std::thread::spawn(move || monitor_loop(&backends, interval, &shutdown))
-        };
         Ok(Router {
-            backends,
+            backends: options.backends.into_iter().map(Backend::new).collect(),
             counters: RouterCounters::default(),
-            shutdown,
-            monitor: Mutex::new(Some(monitor)),
+            epoch: Instant::now(),
         })
     }
 
-    /// How many backends the monitor currently considers up.
+    /// How many backends are up: the router's last exchange with each
+    /// succeeded, or no request has reached it yet.
     pub fn backends_up(&self) -> usize {
-        self.backends
-            .iter()
-            .filter(|b| b.up.load(Ordering::Relaxed))
-            .count()
+        self.backends.iter().filter(|b| b.up()).count()
     }
 
     /// All backend indices ranked by rendezvous weight for `key`,
     /// heaviest first. The ranking ignores liveness — it is the stable
-    /// fallback order; [`Router::owner`] applies the up/down filter.
+    /// fallback order; [`Router::owner`] applies the eligibility filter.
     pub fn rank(&self, key: &str) -> Vec<usize> {
         let mut ranked: Vec<(u64, usize)> = self
             .backends
@@ -263,48 +236,74 @@ impl Router {
         ranked.into_iter().map(|(_, i)| i).collect()
     }
 
-    /// The live owner of `key`: the highest-ranked backend currently up
-    /// (`None` when every backend is down).
+    /// The owner of `key`: the highest-ranked eligible backend (`None`
+    /// when every backend is sitting out its wait).
     pub fn owner(&self, key: &str) -> Option<usize> {
-        self.rank(key)
-            .into_iter()
-            .find(|&i| self.backends[i].up.load(Ordering::Relaxed))
+        self.rank(key).into_iter().find(|&i| self.eligible(i))
     }
 
-    /// Marks a backend down after a transport failure (the monitor
-    /// brings it back up when `/healthz` answers again).
-    fn mark_down(&self, idx: usize) {
-        let b = &self.backends[idx];
-        if b.up.swap(false, Ordering::Relaxed) {
-            b.transitions.fetch_add(1, Ordering::Relaxed);
-            b.pool_clear();
-            eprintln!("[route] backend {} marked down", b.addr);
+    /// `at` in nanoseconds since the router's epoch.
+    fn nanos(&self, at: Instant) -> u64 {
+        u64::try_from(at.duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Whether requests may go to backend `idx`: it is up, or its wait
+    /// since it was marked down is over. Checking changes nothing: only
+    /// sending to a down backend restarts its wait.
+    fn eligible(&self, idx: usize) -> bool {
+        let until = self.backends[idx].down_until.load(Ordering::Relaxed);
+        until == 0 || self.nanos(Instant::now()) >= until
+    }
+
+    /// Records what an exchange with backend `b` showed. A reply the
+    /// router accepted marks it up; a transport failure or a refused reply
+    /// marks it down and starts its wait. Each flip counts in
+    /// `transitions` and is logged, and marking a backend down clears its
+    /// pool.
+    fn observe(&self, b: &Backend, accepted: bool) {
+        if accepted {
+            // Reading first keeps the common case, an up backend, free of
+            // writes to the shared word.
+            if !b.up() && b.down_until.swap(0, Ordering::Relaxed) != 0 {
+                b.transitions.fetch_add(1, Ordering::Relaxed);
+                eprintln!("[route] backend {} marked up", b.addr);
+            }
+        } else {
+            let until = self.nanos(Instant::now() + DOWN_RETRY);
+            if b.down_until.swap(until, Ordering::Relaxed) == 0 {
+                b.transitions.fetch_add(1, Ordering::Relaxed);
+                b.pool_clear();
+                eprintln!("[route] backend {} marked down", b.addr);
+            }
         }
     }
 
     /// Forwards one `POST /run` body, the canonical text keyed `key`, and
     /// returns the reply to relay (its body validated, not parsed). The
-    /// key's ranked backends that are up are tried in order, each at most
-    /// once: the first reply, whatever its status, is relayed, and a
-    /// transport failure marks that backend down and moves on to the next.
+    /// key's ranked eligible backends are tried in order, each at most
+    /// once: the first reply, whatever its status, is relayed and marks
+    /// its backend up, and a transport failure marks that backend down and
+    /// moves on to the next.
     ///
     /// # Errors
     ///
-    /// Returns a message when no live backend is left to try: the last
-    /// transport failure, or `no live backend` when none was up.
+    /// Returns a message when no eligible backend is left to try: the last
+    /// transport failure, or `no live backend` when none was eligible.
     fn forward(&self, key: &str, body: &str) -> Result<HttpReply, String> {
         let ranked = self.rank(key);
         let mut failure = None;
         for &idx in &ranked {
-            let backend = &self.backends[idx];
-            if !backend.up.load(Ordering::Relaxed) {
+            if !self.eligible(idx) {
                 continue;
             }
             if failure.is_some() {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
+            let backend = &self.backends[idx];
+            backend.forwarded.incr();
             let run = Some(("application/json", body));
-            match self.backend_request(backend, ReplyBody::Validate, "POST", "/run", run) {
+            // Every reply is relayed, so every reply is accepted.
+            match self.backend_request(idx, ReplyBody::Validate, "POST", "/run", run, Some) {
                 Ok(reply) => {
                     if idx != ranked[0] {
                         self.counters.rerouted.fetch_add(1, Ordering::Relaxed);
@@ -312,45 +311,72 @@ impl Router {
                     self.counters.proxied.incr();
                     return Ok(reply);
                 }
-                Err(e) => {
-                    self.mark_down(idx);
-                    failure = Some(format!("backend {}: {e}", backend.addr));
-                }
+                Err(e) => failure = Some(format!("backend {}: {e}", backend.addr)),
             }
         }
         Err(failure.unwrap_or_else(|| "no live backend".to_string()))
     }
 
-    /// One request to one backend through its client pool. A failure on
-    /// a pooled connection gets one fresh-connection retry
-    /// ([`HttpClient::request`]: the backend may have idle-closed it); a
-    /// failure on a fresh connection counts as a backend error.
-    fn backend_request(
+    /// One exchange with backend `idx` through its client pool: sends the
+    /// request, lets `accept` take what it needs from the reply (`None`
+    /// refuses the reply), and records the outcome ([`Router::observe`]).
+    ///
+    /// A down backend gets one trial per wait: the trial restarts the wait
+    /// before it is sent, and a request that finds the wait restarted
+    /// (another trial went first) fails without sending or recording
+    /// anything. A failure on a pooled connection gets one
+    /// fresh-connection retry ([`HttpClient::request`]: the backend may
+    /// have idle-closed it); a failure on a fresh connection counts as a
+    /// backend error.
+    fn backend_request<T>(
         &self,
-        b: &Backend,
+        idx: usize,
         read: ReplyBody,
         method: &str,
         path: &str,
         body: Option<(&str, &str)>,
-    ) -> Result<HttpReply, String> {
-        b.forwarded.incr();
+        accept: impl FnOnce(HttpReply) -> Option<T>,
+    ) -> Result<T, String> {
+        let b = &self.backends[idx];
+        let until = b.down_until.load(Ordering::Relaxed);
+        if until != 0 {
+            let now = Instant::now();
+            let claimed = self.nanos(now) >= until
+                && b.down_until
+                    .compare_exchange(
+                        until,
+                        self.nanos(now + DOWN_RETRY),
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok();
+            if !claimed {
+                return Err("down, and another request is trying it".to_string());
+            }
+        }
         let mut client = b.client();
         let outcome = client.request_as(read, method, path, body);
-        if outcome.is_ok() {
-            b.pool_push(client);
-        } else {
-            b.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        outcome
+        let accepted = match outcome {
+            Ok(reply) => {
+                b.pool_push(client);
+                accept(reply).ok_or_else(|| "refused its reply".to_string())
+            }
+            Err(e) => {
+                b.errors.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
+        };
+        self.observe(b, accepted.is_ok());
+        accepted
     }
 
     /// Splits a batch into per-owner sub-batches, posts them to their
     /// backends concurrently, and merges the per-key statuses back into
-    /// input order. A sub-batch whose reply is not a 200 answering every
-    /// key it was sent marks its backend down, and only its keys regroup
-    /// over the backends still up, for at most one round per backend;
-    /// keys left with no live backend report `failed`. Returns the
-    /// rendered reply.
+    /// input order. A sub-batch whose reply is a 200 answering every key
+    /// it was sent marks its backend up; any other outcome marks it down,
+    /// and only its keys regroup over the eligible backends, for at most
+    /// one round per backend; keys left with no eligible backend report
+    /// `failed`. Returns the rendered reply.
     fn forward_batch(&self, configs: &[(String, SimConfig)]) -> String {
         let keys: Vec<String> = configs.iter().map(|(_, cfg)| cfg.cache_key()).collect();
         // Distinct keys, first-appearance order: the cluster-wide dedup
@@ -359,7 +385,7 @@ impl Router {
         let mut todo = first_appearances(keys.iter().map(String::as_str));
         let unique = todo.len();
         let mut statuses: HashMap<&str, Json> = HashMap::new();
-        // Keys whose ranking holds no live backend.
+        // Keys whose ranking holds no eligible backend.
         let mut stranded = Vec::new();
         // Each failed round marks a backend down, so one round per
         // backend places every key or runs out of backends.
@@ -370,7 +396,7 @@ impl Router {
             if round > 0 {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
-            // Group the remaining keys by their current live owner.
+            // Group the remaining keys by their current owner.
             let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
             for i in todo.drain(..) {
                 match self.owner(&keys[i]) {
@@ -380,39 +406,37 @@ impl Router {
             }
             // Post the sub-batches concurrently — this fan-out is where
             // the cluster simulates shards in parallel.
-            let outcomes: Vec<(usize, Vec<usize>, Result<HttpReply, String>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|(idx, group)| {
-                            scope.spawn(move || {
-                                let body = batch_body(
-                                    group.iter().map(|&i| (&configs[i].0, &configs[i].1)),
-                                );
-                                let reply = self.backend_request(
-                                    &self.backends[idx],
-                                    ReplyBody::Parse,
-                                    "POST",
-                                    "/batch",
-                                    Some(("application/json", &body)),
-                                );
-                                (idx, group, reply)
-                            })
+            let outcomes: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .into_iter()
+                    .map(|(idx, group)| {
+                        let keys = &keys;
+                        scope.spawn(move || {
+                            let body =
+                                batch_body(group.iter().map(|&i| (&configs[i].0, &configs[i].1)));
+                            let sent: Vec<&str> = group.iter().map(|&i| keys[i].as_str()).collect();
+                            self.backends[idx].forwarded.incr();
+                            let items = self.backend_request(
+                                idx,
+                                ReplyBody::Parse,
+                                "POST",
+                                "/batch",
+                                Some(("application/json", &body)),
+                                |reply| batch_items(&reply, &sent),
+                            );
+                            (group, sent, items)
                         })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-            for (idx, group, outcome) in outcomes {
-                let sent: Vec<&str> = group.iter().map(|&i| keys[i].as_str()).collect();
-                match outcome.ok().and_then(|reply| batch_items(&reply, &sent)) {
-                    Some(items) => {
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (group, sent, items) in outcomes {
+                match items {
+                    Ok(items) => {
                         self.counters.proxied.incr();
                         statuses.extend(sent.into_iter().zip(items));
                     }
-                    None => {
-                        self.mark_down(idx);
-                        todo.extend(group);
-                    }
+                    Err(_) => todo.extend(group),
                 }
             }
         }
@@ -446,8 +470,10 @@ impl Router {
     }
 
     /// The `GET /stats` aggregation: router counters, per-backend detail
-    /// (with each live backend's own `/stats` embedded), and cluster
-    /// totals summed across the live backends.
+    /// (with each eligible backend's own `/stats` embedded), and cluster
+    /// totals summed across the backends that answered. Each `/stats`
+    /// call is an exchange like a forward: a 200 marks its backend up,
+    /// anything else marks it down.
     pub fn cluster_stats_json(&self) -> Json {
         let c = &self.counters;
         let load = |a: &AtomicU64| Json::U64(a.load(Ordering::Relaxed));
@@ -474,13 +500,12 @@ impl Router {
         let backends: Vec<Json> = self
             .backends
             .iter()
-            .map(|b| {
-                let up = b.up.load(Ordering::Relaxed);
-                let stats = if up {
-                    self.backend_request(b, ReplyBody::Parse, "GET", "/stats", None)
+            .enumerate()
+            .map(|(idx, b)| {
+                let stats = if self.eligible(idx) {
+                    let census = |r: HttpReply| (r.status == 200).then_some(r.body);
+                    self.backend_request(idx, ReplyBody::Parse, "GET", "/stats", None, census)
                         .ok()
-                        .filter(|r| r.status == 200)
-                        .map(|r| r.body)
                 } else {
                     None
                 };
@@ -494,7 +519,7 @@ impl Router {
                 }
                 Json::obj([
                     ("addr", Json::from(b.addr.as_str())),
-                    ("up", Json::Bool(up && stats.is_some())),
+                    ("up", Json::Bool(stats.is_some())),
                     ("forwarded", Json::U64(b.forwarded.sum())),
                     ("errors", load(&b.errors)),
                     ("transitions", load(&b.transitions)),
@@ -521,19 +546,6 @@ impl Router {
     }
 }
 
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let handle = {
-            let mut monitor = self.monitor.lock().unwrap_or_else(|e| e.into_inner());
-            monitor.take()
-        };
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The rendezvous weight of `addr` for `key`: the first 8 bytes of
 /// `sha256(key "|" addr)` as a big-endian integer. SHA-256 keys are
 /// uniform, so weights are too — expected load imbalance across N
@@ -545,45 +557,6 @@ fn hrw_weight(key: &str, addr: &str) -> u64 {
     h.update(addr.as_bytes());
     let digest = h.finalize();
     u64::from_be_bytes(digest[..8].try_into().expect("sha256 digest is 32 bytes"))
-}
-
-/// One synchronous `/healthz` probe (its own short-timeout, one-shot
-/// `Connection: close` connection — probes never borrow the forwarding
-/// pool, and never park a backend's keep-alive handler). Only the status
-/// is read, so the body is validated, not parsed.
-fn probe(addr: &str) -> bool {
-    connect(addr, PROBE_CONNECT_TIMEOUT, PROBE_SOCKET_TIMEOUT)
-        .and_then(|mut stream| {
-            let read = ReplyBody::Validate;
-            exchange(&mut stream, addr, "GET", "/healthz", None, false, read)
-        })
-        .is_ok_and(|reply| reply.status == 200)
-}
-
-/// The monitor loop: probe every backend each interval, flip `up` flags
-/// on change, and exit promptly when the router shuts down.
-fn monitor_loop(backends: &[Arc<Backend>], interval: Duration, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::Relaxed) {
-        for b in backends {
-            let up = probe(&b.addr);
-            let was = b.up.swap(up, Ordering::Relaxed);
-            if was != up {
-                b.transitions.fetch_add(1, Ordering::Relaxed);
-                if !up {
-                    b.pool_clear();
-                }
-                eprintln!(
-                    "[route] backend {} is {}",
-                    b.addr,
-                    if up { "up" } else { "down" }
-                );
-            }
-        }
-        let slept = Instant::now();
-        while slept.elapsed() < interval && !shutdown.load(Ordering::Relaxed) {
-            std::thread::sleep(MONITOR_SLICE.min(interval));
-        }
-    }
 }
 
 /// The result items of a backend's `/batch` reply for the keys it was
@@ -776,7 +749,6 @@ mod tests {
             let router = Arc::new(
                 Router::new(RouterOptions {
                     backends: backends.iter().map(|b| b.addr.clone()).collect(),
-                    health_interval: Duration::from_millis(50),
                 })
                 .unwrap(),
             );
@@ -1130,6 +1102,18 @@ mod tests {
         assert_eq!(router_doc.get("requests").and_then(Json::as_u64), Some(5));
         assert_eq!(router_doc.get("proxied").and_then(Json::as_u64), Some(4));
         assert_eq!(router_doc.get("rejected").and_then(Json::as_u64), Some(0));
+        // `forwarded` counts the 4 runs only: neither read's census calls
+        // to the backends' `/stats` is a forward.
+        let again = client.request("GET", "/stats", None).unwrap();
+        let forwarded: u64 = again
+            .body
+            .get("backends")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|b| b.get("forwarded").and_then(Json::as_u64))
+            .sum();
+        assert_eq!(forwarded, 4, "{}", again.text);
     }
 
     #[test]
@@ -1170,7 +1154,6 @@ mod tests {
         let backend = TestBackend::start("cache-only", 0);
         let router = Router::new(RouterOptions {
             backends: vec![backend.addr.clone()],
-            ..RouterOptions::default()
         })
         .unwrap();
         let body = small_cfg(1).to_json().to_string();
@@ -1191,21 +1174,30 @@ mod tests {
     }
 
     #[test]
+    fn a_router_contacts_no_backend_until_a_request_needs_one() {
+        let backend = TestBackend::start("no-contact", 1);
+        let router = Router::new(RouterOptions {
+            backends: vec![backend.addr.clone()],
+        })
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let stats = backend.svc.stats_json();
+        assert_eq!(stats.get("connections").and_then(Json::as_u64), Some(0));
+        assert_eq!(router.backends_up(), 1, "a backend starts up");
+    }
+
+    #[test]
     fn a_batch_with_no_live_backend_fails_at_once() {
-        // Nothing listens on either address: both backends are down from
-        // the start, so no key has an owner and nothing is forwarded.
+        // Nothing listens on either address. Both start up, and the first
+        // round's sub-batches find them dead: each is tried at most once,
+        // and no key is left with a backend to go to.
         let dead: Vec<String> = (0..2)
             .map(|_| {
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 listener.local_addr().unwrap().to_string()
             })
             .collect();
-        let router = Router::new(RouterOptions {
-            backends: dead,
-            health_interval: Duration::from_secs(600),
-        })
-        .unwrap();
-        assert_eq!(router.backends_up(), 0);
+        let router = Router::new(RouterOptions { backends: dead }).unwrap();
         let body = batch_body([("a", &small_cfg(1)), ("b", &small_cfg(2))]);
         let (status, text) = router.handle(&post("/batch", body));
         assert_eq!(status, 200, "{text}");
@@ -1217,48 +1209,67 @@ mod tests {
                 Some("no live backend")
             );
         }
-        assert_eq!(router.counters.retries.load(Ordering::Relaxed), 0);
-        assert!(router.backends.iter().all(|b| b.forwarded.sum() == 0));
+        assert!(router.backends.iter().all(|b| b.forwarded.sum() <= 1));
+        assert_eq!(router.backends_up(), 0);
     }
 
-    /// A backend whose health probe answers JSON and whose every other
-    /// reply is a 200 with a body that is not JSON.
-    struct Garbled(HttpCounters);
+    /// A backend double that answers every request with a 200 whose body
+    /// is not JSON while `garbling` is set, and with a JSON body once it
+    /// is cleared.
+    struct Garbled {
+        http: HttpCounters,
+        garbling: AtomicBool,
+    }
 
     impl Handler for Garbled {
         const TAG: &'static str = "garbled";
 
         fn http_counters(&self) -> &HttpCounters {
-            &self.0
+            &self.http
         }
 
-        fn handle(&self, request: &HttpRequest) -> Response {
-            if request.path == "/healthz" {
-                return reply(200, r#"{"ok":true}"#.to_string());
+        fn handle(&self, _request: &HttpRequest) -> Response {
+            if self.garbling.load(Ordering::Relaxed) {
+                return (200, "not json from the backend\n".to_string());
             }
-            (200, "not json from the backend\n".to_string())
+            reply(200, r#"{"ok":true}"#.to_string())
         }
+    }
+
+    /// Serves a garbling [`Garbled`] on an ephemeral port until `stop` is
+    /// raised.
+    fn start_garbled(
+        stop: &Arc<AtomicBool>,
+    ) -> (
+        String,
+        Arc<Garbled>,
+        std::thread::JoinHandle<Result<(), String>>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let garbled = Arc::new(Garbled {
+            http: HttpCounters::default(),
+            garbling: AtomicBool::new(true),
+        });
+        let server = {
+            let stop = Arc::clone(stop);
+            let garbled = Arc::clone(&garbled);
+            std::thread::spawn(move || http::serve(garbled, listener, None, false, stop))
+        };
+        (addr, garbled, server)
     }
 
     #[test]
     fn a_backend_answering_malformed_bodies_is_marked_down() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
         let stop = Arc::new(AtomicBool::new(false));
-        let server = {
-            let stop = Arc::clone(&stop);
-            let garbled = Arc::new(Garbled(HttpCounters::default()));
-            std::thread::spawn(move || http::serve(garbled, listener, None, false, stop))
-        };
+        let (addr, _garbled, server) = start_garbled(&stop);
         let run = small_cfg(1).to_json().to_string();
         let batch = batch_body([("a", &small_cfg(1))]);
         for (path, body) in [("/run", run), ("/batch", batch)] {
             let router = Router::new(RouterOptions {
                 backends: vec![addr.clone()],
-                health_interval: Duration::from_secs(600),
             })
             .unwrap();
-            assert_eq!(router.backends_up(), 1, "its health probe answers JSON");
             let (status, text) = router.handle(&post(path, body));
             assert!(
                 !text.contains("not json"),
@@ -1279,11 +1290,51 @@ mod tests {
             }
             let backend = &router.backends[0];
             assert!(backend.errors.load(Ordering::Relaxed) >= 1, "{path}");
-            assert!(
-                backend.transitions.load(Ordering::Relaxed) >= 1,
+            assert_eq!(
+                backend.transitions.load(Ordering::Relaxed),
+                1,
                 "{path}: the backend was marked down"
             );
+            assert_eq!(router.backends_up(), 0, "{path}");
         }
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_down_backend_rejoins_through_the_first_request_after_its_wait() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (addr, garbled, server) = start_garbled(&stop);
+        let router = Router::new(RouterOptions {
+            backends: vec![addr],
+        })
+        .unwrap();
+        let run = || router.handle(&post("/run", small_cfg(1).to_json().to_string()));
+        let transitions = || router.backends[0].transitions.load(Ordering::Relaxed);
+        let reached = || garbled.http.requests.sum();
+
+        let (status, text) = run();
+        assert_eq!(status, 503, "{text}");
+        assert_eq!(transitions(), 1, "a malformed reply marks it down");
+        assert_eq!(reached(), 1);
+
+        // Recovered, but still sitting out its wait: the router answers
+        // without sending.
+        garbled.garbling.store(false, Ordering::Relaxed);
+        let (status, text) = run();
+        assert_eq!(status, 503, "{text}");
+        assert!(text.contains("no live backend"), "{text}");
+        assert_eq!(reached(), 1, "no request reached the backend");
+
+        // After the wait the next request reaches it, is relayed, and
+        // marks it up.
+        std::thread::sleep(DOWN_RETRY);
+        let (status, text) = run();
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(reached(), 2);
+        assert_eq!(transitions(), 2);
+        assert_eq!(router.backends_up(), 1);
+
         stop.store(true, Ordering::Relaxed);
         server.join().unwrap().unwrap();
     }

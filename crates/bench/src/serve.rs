@@ -1524,7 +1524,6 @@ mod tests {
                     let router = Arc::new(
                         Router::new(RouterOptions {
                             backends: vec![backend.addr.clone()],
-                            ..RouterOptions::default()
                         })
                         .unwrap(),
                     );

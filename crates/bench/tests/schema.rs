@@ -141,7 +141,6 @@ fn cluster_stats_match_published_schema() {
     }
     let router = tenways_bench::Router::new(tenways_bench::RouterOptions {
         backends: backends.iter().map(|(addr, ..)| addr.clone()).collect(),
-        ..tenways_bench::RouterOptions::default()
     })
     .unwrap();
 

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use tenways_mem::{CacheArray, CacheParams, DramBanks, DramParams, Replacement};
+use tenways_mem::{CacheArray, CacheParams, DramBanks, DramParams};
 use tenways_noc::Fabric;
 use tenways_sim::trace::{TraceCategory, Tracer, DIR_TID_BASE};
 use tenways_sim::{BlockAddr, BlockMap, BlockSet, CoreId, Cycle, MachineConfig, NodeId, StatSet};
@@ -184,10 +184,7 @@ impl DirectoryBank {
             pending: VecDeque::new(),
             sends: Vec::new(),
             fired: Vec::new(),
-            l2: CacheArray::with_seed(
-                CacheParams::new(L2_SETS, L2_WAYS, Replacement::Lru).expect("static geometry"),
-                0xd1e5 + index as u64,
-            ),
+            l2: CacheArray::new(CacheParams::new(L2_SETS, L2_WAYS).expect("static geometry")),
             seen: BlockSet::default(),
             dram: DramBanks::new(
                 DramParams::new(cfg.dram_banks, cfg.dram_latency, cfg.dram_occupancy)

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use tenways_mem::{CacheArray, CacheParams, MshrFile, Replacement};
+use tenways_mem::{CacheArray, CacheParams, MshrFile};
 use tenways_noc::Fabric;
 use tenways_sim::{BlockAddr, BlockMap, CoreId, Cycle, MachineConfig, NodeId, StatSet};
 
@@ -205,7 +205,7 @@ pub struct L1Controller {
 impl L1Controller {
     /// Creates the controller for `core` under machine `cfg`.
     pub fn new(core: CoreId, cfg: &MachineConfig, protocol: ProtocolConfig) -> Self {
-        let params = CacheParams::new(cfg.l1_sets, cfg.l1_ways, Replacement::Lru)
+        let params = CacheParams::new(cfg.l1_sets, cfg.l1_ways)
             .expect("MachineConfig validated its cache geometry");
         L1Controller {
             core,
@@ -214,7 +214,7 @@ impl L1Controller {
             dir_banks: cfg.dir_banks,
             hit_latency: cfg.l1_hit_latency,
             config: protocol,
-            cache: CacheArray::with_seed(params, u64::from(core.0)),
+            cache: CacheArray::new(params),
             mshrs: MshrFile::new(cfg.mshrs),
             want_m: BlockMap::default(),
             wb: BlockMap::default(),

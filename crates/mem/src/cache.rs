@@ -1,25 +1,13 @@
-//! Set-associative cache arrays: [`CacheArray`], [`CacheParams`],
-//! [`Replacement`].
+//! Set-associative cache arrays with LRU replacement: [`CacheArray`],
+//! [`CacheParams`].
 
-use tenways_sim::{BlockAddr, DetRng};
-
-/// Replacement policy for a [`CacheArray`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Replacement {
-    /// True least-recently-used (per-way timestamps).
-    Lru,
-    /// Tree pseudo-LRU (one bit per internal node).
-    TreePlru,
-    /// Uniform random victim (deterministic, seeded).
-    Random,
-}
+use tenways_sim::BlockAddr;
 
 /// Validated organization of a [`CacheArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     sets: usize,
     ways: usize,
-    policy: Replacement,
 }
 
 impl CacheParams {
@@ -30,12 +18,12 @@ impl CacheParams {
     /// Returns `None` if `sets` is zero or not a power of two, if `ways`
     /// is zero, or if `sets × ways` is past `u32::MAX` (a [`CacheArray`]
     /// indexes its ways in `u32`s).
-    pub fn new(sets: usize, ways: usize, policy: Replacement) -> Option<Self> {
+    pub fn new(sets: usize, ways: usize) -> Option<Self> {
         let blocks = sets.checked_mul(ways)?;
         if sets == 0 || !sets.is_power_of_two() || ways == 0 || u32::try_from(blocks).is_err() {
             return None;
         }
-        Some(CacheParams { sets, ways, policy })
+        Some(CacheParams { sets, ways })
     }
 
     /// Number of sets.
@@ -51,11 +39,6 @@ impl CacheParams {
     /// Total block capacity.
     pub const fn blocks(self) -> usize {
         self.sets * self.ways
-    }
-
-    /// The replacement policy.
-    pub const fn policy(self) -> Replacement {
-        self.policy
     }
 }
 
@@ -82,18 +65,16 @@ struct Way<T> {
 /// interprets the payload. Timing, coherence state and writeback policy live
 /// in the protocol layer above.
 ///
-/// Replacement prefers invalid ways; otherwise the victim is chosen by the
-/// configured [`Replacement`] policy. Random replacement is deterministic,
-/// seeded from the array's construction seed.
+/// An insert fills an invalid way when its set has one; otherwise it
+/// evicts the set's least recently used way (per-way timestamps).
 ///
 /// Storage is lazy: a new array holds one `u32` per set and no ways. A
-/// set's `W` ways (and, under [`Replacement::TreePlru`], its `W - 1` PLRU
-/// bits) are appended to a pool on the set's first insert; lookups and
-/// removals on a set never filled miss without writing anything. The
-/// pool's room for every set is reserved up front, one allocation that
-/// writes nothing, so building an array costs O(sets) and three
-/// allocations at most whatever its size, and a run pays only for the sets
-/// it fills.
+/// set's `W` ways are appended to a pool on the set's first insert;
+/// lookups and removals on a set never filled miss without writing
+/// anything. The pool's room for every set is reserved up front, one
+/// allocation that writes nothing, so building an array costs O(sets) and
+/// two allocations whatever its size, and a run pays only for the sets it
+/// fills.
 #[derive(Debug, Clone)]
 pub struct CacheArray<T> {
     params: CacheParams,
@@ -104,35 +85,18 @@ pub struct CacheArray<T> {
     /// The pool: slot `k` owns `ways[k * W .. (k + 1) * W]`, `W` the
     /// associativity; slots are numbered in first-fill order.
     ways: Vec<Option<Way<T>>>,
-    /// Tree-PLRU direction bits, `W - 1` per pool slot (index 0 = root),
-    /// in slot order; empty under the other policies.
-    plru: Vec<bool>,
     tick: u64,
-    rng: DetRng,
     occupied: usize,
 }
 
 impl<T> CacheArray<T> {
     /// Creates an empty array.
     pub fn new(params: CacheParams) -> Self {
-        CacheArray::with_seed(params, 0)
-    }
-
-    /// Creates an empty array whose random-replacement stream is seeded by
-    /// `seed` (distinct caches should get distinct seeds).
-    pub fn with_seed(params: CacheParams, seed: u64) -> Self {
-        let plru_bits = if params.policy == Replacement::TreePlru {
-            params.sets * (params.ways - 1)
-        } else {
-            0
-        };
         CacheArray {
             params,
             index: vec![0; params.sets],
             ways: Vec::with_capacity(params.blocks()),
-            plru: Vec::with_capacity(plru_bits),
             tick: 0,
-            rng: DetRng::seed(seed).split("cache-array"),
             occupied: 0,
         }
     }
@@ -167,18 +131,14 @@ impl<T> CacheArray<T> {
     }
 
     /// Index into `ways` of set `set`'s first way, appending the set's
-    /// ways (and PLRU bits) to the pool on its first fill.
+    /// ways to the pool on its first fill.
     fn fill(&mut self, set: usize) -> usize {
         if let Some(base) = self.base(set) {
             return base;
         }
-        let ways = self.params.ways;
         let base = self.ways.len();
         self.index[set] = u32::try_from(base + 1).expect("CacheParams bounds the ways by u32");
-        self.ways.resize_with(base + ways, || None);
-        if self.params.policy == Replacement::TreePlru {
-            self.plru.resize(self.plru.len() + ways - 1, false);
-        }
+        self.ways.resize_with(base + self.params.ways, || None);
         base
     }
 
@@ -226,7 +186,6 @@ impl<T> CacheArray<T> {
         // Already resident: replace payload in place.
         if let Some(i) = self.find(block) {
             self.ways[i] = Some(way);
-            self.touch(i);
             return None;
         }
 
@@ -235,50 +194,19 @@ impl<T> CacheArray<T> {
         let set_ways = base..base + self.params.ways;
         if let Some(free) = self.ways[set_ways.clone()].iter().position(Option::is_none) {
             self.ways[base + free] = Some(way);
-            self.touch(base + free);
             self.occupied += 1;
             return None;
         }
 
-        // Choose a victim.
-        let victim = base
-            + match self.params.policy {
-                Replacement::Lru => Self::lru_victim(&self.ways[set_ways]),
-                Replacement::TreePlru => self.plru_victim(base),
-                Replacement::Random => self.rng.below(self.params.ways as u64) as usize,
-            };
+        // Evict the least recently used way.
+        let victim = base + Self::lru_victim(&self.ways[set_ways]);
         let old = self.ways[victim]
             .replace(way)
             .expect("victim way was occupied");
-        self.touch(victim);
         Some(Evicted {
             block: old.block,
             payload: old.payload,
         })
-    }
-
-    /// Picks the victim that [`CacheArray::insert`] of a non-resident block
-    /// into a full set would evict, without modifying anything. Returns
-    /// `None` if the set still has a free way or the block is resident.
-    pub fn victim_preview(&self, block: BlockAddr) -> Option<BlockAddr> {
-        // A set never filled has only free ways.
-        let base = self.base(self.set_index(block))?;
-        let ways = &self.ways[base..base + self.params.ways];
-        if ways
-            .iter()
-            .any(|w| w.as_ref().is_none_or(|w| w.block == block))
-        {
-            return None;
-        }
-        let idx = match self.params.policy {
-            Replacement::Lru => Self::lru_victim(ways),
-            Replacement::TreePlru => self.plru_victim(base),
-            // Random preview is not representative; report the way the RNG
-            // would *not* necessarily pick — callers needing exact victims
-            // should use LRU/PLRU. We return way 0 deterministically.
-            Replacement::Random => 0,
-        };
-        ways[idx].as_ref().map(|w| w.block)
     }
 
     /// Removes a block, returning its payload.
@@ -318,46 +246,11 @@ impl<T> CacheArray<T> {
             .map(|w| (w.block, &mut w.payload))
     }
 
-    /// Marks way `i` (an index into `ways`) as just used: stamps it for
-    /// LRU and, under tree-PLRU, walks its set's bits away from it.
+    /// Marks way `i` (an index into `ways`) as just used.
     fn touch(&mut self, i: usize) {
         if let Some(w) = self.ways[i].as_mut() {
             w.stamp = self.tick;
         }
-        if self.params.policy != Replacement::TreePlru || self.params.ways == 1 {
-            return;
-        }
-        let ways = self.params.ways;
-        let way = i % ways;
-        let range = self.plru_bits(i);
-        let bits = &mut self.plru[range];
-        // Conceptual complete binary tree over the next power of two ≥ ways;
-        // node i has children 2i+1, 2i+2; leaves map to ways left-to-right.
-        let leaves = ways.next_power_of_two();
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = way >= mid;
-            if node < bits.len() {
-                // Point the bit AWAY from the touched way.
-                bits[node] = !go_right;
-            }
-            node = 2 * node + 1 + usize::from(go_right);
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-    }
-
-    /// The range of `plru` holding the bits of the set that owns `ways[i]`.
-    fn plru_bits(&self, i: usize) -> std::ops::Range<usize> {
-        let ways = self.params.ways;
-        let slot = i / ways;
-        slot * (ways - 1)..(slot + 1) * (ways - 1)
     }
 
     /// The least recently stamped way of a full set.
@@ -368,56 +261,31 @@ impl<T> CacheArray<T> {
             .map(|(i, _)| i)
             .expect("ways > 0")
     }
-
-    /// Follows the PLRU bits of the set whose first way is `ways[base]` to
-    /// the victim way.
-    fn plru_victim(&self, base: usize) -> usize {
-        let ways = self.params.ways;
-        if ways == 1 {
-            return 0;
-        }
-        let bits = &self.plru[self.plru_bits(base)];
-        let leaves = ways.next_power_of_two();
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = node < bits.len() && bits[node];
-            node = 2 * node + 1 + usize::from(go_right);
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo.min(ways - 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn params(sets: usize, ways: usize, policy: Replacement) -> CacheParams {
-        CacheParams::new(sets, ways, policy).unwrap()
+    fn params(sets: usize, ways: usize) -> CacheParams {
+        CacheParams::new(sets, ways).unwrap()
     }
 
     #[test]
     fn params_validation() {
-        assert!(CacheParams::new(0, 4, Replacement::Lru).is_none());
-        assert!(CacheParams::new(3, 4, Replacement::Lru).is_none());
-        assert!(CacheParams::new(4, 0, Replacement::Lru).is_none());
+        assert!(CacheParams::new(0, 4).is_none());
+        assert!(CacheParams::new(3, 4).is_none());
+        assert!(CacheParams::new(4, 0).is_none());
         // A `CacheArray` indexes its ways in `u32`s.
-        assert!(CacheParams::new(1 << 29, 8, Replacement::Lru).is_none());
-        assert!(CacheParams::new(1 << 28, 8, Replacement::Lru).is_some());
-        let p = params(8, 2, Replacement::Lru);
+        assert!(CacheParams::new(1 << 29, 8).is_none());
+        assert!(CacheParams::new(1 << 28, 8).is_some());
+        let p = params(8, 2);
         assert_eq!(p.blocks(), 16);
     }
 
     #[test]
     fn insert_then_get() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2));
         assert!(c.insert(BlockAddr(5), 55).is_none());
         assert_eq!(c.peek(BlockAddr(5)), Some(&55));
         assert_eq!(c.get(BlockAddr(5)), Some(&mut 55));
@@ -426,7 +294,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_payload_without_eviction() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(1, 1, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(1, 1));
         c.insert(BlockAddr(1), 10);
         let ev = c.insert(BlockAddr(1), 20);
         assert!(ev.is_none());
@@ -437,7 +305,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         // One set, two ways: blocks 0, 4, 8 all map to set 0 (4 sets).
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2));
         c.insert(BlockAddr(0), 0);
         c.insert(BlockAddr(4), 4);
         // Touch 0 so 4 is LRU.
@@ -450,7 +318,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_promote() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2));
         c.insert(BlockAddr(0), 0);
         c.insert(BlockAddr(4), 4);
         // peek at 0 — must NOT promote it; 0 stays LRU.
@@ -461,7 +329,7 @@ mod tests {
 
     #[test]
     fn remove_frees_way() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 1, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(4, 1));
         c.insert(BlockAddr(0), 1);
         assert_eq!(c.remove(BlockAddr(0)), Some(1));
         assert_eq!(c.remove(BlockAddr(0)), None);
@@ -470,69 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn victim_preview_matches_lru_insert() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2, Replacement::Lru));
-        c.insert(BlockAddr(0), 0);
-        c.insert(BlockAddr(4), 4);
-        c.get(BlockAddr(0));
-        assert_eq!(c.victim_preview(BlockAddr(8)), Some(BlockAddr(4)));
-        let ev = c.insert(BlockAddr(8), 8).unwrap();
-        assert_eq!(ev.block, BlockAddr(4));
-        // Resident block or free set previews None.
-        assert_eq!(c.victim_preview(BlockAddr(8)), None);
-        assert_eq!(c.victim_preview(BlockAddr(1)), None);
-    }
-
-    #[test]
-    fn plru_victimizes_an_untouched_way() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(1, 4, Replacement::TreePlru));
-        for i in 0..4 {
-            c.insert(BlockAddr(i), i as u32);
-        }
-        // Touch 0 and 1 heavily; victim should be 2 or 3.
-        for _ in 0..4 {
-            c.get(BlockAddr(0));
-            c.get(BlockAddr(1));
-        }
-        let ev = c.insert(BlockAddr(100), 100).unwrap();
-        assert!(
-            ev.block == BlockAddr(2) || ev.block == BlockAddr(3),
-            "PLRU evicted a hot way: {:?}",
-            ev.block
-        );
-    }
-
-    #[test]
-    fn plru_single_way_works() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(2, 1, Replacement::TreePlru));
-        c.insert(BlockAddr(0), 1);
-        let ev = c.insert(BlockAddr(2), 2).unwrap();
-        assert_eq!(ev.block, BlockAddr(0));
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic() {
-        let run = |seed| {
-            let mut c: CacheArray<u32> =
-                CacheArray::with_seed(params(1, 4, Replacement::Random), seed);
-            for i in 0..4 {
-                c.insert(BlockAddr(i), 0);
-            }
-            let mut evictions = Vec::new();
-            for i in 4..20 {
-                if let Some(ev) = c.insert(BlockAddr(i), 0) {
-                    evictions.push(ev.block);
-                }
-            }
-            evictions
-        };
-        assert_eq!(run(1), run(1));
-        assert_ne!(run(1), run(2), "different seeds should diverge");
-    }
-
-    #[test]
     fn iter_visits_all_blocks() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(4, 2));
         for i in 0..6 {
             c.insert(BlockAddr(i), i as u32 * 10);
         }
@@ -545,7 +352,7 @@ mod tests {
 
     #[test]
     fn iter_mut_allows_payload_updates() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(2, 2, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(2, 2));
         c.insert(BlockAddr(0), 1);
         c.insert(BlockAddr(1), 2);
         for (_, p) in c.iter_mut() {
@@ -557,7 +364,7 @@ mod tests {
 
     #[test]
     fn different_sets_do_not_conflict() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(4, 1, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(4, 1));
         for i in 0..4 {
             assert!(c.insert(BlockAddr(i), 0).is_none(), "distinct sets");
         }
@@ -566,7 +373,7 @@ mod tests {
 
     #[test]
     fn lru_full_set_cycles_fifo_under_streaming() {
-        let mut c: CacheArray<u32> = CacheArray::new(params(1, 3, Replacement::Lru));
+        let mut c: CacheArray<u32> = CacheArray::new(params(1, 3));
         c.insert(BlockAddr(0), 0);
         c.insert(BlockAddr(1), 0);
         c.insert(BlockAddr(2), 0);
@@ -576,9 +383,6 @@ mod tests {
         assert_eq!(e2.block, BlockAddr(1));
     }
 
-    const POLICIES: [Replacement; 3] =
-        [Replacement::Lru, Replacement::TreePlru, Replacement::Random];
-
     /// The sets whose ways the array holds, in set order.
     fn filled_sets<T>(c: &CacheArray<T>) -> Vec<usize> {
         (0..c.params.sets).filter(|&s| c.index[s] != 0).collect()
@@ -586,55 +390,41 @@ mod tests {
 
     #[test]
     fn a_new_array_holds_no_ways() {
-        for policy in POLICIES {
-            let c: CacheArray<u32> = CacheArray::new(params(4096, 8, policy));
-            assert!(c.ways.is_empty(), "{policy:?}");
-            assert!(c.plru.is_empty(), "{policy:?}");
-            assert!(filled_sets(&c).is_empty(), "{policy:?}");
-            // The pool's room is reserved once, up front.
-            assert!(c.ways.capacity() >= 4096 * 8, "{policy:?}");
-        }
+        let c: CacheArray<u32> = CacheArray::new(params(4096, 8));
+        assert!(c.ways.is_empty());
+        assert!(filled_sets(&c).is_empty());
+        // The pool's room is reserved once, up front.
+        assert!(c.ways.capacity() >= 4096 * 8);
     }
 
     #[test]
     fn lookups_and_removals_on_an_untouched_set_create_nothing() {
-        for policy in POLICIES {
-            let mut c: CacheArray<u32> = CacheArray::new(params(4096, 8, policy));
-            c.insert(BlockAddr(0), 1);
-            for b in [1, 2, 4095, 4096 + 7] {
-                let block = BlockAddr(b);
-                assert_eq!(c.peek(block), None);
-                assert_eq!(c.get(block), None);
-                assert_eq!(c.peek_mut(block), None);
-                assert_eq!(c.remove(block), None);
-                assert_eq!(c.victim_preview(block), None);
-            }
-            assert_eq!(filled_sets(&c), [0], "{policy:?}");
-            assert_eq!(c.ways.len(), 8, "{policy:?}");
-            assert_eq!(c.len(), 1);
+        let mut c: CacheArray<u32> = CacheArray::new(params(4096, 8));
+        c.insert(BlockAddr(0), 1);
+        for b in [1, 2, 4095, 4096 + 7] {
+            let block = BlockAddr(b);
+            assert_eq!(c.peek(block), None);
+            assert_eq!(c.get(block), None);
+            assert_eq!(c.peek_mut(block), None);
+            assert_eq!(c.remove(block), None);
         }
+        assert_eq!(filled_sets(&c), [0]);
+        assert_eq!(c.ways.len(), 8);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn one_insert_creates_exactly_its_own_set() {
-        for policy in POLICIES {
-            let mut c: CacheArray<u32> = CacheArray::new(params(4096, 8, policy));
-            assert!(c.insert(BlockAddr(3 * 4096 + 5), 9).is_none());
-            assert_eq!(filled_sets(&c), [5], "{policy:?}");
-            assert_eq!(c.ways.len(), 8, "{policy:?}");
-            let bits = if policy == Replacement::TreePlru {
-                7
-            } else {
-                0
-            };
-            assert_eq!(c.plru.len(), bits, "{policy:?}");
-            assert_eq!(c.peek(BlockAddr(3 * 4096 + 5)), Some(&9));
-        }
+        let mut c: CacheArray<u32> = CacheArray::new(params(4096, 8));
+        assert!(c.insert(BlockAddr(3 * 4096 + 5), 9).is_none());
+        assert_eq!(filled_sets(&c), [5]);
+        assert_eq!(c.ways.len(), 8);
+        assert_eq!(c.peek(BlockAddr(3 * 4096 + 5)), Some(&9));
     }
 
     #[test]
     fn iter_and_iter_mut_walk_in_set_order_whatever_the_fill_order() {
-        let mut c: CacheArray<u64> = CacheArray::new(params(8, 2, Replacement::Lru));
+        let mut c: CacheArray<u64> = CacheArray::new(params(8, 2));
         // First fills in the order 6, 1, 7, 0, 3; two ways each in sets 1
         // and 7.
         for b in [6, 1, 7, 9, 15, 0, 3] {
@@ -667,8 +457,7 @@ mod randomized_tests {
         for case in 0..32u64 {
             let mut rng = DetRng::seed(0xCAC4E).split("occupancy").split_index(case);
             let n = rng.range(1, 200);
-            let mut c: CacheArray<u64> =
-                CacheArray::new(CacheParams::new(4, 2, Replacement::Lru).unwrap());
+            let mut c: CacheArray<u64> = CacheArray::new(CacheParams::new(4, 2).unwrap());
             for _ in 0..n {
                 let blk = rng.below(64);
                 if rng.chance(0.5) {
@@ -689,8 +478,7 @@ mod randomized_tests {
         for case in 0..32u64 {
             let mut rng = DetRng::seed(0xCAC4E).split("resident").split_index(case);
             let n = rng.range(1, 100);
-            let mut c: CacheArray<u64> =
-                CacheArray::new(CacheParams::new(2, 2, Replacement::TreePlru).unwrap());
+            let mut c: CacheArray<u64> = CacheArray::new(CacheParams::new(2, 2).unwrap());
             for _ in 0..n {
                 let b = rng.below(32);
                 let ev = c.insert(BlockAddr(b), b);
@@ -711,46 +499,36 @@ mod randomized_tests {
     /// A resident block's payload survives unrelated traffic.
     #[test]
     fn get_returns_inserted_payload() {
-        for seed in 0..100u64 {
-            let mut c: CacheArray<u64> =
-                CacheArray::with_seed(CacheParams::new(8, 4, Replacement::Random).unwrap(), seed);
-            c.insert(BlockAddr(3), 333);
-            // Traffic to other sets only.
-            for i in 0..100u64 {
-                let b = i * 8; // set 0
-                c.insert(BlockAddr(b), b);
-            }
-            assert_eq!(c.peek(BlockAddr(3)), Some(&333), "seed {seed}");
+        let mut c: CacheArray<u64> = CacheArray::new(CacheParams::new(8, 4).unwrap());
+        c.insert(BlockAddr(3), 333);
+        // Traffic to other sets only.
+        for i in 0..100u64 {
+            let b = i * 8; // set 0
+            c.insert(BlockAddr(b), b);
         }
+        assert_eq!(c.peek(BlockAddr(3)), Some(&333));
     }
 }
 
 #[cfg(test)]
 mod reference_tests {
     use super::*;
+    use tenways_sim::DetRng;
 
     /// A reference model of the array kept one set at a time: each set owns
-    /// its ways and, whatever the policy, its PLRU tree. The flat array
-    /// must agree with it on every answer and every eviction.
+    /// its ways. The flat array must agree with it on every answer and
+    /// every eviction.
     struct RefCache {
-        policy: Replacement,
         /// Per set, per way: `(block, payload, stamp)`.
         sets: Vec<Vec<Option<(u64, u64, u64)>>>,
-        /// Per set: `ways - 1` tree nodes, node `n`'s children at `2n+1`
-        /// and `2n+2`; `true` points the victim search right.
-        plru: Vec<Vec<bool>>,
         tick: u64,
-        rng: DetRng,
     }
 
     impl RefCache {
-        fn new(sets: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
+        fn new(sets: usize, ways: usize) -> Self {
             RefCache {
-                policy,
                 sets: vec![vec![None; ways]; sets],
-                plru: vec![vec![false; ways - 1]; sets],
                 tick: 0,
-                rng: DetRng::seed(seed).split("cache-array"),
             }
         }
 
@@ -762,59 +540,20 @@ mod reference_tests {
             (set, way)
         }
 
-        /// Recursively descends the tree over leaves `lo..hi` towards
-        /// `way`, pointing each node on the path away from it.
-        fn point_away(bits: &mut [bool], node: usize, lo: usize, hi: usize, way: usize) {
-            if hi - lo <= 1 {
-                return;
-            }
-            let mid = (lo + hi) / 2;
-            let right = way >= mid;
-            if let Some(bit) = bits.get_mut(node) {
-                *bit = !right;
-            }
-            let (lo, hi) = if right { (mid, hi) } else { (lo, mid) };
-            Self::point_away(bits, 2 * node + 1 + usize::from(right), lo, hi, way);
-        }
-
-        fn follow(bits: &[bool], node: usize, lo: usize, hi: usize) -> usize {
-            if hi - lo <= 1 {
-                return lo;
-            }
-            let mid = (lo + hi) / 2;
-            let right = bits.get(node).copied().unwrap_or(false);
-            let (lo, hi) = if right { (mid, hi) } else { (lo, mid) };
-            Self::follow(bits, 2 * node + 1 + usize::from(right), lo, hi)
-        }
-
-        fn touch(&mut self, set: usize, way: usize) {
-            if let Some(w) = self.sets[set][way].as_mut() {
-                w.2 = self.tick;
-            }
-            let leaves = self.sets[set].len().next_power_of_two();
-            Self::point_away(&mut self.plru[set], 0, 0, leaves, way);
-        }
-
+        /// The least recently stamped way of a full set.
         fn victim(&self, set: usize) -> usize {
             let ways = &self.sets[set];
-            match self.policy {
-                Replacement::Lru => (0..ways.len())
-                    .min_by_key(|&w| ways[w].map_or(0, |(_, _, stamp)| stamp))
-                    .unwrap(),
-                Replacement::TreePlru => {
-                    let leaves = ways.len().next_power_of_two();
-                    Self::follow(&self.plru[set], 0, 0, leaves).min(ways.len() - 1)
-                }
-                Replacement::Random => 0,
-            }
+            (0..ways.len())
+                .min_by_key(|&w| ways[w].map_or(0, |(_, _, stamp)| stamp))
+                .unwrap()
         }
 
         fn get(&mut self, block: u64) -> Option<u64> {
             self.tick += 1;
             let (set, way) = self.locate(block);
-            let way = way?;
-            self.touch(set, way);
-            self.sets[set][way].map(|(_, p, _)| p)
+            let w = self.sets[set][way?].as_mut()?;
+            w.2 = self.tick;
+            Some(w.1)
         }
 
         fn peek(&self, block: u64) -> Option<u64> {
@@ -837,32 +576,19 @@ mod reference_tests {
                 None => match self.sets[set].iter().position(Option::is_none) {
                     Some(free) => (free, None),
                     None => {
-                        let victim = if self.policy == Replacement::Random {
-                            self.rng.below(self.sets[set].len() as u64) as usize
-                        } else {
-                            self.victim(set)
-                        };
+                        let victim = self.victim(set);
                         let (b, p, _) = self.sets[set][victim].unwrap();
                         (victim, Some((b, p)))
                     }
                 },
             };
             self.sets[set][way] = Some((block, payload, self.tick));
-            self.touch(set, way);
             evicted
         }
 
         fn remove(&mut self, block: u64) -> Option<u64> {
             let (set, way) = self.locate(block);
             self.sets[set][way?].take().map(|(_, p, _)| p)
-        }
-
-        fn victim_preview(&self, block: u64) -> Option<u64> {
-            let (set, way) = self.locate(block);
-            if way.is_some() || self.sets[set].iter().any(Option::is_none) {
-                return None;
-            }
-            self.sets[set][self.victim(set)].map(|(b, _, _)| b)
         }
 
         fn contents(&self) -> Vec<(u64, u64)> {
@@ -877,24 +603,17 @@ mod reference_tests {
 
     #[test]
     fn flat_array_matches_the_per_set_reference() {
-        let policies = [Replacement::Lru, Replacement::TreePlru, Replacement::Random];
         let shapes = [(1, 1), (1, 4), (2, 3), (4, 2), (4, 5), (8, 8)];
-        for (case, (policy, (sets, ways))) in policies
-            .iter()
-            .flat_map(|&p| shapes.iter().map(move |&s| (p, s)))
-            .enumerate()
-        {
-            let seed = case as u64;
-            let mut rng = DetRng::seed(0xF1A7).split_index(seed);
-            let params = CacheParams::new(sets, ways, policy).unwrap();
-            let mut flat: CacheArray<u64> = CacheArray::with_seed(params, seed);
-            let mut model = RefCache::new(sets, ways, policy, seed);
+        for (case, &(sets, ways)) in shapes.iter().enumerate() {
+            let mut rng = DetRng::seed(0xF1A7).split_index(case as u64);
+            let mut flat: CacheArray<u64> = CacheArray::new(CacheParams::new(sets, ways).unwrap());
+            let mut model = RefCache::new(sets, ways);
             // Three blocks per way of every set keep sets full and churning.
             let span = (3 * sets * ways) as u64;
             for step in 0..2_000 {
                 let b = rng.below(span);
                 let block = BlockAddr(b);
-                let at = format!("{policy:?} {sets}x{ways} step {step} block {b}");
+                let at = format!("{sets}x{ways} step {step} block {b}");
                 match rng.below(6) {
                     0 => assert_eq!(flat.get(block).map(|p| *p), model.get(b), "get {at}"),
                     1 => assert_eq!(flat.peek(block).copied(), model.peek(b), "peek {at}"),
@@ -912,55 +631,10 @@ mod reference_tests {
                         assert_eq!(evicted, model.insert(b, payload), "insert {at}");
                     }
                 }
-                let probe = rng.below(span);
-                assert_eq!(
-                    flat.victim_preview(BlockAddr(probe)).map(|b| b.0),
-                    model.victim_preview(probe),
-                    "victim_preview {at} probe {probe}"
-                );
                 let contents: Vec<(u64, u64)> = flat.iter().map(|(b, &p)| (b.0, p)).collect();
                 assert_eq!(contents, model.contents(), "iter order {at}");
                 assert_eq!(flat.len(), contents.len(), "len {at}");
             }
-        }
-    }
-    #[test]
-    fn tree_plru_victims_match_the_reference_when_sets_fill_out_of_order() {
-        for (sets, ways) in [(4, 2), (8, 4), (16, 8), (8, 5)] {
-            let params = CacheParams::new(sets, ways, Replacement::TreePlru).unwrap();
-            let mut flat: CacheArray<u64> = CacheArray::new(params);
-            let mut model = RefCache::new(sets, ways, Replacement::TreePlru, 0);
-            let mut rng = DetRng::seed(0x0DD).split_index((sets * 16 + ways) as u64);
-            // Sets take their first fills in a scattered order, so pool
-            // slots and set numbers disagree.
-            let sets = sets as u64;
-            let order: Vec<u64> = (0..sets).rev().map(|k| (k * 5 + 3) % sets).collect();
-            for round in 0..400 {
-                for &set in &order {
-                    let block = set + sets * rng.below(3 * ways as u64);
-                    let at = format!("{sets}x{ways} round {round} block {block}");
-                    if rng.chance(0.3) {
-                        assert_eq!(
-                            flat.get(BlockAddr(block)).map(|p| *p),
-                            model.get(block),
-                            "get {at}"
-                        );
-                    } else {
-                        let evicted = flat
-                            .insert(BlockAddr(block), round)
-                            .map(|e| (e.block.0, e.payload));
-                        assert_eq!(evicted, model.insert(block, round), "insert {at}");
-                    }
-                    let probe = set + sets * rng.below(3 * ways as u64);
-                    assert_eq!(
-                        flat.victim_preview(BlockAddr(probe)).map(|b| b.0),
-                        model.victim_preview(probe),
-                        "victim_preview {at} probe {probe}"
-                    );
-                }
-            }
-            let contents: Vec<(u64, u64)> = flat.iter().map(|(b, &p)| (b.0, p)).collect();
-            assert_eq!(contents, model.contents(), "{sets}x{ways}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic, splittable randomness: [`DetRng`].
 //!
 //! Every stochastic decision in a tenways simulation (workload address
-//! streams, replacement tie-breaks, contention kernels) draws from a
+//! streams, contention kernels) draws from a
 //! [`DetRng`] derived from the run's single seed, so runs are bit-for-bit
 //! reproducible and sub-streams (one per thread, one per component) are
 //! statistically independent of each other.

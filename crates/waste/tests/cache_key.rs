@@ -8,7 +8,7 @@
 
 use tenways_core::SpecMode;
 use tenways_cpu::ConsistencyModel;
-use tenways_mem::{CacheParams, DramParams, Replacement};
+use tenways_mem::{CacheParams, DramParams};
 use tenways_sim::json::{Json, ToJson};
 use tenways_sim::toml::parse_toml;
 use tenways_sim::{canonical, sha256_hex, AtomicsConfig, DetRng, MachineConfig};
@@ -435,7 +435,7 @@ fn drawn_configs_decode_and_validate_without_panicking() {
         }
         for m in machines.iter().filter(|m| m.validate().is_ok()) {
             accepted += 1;
-            let l1 = CacheParams::new(m.l1_sets, m.l1_ways, Replacement::Lru);
+            let l1 = CacheParams::new(m.l1_sets, m.l1_ways);
             let dram = DramParams::new(m.dram_banks, m.dram_latency, m.dram_occupancy);
             assert!(l1.is_some() && dram.is_some(), "config {i}: {m:?}");
             let l1_slots = m

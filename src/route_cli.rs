@@ -8,7 +8,8 @@
 //! hashing; `GET /stats` answers the aggregated `serve_cluster_stats.v2`
 //! document instead of a single node's counters. A forward relays the
 //! first reply a backend gives, whatever its status, and moves on to the
-//! key's next live backend only when one cannot be reached.
+//! key's next live backend only when one cannot be reached. A backend's
+//! liveness is what the router's own requests to it last showed.
 //!
 //! Exit code 0 on clean shutdown, 2 for usage or startup errors.
 
@@ -16,7 +17,6 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 use tenways::bench::{route_http, write_text_atomic, Router, RouterOptions};
 
@@ -35,8 +35,6 @@ options:
                             at least one required)
   --addr <host:port>        bind address (default 127.0.0.1:7418; port 0
                             picks an ephemeral port — pair with --port-file)
-  --health-interval-ms <n>  how often to probe each backend's /healthz
-                            (default 500; must be above zero)
   --max-requests <n>        exit cleanly after n connections (for
                             scripts/CI)
   --port-file <path>        write the actual bound address to this file
@@ -45,7 +43,7 @@ options:
 
 endpoints: POST /run (owner shard), POST /batch (split per owner,
 merged), GET /stats (serve_cluster_stats.v2 aggregate), GET /healthz
-(backend census)."
+(how many backends the router last found up)."
     );
     std::process::exit(2);
 }
@@ -77,9 +75,6 @@ pub fn main(argv: &[String]) -> ! {
         match argv[i].as_str() {
             "--backend" | "-b" => options.backends.push(value(&mut i)),
             "--addr" | "-a" => addr = value(&mut i),
-            "--health-interval-ms" => {
-                options.health_interval = Duration::from_millis(number(&mut i));
-            }
             "--max-requests" => max_requests = Some(number(&mut i)),
             "--port-file" => port_file = Some(PathBuf::from(value(&mut i))),
             "--verbose" => verbose = true,
