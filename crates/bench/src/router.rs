@@ -24,11 +24,12 @@
 //!   when its reply is accepted and down when it fails or is refused. A
 //!   backend no request has reached counts as up. A down backend sits
 //!   out `DOWN_RETRY` (the client's connect timeout); after that it is
-//!   eligible again, and the first request sent to it is its one trial,
-//!   which restarts the wait before it goes out. Backends sitting out
-//!   drop out of the rendezvous ranking, so their keyspace re-routes to
-//!   the survivors; requests in flight on a draining backend still
-//!   finish (the serve side answers, then closes).
+//!   eligible again, and a request sent to it restarts the wait before
+//!   it goes out, so requests that come while that trial is out pass the
+//!   backend over. Backends sitting out drop out of the rendezvous
+//!   ranking, so their keyspace re-routes to the survivors; requests in
+//!   flight on a draining backend still finish (the serve side answers,
+//!   then closes).
 //! * **Each backend at most once.** A `/run` forward tries the key's
 //!   ranked eligible backends in order and relays the first reply it gets,
 //!   whatever its status: a backend's 503 is as deterministic as its
@@ -55,7 +56,8 @@
 //! be dropped. `POST /batch` splits into
 //! per-backend sub-batches, posts them concurrently, and merges the
 //! parsed per-key statuses back into input order (a sub-batch that fails
-//! marks its backend down and only its keys regroup over the rest);
+//! marks its backend down and only its keys regroup over the backends
+//! this batch has not failed on);
 //! `GET /stats` aggregates; `GET /healthz` answers locally with the
 //! backends' up flags. Clients need no changes: the router speaks the same
 //! `serve_response.v4`/`serve_batch.v1` documents as a single backend
@@ -88,9 +90,11 @@ pub const CLUSTER_STATS_SCHEMA_VERSION: u64 = 2;
 pub const SERVE_CLUSTER_STATS_SCHEMA: &str = "serve_cluster_stats.v2.json";
 
 /// How long a backend marked down sits out before a request may try it
-/// again. It equals the client's connect timeout: a trial against a host
-/// that drops connection attempts gives up just as the next wait ends, so
-/// such a host holds at most one request at a time.
+/// again: the client's connect timeout. A trial restarts the wait as it
+/// goes out, so against a single-address host that drops connection
+/// attempts the trial gives up about when the next one may start; a
+/// shorter wait would let such trials pile up, and a longer one would
+/// keep a recovered backend out for longer than one connect attempt.
 const DOWN_RETRY: Duration = CONNECT_TIMEOUT;
 
 /// Idle keep-alive connections pooled per backend; excess connections
@@ -321,10 +325,9 @@ impl Router {
     /// request, lets `accept` take what it needs from the reply (`None`
     /// refuses the reply), and records the outcome ([`Router::observe`]).
     ///
-    /// A down backend gets one trial per wait: the trial restarts the wait
-    /// before it is sent, and a request that finds the wait restarted
-    /// (another trial went first) fails without sending or recording
-    /// anything. A failure on a pooled connection gets one
+    /// A request to a down backend is a trial: it restarts the backend's
+    /// wait before it is sent, so requests that come while it is out pass
+    /// the backend over. A failure on a pooled connection gets one
     /// fresh-connection retry ([`HttpClient::request`]: the backend may
     /// have idle-closed it); a failure on a fresh connection counts as a
     /// backend error.
@@ -340,19 +343,13 @@ impl Router {
         let b = &self.backends[idx];
         let until = b.down_until.load(Ordering::Relaxed);
         if until != 0 {
-            let now = Instant::now();
-            let claimed = self.nanos(now) >= until
-                && b.down_until
-                    .compare_exchange(
-                        until,
-                        self.nanos(now + DOWN_RETRY),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok();
-            if !claimed {
-                return Err("down, and another request is trying it".to_string());
-            }
+            // Should another exchange have moved the word since, its
+            // verdict stands: this one only restarts the wait it read.
+            let restart = self.nanos(Instant::now() + DOWN_RETRY);
+            let relaxed = Ordering::Relaxed;
+            let _ = b
+                .down_until
+                .compare_exchange(until, restart, relaxed, relaxed);
         }
         let mut client = b.client();
         let outcome = client.request_as(read, method, path, body);
@@ -374,9 +371,11 @@ impl Router {
     /// backends concurrently, and merges the per-key statuses back into
     /// input order. A sub-batch whose reply is a 200 answering every key
     /// it was sent marks its backend up; any other outcome marks it down,
-    /// and only its keys regroup over the eligible backends, for at most
-    /// one round per backend; keys left with no eligible backend report
-    /// `failed`. Returns the rendered reply.
+    /// and only its keys regroup over the eligible backends this call has
+    /// not failed on. Like a `/run` forward, each key tries each backend
+    /// at most once, so one round per backend places every key or runs
+    /// out of backends; keys left with none report `failed`. Returns the
+    /// rendered reply.
     fn forward_batch(&self, configs: &[(String, SimConfig)]) -> String {
         let keys: Vec<String> = configs.iter().map(|(_, cfg)| cfg.cache_key()).collect();
         // Distinct keys, first-appearance order: the cluster-wide dedup
@@ -385,10 +384,14 @@ impl Router {
         let mut todo = first_appearances(keys.iter().map(String::as_str));
         let unique = todo.len();
         let mut statuses: HashMap<&str, Json> = HashMap::new();
-        // Keys whose ranking holds no eligible backend.
+        // Keys whose ranking holds no backend left to try.
         let mut stranded = Vec::new();
-        // Each failed round marks a backend down, so one round per
-        // backend places every key or runs out of backends.
+        // Backends whose sub-batch failed in this call. A backend's wait
+        // can end while a slow sub-batch elsewhere holds the round up, so
+        // eligibility alone could hand it its keys again; this set keeps
+        // each round from asking a backend that already failed them, and
+        // each round that leaves keys over adds a backend to it.
+        let mut failed = vec![false; self.backends.len()];
         for round in 0..self.backends.len() {
             if todo.is_empty() {
                 break;
@@ -396,10 +399,15 @@ impl Router {
             if round > 0 {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
-            // Group the remaining keys by their current owner.
+            // Group the remaining keys by their highest-ranked eligible
+            // backend that has not failed them.
             let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
             for i in todo.drain(..) {
-                match self.owner(&keys[i]) {
+                let to = self
+                    .rank(&keys[i])
+                    .into_iter()
+                    .find(|&idx| !failed[idx] && self.eligible(idx));
+                match to {
                     Some(idx) => groups.entry(idx).or_default().push(i),
                     None => stranded.push(i),
                 }
@@ -424,19 +432,22 @@ impl Router {
                                 Some(("application/json", &body)),
                                 |reply| batch_items(&reply, &sent),
                             );
-                            (group, sent, items)
+                            (idx, group, sent, items)
                         })
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
-            for (group, sent, items) in outcomes {
+            for (idx, group, sent, items) in outcomes {
                 match items {
                     Ok(items) => {
                         self.counters.proxied.incr();
                         statuses.extend(sent.into_iter().zip(items));
                     }
-                    Err(_) => todo.extend(group),
+                    Err(_) => {
+                        failed[idx] = true;
+                        todo.extend(group);
+                    }
                 }
             }
         }
@@ -1211,6 +1222,99 @@ mod tests {
         }
         assert!(router.backends.iter().all(|b| b.forwarded.sum() <= 1));
         assert_eq!(router.backends_up(), 0);
+    }
+
+    /// A serve backend that holds its first `/batch` reply past
+    /// `DOWN_RETRY`.
+    struct Slow {
+        svc: SimService,
+        held: AtomicBool,
+    }
+
+    impl Handler for Slow {
+        const TAG: &'static str = "slow";
+
+        fn http_counters(&self) -> &HttpCounters {
+            self.svc.http_counters()
+        }
+
+        fn handle(&self, request: &HttpRequest) -> Response {
+            if request.path == "/batch" && !self.held.swap(true, Ordering::Relaxed) {
+                std::thread::sleep(DOWN_RETRY + Duration::from_millis(200));
+            }
+            self.svc.handle(request)
+        }
+    }
+
+    #[test]
+    fn a_batch_outlasting_a_dead_backends_wait_places_every_key() {
+        // Nothing listens on backend 0, and backend 1 holds its first
+        // sub-batch until backend 0's wait is over. Backend 0's keys then
+        // regroup onto backend 1: the batch has already failed on
+        // backend 0, so it does not ask it again.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .to_string();
+        let dir = tmp_dir("slow");
+        let slow = Arc::new(Slow {
+            svc: SimService::new(ServeOptions {
+                workers: 1,
+                cache_dir: dir.clone(),
+                ..ServeOptions::default()
+            })
+            .unwrap(),
+            held: AtomicBool::new(false),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            let slow = Arc::clone(&slow);
+            std::thread::spawn(move || http::serve(slow, listener, None, false, stop))
+        };
+        let router = Router::new(RouterOptions {
+            backends: vec![dead, addr],
+        })
+        .unwrap();
+        // Ownership depends on the ephemeral ports: two keys per backend.
+        let mut owned: [Vec<SimConfig>; 2] = Default::default();
+        for cfg in (0..).map(small_cfg) {
+            let owner = router.rank(&cfg.cache_key())[0];
+            if owned[owner].len() < 2 {
+                owned[owner].push(cfg);
+            }
+            if owned.iter().all(|keys| keys.len() == 2) {
+                break;
+            }
+        }
+        let configs: Vec<(String, SimConfig)> = owned
+            .concat()
+            .into_iter()
+            .enumerate()
+            .map(|(i, cfg)| (format!("k{i}"), cfg))
+            .collect();
+        let body = batch_body(configs.iter().map(|(label, cfg)| (label, cfg)));
+        let (status, text) = router.handle(&post("/batch", body));
+        assert_eq!(status, 200, "{text}");
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("failed").and_then(Json::as_u64), Some(0), "{text}");
+        for item in doc.get("results").and_then(Json::as_array).unwrap() {
+            assert_eq!(
+                item.get("status").and_then(Json::as_str),
+                Some("computed"),
+                "{text}"
+            );
+        }
+        assert_eq!(router.backends[0].forwarded.sum(), 1, "tried once");
+        assert_eq!(router.backends[1].forwarded.sum(), 2);
+        assert_eq!(router.backends_up(), 1);
+        assert_eq!(slow.svc.sim_runs(), 4);
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A backend double that answers every request with a 200 whose body
