@@ -198,26 +198,19 @@ pub struct ResultCache {
     /// The disk tier's entries in access order: front = least recently
     /// accessed. Listed from the directory on open, then kept in memory.
     index: Vec<IndexEntry>,
+    /// The sum of `index`'s byte sizes.
+    disk_bytes: u64,
     counters: Arc<CacheCounters>,
 }
 
 impl ResultCache {
     /// Opens (creating if needed) the cache directory and lists its entry
-    /// files, with an **unbounded** disk tier.
+    /// files.
     ///
     /// `mem_capacity` bounds the in-memory tier (0 disables it; every hit
-    /// then reads disk).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the directory cannot be created.
-    pub fn open(dir: impl Into<PathBuf>, mem_capacity: usize) -> Result<ResultCache, String> {
-        ResultCache::open_budgeted(dir, mem_capacity, None)
-    }
-
-    /// [`ResultCache::open`] with a disk-tier byte budget. `None` leaves
-    /// the disk tier unbounded; `Some(bytes)` evicts least-recently-used
-    /// entries on `put` until the tier fits.
+    /// then reads disk). `disk_budget` bounds the disk tier in bytes:
+    /// `None` leaves it unbounded, `Some(bytes)` evicts
+    /// least-recently-used entries on `put` until the tier fits.
     ///
     /// # Errors
     ///
@@ -237,9 +230,11 @@ impl ResultCache {
             mem: HashMap::new(),
             order: Vec::new(),
             index: Vec::new(),
+            disk_bytes: 0,
             counters: Arc::new(CacheCounters::default()),
         };
         cache.index = cache.scan_entries();
+        cache.disk_bytes = cache.index.iter().map(|e| e.bytes).sum();
         cache.sync_disk_gauges();
         Ok(cache)
     }
@@ -256,7 +251,7 @@ impl ResultCache {
 
     /// Total bytes the disk tier currently holds.
     pub fn disk_bytes(&self) -> u64 {
-        self.index.iter().map(|e| e.bytes).sum()
+        self.disk_bytes
     }
 
     /// The shared atomic counters: clone the `Arc` to read hit/miss/
@@ -338,12 +333,13 @@ impl ResultCache {
         let bytes = text.len() as u64;
         crate::write_text_atomic(&self.entry_path(key), &text)?;
         if let Some(pos) = self.index.iter().position(|e| e.key == key) {
-            self.index.remove(pos);
+            self.disk_bytes -= self.index.remove(pos).bytes;
         }
         self.index.push(IndexEntry {
             key: key.to_string(),
             bytes,
         });
+        self.disk_bytes += bytes;
         self.enforce_disk_budget();
         self.sync_disk_gauges();
         Ok(())
@@ -356,13 +352,18 @@ impl ResultCache {
         let Some(budget) = self.disk_budget else {
             return;
         };
-        while self.disk_bytes() > budget && self.index.len() > 1 {
-            let victim = self.index.remove(0);
+        // One pass from the front evicts, one drain shortens the index.
+        let mut victims = 0;
+        while self.disk_bytes > budget && victims + 1 < self.index.len() {
+            let victim = &self.index[victims];
             let _ = std::fs::remove_file(self.entry_path(&victim.key));
             // The memory tier may still hold the record; that is fine —
             // it is bounded separately and a re-put restores the file.
             CacheCounters::bump(&self.counters.disk_evictions);
+            self.disk_bytes -= victim.bytes;
+            victims += 1;
         }
+        self.index.drain(..victims);
     }
 
     /// Refreshes the gauge counters after a disk-tier change.
@@ -372,7 +373,7 @@ impl ResultCache {
             .store(self.index.len() as u64, Ordering::Relaxed);
         self.counters
             .disk_bytes
-            .store(self.disk_bytes(), Ordering::Relaxed);
+            .store(self.disk_bytes, Ordering::Relaxed);
     }
 
     /// Marks `key` most-recently-used in the memory LRU order.
@@ -508,14 +509,14 @@ mod tests {
     #[test]
     fn put_then_get_round_trips_both_tiers() {
         let dir = tmp_dir("roundtrip");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
+        let mut cache = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         assert_eq!(cache.get("k1"), None);
         cache.put("k1", record(7)).unwrap();
         assert_eq!(cache.get("k1"), Some(record(7)));
         assert_eq!(cache.stats().mem_hits, 1);
 
         // A fresh instance over the same directory hits disk.
-        let mut fresh = ResultCache::open(&dir, 4).unwrap();
+        let mut fresh = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         assert_eq!(fresh.len_disk(), 1);
         assert_eq!(fresh.len_mem(), 0);
         assert_eq!(fresh.get("k1"), Some(record(7)));
@@ -530,7 +531,7 @@ mod tests {
     #[test]
     fn lru_eviction_respects_capacity_and_recency() {
         let dir = tmp_dir("lru");
-        let mut cache = ResultCache::open(&dir, 2).unwrap();
+        let mut cache = ResultCache::open_budgeted(&dir, 2, None).unwrap();
         cache.put("a", record(1)).unwrap();
         cache.put("b", record(2)).unwrap();
         // Touch `a` so `b` is the LRU entry when `c` arrives.
@@ -550,7 +551,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_the_memory_tier() {
         let dir = tmp_dir("mem0");
-        let mut cache = ResultCache::open(&dir, 0).unwrap();
+        let mut cache = ResultCache::open_budgeted(&dir, 0, None).unwrap();
         cache.put("k", record(1)).unwrap();
         assert_eq!(cache.len_mem(), 0);
         assert_eq!(cache.get("k"), Some(record(1)));
@@ -586,6 +587,14 @@ mod tests {
         assert_eq!(fresh.len_disk(), 3);
         assert_eq!(fresh.get("b"), None);
         assert!(fresh.get("d").is_some());
+
+        // One put far over a smaller budget evicts every older entry.
+        let mut tight = ResultCache::open_budgeted(&dir, 0, Some(1536)).unwrap();
+        tight.put("e", fat_record(5, 1)).unwrap();
+        assert_eq!(tight.stats().disk_evictions, 3);
+        assert_eq!(tight.len_disk(), 1);
+        assert_eq!(tight.disk_bytes(), entry_bytes_on_disk(&dir));
+        assert_eq!(tight.stats().disk_bytes, tight.disk_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -665,9 +674,9 @@ mod tests {
     #[test]
     fn peek_reads_without_counting_or_promoting() {
         let dir = tmp_dir("peek");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
+        let mut cache = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         cache.put("k", record(5)).unwrap();
-        let mut fresh = ResultCache::open(&dir, 4).unwrap();
+        let mut fresh = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         assert_eq!(fresh.peek("k"), Some(record(5)));
         assert_eq!(fresh.peek("absent"), None);
         let stats = fresh.stats();
@@ -683,7 +692,7 @@ mod tests {
     #[test]
     fn corrupt_entries_are_misses_and_recoverable() {
         let dir = tmp_dir("corrupt");
-        let mut cache = ResultCache::open(&dir, 4).unwrap();
+        let mut cache = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         cache.put("k", record(9)).unwrap();
         let path = cache.entry_path("k");
 
@@ -708,12 +717,12 @@ mod tests {
             ),
         ] {
             std::fs::write(&path, bytes).unwrap();
-            let mut fresh = ResultCache::open(&dir, 4).unwrap();
+            let mut fresh = ResultCache::open_budgeted(&dir, 4, None).unwrap();
             assert_eq!(fresh.get("k"), None, "{tag} entry must be a miss");
             // Recompute-and-overwrite: a put replaces the bad bytes and the
             // key serves again.
             fresh.put("k", record(10)).unwrap();
-            let mut reread = ResultCache::open(&dir, 4).unwrap();
+            let mut reread = ResultCache::open_budgeted(&dir, 4, None).unwrap();
             assert_eq!(reread.get("k"), Some(record(10)), "{tag} recovery");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -735,8 +744,8 @@ mod tests {
         // serve` uses. Two caches write into one directory; a reopen
         // must list, size and budget every entry either of them wrote.
         let dir = tmp_dir("shared");
-        let mut a = ResultCache::open(&dir, 0).unwrap();
-        let mut b = ResultCache::open(&dir, 0).unwrap();
+        let mut a = ResultCache::open_budgeted(&dir, 0, None).unwrap();
+        let mut b = ResultCache::open_budgeted(&dir, 0, None).unwrap();
         a.put("k1", fat_record(1, 1)).unwrap();
         a.put("k2", fat_record(2, 1)).unwrap();
         b.put("k3", fat_record(3, 1)).unwrap();
@@ -766,7 +775,7 @@ mod tests {
     #[test]
     fn hostile_keys_stay_inside_the_cache_dir() {
         let dir = tmp_dir("hostile");
-        let cache = ResultCache::open(&dir, 4).unwrap();
+        let cache = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         let path = cache.entry_path("../../etc/passwd");
         assert!(path.starts_with(&dir), "{}", path.display());
         assert!(!path.to_string_lossy().contains(".."));
@@ -812,7 +821,7 @@ mod tests {
     #[test]
     fn entries_are_compact_and_pretty_entries_still_read() {
         let dir = tmp_dir("compact");
-        let mut cache = ResultCache::open(&dir, 0).unwrap();
+        let mut cache = ResultCache::open_budgeted(&dir, 0, None).unwrap();
         let tree = tricky_record();
         cache.put("k", tree.clone()).unwrap();
         let entry = Json::obj([
@@ -831,7 +840,7 @@ mod tests {
         // An entry written pretty (as earlier versions did) reads back as
         // the same record text.
         std::fs::write(&path, format!("{}\n", entry.pretty())).unwrap();
-        let mut fresh = ResultCache::open(&dir, 4).unwrap();
+        let mut fresh = ResultCache::open_budgeted(&dir, 4, None).unwrap();
         assert_eq!(fresh.get("k"), Some(Record::from(&tree)));
         assert_eq!(fresh.stats().corrupt_entries, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -879,15 +888,17 @@ mod tests {
         let seeds: Vec<Vec<u8>> = records
             .iter()
             .map(|r| {
-                let mut cache = ResultCache::open(&dir, 0).unwrap();
+                let mut cache = ResultCache::open_budgeted(&dir, 0, None).unwrap();
                 cache.put("k", r.clone()).unwrap();
                 let bytes = std::fs::read(cache.entry_path("k")).unwrap();
-                let mut fresh = ResultCache::open(&dir, 0).unwrap();
+                let mut fresh = ResultCache::open_budgeted(&dir, 0, None).unwrap();
                 assert_eq!(fresh.get("k").as_ref(), Some(r), "an entry reads back");
                 bytes
             })
             .collect();
-        let path = ResultCache::open(&dir, 0).unwrap().entry_path("k");
+        let path = ResultCache::open_budgeted(&dir, 0, None)
+            .unwrap()
+            .entry_path("k");
         let (mut hits, mut misses) = (0, 0);
         for case in 0..CASES {
             let mut rng = DetRng::seed(0xCAC4E).split("cache-entry").split_index(case);
@@ -896,7 +907,7 @@ mod tests {
                 mutate(&mut rng, &mut bytes, ENTRY_SPLICES);
             }
             std::fs::write(&path, &bytes).unwrap();
-            let mut cache = ResultCache::open(&dir, 0).unwrap();
+            let mut cache = ResultCache::open_budgeted(&dir, 0, None).unwrap();
             let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get("k")))
                 .unwrap_or_else(|_| panic!("case {case}: the decoder panicked"));
             match got {

@@ -47,7 +47,7 @@ use tenways_sim::json::{Json, ToJson};
 use tenways_waste::{Experiment, ExperimentError, RunRecord, SimConfig};
 
 use crate::cache::ResultCache;
-use crate::http::http_request;
+use crate::http::HttpClient;
 use crate::serve::{batch_body, first_appearances, MAX_BATCH_ITEMS};
 use crate::sweep::parallel_map;
 use crate::{record_row, record_row_json, BENCH_ROWS_SCHEMA_VERSION};
@@ -343,7 +343,7 @@ pub fn run_sweep(spec: &SweepSpec, params: &SweepParams) -> Result<SweepReport, 
         .clone()
         .unwrap_or_else(|| params.out_dir.join("cache"));
     // A sweep reads each key once, so a memory tier would only hold copies.
-    let mut cache = ResultCache::open(cache_dir, 0)?;
+    let mut cache = ResultCache::open_budgeted(cache_dir, 0, None)?;
 
     let keys: Vec<String> = points.iter().map(|p| p.config.cache_key()).collect();
     let mut answers: HashMap<&str, Answer> = HashMap::new();
@@ -527,11 +527,12 @@ fn err_row(point: &SweepPoint, error: &str) -> Json {
 /// the identical `/batch` and `/stats` documents, so the address is
 /// interchangeable):
 /// the grid expands locally and goes to `POST /batch` once, in requests
-/// of at most [`MAX_BATCH_ITEMS`] points (the server canonicalizes,
-/// deduplicates, answers warm keys from its cache and waits for the
-/// rest to simulate; dedup holds within a request). The final document
-/// is the same `bench_rows.v1` layout `run_sweep` writes, with each ok
-/// row marked `"served": "cached"` or `"served": "computed"`.
+/// of at most [`MAX_BATCH_ITEMS`] points, all over one connection (the
+/// server canonicalizes, deduplicates, answers warm keys from its cache
+/// and waits for the rest to simulate; dedup holds within a request).
+/// The final document is the same `bench_rows.v1` layout `run_sweep`
+/// writes, with each ok row marked `"served": "cached"` or
+/// `"served": "computed"`.
 ///
 /// # Errors
 ///
@@ -551,9 +552,10 @@ pub fn run_sweep_server(
 
     let mut rows: Vec<Json> = Vec::with_capacity(points.len());
     let mut cached = 0usize;
+    let mut client = HttpClient::new(addr);
     for chunk in points.chunks(MAX_BATCH_ITEMS) {
         let body = batch_body(chunk.iter().map(|p| (&p.label, &p.config)));
-        let reply = http_request(addr, "POST", "/batch", Some(("application/json", &body)))?;
+        let reply = client.request("POST", "/batch", Some(("application/json", &body)))?;
         if reply.status != 200 {
             return Err(format!(
                 "server {addr} answered {} to /batch: {}",
@@ -614,6 +616,9 @@ pub fn run_sweep_server(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{serve_http_shutdown, ServeOptions, SimService};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     const GRID: &str = "workload = \"lu\"\nscale = 1\nseed = 3\n\n[sweep]\nid = \"demo\"\n\n[grid]\nthreads = [2, 3]\nmodel = [\"sc\", \"rmo\"]\n";
 
@@ -687,6 +692,22 @@ mod tests {
         dir
     }
 
+    /// Serves `svc` on an ephemeral port; the server thread returns once
+    /// `connections` connections have been accepted and have ended.
+    fn serve(
+        svc: &Arc<SimService>,
+        connections: u64,
+    ) -> (String, std::thread::JoinHandle<Result<(), String>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let svc = Arc::clone(svc);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let server = std::thread::spawn(move || {
+            serve_http_shutdown(svc, listener, Some(connections), false, shutdown)
+        });
+        (addr, server)
+    }
+
     #[test]
     fn local_cache_answers_warm_keys_without_resimulating() {
         let root = tmp_dir("cache");
@@ -749,9 +770,6 @@ mod tests {
 
     #[test]
     fn server_mode_posts_the_grid_and_marks_served_rows() {
-        use crate::serve::{serve_http, ServeOptions, SimService};
-        use std::sync::Arc;
-
         let root = tmp_dir("server");
         let svc = Arc::new(
             SimService::new(ServeOptions {
@@ -761,12 +779,7 @@ mod tests {
             })
             .unwrap(),
         );
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
-        };
+        let (addr, server) = serve(&svc, 2);
 
         let spec = SweepSpec::from_toml_str(GRID, "demo").unwrap();
         let params = SweepParams {
@@ -806,9 +819,6 @@ mod tests {
 
     #[test]
     fn a_cold_batch_waits_its_turn_in_one_request() {
-        use crate::serve::{serve_http, ServeOptions, SimService};
-        use std::sync::Arc;
-
         // 320 distinct cold keys on one worker: every miss queues for the
         // worker, and the one post waits until all 320 records land.
         let root = tmp_dir("one-post");
@@ -820,12 +830,7 @@ mod tests {
             })
             .unwrap(),
         );
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(1), false))
-        };
+        let (addr, server) = serve(&svc, 1);
 
         let seeds: Vec<String> = (1..=320).map(|s| s.to_string()).collect();
         let grid = format!(
@@ -854,12 +859,8 @@ mod tests {
 
     #[test]
     fn server_mode_posts_an_over_limit_grid_in_chunks() {
-        use crate::serve::{serve_http, ServeOptions, SimService};
-        use std::sync::Arc;
-
         // A cache-only server refuses every point without simulating, and
-        // retires after two connections: one per post, as `http_request`
-        // opens a connection per request.
+        // retires after one connection, which carries both posts.
         let root = tmp_dir("chunks");
         let svc = Arc::new(
             SimService::new(ServeOptions {
@@ -869,12 +870,7 @@ mod tests {
             })
             .unwrap(),
         );
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
-        };
+        let (addr, server) = serve(&svc, 1);
 
         let seeds: Vec<String> = (0..=MAX_BATCH_ITEMS).map(|s| s.to_string()).collect();
         let grid = format!(
@@ -894,6 +890,39 @@ mod tests {
         server.join().unwrap().unwrap();
         let requests = svc.stats_json().get("requests").and_then(Json::as_u64);
         assert_eq!(requests, Some(2), "1 025 points go out in two posts");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_over_limit_grid_of_one_key_simulates_once_over_one_connection() {
+        // 1 025 points of one key: the first post simulates it once, the
+        // second finds it cached, and both share the sweep's connection.
+        let root = tmp_dir("one-key");
+        let svc = Arc::new(
+            SimService::new(ServeOptions {
+                workers: 1,
+                cache_dir: root.join("srv-cache"),
+                ..ServeOptions::default()
+            })
+            .unwrap(),
+        );
+        let (addr, server) = serve(&svc, 1);
+        let grid = format!(
+            "workload = \"lu\"\nscale = 1\n\n[grid]\nthreads = [{}]\n",
+            vec!["2"; MAX_BATCH_ITEMS + 1].join(", ")
+        );
+        let spec = SweepSpec::from_toml_str(&grid, "one-key").unwrap();
+        let params = SweepParams {
+            out_dir: root.join("out"),
+            ..SweepParams::default()
+        };
+        let report = run_sweep_server(&spec, &addr, &params).unwrap();
+        server.join().unwrap().unwrap();
+        assert_eq!((report.ok, report.cached), (MAX_BATCH_ITEMS + 1, 1));
+        let stats = svc.stats_json();
+        for (counter, value) in [("connections", 1), ("requests", 2), ("sim_runs", 1)] {
+            assert_eq!(stats.get(counter), Some(&Json::U64(value)), "{counter}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }

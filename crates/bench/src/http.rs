@@ -3,7 +3,8 @@
 //! **Server.** One accept loop and one keep-alive request loop serve both
 //! front ends: the loop is generic over a handler, which the
 //! [`SimService`](crate::SimService) and the [`Router`](crate::Router)
-//! each implement. Each accepted connection gets its own thread. It
+//! each implement. Each accepted connection gets its own thread, which
+//! ends, and frees its stack, when the connection does. A connection
 //! carries requests until the client closes or asks to close
 //! (`Connection: close`, or HTTP/1.0 without `Connection: keep-alive`),
 //! idles past [`KEEP_ALIVE_IDLE`], or sends a malformed request (answered
@@ -12,10 +13,15 @@
 //! request already read finish, and answers it with `Connection: close`,
 //! so a draining server drops no request.
 //!
-//! **Client.** Both clients connect and exchange through the same two
-//! functions: the one-shot [`http_request`] (`Connection: close`, one
-//! connection per call) and the pooled [`HttpClient`] (the router forwards
-//! through a per-backend pool of them).
+//! **Client.** [`HttpClient`] is the one client: it keeps one connection
+//! open across its requests, asking the server to keep it alive. The CLI
+//! client modes and `tenways sweep --server` each use one, and the router
+//! forwards through a per-backend pool of them.
+//!
+//! **Headers.** Each reader picks out by name, in place, the few headers
+//! it uses: a request's `Content-Length`, `Content-Type` and `Connection`,
+//! a reply's `Content-Length` and `Connection`. Any other header is
+//! skipped.
 //!
 //! **Bodies.** A response is a status and a body (`Response`); the
 //! writer adds only `Content-Type`, `Content-Length` and `Connection`.
@@ -34,12 +40,12 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tenways_sim::json::Json;
 
 use crate::serve::{ShardedCounter, MAX_BATCH_ITEMS};
+use crate::sweep::contain;
 
 /// Largest request head, and largest request body, the server will read,
 /// in bytes. Also bounds a reply head.
@@ -136,7 +142,7 @@ impl HttpCounters {
 }
 
 /// A front end the request loop serves.
-pub(crate) trait Handler: Send + Sync + 'static {
+pub(crate) trait Handler: Sync {
     /// Tag of this front end's log lines.
     const TAG: &'static str;
 
@@ -154,54 +160,66 @@ pub(crate) fn error_doc(message: &str) -> String {
 
 /// Serves `handler` on `listener`: poll-accept (so the shutdown flag is
 /// noticed without another connection), run each connection's request
-/// loop on its own thread, and join every one before returning.
+/// loop on its own thread, and return once every one has ended.
 /// `max_connections` counts accepted *connections* — with keep-alive one
 /// connection may carry many requests.
 pub(crate) fn serve<H: Handler>(
-    handler: Arc<H>,
+    handler: &H,
     listener: TcpListener,
     max_connections: Option<u64>,
     verbose: bool,
-    shutdown: Arc<AtomicBool>,
+    shutdown: &AtomicBool,
 ) -> Result<(), String> {
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("listener: {e}"))?;
-    let mut connections = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => {
+    // A connection's handle is dropped at once, so its thread is detached
+    // and its stack freed when the connection ends; the scope still waits
+    // for every one before it returns.
+    std::thread::scope(|scope| {
+        let mut accepted = 0u64;
+        let mut failing = false;
+        while !shutdown.load(Ordering::Relaxed) {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) => {
+                    // Out of file descriptors, accept fails at once on
+                    // every call: wait as after an empty poll, and log a
+                    // run of failures once.
+                    let failed = e.kind() != ErrorKind::WouldBlock;
+                    if failed && !failing {
+                        eprintln!("[{}] accept failed: {e}", H::TAG);
+                    }
+                    failing = failed;
+                    std::thread::sleep(ACCEPT_POLL);
+                    continue;
+                }
+            };
+            failing = false;
+            // The listener is nonblocking only so this loop can poll the
+            // shutdown flag; accepted sockets block (with timeouts) as usual.
+            if let Err(e) = stream.set_nonblocking(false) {
                 eprintln!("[{}] accept failed: {e}", H::TAG);
                 continue;
             }
-        };
-        // The listener is nonblocking only so this loop can poll the
-        // shutdown flag; accepted sockets block (with timeouts) as usual.
-        if let Err(e) = stream.set_nonblocking(false) {
-            eprintln!("[{}] accept failed: {e}", H::TAG);
-            continue;
+            // Persistent connections make Nagle vs delayed-ACK stalls real;
+            // responses are single writes, so nothing is left to coalesce.
+            let _ = stream.set_nodelay(true);
+            handler.http_counters().connections.incr();
+            // A handler panic ends its own connection, not the server: the
+            // scope would re-raise a panic it saw.
+            scope.spawn(move || {
+                let _ = contain(|| {
+                    connection_loop(handler, stream, shutdown, verbose);
+                    Ok(())
+                });
+            });
+            accepted += 1;
+            if max_connections.is_some_and(|max| accepted >= max) {
+                break;
+            }
         }
-        // Persistent connections make Nagle vs delayed-ACK stalls real;
-        // responses are single writes, so nothing is left to coalesce.
-        let _ = stream.set_nodelay(true);
-        handler.http_counters().connections.incr();
-        let handler = Arc::clone(&handler);
-        let shutdown = Arc::clone(&shutdown);
-        connections.push(std::thread::spawn(move || {
-            connection_loop(&*handler, stream, &shutdown, verbose);
-        }));
-        if max_connections.is_some_and(|max| connections.len() as u64 >= max) {
-            break;
-        }
-    }
-    for connection in connections {
-        let _ = connection.join();
-    }
+    });
     Ok(())
 }
 
@@ -291,18 +309,11 @@ fn find_header_end(buf: &[u8], scanned: usize) -> Option<usize> {
         .map(|pos| from + pos)
 }
 
-/// Splits a message head into its start line and its headers (names
-/// lowercased, names and values trimmed, in wire order).
-fn split_head(head: &str) -> (&str, Vec<(String, String)>) {
-    let mut lines = head.split("\r\n");
-    let start = lines.next().unwrap_or("");
-    let headers = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    (start, headers)
+/// Whether `text` holds `word` (lowercase ASCII), ignoring ASCII case.
+fn contains_ignore_case(text: &str, word: &str) -> bool {
+    text.as_bytes()
+        .windows(word.len())
+        .any(|w| w.eq_ignore_ascii_case(word.as_bytes()))
 }
 
 /// Reads one request (size-bounded) from a server connection.
@@ -352,33 +363,36 @@ fn read_request(
     };
     let head =
         std::str::from_utf8(&buf[..header_end]).map_err(|_| "non-utf8 header".to_string())?;
-    let (request_line, headers) = split_head(head);
+    let mut lines = head.split("\r\n");
+    let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_ascii_whitespace();
     let method = parts.next().unwrap_or("").to_uppercase();
     let path = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("HTTP/1.1").to_ascii_uppercase();
+    let http_1_0 = parts
+        .next()
+        .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
     if method.is_empty() || path.is_empty() {
         return Err(format!("malformed request line `{request_line}`"));
     }
     let mut content_length = 0usize;
     let mut content_type = String::new();
-    let mut connection = String::new();
-    for (name, value) in headers {
-        match name.as_str() {
-            "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| format!("bad content-length `{value}`"))?;
-            }
-            "content-type" => content_type = value.to_ascii_lowercase(),
-            "connection" => connection = value.to_ascii_lowercase(),
-            _ => {}
+    let mut connection = "";
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value
+                .parse()
+                .map_err(|_| format!("bad content-length `{value}`"))?;
+        } else if name.eq_ignore_ascii_case("content-type") {
+            content_type = value.to_ascii_lowercase();
+        } else if name.eq_ignore_ascii_case("connection") {
+            connection = value;
         }
     }
-    let keep_alive = if connection.contains("close") {
+    let keep_alive = if contains_ignore_case(connection, "close") {
         false
-    } else if version == "HTTP/1.0" {
-        connection.contains("keep-alive")
+    } else if http_1_0 {
+        contains_ignore_case(connection, "keep-alive")
     } else {
         true
     };
@@ -436,13 +450,14 @@ fn write_response(writer: &mut impl Write, status: u16, body: &str, keep_alive: 
     let _ = writer.flush();
 }
 
-/// One parsed HTTP response: status, headers, JSON body.
+/// One parsed HTTP response: status and JSON body.
 #[derive(Debug)]
 pub struct HttpReply {
     /// The response status code.
     pub status: u16,
-    /// Response headers, lowercased names, in wire order.
-    pub headers: Vec<(String, String)>,
+    /// Whether the server said `Connection: close`: it reads no further
+    /// request from this connection.
+    pub(crate) close: bool,
     /// The body exactly as received.
     pub text: String,
     /// The parsed JSON body (`Json::Null` when the reply was only
@@ -459,16 +474,6 @@ pub(crate) enum ReplyBody {
     /// Only validate it ([`Json::validate`], no tree), leaving
     /// [`HttpReply::body`] `Json::Null`: for a reply relayed as its text.
     Validate,
-}
-
-impl HttpReply {
-    /// The first header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// Opens a client connection: tries each address `addr` resolves to in
@@ -495,18 +500,17 @@ fn connect(addr: &str) -> Result<TcpStream, String> {
 }
 
 /// One request/reply exchange on a connected stream: writes the request
-/// in one write, asking the server to keep the connection open or to
-/// close it, and reads the reply.
+/// in one write, asking the server to keep the connection open, and
+/// reads the reply.
 fn exchange(
     stream: &mut TcpStream,
     host: &str,
     method: &str,
     path: &str,
     body: Option<(&str, &str)>, // (content type, payload)
-    keep_alive: bool,
     read: ReplyBody,
 ) -> Result<HttpReply, String> {
-    let request = request_text(host, method, path, body, keep_alive);
+    let request = request_text(host, method, path, body);
     stream
         .write_all(request.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
@@ -514,16 +518,9 @@ fn exchange(
 }
 
 /// The request [`exchange`] sends.
-fn request_text(
-    host: &str,
-    method: &str,
-    path: &str,
-    body: Option<(&str, &str)>,
-    keep_alive: bool,
-) -> String {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
+fn request_text(host: &str, method: &str, path: &str, body: Option<(&str, &str)>) -> String {
     let mut request =
-        format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: {connection}\r\n");
+        format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n");
     match body {
         Some((content_type, payload)) => request.push_str(&format!(
             "Content-Type: {content_type}\r\nContent-Length: {}\r\n\r\n{payload}",
@@ -559,17 +556,25 @@ fn read_reply(reader: &mut impl Read, read: ReplyBody) -> Result<HttpReply, Stri
     };
     let head =
         std::str::from_utf8(&buf[..header_end]).map_err(|_| "non-utf8 response".to_string())?;
-    let (status_line, headers) = split_head(head);
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or("");
     let status: u16 = status_line
         .split_ascii_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line in `{status_line}`"))?;
-    let content_length: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .ok_or_else(|| "response missing content-length".to_string())?;
+    let mut content_length = None;
+    let mut close = false;
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse().ok();
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.eq_ignore_ascii_case("close");
+        }
+    }
+    let content_length: usize =
+        content_length.ok_or_else(|| "response missing content-length".to_string())?;
     if content_length > MAX_REPLY_BYTES {
         return Err(format!(
             "response body of {content_length} bytes is over the limit of {MAX_REPLY_BYTES}"
@@ -591,36 +596,18 @@ fn read_reply(reader: &mut impl Read, read: ReplyBody) -> Result<HttpReply, Stri
     };
     Ok(HttpReply {
         status,
-        headers,
+        close,
         text,
         body,
     })
 }
 
-/// Minimal HTTP client for the servers above: one request on its own
-/// connection (`Connection: close`), one JSON response with headers.
-/// Used by `tenways serve --post/--batch/--stats/--health`, `tenways
-/// sweep --server`, the tests, and CI.
-///
-/// # Errors
-///
-/// Returns a message on connection failure or a malformed response.
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<(&str, &str)>, // (content type, payload)
-) -> Result<HttpReply, String> {
-    let mut stream = connect(addr)?;
-    let read = ReplyBody::Parse;
-    exchange(&mut stream, addr, method, path, body, false, read)
-}
-
-/// A pooled keep-alive HTTP client: one client owns (at most) one
+/// The HTTP client for the servers above: one client owns (at most) one
 /// persistent connection and reuses it across requests, reconnecting
-/// transparently when the server has since closed it. Not `Sync` — give
-/// each client thread its own. The one-shot [`http_request`] remains
-/// for fire-and-forget callers (CLI one-liners, CI probes).
+/// transparently when the server has since closed it. Used by `tenways
+/// serve --post/--batch/--stats/--health`, `tenways sweep --server`, the
+/// router's per-backend pools, the tests, and CI. Not `Sync` — give each
+/// client thread its own.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
@@ -684,8 +671,8 @@ impl HttpClient {
             Some(stream) => stream,
             None => connect(&self.addr)?,
         };
-        let reply = exchange(&mut stream, &self.addr, method, path, body, true, read)?;
-        if !matches!(reply.header("connection"), Some(v) if v.eq_ignore_ascii_case("close")) {
+        let reply = exchange(&mut stream, &self.addr, method, path, body, read)?;
+        if !reply.close {
             self.conn = Some(stream);
         }
         Ok(reply)
@@ -849,18 +836,20 @@ mod tests {
     fn written_response_reads_back_through_the_reply_reader() {
         let doc = Json::obj([("ok", Json::Bool(true))]);
         let (status, body) = reply(503, doc.to_string());
-        let mut wire = Vec::new();
-        write_response(&mut wire, status, &body, false);
-        let mut wire = with_header(&wire, "X-Request-Id: 7\r\n");
-        // Bytes past the Content-Length are not part of the reply.
-        wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
-        let chunks: Vec<&[u8]> = wire.chunks(7).collect();
-        let reply = read_reply(&mut Trickle::new(&chunks), ReplyBody::Parse).unwrap();
-        assert_eq!(reply.status, 503);
-        assert_eq!(reply.header("x-request-id"), Some("7"));
-        assert_eq!(reply.header("connection"), Some("close"));
-        assert_eq!(reply.body.to_string(), doc.to_string());
-        assert_eq!(reply.text, format!("{doc}\n"), "the body as written");
+        for keep_alive in [false, true] {
+            let mut wire = Vec::new();
+            write_response(&mut wire, status, &body, keep_alive);
+            // A header the reader does not use is skipped.
+            let mut wire = with_header(&wire, "X-Request-Id: 7\r\n");
+            // Bytes past the Content-Length are not part of the reply.
+            wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
+            let chunks: Vec<&[u8]> = wire.chunks(7).collect();
+            let reply = read_reply(&mut Trickle::new(&chunks), ReplyBody::Parse).unwrap();
+            assert_eq!(reply.status, 503);
+            assert_eq!(reply.close, !keep_alive);
+            assert_eq!(reply.body.to_string(), doc.to_string());
+            assert_eq!(reply.text, format!("{doc}\n"), "the body as written");
+        }
 
         let short = b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}";
         assert_eq!(
@@ -900,18 +889,11 @@ mod tests {
                 "POST",
                 "/run",
                 Some(("application/json", run)),
-                true,
             ),
-            request_text("h", "POST", "/run", Some(("application/toml", toml)), false),
-            request_text(
-                "h",
-                "POST",
-                "/batch",
-                Some(("application/json", batch)),
-                true,
-            ),
-            request_text("h", "GET", "/stats", None, false),
-            request_text("h", "GET", "/healthz", None, true),
+            request_text("h", "POST", "/run", Some(("application/toml", toml))),
+            request_text("h", "POST", "/batch", Some(("application/json", batch))),
+            request_text("h", "GET", "/stats", None),
+            request_text("h", "GET", "/healthz", None),
         ]
         .into_iter()
         .map(String::into_bytes)
@@ -1049,7 +1031,7 @@ mod tests {
                     ReplyBody::Parse => assert_eq!(Json::parse(&r.text).as_ref(), Ok(&r.body)),
                     ReplyBody::Validate => assert_eq!(r.body, Json::Null),
                 }
-                (r.status, r.headers, r.text)
+                (r.status, r.close, r.text)
             })
         };
         let mut accepted = 0;

@@ -46,13 +46,13 @@ mod mutator;
 pub use alloc_count::{allocations, CountingAlloc};
 pub use cache::{CacheCounters, CacheStats, Record, ResultCache, CACHE_ENTRY_SCHEMA_VERSION};
 pub use grid::{run_sweep, run_sweep_server, SweepParams, SweepPoint, SweepReport, SweepSpec};
-pub use http::{http_request, HttpClient, HttpReply};
+pub use http::{HttpClient, HttpReply};
 pub use router::{
     route_http, Router, RouterOptions, CLUSTER_STATS_SCHEMA_VERSION, SERVE_CLUSTER_STATS_SCHEMA,
 };
 pub use serve::{
-    batch_body, check_workers, serve_http, serve_http_shutdown, Answer, BatchReport, BatchStatus,
-    ServeError, ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS, MAX_WORKERS,
+    batch_body, check_workers, serve_http_shutdown, Answer, BatchReport, BatchStatus, ServeError,
+    ServeOptions, ShardedCounter, SimService, WarmReport, MAX_BATCH_ITEMS, MAX_WORKERS,
     SERVE_RESPONSE_SCHEMA_VERSION,
 };
 pub use sweep::parallel_map;

@@ -660,7 +660,7 @@ pub fn route_http(
     verbose: bool,
     shutdown: Arc<AtomicBool>,
 ) -> Result<(), String> {
-    http::serve(router, listener, max_requests, verbose, shutdown)
+    http::serve(&*router, listener, max_requests, verbose, &shutdown)
 }
 
 #[cfg(test)]
@@ -1008,13 +1008,9 @@ mod tests {
             assert!(status == "computed" || status == "cached", "got {status}");
             let owner = cluster.router.owner(&cfg.cache_key()).unwrap();
             let body = cfg.to_json().to_string();
-            let direct = crate::http::http_request(
-                &cluster.backends[owner].addr,
-                "POST",
-                "/run",
-                Some(("application/json", &body)),
-            )
-            .unwrap();
+            let direct = HttpClient::new(cluster.backends[owner].addr.clone())
+                .request("POST", "/run", Some(("application/json", &body)))
+                .unwrap();
             assert_eq!(
                 direct.body.get("cached").and_then(Json::as_bool),
                 Some(true),
@@ -1168,13 +1164,9 @@ mod tests {
         })
         .unwrap();
         let body = small_cfg(1).to_json().to_string();
-        let direct = crate::http::http_request(
-            &backend.addr,
-            "POST",
-            "/run",
-            Some(("application/json", &body)),
-        )
-        .unwrap();
+        let direct = HttpClient::new(backend.addr.clone())
+            .request("POST", "/run", Some(("application/json", &body)))
+            .unwrap();
         assert_eq!(direct.status, 503, "{}", direct.text);
         let (status, text) = router.handle(&post("/run", body));
         assert_eq!(status, 503, "{text}");
@@ -1273,7 +1265,7 @@ mod tests {
         let server = {
             let stop = Arc::clone(&stop);
             let slow = Arc::clone(&slow);
-            std::thread::spawn(move || http::serve(slow, listener, None, false, stop))
+            std::thread::spawn(move || http::serve(&*slow, listener, None, false, &stop))
         };
         let router = Router::new(RouterOptions {
             backends: vec![dead, addr],
@@ -1358,7 +1350,7 @@ mod tests {
         let server = {
             let stop = Arc::clone(stop);
             let garbled = Arc::clone(&garbled);
-            std::thread::spawn(move || http::serve(garbled, listener, None, false, stop))
+            std::thread::spawn(move || http::serve(&*garbled, listener, None, false, &stop))
         };
         (addr, garbled, server)
     }

@@ -943,29 +943,14 @@ impl Handler for SimService {
     }
 }
 
-/// The accept loop: each connection is handled on its own thread (the
-/// worker pool, not the connection count, bounds simulation concurrency).
-/// With `max_requests` set the loop exits cleanly after that many
-/// connections — how tests and the CI gate shut the server down.
-pub fn serve_http(
-    service: Arc<SimService>,
-    listener: TcpListener,
-    max_requests: Option<u64>,
-    verbose: bool,
-) -> Result<(), String> {
-    serve_http_shutdown(
-        service,
-        listener,
-        max_requests,
-        verbose,
-        Arc::new(AtomicBool::new(false)),
-    )
-}
-
-/// [`serve_http`] with a drain switch: raising `shutdown` stops the
+/// Serves `service` on `listener`: each connection is handled on its own
+/// thread (the worker pool, not the connection count, bounds simulation
+/// concurrency). With `max_requests` set the server stops accepting
+/// after that many connections and returns once they have ended — how
+/// scripts and the CI gate shut it down. Raising `shutdown` stops the
 /// accept loop, lets requests already being handled finish, answers the
 /// final response on every kept-alive socket with `Connection: close`,
-/// and returns once all handler threads have exited. No request that
+/// and returns once every connection thread has ended. No request that
 /// reached the server is dropped — this is the backend half of the
 /// router's kill-and-reroute story.
 pub fn serve_http_shutdown(
@@ -975,13 +960,13 @@ pub fn serve_http_shutdown(
     verbose: bool,
     shutdown: Arc<AtomicBool>,
 ) -> Result<(), String> {
-    http::serve(service, listener, max_requests, verbose, shutdown)
+    http::serve(&*service, listener, max_requests, verbose, &shutdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{http_request, HttpClient};
+    use crate::http::HttpClient;
     use crate::router::{route_http, Router, RouterOptions};
     use std::time::{Duration, Instant};
 
@@ -1299,16 +1284,13 @@ mod tests {
     #[test]
     fn http_round_trip_over_loopback() {
         let dir = tmp_dir("http");
-        let svc = Arc::new(service(&dir, 1));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(5), false))
-        };
+        let running = Running::start(Front::Serve, Arc::new(service(&dir, 1)), Some(1));
+        let mut client = HttpClient::new(running.addr.clone());
 
         let body = r#"{"workload":"lu","threads":2,"scale":1}"#;
-        let first = http_request(&addr, "POST", "/run", Some(("application/json", body))).unwrap();
+        let first = client
+            .request("POST", "/run", Some(("application/json", body)))
+            .unwrap();
         assert_eq!(first.status, 200);
         let first = first.body;
         assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
@@ -1319,7 +1301,9 @@ mod tests {
 
         // Same config as TOML: canonicalization makes it the same key.
         let toml = "workload = \"lu\"\nthreads = 2\nscale = 1\n";
-        let second = http_request(&addr, "POST", "/run", Some(("application/toml", toml))).unwrap();
+        let second = client
+            .request("POST", "/run", Some(("application/toml", toml)))
+            .unwrap();
         assert_eq!(second.status, 200);
         let second = second.body;
         assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
@@ -1335,12 +1319,14 @@ mod tests {
         // A request waits for its record: there is no job handle to poll,
         // not even for a cached key.
         let key = first.get("key").and_then(Json::as_str).unwrap();
-        let job = http_request(&addr, "GET", &format!("/jobs/{key}"), None).unwrap();
+        let job = client
+            .request("GET", &format!("/jobs/{key}"), None)
+            .unwrap();
         assert_eq!(job.status, 404);
         let error = job.body.get("error").and_then(Json::as_str).unwrap();
         assert!(error.starts_with("no such endpoint"), "{error}");
 
-        let stats = http_request(&addr, "GET", "/stats", None).unwrap();
+        let stats = client.request("GET", "/stats", None).unwrap();
         assert_eq!(stats.status, 200);
         let stats = stats.body;
         assert_eq!(stats.get("hits").and_then(Json::as_u64), Some(1));
@@ -1353,17 +1339,18 @@ mod tests {
         assert!(cache.get("disk_bytes").and_then(Json::as_u64).unwrap() > 0);
         assert_eq!(cache.get("evicted").and_then(Json::as_u64), Some(0));
 
-        let err = http_request(
-            &addr,
-            "POST",
-            "/run",
-            Some(("application/json", r#"{"wrkload":"oops"}"#)),
-        )
-        .unwrap();
+        let err = client
+            .request(
+                "POST",
+                "/run",
+                Some(("application/json", r#"{"wrkload":"oops"}"#)),
+            )
+            .unwrap();
         assert_eq!(err.status, 400);
         assert!(err.body.get("error").is_some());
 
-        server.join().unwrap().unwrap();
+        drop(client);
+        running.join();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1371,12 +1358,8 @@ mod tests {
     fn the_service_not_the_request_picks_the_scheduler() {
         let dir = tmp_dir("sched");
         let svc = Arc::new(service(&dir, 1));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(5), false))
-        };
+        let running = Running::start(Front::Serve, Arc::clone(&svc), Some(1));
+        let mut client = HttpClient::new(running.addr.clone());
         // `[sched]` is refused on every front door: a /run body in either
         // format, a /batch config list and a /batch grid.
         for (path, content_type, body) in [
@@ -1401,7 +1384,9 @@ mod tests {
                 "workload = \"lu\"\n[sched]\nmode = \"naive\"\n[grid]\nthreads = [2, 3]\n",
             ),
         ] {
-            let reply = http_request(&addr, "POST", path, Some((content_type, body))).unwrap();
+            let reply = client
+                .request("POST", path, Some((content_type, body)))
+                .unwrap();
             assert_eq!(reply.status, 400, "{path} {content_type}: {}", reply.text);
             let error = reply.body.get("error").and_then(Json::as_str).unwrap_or("");
             assert!(
@@ -1411,16 +1396,16 @@ mod tests {
         }
         assert_eq!(svc.sim_runs(), 0, "a refused body simulates nothing");
 
-        let plain = http_request(
-            &addr,
-            "POST",
-            "/run",
-            Some((
-                "application/json",
-                r#"{"workload":"lu","threads":2,"scale":1}"#,
-            )),
-        )
-        .unwrap();
+        let plain = client
+            .request(
+                "POST",
+                "/run",
+                Some((
+                    "application/json",
+                    r#"{"workload":"lu","threads":2,"scale":1}"#,
+                )),
+            )
+            .unwrap();
         assert_eq!(plain.status, 200, "{}", plain.text);
         assert_eq!(svc.sim_runs(), 1);
         assert_eq!(
@@ -1432,7 +1417,8 @@ mod tests {
             Some("component-wake"),
             "a miss runs under the default scheduler"
         );
-        server.join().unwrap().unwrap();
+        drop(client);
+        running.join();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1440,12 +1426,8 @@ mod tests {
     fn http_batch_dedups_and_expands_grids() {
         let dir = tmp_dir("http-batch");
         let svc = Arc::new(service(&dir, 1));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || serve_http(svc, listener, Some(2), false))
-        };
+        let running = Running::start(Front::Serve, Arc::clone(&svc), Some(1));
+        let mut client = HttpClient::new(running.addr.clone());
 
         // A batch of 4 duplicates (mixed bare and labelled forms) runs
         // exactly one simulation.
@@ -1455,8 +1437,9 @@ mod tests {
             {"workload":"lu","threads":2,"scale":1},
             {"workload":"lu","threads":2,"scale":1}
         ]}"#;
-        let reply =
-            http_request(&addr, "POST", "/batch", Some(("application/json", body))).unwrap();
+        let reply = client
+            .request("POST", "/batch", Some(("application/json", body)))
+            .unwrap();
         assert_eq!(reply.status, 200);
         assert_eq!(reply.body.get("total").and_then(Json::as_u64), Some(4));
         assert_eq!(reply.body.get("unique").and_then(Json::as_u64), Some(1));
@@ -1474,8 +1457,9 @@ mod tests {
 
         // A TOML grid body expands like a sweep and reuses the warm key.
         let grid = "workload = \"lu\"\nscale = 1\n\n[grid]\nthreads = [2]\n";
-        let reply =
-            http_request(&addr, "POST", "/batch", Some(("application/toml", grid))).unwrap();
+        let reply = client
+            .request("POST", "/batch", Some(("application/toml", grid)))
+            .unwrap();
         assert_eq!(reply.status, 200);
         let results = reply.body.get("results").and_then(Json::as_array).unwrap();
         assert_eq!(
@@ -1484,7 +1468,8 @@ mod tests {
         );
         assert_eq!(svc.sim_runs(), 1, "grid batch reused the warm key");
 
-        server.join().unwrap().unwrap();
+        drop(client);
+        running.join();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1571,7 +1556,7 @@ mod tests {
                 .request("POST", "/run", Some(("application/json", &body)))
                 .unwrap();
             assert_eq!(first.status, 200, "{front:?}");
-            assert_eq!(first.header("connection"), Some("keep-alive"));
+            assert!(!first.close, "{front:?}: the server keeps the connection");
             let second = client
                 .request("POST", "/run", Some(("application/json", &body)))
                 .unwrap();

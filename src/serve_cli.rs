@@ -13,10 +13,11 @@
 
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use tenways::bench::{
-    check_workers, http_request, serve_http, write_text_atomic, ServeOptions, SimService,
+    check_workers, serve_http_shutdown, write_text_atomic, HttpClient, ServeOptions, SimService,
 };
 
 fn usage() -> ! {
@@ -166,7 +167,9 @@ fn run_server(
         if workers == 1 { "" } else { "s" },
         cache_dir.display()
     );
-    serve_http(Arc::new(service), listener, max_requests, verbose).unwrap_or_else(|e| fail(e));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    serve_http_shutdown(Arc::new(service), listener, max_requests, verbose, shutdown)
+        .unwrap_or_else(|e| fail(e));
     eprintln!("[serve] done");
     std::process::exit(0);
 }
@@ -189,15 +192,18 @@ fn run_client_post(addr: &str, path: &str, source: &str) -> ! {
     } else {
         "application/toml"
     };
-    let reply =
-        http_request(addr, "POST", path, Some((content_type, &text))).unwrap_or_else(|e| fail(e));
+    let reply = HttpClient::new(addr)
+        .request("POST", path, Some((content_type, &text)))
+        .unwrap_or_else(|e| fail(e));
     println!("{}", reply.body.pretty());
     std::process::exit(if reply.status == 200 { 0 } else { 1 });
 }
 
 /// GETs a diagnostic endpoint and prints the response document.
 fn run_get(addr: &str, path: &str) -> ! {
-    let reply = http_request(addr, "GET", path, None).unwrap_or_else(|e| fail(e));
+    let reply = HttpClient::new(addr)
+        .request("GET", path, None)
+        .unwrap_or_else(|e| fail(e));
     println!("{}", reply.body.pretty());
     std::process::exit(if reply.status == 200 { 0 } else { 1 });
 }

@@ -556,3 +556,140 @@ fn the_run_loop_is_not_a_cli_or_config_setting() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `tenways serve` or `tenways route` child on an ephemeral port,
+/// killed when dropped.
+#[cfg(target_os = "linux")]
+struct Listening {
+    child: std::process::Child,
+    addr: String,
+}
+
+#[cfg(target_os = "linux")]
+impl Listening {
+    /// Runs `command` (its arguments end with `--port-file <port>`) and
+    /// waits up to 30 s for the address it binds.
+    fn start(mut command: Command, port: &std::path::Path) -> Listening {
+        let child = command.stdin(Stdio::null()).spawn().expect("spawn tenways");
+        let mut listening = Listening {
+            child,
+            addr: String::new(),
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while listening.addr.is_empty() {
+            assert!(Instant::now() < deadline, "no port file after 30 s");
+            std::thread::sleep(Duration::from_millis(20));
+            listening.addr = std::fs::read_to_string(port).unwrap_or_default();
+        }
+        listening.addr = listening.addr.trim().to_string();
+        listening
+    }
+
+    /// One `GET /healthz` on a connection of its own, read to its close.
+    fn health(&self) -> String {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(&self.addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    /// How many memory mappings the child holds.
+    fn mappings(&self) -> usize {
+        let maps = std::fs::read_to_string(format!("/proc/{}/maps", self.child.id())).unwrap();
+        maps.lines().count()
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for Listening {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_connection_thread_is_freed_when_its_connection_ends() {
+    // A thread kept joinable until the server stops holds its stack,
+    // two mappings, for every connection ever accepted. The router
+    // answers /healthz itself, so its backend is never contacted.
+    let dir = cli_dir("connection-threads");
+    let cache = dir.join("cache");
+    for (front, args) in [
+        (
+            "serve",
+            vec!["--workers", "0", "--cache-dir", cache.to_str().unwrap()],
+        ),
+        ("route", vec!["--backend", "127.0.0.1:1"]),
+    ] {
+        let port = dir.join(format!("{front}.port"));
+        let mut command = Command::new(env!("CARGO_BIN_EXE_tenways"));
+        command
+            .arg(front)
+            .args(args)
+            .args(["--addr", "127.0.0.1:0", "--port-file"])
+            .arg(&port)
+            .stderr(Stdio::null());
+        let server = Listening::start(command, &port);
+        let mut after_100 = 0;
+        for n in 1..=1000 {
+            let reply = server.health();
+            assert!(reply.starts_with("HTTP/1.1 200"), "{front} #{n}: {reply}");
+            if n == 100 {
+                after_100 = server.mappings();
+            }
+        }
+        let grown = server.mappings().saturating_sub(after_100);
+        assert!(
+            grown < 50,
+            "{front}: {grown} more mappings after 900 more connections"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_server_out_of_descriptors_backs_off_and_accepts_again() {
+    // With 24 descriptors, 40 held connections leave accept failing on
+    // every call. The server must wait between tries, log the run of
+    // failures once, and accept again once the connections close.
+    let dir = cli_dir("accept-backoff");
+    let (port, cache, log) = (dir.join("port"), dir.join("cache"), dir.join("stderr"));
+    let mut command = Command::new("sh");
+    command
+        .args(["-c", "ulimit -n 24; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_tenways"))
+        .args(["serve", "--workers", "0", "--addr", "127.0.0.1:0"])
+        .arg("--cache-dir")
+        .arg(&cache)
+        .arg("--port-file")
+        .arg(&port)
+        .stderr(std::fs::File::create(&log).unwrap());
+    let server = Listening::start(command, &port);
+    let held: Vec<_> = (0..40)
+        .map(|_| std::net::TcpStream::connect(&server.addr).unwrap())
+        .collect();
+    let lines = || std::fs::read_to_string(&log).unwrap().lines().count();
+    std::thread::sleep(Duration::from_millis(300));
+    let before = lines();
+    std::thread::sleep(Duration::from_secs(1));
+    let grown = lines() - before;
+    assert!(
+        grown < 10,
+        "{grown} log lines in one second out of descriptors"
+    );
+    drop(held);
+    let reply = server.health();
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
